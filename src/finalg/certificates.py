@@ -245,7 +245,8 @@ def _recheck_level(cert: dict) -> tuple[bool, str]:
     fresh = chain_level(gens, p["scheme"])
     if fresh.level != ev["level"] or fresh.found != ev["found"]:
         return False, f"recomputed level {fresh.level} != stored {ev['level']}"
-    return True, "chain re-verified and level reproduced"
+    ok = (fresh.verified or not fresh.found) and p.get("expect") in (None, fresh.level)
+    return _verdict_follows(cert, ok, "chain re-verified and level reproduced")
 
 
 def _recheck_search(cert: dict) -> tuple[bool, str]:
@@ -261,10 +262,13 @@ def _recheck_search(cert: dict) -> tuple[bool, str]:
         term = term_from_obj(ev["term"], op_names)
         equations, nvars = _scheme_equations(scheme, term)
         ok, violation = verify_equations(equations, gens, nvars)
-        return (ok, "stored term re-verified" if ok else f"term fails at {violation}")
+        if not ok:
+            return False, f"term fails at {violation}"
+        return _verdict_follows(cert, p.get("expect") != "absent", "stored term re-verified")
     fresh = absorption_search(gens, scheme)
-    ok = not fresh.found and fresh.complete
-    return ok, "absence reproduced" if ok else "search disagrees with certificate"
+    if fresh.found or not fresh.complete:
+        return False, "search disagrees with certificate"
+    return _verdict_follows(cert, p.get("expect") != "found", "absence reproduced")
 
 
 def _recheck_toolkit(cert: dict) -> tuple[bool, str]:
@@ -272,6 +276,14 @@ def _recheck_toolkit(cert: dict) -> tuple[bool, str]:
     fresh = toolkit_certificate(p["fixtures"], p["d_index"], p["e_index"])
     same = fresh["verdict"] == cert["verdict"] and fresh["evidence"] == cert["evidence"]
     return same, "toolkit pipeline reproduced" if same else "pipeline drifted"
+
+
+def _verdict_follows(cert: dict, ok: bool, detail: str) -> tuple[bool, str]:
+    """The stored verdict must be the one the recomputed facts give."""
+    verdict = "verified" if ok else "refuted"
+    if cert["verdict"] != verdict:
+        return False, f"stored verdict {cert['verdict']!r}, recomputed {verdict!r}"
+    return True, detail
 
 
 def _core_equal(a: dict, b: dict, keys) -> bool:

@@ -5,18 +5,23 @@ coordinate = one algebra index) generated by explicit vectors.  The free
 algebra on g generators is the special case with one coordinate per
 (algebra, assignment of the generators) and the projections as generators.
 
-Two engines:
+One closure kernel, `_build_closure`, runs in frontier rounds: each round
+applies every operation to the argument-index tuples that touch an element
+found in the previous round, and records a provenance term for each new
+element.  `_arg_blocks` unranks those tuples in numpy, in blocks of
+`_CHUNK` rows of shape (rows, arity), in a fixed order (multisets for
+symmetric operations), so the work count, the point where the work cap
+bites and every provenance term are deterministic.  Cost grows as
+C(N+r-1, r) in the element count N.  Two engines sit on the kernel:
 
-* closure engine - frontier rounds applying every operation to argument
-  multisets (tuples for asymmetric operations), recording a provenance term
-  for each new element; deterministic and exact, cost grows as C(N+r-1, r)
-  in the element count N.
+* closure engine - the kernel over all coordinates; 'partial' returns
+  what was generated when the work cap bites.
 * local engine - when some basic operation is near-unanimity on every
   generator, the generated subpower is determined by its projections onto
-  (arity-1)-sized coordinate sets; elements are enumerated by filtering the
-  coordinate box through the local closures, and provenance terms are
-  reconstructed on demand by the interpolation recursion behind that
-  decomposition.
+  (arity-1)-sized coordinate sets, each closed by the same kernel under the
+  same caps; elements are enumerated by filtering the coordinate box through
+  the local closures, and provenance terms are reconstructed on demand by
+  the interpolation recursion behind that decomposition.
 """
 
 from __future__ import annotations
@@ -176,9 +181,11 @@ def generate_subpower(
         return sub
 
     if engine == "local":
-        return _build_local(gens, coord_algs, gen_rows, element_cap, enumerate_all=True)
+        return _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
+                            enumerate_all=True)
     if engine == "membership":
-        return _build_local(gens, coord_algs, gen_rows, element_cap, enumerate_all=False)
+        return _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
+                            enumerate_all=False)
     try:
         return _build_closure(gens, coord_algs, gen_rows, element_cap, work_cap,
                               partial_ok=(engine == "partial"))
@@ -186,9 +193,11 @@ def generate_subpower(
         if engine in ("closure", "partial"):
             raise
         try:
-            return _build_local(gens, coord_algs, gen_rows, element_cap, enumerate_all=True)
+            return _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
+                                enumerate_all=True)
         except CapExceeded:
-            return _build_local(gens, coord_algs, gen_rows, element_cap, enumerate_all=False)
+            return _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
+                                enumerate_all=False)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +226,6 @@ class FreeAlgebra:
                 raise AlgebraError("projection vector missing from the free algebra")
             out.append(i)
         return out
-
-    def coord_subset(self, pred) -> list[int]:
-        return [k for k, meta in enumerate(self.assignments) if pred(*meta)]
 
 
 def build_free_algebra(
@@ -298,21 +304,18 @@ def _build_closure(gens, coord_algs, gen_rows, element_cap, work_cap,
             break
     work = 0
     old = 0
-    chunk = 250_000
     complete = True
     while True:
         n = len(rows)
         stacked = np.stack(rows)
         try:
             for oi, op in enumerate(gens[0].ops):
-                r = op.arity
-                for block in _chunked(_fresh_combos(n, old, r, sym[oi]), chunk):
-                    work += len(block)
+                for idx in _arg_blocks(n, old, op.arity, sym[oi]):
+                    work += len(idx)
                     if work > work_cap:
                         raise CapExceeded("subpower work cap exceeded", explored=n)
-                    idx = np.asarray(block, dtype=np.int64)
-                    args = stacked[idx]            # (chunk, r, ncoords)
-                    out = _apply_vec(gens, coord_algs, oi, args.transpose(1, 0, 2))
+                    args = np.take(stacked, idx.T, axis=0)     # (r, rows, ncoords)
+                    out = _apply_vec(gens, coord_algs, oi, args)
                     if packable:
                         _, first = np.unique(out.astype(np.int64) @ pack,
                                              return_index=True)
@@ -347,25 +350,79 @@ def _build_closure(gens, coord_algs, gen_rows, element_cap, work_cap,
     return sub
 
 
-def _fresh_combos(n, old, r, sym):
-    """Argument tuples over range(n) touching at least one index >= old."""
+_CHUNK = 250_000
+
+
+def _arg_blocks(n: int, old: int, r: int, sym: bool):
+    """Argument-index blocks over range(n) whose rows touch an index >= old.
+
+    Symmetric operations get the sorted r-multisets, ordered by their largest
+    entry t and then lexicographically; the others get all r-tuples in
+    lexicographic order.  Every block but the last has `_CHUNK` rows.
+
+    A block [a, b) of that sequence is unranked column by column.  The rows
+    sharing a prefix form a group with a known row count; each level expands
+    the groups into children, one per value of the next column, and keeps
+    the children whose rows meet [a, b).  Every child holds at least one row,
+    so a level handles at most b - a + 2n children.  Counts are clamped at b,
+    which keeps them in int64 and still ends every group that runs past b.
+    The array yielded is a view of one buffer that the next block overwrites;
+    the buffer is column-major, so `block.T` gives each argument position
+    contiguously.
+    """
     if sym:
-        # sorted multisets with maximum t, for each fresh t
-        for t in range(old, n):
-            for combo in itertools.combinations_with_replacement(range(t + 1), r - 1):
-                yield combo + (t,)
+        total = math.comb(n + r - 1, r) - math.comb(old + r - 1, r)
+        cols = [r - 1, *range(r - 1)]      # t first, then left to right
+        # multisets[k][d]: number of k-multisets over d values (float, exact
+        # below 2**53; larger counts are clamped anyway)
+        multisets = [np.ones(n + 1)]
+        for _ in range(r - 1):
+            multisets.append(np.concatenate(([0.0], np.cumsum(multisets[-1][1:]))))
     else:
-        for combo in itertools.product(range(n), repeat=r):
-            if max(combo) >= old:
-                yield combo
-
-
-def _chunked(iterator, chunk):
-    while True:
-        block = list(itertools.islice(iterator, chunk))
-        if not block:
-            return
-        yield block
+        total = n**r - old**r
+        cols = list(range(r))
+    block = np.empty((r, min(_CHUNK, total)), dtype=np.int64)  # yielded transposed
+    for a in range(0, total, _CHUNK):
+        b = min(a + _CHUNK, total)
+        start = 0                           # first row of the first group
+        lo = np.full(1, old if sym else 0, dtype=np.int64)
+        hi = np.full(1, n, dtype=np.int64)
+        fresh = np.zeros(1, dtype=bool)     # prefix already holds an index >= old
+        trail = []
+        for level in range(r):
+            left = r - 1 - level            # columns still open below a child
+            if not sym and left == 0:
+                lo = np.where(fresh, 0, old)
+            width = hi - lo
+            offset = np.cumsum(width) - width
+            parent = np.repeat(np.arange(len(width)), width)
+            value = np.arange(len(parent)) - np.repeat(offset - lo, width)
+            if sym:
+                d = value + 1 if level == 0 else hi[parent] - value
+                count = np.minimum(multisets[left][d], b).astype(np.int64)
+            else:
+                fresh = fresh[parent] | (value >= old)
+                count = np.where(fresh, min(n**left, b), min(n**left - old**left, b))
+            end = start + np.cumsum(count)
+            # keep the first child ending after a up to the first ending at or after b
+            first = int(np.searchsorted(end, a, side="right"))
+            stop = int(np.searchsorted(end, b)) + 1
+            parent, value = parent[first:stop], value[first:stop]
+            start = int(end[first] - count[first])
+            trail.append((parent, value))
+            if sym:
+                hi = value + 1 if level == 0 else hi[parent]
+                lo = np.zeros_like(value) if level == 0 else value
+            else:
+                fresh = fresh[first:stop]
+                hi = np.full(len(value), n, dtype=np.int64)
+                lo = np.zeros_like(hi)
+        at = np.arange(b - a)
+        for level in range(r - 1, -1, -1):
+            parent, value = trail[level]
+            block[cols[level], : b - a] = value[at]
+            at = parent[at]
+        yield block[:, : b - a].T
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +434,8 @@ class _LocalData:
     nu_op: int
     width: int
     local_closures: dict                     # ordered coord tuple -> {proj: Term}
+    element_cap: int                         # caps of each local closure
+    work_cap: int
 
 
 def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
@@ -389,14 +448,15 @@ def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
     return None
 
 
-def _build_local(gens, coord_algs, gen_rows, element_cap, enumerate_all) -> Subpower:
+def _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
+                 enumerate_all) -> Subpower:
     nu = shared_nu_op(gens)
     if nu is None:
         raise CapExceeded("no shared near-unanimity operation; local engine unavailable")
     width = gens[0].ops[nu].arity - 1
     ncoords = len(coord_algs)
     sizes = [gens[ai].size for ai in coord_algs]
-    local = _LocalData(nu, width, {})
+    local = _LocalData(nu, width, {}, element_cap, work_cap)
     sub = Subpower(
         gens, coord_algs, gen_rows,
         np.empty((0, ncoords), dtype=np.int16), None,
@@ -441,44 +501,16 @@ def _box_grid(sizes) -> np.ndarray:
 
 def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> dict:
     """Generated subalgebra of the projection onto `subset`, with terms."""
-    table = sub._local.local_closures.get(subset)
+    local = sub._local
+    table = local.local_closures.get(subset)
     if table is not None:
         return table
-    gens = sub.gens
-    algs = [sub.coord_algs[k] for k in subset]
-    rows: list[np.ndarray] = []
-    terms: list[Term] = []
-    index: dict[bytes, int] = {}
-    for j in range(len(sub.gen_rows)):
-        row = sub.gen_rows[j, list(subset)]
-        key = row.tobytes()
-        if key not in index:
-            index[key] = len(rows)
-            rows.append(row)
-            terms.append(Var(j))
-    sym = [_op_symmetric_on(gens, oi) for oi in range(len(gens[0].ops))]
-    old = 0
-    while True:
-        n = len(rows)
-        stacked = np.stack(rows)
-        for oi, op in enumerate(gens[0].ops):
-            combos = list(_fresh_combos(n, old, op.arity, sym[oi]))
-            if not combos:
-                continue
-            idx = np.asarray(combos, dtype=np.int64)
-            args = stacked[idx]
-            out = _apply_vec(gens, algs, oi, args.transpose(1, 0, 2))
-            for row, arg_idx in zip(out, idx):
-                key = row.tobytes()
-                if key not in index:
-                    index[key] = len(rows)
-                    rows.append(row.copy())
-                    terms.append(App(oi, tuple(terms[i] for i in arg_idx)))
-        if len(rows) == n:
-            break
-        old = n
-    table = {tuple(int(v) for v in row): terms[i] for i, row in enumerate(rows)}
-    sub._local.local_closures[subset] = table
+    closed = _build_closure(sub.gens, [sub.coord_algs[k] for k in subset],
+                            sub.gen_rows[:, list(subset)],
+                            local.element_cap, local.work_cap)
+    table = {tuple(int(v) for v in row): term
+             for row, term in zip(closed.vectors, closed.terms)}
+    local.local_closures[subset] = table
     return table
 
 

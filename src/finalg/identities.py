@@ -31,6 +31,7 @@ import numpy as np
 
 from .algebras import AlgebraError, CapExceeded, FiniteAlgebra
 from .congruences import Partition, is_congruence, partition_meet
+from .relations import bool_product
 
 ALPHA, BETA, GAMMA = "alpha", "beta", "gamma"
 ALPHA_BETA, ALPHA_GAMMA = "alpha_beta", "alpha_gamma"
@@ -148,7 +149,7 @@ def expr_matrix(expr, ctx: dict) -> np.ndarray:
         n = ctx[ALPHA].size
         out = np.eye(n, dtype=bool)
         for item in expr.items:
-            out = (out.astype(np.uint8) @ expr_matrix(item, ctx).astype(np.uint8)) > 0
+            out = bool_product(out, expr_matrix(item, ctx))
         return out
     if isinstance(expr, MeetAlpha):
         ids = ctx[ALPHA].as_array()
@@ -158,7 +159,7 @@ def expr_matrix(expr, ctx: dict) -> np.ndarray:
         base = expr_matrix(expr.inner, ctx)
         out = np.eye(n, dtype=bool)
         for _ in range(expr.k):
-            out = (out.astype(np.uint8) @ base.astype(np.uint8)) > 0
+            out = bool_product(out, base)
         return out
     raise AlgebraError(f"bad expression node {expr!r}")
 

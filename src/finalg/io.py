@@ -12,7 +12,6 @@ import os
 import tempfile
 
 from .algebras import AlgebraError, FiniteAlgebra, TableOp
-from .congruences import Partition
 
 
 def algebra_to_obj(alg: FiniteAlgebra) -> dict:
@@ -77,15 +76,6 @@ def save_algebra(alg: FiniteAlgebra, path: str) -> None:
 def load_algebra(path: str) -> FiniteAlgebra:
     with open(path) as handle:
         return algebra_from_obj(json.load(handle))
-
-
-def save_partition(part: Partition, path: str) -> None:
-    write_atomic(path, dumps_canonical(part.to_obj()))
-
-
-def load_partition(path: str) -> Partition:
-    with open(path) as handle:
-        return Partition.from_obj(json.load(handle))
 
 
 def algebras_equal(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:

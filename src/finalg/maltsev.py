@@ -150,13 +150,6 @@ def _fingerprint_groups(free: FreeAlgebra, pattern) -> np.ndarray:
     return groups
 
 
-def _cond_mask(free: FreeAlgebra, cond) -> np.ndarray:
-    pattern, result = cond
-    coords, keys = _pattern_coords(free, pattern)
-    want = np.asarray([key[1][result] for key in keys], dtype=np.int16)
-    return (free.vectors[:, coords] == want).all(axis=1)
-
-
 @dataclass
 class LevelCertificate:
     scheme: str
@@ -246,8 +239,8 @@ def _linked_chain(free, scheme, max_level):
 
 def _directed_chain(free, scheme, max_level):
     eligible = _node_mask(free, scheme.node) if scheme.node else np.ones(free.size, bool)
-    starts = [int(s) for s in np.flatnonzero(eligible & _cond_mask(free, scheme.start_cond))]
-    accept = eligible & _cond_mask(free, scheme.end_cond)
+    starts = [int(s) for s in np.flatnonzero(eligible & _node_mask(free, scheme.start_cond))]
+    accept = eligible & _node_mask(free, scheme.end_cond)
     if not starts:
         return None
     hits = [s for s in starts if accept[s]]

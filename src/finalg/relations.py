@@ -56,10 +56,20 @@ def rel_of_partition(part: Partition) -> BinRelation:
     return BinRelation(ids[:, None] == ids[None, :])
 
 
+def bool_product(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Relational product of two boolean n x n matrices.
+
+    Path counts are at most n; float32 holds them exactly below 2**24, far
+    above any matrix built here (check_identity keeps n <= 1414 through its
+    matrix_cap), so unlike a uint8 product the count cannot wrap to 0.
+    """
+    return (r.astype(np.float32) @ s.astype(np.float32)) > 0
+
+
 def rel_compose(r: BinRelation, s: BinRelation) -> BinRelation:
     if r.size != s.size:
         raise AlgebraError("relation sizes differ")
-    return BinRelation((r.bits.astype(np.uint8) @ s.bits.astype(np.uint8)) > 0)
+    return BinRelation(bool_product(r.bits, s.bits))
 
 
 def rel_meet(r: BinRelation, s: BinRelation) -> BinRelation:

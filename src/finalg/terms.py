@@ -151,15 +151,6 @@ def verify_equations(
     return True, None
 
 
-def verify_term_identity(
-    terms, algebras, equations, nvars: int
-):
-    """Convenience alias: the candidate terms are already spliced into the
-    equations, so only the exhaustive check remains."""
-    del terms  # the equations carry the spliced terms
-    return verify_equations(equations, algebras, nvars)
-
-
 # ---------------------------------------------------------------------------
 # equation schemas for single candidate terms
 

@@ -1,8 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from finalg import freealg
 from finalg.algebras import AlgebraError, CapExceeded, make_ujm_reduct, one_element_algebra
-from finalg.freealg import build_free_algebra, generate_subpower, shared_nu_op
+from finalg.fixtures import load_fixtures
+from finalg.freealg import (
+    _CHUNK,
+    _arg_blocks,
+    _local_closure_for,
+    build_free_algebra,
+    generate_subpower,
+    shared_nu_op,
+)
 from finalg.terms import term_eval
 from finalg.witnesses import implication_expansion, modular_sum_algebra, nu_family_generators
 
@@ -93,3 +104,85 @@ def test_work_cap_raises():
 def test_generators_must_be_similar():
     with pytest.raises(AlgebraError):
         build_free_algebra([make_ujm_reduct(2, 2, 3), make_ujm_reduct(2, 2, 4)], 3)
+
+
+# ---------------------------------------------------------------------------
+# the argument-block kernel against the per-tuple generator it replaced
+
+
+def oracle_combos(n, old, r, sym):
+    """Argument tuples over range(n) touching at least one index >= old."""
+    if sym:
+        for t in range(old, n):
+            for combo in itertools.combinations_with_replacement(range(t + 1), r - 1):
+                yield combo + (t,)
+    else:
+        for combo in itertools.product(range(n), repeat=r):
+            if max(combo) >= old:
+                yield combo
+
+
+def oracle_blocks(n, old, r, sym, chunk=_CHUNK):
+    combos = oracle_combos(n, old, r, sym)
+    while True:
+        block = list(itertools.islice(combos, chunk))
+        if not block:
+            return
+        yield np.asarray(block, dtype=np.int64).reshape(len(block), r)
+
+
+def assert_same_blocks(monkeypatch, n, old, r, sym, chunk=_CHUNK):
+    monkeypatch.setattr(freealg, "_CHUNK", chunk)
+    want = list(oracle_blocks(n, old, r, sym, chunk))
+    got = [block.copy() for block in _arg_blocks(n, old, r, sym)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("sym", [True, False])
+def test_arg_blocks_match_oracle_small(monkeypatch, sym):
+    for r in (1, 2, 3, 4, 5):
+        for n in (1, 2, 3, 6):
+            for old in range(n):
+                # one-row blocks only where they stay few
+                for chunk in ((1, 2, 5, 64) if n**r <= 256 else (5, 64)):
+                    assert_same_blocks(monkeypatch, n, old, r, sym, chunk)
+
+
+@pytest.mark.parametrize("n, old, r, sym", [
+    (115, 0, 3, True),     # 260,130 multisets: one full block and a remainder
+    (120, 80, 3, True),    # a later round
+    (34, 30, 5, True),     # wide operation, late round
+    (63, 0, 3, False),     # 250,047 tuples
+    (70, 40, 3, False),    # asymmetric, later round
+])
+def test_arg_blocks_match_oracle_at_block_edges(monkeypatch, n, old, r, sym):
+    assert_same_blocks(monkeypatch, n, old, r, sym)
+
+
+def test_arg_blocks_exact_block_multiple(monkeypatch):
+    # C(11, 2) - C(6, 2) = 40 pairs: two full blocks of 20, no remainder
+    assert_same_blocks(monkeypatch, 10, 5, 2, True, 20)
+    assert [len(b) for b in _arg_blocks(10, 5, 2, True)] == [20, 20]
+
+
+def test_partial_run_matches_oracle_loop(monkeypatch):
+    # the shallow pass of absorption_search: the cap bites at a block edge
+    gens = load_fixtures("I:5")
+    fast = build_free_algebra(gens, 3, engine="partial", work_cap=300_000).sub
+    monkeypatch.setattr(freealg, "_arg_blocks", oracle_blocks)
+    slow = build_free_algebra(gens, 3, engine="partial", work_cap=300_000).sub
+    assert fast.engine == slow.engine == "partial"
+    assert fast.stats == slow.stats
+    assert np.array_equal(fast.vectors, slow.vectors)
+    assert fast.terms == slow.terms
+
+
+def test_local_closure_respects_work_cap():
+    gens = load_fixtures("I:4")
+    full = build_free_algebra(gens, 3, engine="local").sub
+    member = generate_subpower(gens, full.coord_algs, full.gen_rows,
+                               engine="membership", work_cap=10)
+    with pytest.raises(CapExceeded):
+        _local_closure_for(member, (0, 1, 2))

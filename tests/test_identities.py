@@ -228,3 +228,24 @@ def test_pair_mode_agrees_with_full_mode(witness_cache):
         )
         assert inside.verdict == "pair-not-counterexample"
         assert inside.stats["in_lhs"] and inside.stats["in_rhs"]
+
+
+@pytest.mark.parametrize("m, q, block", [(6, 3, 256), (6, 4, 625)])
+def test_full_mode_counts_paths_without_wrapping(witness_cache, m, q, block):
+    # alpha-blocks of 256 and 625 elements: path counts through a block pass
+    # 255, where a uint8 product wraps to 0 and drops pairs
+    w = witness_cache(m, q)
+    assert np.bincount(w.alpha.as_array()).max() == block
+    ctx = _context(w.alpha, w.beta, w.gamma)
+    lhs, rhs = family_exprs("wedge-power", m=m, q=q)
+    viol = expr_matrix(lhs, ctx) & ~expr_matrix(rhs, ctx)
+    pairs = [tuple(int(v) for v in p) for p in np.argwhere(viol)]
+    for pair in pairs:
+        inst = check_identity("wedge-power", w.alpha, w.beta, w.gamma, m=m, q=q, pair=pair)
+        assert inst.verdict == "fails"
+    full = check_identity("wedge-power", w.alpha, w.beta, w.gamma, m=m, q=q)
+    assert full.verdict == "fails" and full.counterexample in pairs
+    if q == 3:
+        assert len(pairs) == 2
+    else:
+        assert full.counterexample == (537, 117)
