@@ -39,7 +39,7 @@ def _env_cap(name: str, default: int) -> int:
 
 
 DEFAULT_CLOSURE_CAP = _env_cap("FINALG_CAP", 1 << 20)
-DEFAULT_TUPLE_CAP = 4_000_000
+DEFAULT_TUPLE_CAP = 16_000_000
 DEFAULT_TABLE_CAP = 1 << 22
 
 
@@ -111,7 +111,8 @@ class TableOp(Operation):
     def apply_cols(self, cols: np.ndarray) -> np.ndarray:
         idx = cols[0].astype(np.int64)
         for pos in range(1, self.arity):
-            idx = idx * self.size + cols[pos]
+            idx *= self.size
+            idx += cols[pos]
         return self.table[idx]
 
     def table_array(self, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
@@ -593,30 +594,87 @@ def _closed_under(alg, oi, op, ids_arr, tuple_cap):
     return _absorbing_slice_violation(view, oi, op, ids_arr, tuple_cap)
 
 
-def _iter_multisets(pool: np.ndarray, r: int, chunk: int = 200_000):
-    """Chunks of index rows (combinations with repetition over `pool`)."""
-    it = itertools.combinations_with_replacement(range(len(pool)), r)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield pool[np.asarray(block, dtype=np.int64)]
+_SCAN_ROWS = 100_000  # argument rows per block in the subuniverse check
 
 
-def _iter_tuples(pool: np.ndarray, r: int, chunk: int = 200_000):
-    it = itertools.product(range(len(pool)), repeat=r)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield pool[np.asarray(block, dtype=np.int64)]
+def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
+    """Argument-index blocks over range(n) whose rows touch an index >= old.
+
+    One generator serves the subuniverse check here and the closure kernel
+    in `freealg`.  Symmetric operations get the sorted r-multisets, ordered by their largest
+    entry t and then lexicographically; the others get all r-tuples in
+    lexicographic order.  Every block but the last has `chunk` rows.
+
+    A block [a, b) of that sequence is unranked column by column.  The rows
+    sharing a prefix form a group with a known row count; each level expands
+    the groups into children, one per value of the next column, and keeps
+    the children whose rows meet [a, b).  Every child holds at least one row,
+    so a level handles at most b - a + 2n children.  Counts are clamped at b,
+    which keeps them in int64 and still ends every group that runs past b.
+    The array yielded is a view of one buffer that the next block overwrites;
+    the buffer is column-major, so `block.T` gives each argument position
+    contiguously.
+    """
+    if sym:
+        total = math.comb(n + r - 1, r) - math.comb(old + r - 1, r)
+        cols = [r - 1, *range(r - 1)]      # t first, then left to right
+        # multisets[k][d]: number of k-multisets over d values (float, exact
+        # below 2**53; larger counts are clamped anyway)
+        multisets = [np.ones(n + 1)]
+        for _ in range(r - 1):
+            multisets.append(np.concatenate(([0.0], np.cumsum(multisets[-1][1:]))))
+    else:
+        total = n**r - old**r
+        cols = list(range(r))
+    block = np.empty((r, min(chunk, total)), dtype=np.int64)  # yielded transposed
+    for a in range(0, total, chunk):
+        b = min(a + chunk, total)
+        start = 0                           # first row of the first group
+        lo = np.full(1, old if sym else 0, dtype=np.int64)
+        hi = np.full(1, n, dtype=np.int64)
+        fresh = np.zeros(1, dtype=bool)     # prefix already holds an index >= old
+        trail = []
+        for level in range(r):
+            left = r - 1 - level            # columns still open below a child
+            if not sym and left == 0:
+                lo = np.where(fresh, 0, old)
+            width = hi - lo
+            offset = np.cumsum(width) - width
+            parent = np.repeat(np.arange(len(width)), width)
+            value = np.arange(len(parent)) - np.repeat(offset - lo, width)
+            if sym:
+                d = value + 1 if level == 0 else hi[parent] - value
+                count = np.minimum(multisets[left][d], b).astype(np.int64)
+            else:
+                fresh = fresh[parent] | (value >= old)
+                count = np.where(fresh, min(n**left, b), min(n**left - old**left, b))
+            end = start + np.cumsum(count)
+            # keep the first child ending after a up to the first ending at or after b
+            first = int(np.searchsorted(end, a, side="right"))
+            stop = int(np.searchsorted(end, b)) + 1
+            parent, value = parent[first:stop], value[first:stop]
+            start = int(end[first] - count[first])
+            trail.append((parent, value))
+            if sym:
+                hi = value + 1 if level == 0 else hi[parent]
+                lo = np.zeros_like(value) if level == 0 else value
+            else:
+                fresh = fresh[first:stop]
+                hi = np.full(len(value), n, dtype=np.int64)
+                lo = np.zeros_like(hi)
+        at = np.arange(b - a)
+        for level in range(r - 1, -1, -1):
+            parent, value = trail[level]
+            block[cols[level], : b - a] = value[at]
+            at = parent[at]
+        yield block[:, : b - a].T
 
 
 def _enumerate_violation(oi, op, pool, member_ids, sym):
     """Scan op over pool tuples; return a witness or None."""
     member_sorted = np.sort(member_ids)
-    gen = _iter_multisets(pool, op.arity) if sym else _iter_tuples(pool, op.arity)
-    for rows in gen:
+    for idx in _arg_blocks(len(pool), 0, op.arity, sym, _SCAN_ROWS):
+        rows = pool[idx]
         out = op.apply_cols(rows.T)
         pos = np.searchsorted(member_sorted, out)
         pos[pos >= len(member_sorted)] = len(member_sorted) - 1
@@ -729,10 +787,11 @@ def _absorbing_slice_violation(view, oi, op, ids_arr, tuple_cap):
 
     rest_ids = ids_arr[~in_slice]
     rest_rows = sub[~in_slice]
+    # e = 0 has the most argument rows of every pass
+    count = _count_multisets(len(rest_ids), r)
+    if count > tuple_cap:
+        raise CapExceeded(f"slice reduction still needs {count} tuples on {op.name}")
     for e in range(min(k, r)):
-        count = _count_multisets(len(rest_ids), r - e)
-        if count > tuple_cap:
-            raise CapExceeded(f"slice reduction still needs {count} tuples on {op.name}")
         witness = _slice_scan(
             oi, ops_c, rest_rows, rest_ids, boxes, e, weights, key_to_id, member_mask
         )
@@ -743,18 +802,19 @@ def _absorbing_slice_violation(view, oi, op, ids_arr, tuple_cap):
 
 def _coord_absorbs(cop, proj, box, k, r):
     """All r-multisets over proj with >= k entries from box map into box."""
-    proj_set = set(int(v) for v in proj)
-    box_set = set(int(v) for v in box)
-    if proj_set <= box_set:
+    if np.isin(proj, box).all():
         return True
-    if _count_multisets(len(proj_set), r) > 200_000:
+    if _count_multisets(len(proj), r) > 200_000:
         raise CapExceeded("per-coordinate absorption check too large")
-    for combo in itertools.combinations_with_replacement(sorted(proj_set), r):
-        if sum(1 for v in combo if v in box_set) < k:
-            continue
-        if cop.apply(combo) not in box_set:
+    for idx in _arg_blocks(len(proj), 0, r, True, _SCAN_ROWS):
+        vals = proj[idx]
+        enough = np.isin(vals, box).sum(axis=1) >= k
+        if not np.isin(cop.apply_cols(vals[enough].T), box).all():
             return False
     return True
+
+
+_EXPAND_KEYS = 1 << 20  # wildcard-expanded keys held at once by the scan
 
 
 def _slice_scan(oi, ops_c, rest_rows, rest_ids, boxes, e, weights, key_to_id, member_mask):
@@ -764,64 +824,82 @@ def _slice_scan(oi, ops_c, rest_rows, rest_ids, boxes, e, weights, key_to_id, me
     at distinct coordinates vary independently; per coordinate the candidate
     output values are computed for every e-multiset of box values, and any
     combination across coordinates is realised by some wildcard choice.
+    The rows (multisets of the t = arity - e other arguments) come in blocks
+    of `_SCAN_ROWS`, which bounds the memory of one pass.
     """
     ncoords = rest_rows.shape[1]
-    arity = ops_c[0].arity
-    t = arity - e
-    wild_combos = [
-        list(itertools.combinations_with_replacement([int(v) for v in b], e))
-        for b in boxes
-    ]
-
-    for rows in _iter_multisets(np.arange(len(rest_ids), dtype=np.int64), t):
-        chunk = rows.shape[0]
-        stacked = []
+    t = ops_c[0].arity - e
+    wild = []  # per coordinate: the e-multisets of its box values, (count, e)
+    for b in boxes:
+        combos = list(itertools.combinations_with_replacement(b, e))
+        wild.append(np.asarray(combos, dtype=np.int64).reshape(len(combos), e))
+    # one contiguous column per coordinate; values stay below 2**24 (the key space)
+    cols = np.ascontiguousarray(rest_rows.T, dtype=np.int32)
+    for rows in _arg_blocks(len(rest_ids), 0, t, True, _SCAN_ROWS):
+        args = np.empty((t + e, len(rows)), dtype=np.int32)
+        outs = []  # per coordinate: (wildcard multisets, rows) output values
         for c in range(ncoords):
-            colvals = rest_rows[rows, c].T  # (t, chunk)
-            outs = [
-                ops_c[c].apply_cols(
-                    np.concatenate(
-                        [
-                            colvals,
-                            np.repeat(
-                                np.asarray(combo, dtype=np.int64)[:, None], chunk, axis=1
-                            ),
-                        ]
-                    )
-                    if e
-                    else colvals
-                )
-                for combo in wild_combos[c]
-            ]
-            stacked.append(np.stack(outs, axis=0))  # (ncombo_c, chunk)
-        multi = np.zeros(chunk, dtype=bool)
-        keys = np.zeros(chunk, dtype=np.int64)
-        vary = []
-        for c in range(ncoords):
-            vc = (stacked[c] != stacked[c][0]).any(axis=0)
-            vary.append(vc)
-            multi |= vc
-            keys += stacked[c][0] * weights[c]
-        eids = key_to_id[keys]
-        bad = (~multi) & ((eids < 0) | ~member_mask[np.clip(eids, 0, None)])
-        if bad.any():
-            i = int(np.argmax(bad))
-            target = [int(stacked[c][0, i]) for c in range(ncoords)]
+            np.take(cols[c], rows.T, out=args[:t])
+            out = np.empty((len(wild[c]), len(rows)), dtype=np.int64)
+            for w, combo in enumerate(wild[c]):
+                args[t:] = combo[:, None]
+                out[w] = ops_c[c].apply_cols(args)
+            outs.append(out)
+        hit = _expanded_escape(outs, weights, key_to_id, member_mask)
+        if hit is not None:
+            i, key = hit
+            target = [int(key // weights[c] % ops_c[c].size) for c in range(ncoords)]
             return _slice_witness(oi, rows[i], rest_ids, rest_rows, boxes, e, ops_c,
                                   weights, key_to_id, target)
-        for i in np.flatnonzero(multi):
-            vcs = [c for c in range(ncoords) if vary[c][i]]
-            base_key = int(keys[i]) - sum(int(stacked[c][0, i]) * int(weights[c]) for c in vcs)
-            choices = [sorted({int(v) for v in stacked[c][:, i]}) for c in vcs]
-            for combo in itertools.product(*choices):
-                key = base_key + sum(v * int(weights[c]) for v, c in zip(combo, vcs))
-                eid = int(key_to_id[key])
-                if eid < 0 or not member_mask[eid]:
-                    target = [int(stacked[c][0, i]) for c in range(ncoords)]
-                    for v, c in zip(combo, vcs):
-                        target[c] = v
-                    return _slice_witness(oi, rows[i], rest_ids, rest_rows, boxes, e,
-                                          ops_c, weights, key_to_id, target)
+    return None
+
+
+def _expanded_escape(outs, weights, key_to_id, member_mask):
+    """First (row, key) of an output combination outside the subset, or None.
+
+    outs[c] holds the candidate values of coordinate c, one column per row.
+    Each row stands for the product of its distinct candidates over the
+    coordinates; the products are expanded coordinate by coordinate into
+    mixed-radix keys (np.repeat of the row owners), in groups of rows holding
+    at most `_EXPAND_KEYS` keys, and looked up with one gather per group.  A
+    row larger than that forms a group of its own; no row exceeds the key
+    space, which `_absorbing_slice_violation` caps at 2**24.
+    """
+    nrows = outs[0].shape[1]
+    base = sum(out[0] * weights[c] for c, out in enumerate(outs))
+    count = np.ones(nrows, dtype=np.int64)
+    varying = []  # (key shifts of the distinct values row after row, offset, count)
+    for c, out in enumerate(outs):
+        if len(out) == 1:
+            continue
+        vals = np.sort(out, axis=0).T  # (rows, candidates)
+        keep = np.ones(vals.shape, dtype=bool)
+        keep[:, 1:] = vals[:, 1:] != vals[:, :-1]
+        nvals = keep.sum(axis=1)
+        if (nvals == 1).all():
+            continue
+        # shift so that adding a value replaces the first candidate in `base`
+        flat = (vals[keep] - np.repeat(out[0], nvals)) * weights[c]
+        varying.append((flat, np.cumsum(nvals) - nvals, nvals))
+        count *= nvals
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < nrows:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + _EXPAND_KEYS,
+                                             side="right")))
+        owner = np.arange(lo, hi)
+        key = base[lo:hi]
+        for flat, offset, nvals in varying:
+            reps = nvals[owner]
+            step = np.repeat(np.cumsum(reps) - reps - offset[owner], reps)
+            key = np.repeat(key, reps) + flat[np.arange(len(step)) - step]
+            owner = np.repeat(owner, reps)
+        ids = key_to_id[key]
+        bad = (ids < 0) | ~member_mask[ids]
+        if bad.any():
+            j = int(np.argmax(bad))
+            return int(owner[j]), int(key[j])
+        lo = hi
     return None
 
 

@@ -112,11 +112,14 @@ class _UnionFind:
         return Partition(tuple(self.find(x) for x in range(len(self.parent))))
 
 
-def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
+def congruence_generated(
+    alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]], work_cap: int = 20_000_000
+) -> Partition:
     """Least congruence containing the pairs.
 
     Union-find merges alternate with closure under all unary translations
-    op(c1,..,x,..,cr) until a fixpoint.
+    op(c1,..,x,..,cr) until a fixpoint.  Every merged pair costs one pass over
+    all translations; more than `work_cap` translations raise CapExceeded.
     """
     uf = _UnionFind(alg.size)
     work = []
@@ -125,7 +128,15 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -
             raise AlgebraError(f"pair ({a},{b}) out of range")
         if uf.union(a, b):
             work.append((a, b))
+    per_pair = sum(op.arity * alg.size ** (op.arity - 1) for op in alg.ops)
+    done = 0
     while work:
+        done += per_pair
+        if done > work_cap:
+            raise CapExceeded(
+                f"congruence generation needs more than {work_cap} translations",
+                explored=done - per_pair,
+            )
         a, b = work.pop()
         for op in alg.ops:
             r = op.arity

@@ -162,7 +162,7 @@ def nu_equations(term: Term, arity: int) -> list[tuple[Term, Term]]:
     for p in range(arity):
         args = [x] * arity
         args[p] = y
-        eqs.append((subst(term, _pad(args)), x))
+        eqs.append((subst(term, tuple(args)), x))
     return eqs
 
 
@@ -173,13 +173,13 @@ def lone_dissent_equations(term: Term, arity: int) -> list[tuple[Term, Term]]:
     for p in range(arity):
         args = [x] * arity
         args[p] = y
-        eqs.append((subst(term, _pad(args)), y))
+        eqs.append((subst(term, tuple(args)), y))
     return eqs
 
 
 def idempotence_equation(term: Term, arity: int) -> list[tuple[Term, Term]]:
     x = Var(0)
-    return [(subst(term, _pad([x] * arity)), x)]
+    return [(subst(term, (x,) * arity), x)]
 
 
 def maltsev_equations(term: Term) -> list[tuple[Term, Term]]:
@@ -198,13 +198,13 @@ def half_nu_equations(term: Term, m: int) -> list[tuple[Term, Term]]:
     """
     x, z = Var(0), Var(1)
     arity = m + 2
-    eqs = [(subst(term, _pad([z, z] + [x] * m)), x)]
+    eqs = [(subst(term, (z, z) + (x,) * m), x)]
     for p in range(2, arity):
         args = [x] * arity
         args[p] = z
-        eqs.append((subst(term, _pad(args)), x))
-    left = subst(term, _pad([x, x, x] + [z] * (m - 1)))
-    right = subst(term, _pad([x] + [z] * (m + 1)))
+        eqs.append((subst(term, tuple(args)), x))
+    left = subst(term, (x, x, x) + (z,) * (m - 1))
+    right = subst(term, (x,) + (z,) * (m + 1))
     eqs.append((left, right))
     return eqs
 
@@ -221,10 +221,6 @@ def dissent_unanimity_equations(term: Term, m: int) -> list[tuple[Term, Term]]:
         second[i] = z
         eqs.append((subst(term, tuple(first + second)), y))
     return eqs
-
-
-def _pad(args: list[Term]) -> tuple[Term, ...]:
-    return tuple(args)
 
 
 # chain schemes: equations for a whole chain of terms, used to re-verify

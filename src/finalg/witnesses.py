@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebras import (
+    DEFAULT_TUPLE_CAP,
     AlgebraError,
     FiniteAlgebra,
     direct_product,
@@ -129,7 +130,7 @@ def filtered_subproduct(
     f_pairs: Sequence[int],
     *,
     verify_f: bool = True,
-    tuple_cap: int = 4_000_000,
+    tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> FilteredSubproduct:
     """Subalgebra of A1 x A2 x A3 x A4 cut out by the four templates.
 
@@ -202,7 +203,7 @@ def filtered_subproduct(
 # the cube-minus-top example
 
 
-def cube_minus_top(m: int, tuple_cap: int = 4_000_000):
+def cube_minus_top(m: int, tuple_cap: int = DEFAULT_TUPLE_CAP):
     """The (m-1)-th power of the two-element reduct, minus the all-ones tuple.
 
     Closed for m >= 4: any m arguments from the subset share a zero in two
@@ -368,7 +369,7 @@ def good_coords(coords: Sequence[int], roles: Sequence[dict], q: int) -> bool:
 
 
 def build_sharpness_witness(
-    m: int, q: int, *, verify_closure: bool = True, tuple_cap: int = 4_000_000
+    m: int, q: int, *, verify_closure: bool = True, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> SharpnessWitness:
     """The product of chain reducts with its good subuniverse and congruences.
 
@@ -520,7 +521,7 @@ def canonical_witness_chain(w: SharpnessWitness) -> list[int]:
 # bundled verification used by the CLI and the acceptance suite
 
 
-def sharpness_report(m: int, q: int, *, tuple_cap: int = 4_000_000) -> dict:
+def sharpness_report(m: int, q: int, *, tuple_cap: int = DEFAULT_TUPLE_CAP) -> dict:
     """Build the witness and collect every checkable claim about it."""
     w = build_sharpness_witness(m, q, tuple_cap=tuple_cap)
     ident = check_identity(

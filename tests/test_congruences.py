@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg.algebras import AlgebraError, make_chain_lattice, make_ujm_reduct, direct_product
+from finalg.algebras import (
+    AlgebraError,
+    CapExceeded,
+    direct_product,
+    make_chain_lattice,
+    make_ujm_reduct,
+)
 from finalg.congruences import (
     Partition,
     congruence_generated,
@@ -55,6 +61,15 @@ def test_congruence_generated_chain():
     c3 = make_chain_lattice(3)
     assert congruence_generated(c3, [(0, 1)]).blocks() == [[0, 1], [2]]
     assert congruence_generated(c3, [(0, 2)]) == Partition.one(3)  # gaps collapse
+
+
+def test_congruence_generated_work_cap():
+    c3 = make_chain_lattice(3)
+    # one merged pair runs 2 operations x 2 positions x 3 translations
+    assert congruence_generated(c3, [(0, 1)], work_cap=12).blocks() == [[0, 1], [2]]
+    with pytest.raises(CapExceeded):
+        congruence_generated(c3, [(0, 1)], work_cap=11)
+    assert congruence_generated(c3, [], work_cap=0) == Partition.zero(3)
 
 
 def brute_least_congruence(alg, pairs):

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from finalg import freealg
-from finalg.algebras import AlgebraError, CapExceeded, make_ujm_reduct, one_element_algebra
+from finalg.algebras import (
+    AlgebraError,
+    CapExceeded,
+    _arg_blocks,
+    make_ujm_reduct,
+    one_element_algebra,
+)
 from finalg.fixtures import load_fixtures
 from finalg.freealg import (
     _CHUNK,
-    _arg_blocks,
     _local_closure_for,
     build_free_algebra,
     generate_subpower,
@@ -131,23 +136,22 @@ def oracle_blocks(n, old, r, sym, chunk=_CHUNK):
         yield np.asarray(block, dtype=np.int64).reshape(len(block), r)
 
 
-def assert_same_blocks(monkeypatch, n, old, r, sym, chunk=_CHUNK):
-    monkeypatch.setattr(freealg, "_CHUNK", chunk)
+def assert_same_blocks(n, old, r, sym, chunk=_CHUNK):
     want = list(oracle_blocks(n, old, r, sym, chunk))
-    got = [block.copy() for block in _arg_blocks(n, old, r, sym)]
+    got = [block.copy() for block in _arg_blocks(n, old, r, sym, chunk)]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("sym", [True, False])
-def test_arg_blocks_match_oracle_small(monkeypatch, sym):
+def test_arg_blocks_match_oracle_small(sym):
     for r in (1, 2, 3, 4, 5):
         for n in (1, 2, 3, 6):
             for old in range(n):
                 # one-row blocks only where they stay few
                 for chunk in ((1, 2, 5, 64) if n**r <= 256 else (5, 64)):
-                    assert_same_blocks(monkeypatch, n, old, r, sym, chunk)
+                    assert_same_blocks(n, old, r, sym, chunk)
 
 
 @pytest.mark.parametrize("n, old, r, sym", [
@@ -157,14 +161,14 @@ def test_arg_blocks_match_oracle_small(monkeypatch, sym):
     (63, 0, 3, False),     # 250,047 tuples
     (70, 40, 3, False),    # asymmetric, later round
 ])
-def test_arg_blocks_match_oracle_at_block_edges(monkeypatch, n, old, r, sym):
-    assert_same_blocks(monkeypatch, n, old, r, sym)
+def test_arg_blocks_match_oracle_at_block_edges(n, old, r, sym):
+    assert_same_blocks(n, old, r, sym)
 
 
-def test_arg_blocks_exact_block_multiple(monkeypatch):
+def test_arg_blocks_exact_block_multiple():
     # C(11, 2) - C(6, 2) = 40 pairs: two full blocks of 20, no remainder
-    assert_same_blocks(monkeypatch, 10, 5, 2, True, 20)
-    assert [len(b) for b in _arg_blocks(10, 5, 2, True)] == [20, 20]
+    assert_same_blocks(10, 5, 2, True, 20)
+    assert [len(b) for b in _arg_blocks(10, 5, 2, True, 20)] == [20, 20]
 
 
 def test_partial_run_matches_oracle_loop(monkeypatch):
