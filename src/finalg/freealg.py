@@ -12,8 +12,18 @@ element.  `algebras._arg_blocks`, shared with the subuniverse check,
 unranks those tuples in numpy, in blocks of `_CHUNK` rows of shape (rows,
 arity), in a fixed order (multisets for symmetric operations), so the work
 count, the point where the work cap bites and every provenance term are
-deterministic.  Cost grows as C(N+r-1, r) in the element count N.  Two
-engines sit on the kernel:
+deterministic.  Cost grows as C(N+r-1, r) in the element count N.
+
+An operation is evaluated at every coordinate by one gather (`_Kernel`).
+Once per generate_subpower call, each operation's flat tables over the
+generating algebras are concatenated into one int16 array (`_Tables`,
+checked against `DEFAULT_TABLE_CAP` per table and int32 indexing in all);
+coordinate k then has a base offset (where its algebra's table starts) and
+a radix (its algebra's size).  Once per round, the element matrix is scaled
+into r int32 copies, copy j by radix**(r-1-j), the base folded into copy 0.
+Per argument block, r row gathers of those copies are summed in place into
+one reused buffer, which indexes the concatenated table.  Term evaluation
+(`Subpower.eval_term`) runs on the same kernel.  Two engines sit on it:
 
 * closure engine - the kernel over all coordinates; 'partial' returns
   what was generated when the work cap bites.
@@ -35,6 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebras import (
+    DEFAULT_TABLE_CAP,
     AlgebraError,
     CapExceeded,
     FiniteAlgebra,
@@ -58,6 +69,7 @@ class Subpower:
     class_of: Optional[np.ndarray] = None   # original coord -> coord here
     _index: dict = field(default_factory=dict, repr=False)
     _local: Optional["_LocalData"] = field(default=None, repr=False)
+    _tables: Optional["_Tables"] = field(default=None, repr=False)  # the kernel tables
 
     @property
     def size(self) -> int:
@@ -119,6 +131,7 @@ class Subpower:
 
     def eval_term(self, term: Term) -> np.ndarray:
         """Value vector of a term across all coordinates."""
+        kernel = _Kernel(self._tables, self.coord_algs)
         memo: dict[int, np.ndarray] = {}
 
         def walk(t: Term) -> np.ndarray:
@@ -128,8 +141,12 @@ class Subpower:
             if isinstance(t, Var):
                 out = self.gen_rows[t.index]
             else:
-                args = np.stack([walk(a) for a in t.args])[:, None, :]
-                out = _apply_vec(self.gens, self.coord_algs, t.op_index, args)[0]
+                r = self._tables.arity[t.op_index]
+                if len(t.args) != r:
+                    raise AlgebraError(f"operation {t.op_index} expects {r} arguments")
+                args = np.stack([walk(a) for a in t.args])      # (r, ncoords)
+                weighted = kernel.weigh(t.op_index, args)
+                out = kernel.apply(t.op_index, weighted, np.arange(r)[None, :])[0].copy()
             memo[key] = out
             return out
 
@@ -160,6 +177,11 @@ def generate_subpower(
             raise AlgebraError("generating algebras must be similar")
     gen_rows = np.asarray(gen_rows, dtype=np.int16)
     coord_algs = list(coord_algs)
+    tables = _prepare_tables(gens)
+    if gen_rows.ndim != 2 or gen_rows.shape[1] != len(coord_algs):
+        raise AlgebraError("generator rows must have one entry per coordinate")
+    if ((gen_rows < 0) | (gen_rows >= tables.sizes[coord_algs])).any():
+        raise AlgebraError("generator entry outside its coordinate's algebra")
 
     # coordinates with identical (algebra, generator column) carry identical
     # values in every generated vector; collapse them
@@ -176,31 +198,33 @@ def generate_subpower(
             if c not in seen:
                 seen.add(c)
                 firsts[c] = k
-        sub = generate_subpower(
-            gens, [coord_algs[int(k)] for k in firsts], gen_rows[:, firsts],
-            element_cap=element_cap, work_cap=work_cap, engine=engine,
-        )
+        coord_algs = [coord_algs[int(k)] for k in firsts]
+        gen_rows = gen_rows[:, firsts]
+    sub = _generate(tables, gens, coord_algs, gen_rows, element_cap, work_cap, engine)
+    if len(classes) < len(class_of):
         sub.class_of = class_of
-        return sub
+    return sub
 
+
+def _generate(tables, gens, coord_algs, gen_rows, element_cap, work_cap, engine):
     if engine == "local":
-        return _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
+        return _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                             enumerate_all=True)
     if engine == "membership":
-        return _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
+        return _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                             enumerate_all=False)
     try:
-        return _build_closure(gens, coord_algs, gen_rows, element_cap, work_cap,
+        return _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                               partial_ok=(engine == "partial"))
     except CapExceeded:
         if engine in ("closure", "partial"):
             raise
         try:
-            return _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
-                                enumerate_all=True)
+            return _build_local(tables, gens, coord_algs, gen_rows, element_cap,
+                                work_cap, enumerate_all=True)
         except CapExceeded:
-            return _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
-                                enumerate_all=False)
+            return _build_local(tables, gens, coord_algs, gen_rows, element_cap,
+                                work_cap, enumerate_all=False)
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +290,92 @@ def build_free_algebra(
 # closure engine
 
 
-def _apply_vec(gens, coord_algs, oi, arg_vectors: np.ndarray) -> np.ndarray:
-    """arg_vectors: (arity, N, ncoords) -> (N, ncoords)."""
-    out = np.empty(arg_vectors.shape[1:], dtype=np.int16)
-    for k, ai in enumerate(coord_algs):
-        out[:, k] = gens[ai].ops[oi].apply_cols(arg_vectors[:, :, k])
-    return out
+_INDEX_LIMIT = 1 << 31  # the concatenated tables are indexed in int32
 
 
-def _op_symmetric_on(gens, oi) -> bool:
-    try:
-        return all(_op_symmetrical(a.ops[oi]) for a in gens)
-    except CapExceeded:
-        return False
+@dataclass
+class _Tables:
+    """Each basic operation's flat tables, one after another per algebra."""
+    flat: list[np.ndarray]                  # op -> int16 concatenation
+    base: list[np.ndarray]                  # op -> int32 start of each algebra's table
+    sizes: np.ndarray                       # algebra -> universe size (int32)
+    arity: list[int]
+    sym: list[bool]                         # op -> symmetric on every algebra
+
+
+def _prepare_tables(gens) -> _Tables:
+    """Check every table against the caps, then build the tables once."""
+    sizes = np.asarray([a.size for a in gens], dtype=np.int32)
+    arity = [op.arity for op in gens[0].ops]
+    counts = [[a.size**r for a in gens] for r in arity]
+    for op, count in zip(gens[0].ops, counts):
+        if max(count) > DEFAULT_TABLE_CAP:
+            raise CapExceeded(f"table of {op.name} would need {max(count)} entries",
+                              explored=0)
+        if sum(count) >= _INDEX_LIMIT:
+            raise CapExceeded(f"tables of {op.name} need {sum(count)} entries together",
+                              explored=0)
+    flat = [np.concatenate([a.ops[oi].table_array().astype(np.int16) for a in gens])
+            for oi in range(len(arity))]
+    base = [(np.cumsum(count) - count).astype(np.int32) for count in counts]
+    sym = [all(_op_symmetrical(a.ops[oi]) for a in gens) for oi in range(len(arity))]
+    return _Tables(flat, base, sizes, arity, sym)
+
+
+class _Kernel:
+    """Evaluates one operation at every coordinate with one table gather.
+
+    Coordinate k of an argument row (x_0, ..., x_{r-1}) reads entry
+    base_k + sum_j x_j * radix_k**(r-1-j) of the concatenated table, where
+    base_k starts the table of coordinate k's algebra and radix_k is that
+    algebra's size.  `weigh` scales the element matrix once per round;
+    `apply` then sums r row gathers of it into a reused int32 buffer.
+    """
+
+    def __init__(self, tables: _Tables, coord_algs):
+        coord_algs = np.asarray(coord_algs, dtype=np.intp)
+        self.tables = tables
+        self.radix = tables.sizes[coord_algs]
+        self.base = [b[coord_algs] for b in tables.base]
+        self._buf: Optional[tuple] = None
+
+    def weigh(self, oi: int, stacked: np.ndarray) -> np.ndarray:
+        """(r, n, ncoords) int32: copy j is stacked * radix**(r-1-j), plus base in copy 0."""
+        r = self.tables.arity[oi]
+        weighted = np.empty((r, *stacked.shape), dtype=np.int32)
+        scale = np.ones_like(self.radix)
+        for j in range(r - 1, -1, -1):
+            np.multiply(stacked, scale, out=weighted[j])
+            scale *= self.radix
+        weighted[0] += self.base[oi]
+        return weighted
+
+    def apply(self, oi: int, weighted: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """(rows, ncoords) values on the argument rows idx (rows, r).
+
+        Returns a view of a buffer that the next call overwrites.
+        """
+        rows = len(idx)
+        if self._buf is None or len(self._buf[0]) < rows:
+            shape = (rows, len(self.radix))
+            self._buf = (np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32))
+        acc, part = (b[:rows] for b in self._buf)
+        cols = idx.T
+        # indices are in range by construction; 'clip' lets numpy skip the
+        # bounds-checked copy it makes for out= under the default mode
+        np.take(weighted[0], cols[0], axis=0, out=acc, mode="clip")
+        for j in range(1, len(weighted)):
+            np.take(weighted[j], cols[j], axis=0, out=part, mode="clip")
+            acc += part
+        # the values go into the first half of `part`, which is free by now
+        out = part.reshape(-1).view(np.int16)[: acc.size].reshape(acc.shape)
+        return np.take(self.tables.flat[oi], acc, out=out, mode="clip")
 
 
 _CHUNK = 250_000  # argument rows per block of the closure kernel
 
 
-def _build_closure(gens, coord_algs, gen_rows, element_cap, work_cap,
+def _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                    partial_ok=False) -> Subpower:
     rows: list[np.ndarray] = []
     terms: list[Term] = []
@@ -295,7 +386,7 @@ def _build_closure(gens, coord_algs, gen_rows, element_cap, work_cap,
             index[key] = len(rows)
             rows.append(gen_rows[j])
             terms.append(Var(j))
-    sym = [_op_symmetric_on(gens, oi) for oi in range(len(gens[0].ops))]
+    kernel = _Kernel(tables, coord_algs)
     sizes = [gens[ai].size for ai in coord_algs]
     pack = np.ones(len(sizes), dtype=np.int64)
     packable = True
@@ -313,13 +404,13 @@ def _build_closure(gens, coord_algs, gen_rows, element_cap, work_cap,
         n = len(rows)
         stacked = np.stack(rows)
         try:
-            for oi, op in enumerate(gens[0].ops):
-                for idx in _arg_blocks(n, old, op.arity, sym[oi], _CHUNK):
+            for oi, r in enumerate(tables.arity):
+                weighted = kernel.weigh(oi, stacked)
+                for idx in _arg_blocks(n, old, r, tables.sym[oi], _CHUNK):
                     work += len(idx)
                     if work > work_cap:
                         raise CapExceeded("subpower work cap exceeded", explored=n)
-                    args = np.take(stacked, idx.T, axis=0)     # (r, rows, ncoords)
-                    out = _apply_vec(gens, coord_algs, oi, args)
+                    out = kernel.apply(oi, weighted, idx)
                     if packable:
                         _, first = np.unique(out.astype(np.int64) @ pack,
                                              return_index=True)
@@ -348,7 +439,7 @@ def _build_closure(gens, coord_algs, gen_rows, element_cap, work_cap,
     vectors = np.stack(rows)
     sub = Subpower(
         gens, coord_algs, gen_rows, vectors, terms,
-        "closure" if complete else "partial", {"work": work},
+        "closure" if complete else "partial", {"work": work}, _tables=tables,
     )
     sub._index = index
     return sub
@@ -377,7 +468,7 @@ def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
     return None
 
 
-def _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
+def _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                  enumerate_all) -> Subpower:
     nu = shared_nu_op(gens)
     if nu is None:
@@ -389,7 +480,7 @@ def _build_local(gens, coord_algs, gen_rows, element_cap, work_cap,
     sub = Subpower(
         gens, coord_algs, gen_rows,
         np.empty((0, ncoords), dtype=np.int16), None,
-        "membership", {"width": width},
+        "membership", {"width": width}, _tables=tables,
     )
     sub._local = local
     if not enumerate_all:
@@ -434,7 +525,7 @@ def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> dict:
     table = local.local_closures.get(subset)
     if table is not None:
         return table
-    closed = _build_closure(sub.gens, [sub.coord_algs[k] for k in subset],
+    closed = _build_closure(sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
                             sub.gen_rows[:, list(subset)],
                             local.element_cap, local.work_cap)
     table = {tuple(int(v) for v in row): term

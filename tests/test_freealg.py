@@ -5,8 +5,12 @@ import pytest
 
 from finalg import freealg
 from finalg.algebras import (
+    DEFAULT_TABLE_CAP,
     AlgebraError,
     CapExceeded,
+    FiniteAlgebra,
+    Operation,
+    TableOp,
     _arg_blocks,
     make_ujm_reduct,
     one_element_algebra,
@@ -19,7 +23,7 @@ from finalg.freealg import (
     generate_subpower,
     shared_nu_op,
 )
-from finalg.terms import term_eval
+from finalg.terms import App, Var, term_eval
 from finalg.witnesses import implication_expansion, modular_sum_algebra, nu_family_generators
 
 
@@ -190,3 +194,113 @@ def test_local_closure_respects_work_cap():
                                engine="membership", work_cap=10)
     with pytest.raises(CapExceeded):
         _local_closure_for(member, (0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the table-gather kernel against the per-coordinate loop it replaced
+
+
+def oracle_apply_vec(gens, coord_algs, oi, arg_vectors):
+    """(arity, N, ncoords) -> (N, ncoords), one apply_cols per coordinate."""
+    out = np.empty(arg_vectors.shape[1:], dtype=np.int16)
+    for k, ai in enumerate(coord_algs):
+        out[:, k] = gens[ai].ops[oi].apply_cols(arg_vectors[:, :, k])
+    return out
+
+
+def oracle_eval_term(sub, term):
+    if isinstance(term, Var):
+        return sub.gen_rows[term.index]
+    args = np.stack([oracle_eval_term(sub, a) for a in term.args])[:, None, :]
+    return oracle_apply_vec(sub.gens, sub.coord_algs, term.op_index, args)[0]
+
+
+def random_algebra(size, arities, seed):
+    rng = np.random.default_rng(seed)
+    ops = [TableOp(f"f{r}", r, size, rng.integers(0, size, size**r)) for r in arities]
+    return FiniteAlgebra(size, ops, label=f"R{size}")
+
+
+ARITIES = (1, 2, 3, 4, 5)
+# smallest n with n**r > _CHUNK: one full block, then a remainder
+EDGE_N = {1: _CHUNK + 1, 2: 501, 3: 64, 4: 23, 5: 13}
+
+
+@pytest.mark.parametrize("r", ARITIES)
+def test_kernel_matches_per_coordinate_loop(r):
+    gens = (random_algebra(2, ARITIES, 1), random_algebra(3, ARITIES, 2))
+    coord_algs = [0, 1, 1, 0, 1, 0, 1]
+    oi = ARITIES.index(r)
+    n = EDGE_N[r]
+    rng = np.random.default_rng(r)
+    stacked = np.stack([rng.integers(0, gens[ai].size, n) for ai in coord_algs],
+                       axis=1).astype(np.int16)
+    kernel = freealg._Kernel(freealg._prepare_tables(gens), coord_algs)
+    weighted = kernel.weigh(oi, stacked)
+    blocks = [block.copy() for block in _arg_blocks(n, 0, r, False, _CHUNK)]
+    assert [len(b) for b in blocks] == [_CHUNK, n**r - _CHUNK]
+    for idx in blocks:
+        want = oracle_apply_vec(gens, coord_algs, oi, np.take(stacked, idx.T, axis=0))
+        assert np.array_equal(kernel.apply(oi, weighted, idx), want)
+
+
+def test_kernel_matches_loop_on_chain_reducts_of_two_sizes():
+    gens = load_fixtures("N:2:4,Nq:2:4:3")
+    free = build_free_algebra(gens, 3, engine="partial", work_cap=300_000).sub
+    assert len(set(free.coord_algs)) == 2
+    for i in range(free.size):
+        assert np.array_equal(oracle_eval_term(free, free.terms[i]), free.vectors[i])
+
+
+def test_eval_term_matches_per_coordinate_loop():
+    gens = (random_algebra(2, (2, 3), 3), random_algebra(3, (2, 3), 4))
+    gen_rows = np.asarray([[0, 1, 2, 0], [1, 0, 1, 2], [1, 1, 0, 1]], dtype=np.int16)
+    sub = generate_subpower(gens, [0, 1, 1, 1], gen_rows, engine="partial",
+                            work_cap=2_000)
+    x, y, z = Var(0), Var(1), Var(2)
+    shared = App(0, (x, z))
+    terms = [App(1, (shared, App(0, (y, shared)), x)), App(0, (shared, shared)),
+             *sub.terms]
+    for term in terms:
+        assert np.array_equal(sub.eval_term(term), oracle_eval_term(sub, term))
+
+
+class Unbuilt(Operation):
+    """A binary operation whose table and values must never be computed."""
+
+    def __init__(self, size):
+        self.name, self.arity, self.size = "big", 2, size
+
+    def table_array(self, cap=DEFAULT_TABLE_CAP):
+        raise AssertionError("table built")
+
+    def apply_cols(self, cols):
+        raise AssertionError("operation evaluated")
+
+
+def _no_rounds(*args):
+    raise AssertionError("a closure round started")
+
+
+def test_table_over_cap_raises_before_any_round(monkeypatch):
+    monkeypatch.setattr(freealg, "_arg_blocks", _no_rounds)
+    big = FiniteAlgebra(2049, [Unbuilt(2049)])        # 2049**2 entries: over the cap
+    assert big.size**2 > DEFAULT_TABLE_CAP
+    for engine in ("auto", "closure", "local", "membership"):
+        with pytest.raises(CapExceeded, match="would need"):
+            generate_subpower([big], [0, 0], [[0, 1], [1, 0]], engine=engine)
+
+
+def test_concatenated_tables_of_2_31_entries_raise_before_any_round(monkeypatch):
+    monkeypatch.setattr(freealg, "_arg_blocks", _no_rounds)
+    alg = FiniteAlgebra(2048, [Unbuilt(2048)])        # 2**22 entries: at the cap
+    assert alg.size**2 == DEFAULT_TABLE_CAP
+    gens = [alg] * 512                                # 2**31 entries together
+    with pytest.raises(CapExceeded, match="together"):
+        generate_subpower(gens, [0, 511], [[0, 1], [1, 0]])
+
+
+def test_generator_entries_must_fit_their_algebra():
+    gens = load_fixtures("N:2:4,Nq:2:4:3")
+    with pytest.raises(AlgebraError):
+        generate_subpower(gens, [0, 1], [[0, 2], [2, 1]])
