@@ -14,7 +14,7 @@ from typing import Callable
 from . import __version__
 from .algebras import AlgebraError
 from .fixtures import load_fixtures
-from .identities import check_identity
+from .identities import FULL_PAIR_CAP, check_identity
 from .induction import run_level_induction
 from .io import dumps_canonical, write_atomic
 from .maltsev import (
@@ -95,7 +95,7 @@ def identity_certificate(family: str, m: int, q: int, *, j: int = 0, n: int = 0,
 
     w = build_sharpness_witness(m, q)
     kwargs = dict(m=m, q=q, j=j, n=n)
-    if w.size * w.size <= 2_000_000:
+    if w.size * w.size <= FULL_PAIR_CAP:
         inst = check_identity(family, w.alpha, w.beta, w.gamma, **kwargs)
     else:
         inst = check_identity(family, w.alpha, w.beta, w.gamma, **kwargs,
@@ -251,10 +251,18 @@ def _recheck_search(cert: dict) -> tuple[bool, str]:
     gens = load_fixtures(p["fixtures"])
     ev = cert["evidence"]
     scheme = _search_scheme(p["scheme"], p["arity"], p["m"])
+    op_names = [op.name for op in gens[0].ops]
     if ev["found"]:
         from .maltsev import _scheme_equations
 
-        op_names = [op.name for op in gens[0].ops]
+        # a found term is re-verified, not searched for again: the search can
+        # cost far more than the check
+        expected = {"scheme": scheme.name, "params": scheme.params,
+                    "generators": [alg.label for alg in gens], "verified": True,
+                    "complete": True}
+        drifted = sorted(k for k, v in expected.items() if ev[k] != v)
+        if drifted:
+            return False, f"stored {', '.join(drifted)} differ from the parameters"
         term = term_from_obj(ev["term"], op_names)
         equations, nvars = _scheme_equations(scheme, term)
         ok, violation = verify_equations(equations, gens, nvars)
@@ -262,9 +270,10 @@ def _recheck_search(cert: dict) -> tuple[bool, str]:
             return False, f"term fails at {violation}"
         return _verdict_follows(cert, p.get("expect") != "absent", "stored term re-verified")
     fresh = absorption_search(gens, scheme)
-    if fresh.found or not fresh.complete:
-        return False, "search disagrees with certificate"
-    return _verdict_follows(cert, p.get("expect") != "found", "absence reproduced")
+    if fresh.to_obj(op_names) != ev:
+        return False, "recomputed search differs from the stored one"
+    ok = fresh.complete and p.get("expect") != "found"
+    return _verdict_follows(cert, ok, "absence reproduced")
 
 
 def _recheck_toolkit(cert: dict) -> tuple[bool, str]:

@@ -1,9 +1,10 @@
 """Congruence-identity instances over a triple (alpha, beta, gamma).
 
 Each identity family builds a left and right relation expression from the
-triple; an instance is checked either in full (boolean matrices, every pair)
-or for a designated pair (block-image reachability, which also handles
-universes far too large for matrices).
+triple; an instance is checked either in full (every pair) or for a
+designated pair (which also handles universes far too large for all pairs).
+Both modes, and the shortest alternating-chain search, run on one evaluator:
+the image of a set under a partition is the union of the blocks it meets.
 
 Families (parameters in brackets):
 
@@ -30,11 +31,14 @@ from typing import Optional
 import numpy as np
 
 from .algebras import AlgebraError, CapExceeded, FiniteAlgebra
-from .congruences import Partition, is_congruence, partition_meet
-from .relations import bool_product
+from .congruences import Partition, is_congruence
 
 ALPHA, BETA, GAMMA = "alpha", "beta", "gamma"
 ALPHA_BETA, ALPHA_GAMMA = "alpha_beta", "alpha_gamma"
+
+#: full mode evaluates size x size images; above this many pairs it is
+#: refused and callers ask about their designated pair instead
+FULL_PAIR_CAP = 2_000_000
 
 FAMILIES = (
     "dist",
@@ -130,68 +134,84 @@ def family_exprs(family: str, m: int = 0, q: int = 0, j: int = 0, n: int = 0):
 # evaluation
 
 
+@dataclass(frozen=True)
+class _Blocks:
+    """A partition as dense block ids, with its elements listed block by block."""
+
+    ids: np.ndarray      # block of each element, 0 .. k-1
+    order: np.ndarray    # elements sorted by block
+    starts: np.ndarray   # where each block begins in `order`
+
+
+def _blocks(ids: np.ndarray) -> _Blocks:
+    _, dense = np.unique(ids, return_inverse=True)
+    counts = np.bincount(dense)
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    return _Blocks(dense, np.argsort(dense, kind="stable"), starts)
+
+
+def _meet(p: _Blocks, q: _Blocks) -> _Blocks:
+    return _blocks(p.ids * (int(q.ids.max()) + 1) + q.ids)
+
+
 def _context(alpha: Partition, beta: Partition, gamma: Partition) -> dict:
-    return {
-        ALPHA: alpha,
-        BETA: beta,
-        GAMMA: gamma,
-        ALPHA_BETA: partition_meet(alpha, beta),
-        ALPHA_GAMMA: partition_meet(alpha, gamma),
-    }
+    a, b, g = (_blocks(part.as_array()) for part in (alpha, beta, gamma))
+    return {ALPHA: a, BETA: b, GAMMA: g, ALPHA_BETA: _meet(a, b), ALPHA_GAMMA: _meet(a, g)}
 
 
-def expr_matrix(expr, ctx: dict) -> np.ndarray:
-    """Full boolean matrix of the expression."""
-    if isinstance(expr, Prim):
-        ids = ctx[expr.key].as_array()
-        return ids[:, None] == ids[None, :]
-    if isinstance(expr, Comp):
-        n = ctx[ALPHA].size
-        out = np.eye(n, dtype=bool)
-        for item in expr.items:
-            out = bool_product(out, expr_matrix(item, ctx))
-        return out
-    if isinstance(expr, MeetAlpha):
-        ids = ctx[ALPHA].as_array()
-        return expr_matrix(expr.inner, ctx) & (ids[:, None] == ids[None, :])
-    if isinstance(expr, Power):
-        n = ctx[ALPHA].size
-        base = expr_matrix(expr.inner, ctx)
-        out = np.eye(n, dtype=bool)
-        for _ in range(expr.k):
-            out = bool_product(out, base)
-        return out
-    raise AlgebraError(f"bad expression node {expr!r}")
+def _block_image(rows: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """Each row's image under the partition: the union of the blocks it meets."""
+    return np.logical_or.reduceat(rows[:, blocks.order], blocks.starts, axis=1)[:, blocks.ids]
 
 
-def expr_image(expr, ctx: dict, members: np.ndarray) -> np.ndarray:
-    """Image of a set (boolean mask) under the expression.
+def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
+    """Images of source sets under the expression, one per row.
 
-    MeetAlpha nodes require the incoming set to sit inside one alpha block;
-    that holds along every expression of the catalogue when the original
-    source is a single element, and is asserted here.
+    `rows` is a (k, n) boolean matrix; row i of the result is the image of
+    row i.  The identity rows give the whole relation, one row a single
+    pair's query.  MeetAlpha nodes require each incoming row to sit inside
+    one alpha block; that holds along every expression of the catalogue when
+    each source is a single element, and is asserted here.
     """
     if isinstance(expr, Prim):
-        ids = ctx[expr.key].as_array()
-        touched = np.unique(ids[members])
-        return np.isin(ids, touched)
+        return _block_image(rows, ctx[expr.key])
     if isinstance(expr, Comp):
-        out = members
         for item in expr.items:
-            out = expr_image(item, ctx, out)
-        return out
+            rows = expr_image(item, ctx, rows)
+        return rows
     if isinstance(expr, MeetAlpha):
-        ids = ctx[ALPHA].as_array()
-        src_blocks = np.unique(ids[members])
-        if len(src_blocks) > 1:
+        ids = ctx[ALPHA].ids
+        home = ids[None, :] == ids[rows.argmax(axis=1)][:, None]
+        if (rows & ~home).any():
             raise AlgebraError("image through a meet needs a single alpha block")
-        return expr_image(expr.inner, ctx, members) & (ids == src_blocks[0])
+        return expr_image(expr.inner, ctx, rows) & home
     if isinstance(expr, Power):
-        out = members
         for _ in range(expr.k):
-            out = expr_image(expr.inner, ctx, out)
-        return out
+            rows = expr_image(expr.inner, ctx, rows)
+        return rows
     raise AlgebraError(f"bad expression node {expr!r}")
+
+
+def _staged_path(a: int, d: int, steps: list) -> Optional[list[int]]:
+    """Lex-least element path a .. d whose i-th step stays in a block of steps[i].
+
+    Returns None when there is no such path.
+    """
+    n = len(steps[0].ids)
+    back = np.zeros((1, n), dtype=bool)
+    back[0, d] = True
+    stages = [back]
+    for blocks in reversed(steps):
+        stages.append(_block_image(stages[-1], blocks))  # partitions are symmetric
+    stages.reverse()
+    if not stages[0][0, a]:
+        return None
+    path = [a]
+    for i, blocks in enumerate(steps[:-1], start=1):
+        ok = (blocks.ids == blocks.ids[path[-1]]) & stages[i][0]
+        path.append(int(np.flatnonzero(ok)[0]))
+    path.append(d)
+    return path
 
 
 def _comp_chain_witness(expr, ctx: dict, a: int, d: int) -> Optional[list[int]]:
@@ -201,33 +221,70 @@ def _comp_chain_witness(expr, ctx: dict, a: int, d: int) -> Optional[list[int]]:
     Returns None when (a, d) is not in the composition.
     """
     if isinstance(expr, MeetAlpha):
-        if not ctx[ALPHA].related(a, d):
+        ids = ctx[ALPHA].ids
+        if ids[a] != ids[d]:
             return None
         return _comp_chain_witness(expr.inner, ctx, a, d)
     assert isinstance(expr, Comp)
-    items = expr.items
-    n = ctx[ALPHA].size
-    fwd = [np.zeros(n, dtype=bool)]
-    fwd[0][a] = True
-    for item in items:
-        fwd.append(expr_image(item, ctx, fwd[-1]))
-    if not fwd[-1][d]:
+    return _staged_path(a, d, [ctx[item.key] for item in expr.items])
+
+
+def shortest_alternating_chain(start: int, goal: int, first: Partition, second: Partition,
+                               cap: int = 64):
+    """Shortest alternating path between two partitions, both leads tried.
+
+    Returns (path, factor_count) where path lists the visited elements
+    (start and goal included) and consecutive steps alternate between the
+    two relations; the starting relation is whichever gives the shorter
+    chain, ties broken by the lexicographically least element sequence.
+    Returns None if no path exists at all, and raises CapExceeded if the
+    search hits the factor cap while paths might still exist.
+    """
+    if first.size != second.size:
+        raise AlgebraError("partition sizes differ")
+    n = first.size
+    if not (0 <= start < n and 0 <= goal < n):
+        raise AlgebraError("endpoints out of range")
+    if start == goal:
+        return [start], 0
+    rels = (_blocks(first.as_array()), _blocks(second.as_array()))
+    best = None
+    capped = False
+    for lead in (0, 1):
+        try:
+            length = _alternating_length(start, goal, rels[lead], rels[1 - lead], cap)
+        except CapExceeded:
+            capped = True
+            continue
+        if length is None:
+            continue
+        found = _staged_path(start, goal, [rels[(lead + i) % 2] for i in range(length)])
+        if best is None or (len(found), found) < (len(best), best):
+            best = found
+    if best is None:
+        if capped:
+            raise CapExceeded(f"no alternating path within {cap} factors")
         return None
-    back = np.zeros(n, dtype=bool)
-    back[d] = True
-    stages = [back]
-    for item in reversed(items):
-        stages.append(expr_image(item, ctx, stages[-1]))  # partitions are symmetric
-    stages.reverse()
-    path = [a]
-    cur = a
-    for i, item in enumerate(items[:-1], start=1):
-        ids = ctx[item.key].as_array()
-        ok = (ids == ids[cur]) & fwd[i] & stages[i]
-        cur = int(np.flatnonzero(ok)[0])
-        path.append(cur)
-    path.append(d)
-    return path
+    return best, len(best) - 1
+
+
+def _alternating_length(start, goal, lead: _Blocks, other: _Blocks, cap: int):
+    """Fewest factors lead . other . lead ... taking start to goal.
+
+    Returns None once the images repeat without reaching goal, and raises
+    CapExceeded when `cap` factors are used up while they still grow.
+    """
+    reach = np.zeros((1, len(lead.ids)), dtype=bool)
+    reach[0, start] = True
+    images = [reach]
+    while True:
+        if len(images) - 1 >= cap:
+            raise CapExceeded("alternating-path cap reached")
+        images.append(_block_image(images[-1], (lead, other)[(len(images) - 1) % 2]))
+        if images[-1][0, goal]:
+            return len(images) - 1
+        if len(images) > 2 and np.array_equal(images[-1], images[-3]):
+            return None
 
 
 @dataclass
@@ -262,13 +319,12 @@ def check_identity(
     n: int = 0,
     alg: Optional[FiniteAlgebra] = None,
     pair: Optional[tuple[int, int]] = None,
-    matrix_cap: int = 2_000_000,
 ) -> IdentityInstance:
     """Evaluate one identity instance.
 
-    Without `pair`: full verdict over all pairs (needs size^2 <= matrix_cap).
-    With `pair`: decides whether that pair is a counterexample, by block-image
-    reachability; scales to universes where matrices are hopeless.
+    Without `pair`: full verdict over all pairs (needs size^2 <= FULL_PAIR_CAP).
+    With `pair`: decides whether that pair is a counterexample from its
+    images alone; scales to universes where all pairs are hopeless.
 
     When `alg` is given the three partitions are verified to be congruences
     if the exhaustive check is affordable.
@@ -284,16 +340,18 @@ def check_identity(
             if not ok:
                 raise AlgebraError(f"{name} is not a congruence: {witness}")
     lhs, rhs = family_exprs(family, m=m, q=q, j=j, n=n)
-    ctx = _context(alpha, beta, gamma)
     params = {k: v for k, v in (("m", m), ("q", q), ("j", j), ("n", n)) if v}
     size = alpha.size
 
+    if pair is None and size * size > FULL_PAIR_CAP:
+        raise CapExceeded(f"full check needs {size}x{size} pairs; pass a pair")
+    ctx = _context(alpha, beta, gamma)
     if pair is not None:
         a, d = pair
-        src = np.zeros(size, dtype=bool)
-        src[a] = True
-        in_lhs = bool(expr_image(lhs, ctx, src)[d])
-        in_rhs = bool(expr_image(rhs, ctx, src)[d])
+        src = np.zeros((1, size), dtype=bool)
+        src[0, a] = True
+        in_lhs = bool(expr_image(lhs, ctx, src)[0, d])
+        in_rhs = bool(expr_image(rhs, ctx, src)[0, d])
         if in_lhs and not in_rhs:
             return IdentityInstance(
                 family, params, "fails", (a, d), _comp_chain_witness(lhs, ctx, a, d),
@@ -304,11 +362,8 @@ def check_identity(
             {"mode": "pair", "in_lhs": in_lhs, "in_rhs": in_rhs, "size": size},
         )
 
-    if size * size > matrix_cap:
-        raise CapExceeded(f"full check needs a {size}x{size} matrix; pass a pair")
-    lmat = expr_matrix(lhs, ctx)
-    rmat = expr_matrix(rhs, ctx)
-    viol = lmat & ~rmat
+    rows = np.eye(size, dtype=bool)
+    viol = expr_image(lhs, ctx, rows) & ~expr_image(rhs, ctx, rows)
     if not viol.any():
         return IdentityInstance(family, params, "holds", stats={"mode": "full", "size": size})
     flat = int(np.argmax(viol.reshape(-1)))

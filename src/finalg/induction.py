@@ -27,7 +27,7 @@ from .algebras import (
     restrict_algebra,
 )
 from .congruences import Partition, partition_meet
-from .identities import check_identity, IdentityInstance
+from .identities import FULL_PAIR_CAP, IdentityInstance, check_identity
 from .witnesses import SharpnessParams, filtered_subproduct, staircase_partitions
 
 
@@ -58,7 +58,7 @@ def _stage_identity(state_args, m, q, j) -> IdentityInstance:
     alpha, beta, gamma, pair, size = state_args
     family = "wedge-power" if j == 2 else "wedge-power-j"
     kwargs = {"m": m, "q": q} if j == 2 else {"m": m, "q": q, "j": j}
-    if size * size <= 2_000_000:
+    if size * size <= FULL_PAIR_CAP:
         inst = check_identity(family, alpha, beta, gamma, **kwargs)
         if inst.verdict == "fails" and inst.counterexample != pair:
             inst = check_identity(family, alpha, beta, gamma, **kwargs, pair=pair)

@@ -32,8 +32,7 @@ from .algebras import (
     TableOp,
 )
 from .congruences import Partition, induced_product_congruence, partition_meet
-from .identities import check_identity
-from .relations import rel_of_partition, shortest_alternating_chain
+from .identities import check_identity, shortest_alternating_chain
 
 
 class HypothesisError(AlgebraError):
@@ -542,9 +541,7 @@ def sharpness_report(m: int, q: int, *, tuple_cap: int = DEFAULT_TUPLE_CAP) -> d
     ag = partition_meet(w.alpha, w.gamma)
     if q == 2:
         canonical = canonical_witness_chain(w)
-        found = shortest_alternating_chain(
-            w.a, w.d, rel_of_partition(ab), rel_of_partition(ag), cap=4 * m
-        )
+        found = shortest_alternating_chain(w.a, w.d, ab, ag, cap=4 * m)
         path, factors = found if found else (None, None)
         report["chains"] = {
             "canonical_chain": canonical,

@@ -9,10 +9,10 @@ from finalg.identities import (
     FAMILIES,
     check_identity,
     expr_image,
-    expr_matrix,
     family_exprs,
     _context,
 )
+from relation_oracle import bool_product, expr_matrix, matrix_context, relation
 
 
 def random_partition(rng, n):
@@ -49,7 +49,7 @@ def test_wedge_power_q2_equals_basic_form():
     for _ in range(40):
         n = rng.randrange(3, 8)
         alpha, beta, gamma = random_triple(rng, n)
-        ctx = _context(alpha, beta, gamma)
+        ctx = matrix_context(alpha, beta, gamma)
         for m in (3, 4, 5):
             l1, r1 = family_exprs("wedge-power", m=m, q=2)
             l2, r2 = family_exprs("wedge-power-2", m=m)
@@ -61,7 +61,7 @@ def test_wedge_power_j_at_2_is_wedge_power():
     rng = random.Random(4)
     for _ in range(20):
         alpha, beta, gamma = random_triple(rng, 6)
-        ctx = _context(alpha, beta, gamma)
+        ctx = matrix_context(alpha, beta, gamma)
         for m, q in ((4, 2), (5, 3)):
             _, r1 = family_exprs("wedge-power", m=m, q=q)
             _, r2 = family_exprs("wedge-power-j", m=m, q=q, j=2)
@@ -74,7 +74,7 @@ def test_meet_chain_contains_meet_composition():
     for _ in range(60):
         n = rng.randrange(3, 9)
         alpha, beta, gamma = random_triple(rng, n)
-        ctx = _context(alpha, beta, gamma)
+        ctx = matrix_context(alpha, beta, gamma)
         lhs2, _ = family_exprs("dist", n=2)
         chain = expr_matrix(family_exprs("dist", n=2)[1], ctx)
         wedge = expr_matrix(lhs2, ctx)
@@ -85,7 +85,7 @@ def test_dist_chain_monotone_in_n():
     rng = random.Random(10)
     for _ in range(30):
         alpha, beta, gamma = random_triple(rng, 7)
-        ctx = _context(alpha, beta, gamma)
+        ctx = matrix_context(alpha, beta, gamma)
         prev = None
         for n in range(1, 6):
             cur = expr_matrix(family_exprs("dist", n=n)[1], ctx)
@@ -104,8 +104,8 @@ def test_odd_equivalence_relational_facts(q):
     for _ in range(50):
         n = rng.randrange(3, 9)
         alpha, beta, gamma = random_triple(rng, n)
-        ctx = _context(alpha, beta, gamma)
-        sub_ctx = _context(alpha, beta, partition_meet(alpha, gamma))
+        ctx = matrix_context(alpha, beta, gamma)
+        sub_ctx = matrix_context(alpha, beta, partition_meet(alpha, gamma))
         l_orig, r_orig = family_exprs("wedge-power", m=m, q=q)
         l_odd, r_odd = family_exprs("wedge-power-odd", m=m, q=q)
         # for odd q the left side is literally the substituted left side
@@ -131,7 +131,7 @@ def test_counterexample_reverifies_by_matrices(witness_cache):
     inst = check_identity("wedge-power", w.alpha, w.beta, w.gamma, m=5, q=2,
                           pair=(w.a, w.d))
     assert inst.verdict == "fails"
-    ctx = _context(w.alpha, w.beta, w.gamma)
+    ctx = matrix_context(w.alpha, w.beta, w.gamma)
     lhs, rhs = family_exprs("wedge-power", m=5, q=2)
     a, d = inst.counterexample
     assert expr_matrix(lhs, ctx)[a, d]
@@ -158,60 +158,61 @@ def test_expr_image_matches_matrix_rows():
         n = rng.randrange(3, 8)
         alpha, beta, gamma = random_triple(rng, n)
         ctx = _context(alpha, beta, gamma)
+        rels = matrix_context(alpha, beta, gamma)
         for family, kwargs in [
             ("dist", {"n": 3}),
             ("wedge-power", {"m": 4, "q": 2}),
+            ("wedge-power-odd", {"m": 4, "q": 3}),
             ("zigzag-even", {"m": 3, "q": 2}),
         ]:
             lhs, rhs = family_exprs(family, **kwargs)
             for expr in (lhs, rhs):
-                mat = expr_matrix(expr, ctx)
+                mat = expr_matrix(expr, rels)
+                assert np.array_equal(expr_image(expr, ctx, np.eye(n, dtype=bool)), mat)
                 for a in range(n):
-                    src = np.zeros(n, dtype=bool)
-                    src[a] = True
-                    assert np.array_equal(expr_image(expr, ctx, src), mat[a])
+                    src = np.zeros((1, n), dtype=bool)
+                    src[0, a] = True
+                    assert np.array_equal(expr_image(expr, ctx, src)[0], mat[a])
 
 
 def test_expr_matrix_vs_raw_relation_composition(witness_cache):
-    """The expression evaluator against hand-built relation compositions."""
-    from finalg.relations import BinRelation, rel_compose, rel_meet, rel_of_partition, rel_power
-
+    """The full image against hand-built relation compositions."""
     for (m, q) in [(3, 2), (4, 2), (4, 3), (5, 2)]:
         w = witness_cache(m, q)
         ctx = _context(w.alpha, w.beta, w.gamma)
-        alpha = rel_of_partition(w.alpha)
-        beta = rel_of_partition(w.beta)
-        gamma = rel_of_partition(w.gamma)
-        ab = rel_meet(alpha, beta)
-        ag = rel_meet(alpha, gamma)
+        eye = np.eye(w.size, dtype=bool)
+        alpha, beta, gamma = relation(w.alpha), relation(w.beta), relation(w.gamma)
+        ab = alpha & beta
+        ag = alpha & gamma
 
         # the wedge-power left side: alpha ^ (beta o [ag ab ...] o trailing)
         factors = [beta]
         for i in range(q - 2):
             factors.append(ag if i % 2 == 0 else ab)
         factors.append(gamma if q % 2 == 0 else beta)
-        comp = BinRelation.identity(w.size)
+        comp = eye
         for f in factors:
-            comp = rel_compose(comp, f)
-        lhs = rel_meet(alpha, comp)
+            comp = bool_product(comp, f)
         expr_l, expr_r = family_exprs("wedge-power", m=m, q=q)
-        assert np.array_equal(lhs.bits, expr_matrix(expr_l, ctx))
+        assert np.array_equal(alpha & comp, expr_image(expr_l, ctx, eye))
 
         # and the right side: (alpha ^ (gamma o beta o ...q...))^(m-2)
-        comp = BinRelation.identity(w.size)
+        comp = eye
         for i in range(q):
-            comp = rel_compose(comp, gamma if i % 2 == 0 else beta)
-        rhs = rel_power(rel_meet(alpha, comp), m - 2)
-        assert np.array_equal(rhs.bits, expr_matrix(expr_r, ctx))
+            comp = bool_product(comp, gamma if i % 2 == 0 else beta)
+        rhs = eye
+        for _ in range(m - 2):
+            rhs = bool_product(rhs, alpha & comp)
+        assert np.array_equal(rhs, expr_image(expr_r, ctx, eye))
 
         # zigzag right side: plain alternating chain of the meets
         fam = "zigzag-even" if q == 2 else "zigzag-odd"
         _, zig_r = family_exprs(fam, m=m, q=q)
         count = (m - 2) * q if q % 2 == 0 else 1 + (m - 2) * (q - 1)
-        chain = BinRelation.identity(w.size)
+        chain = eye
         for i in range(count):
-            chain = rel_compose(chain, ab if i % 2 == 0 else ag)
-        assert np.array_equal(chain.bits, expr_matrix(zig_r, ctx))
+            chain = bool_product(chain, ab if i % 2 == 0 else ag)
+        assert np.array_equal(chain, expr_image(zig_r, ctx, eye))
 
 
 def test_pair_mode_agrees_with_full_mode(witness_cache):
@@ -236,7 +237,7 @@ def test_full_mode_counts_paths_without_wrapping(witness_cache, m, q, block):
     # 255, where a uint8 product wraps to 0 and drops pairs
     w = witness_cache(m, q)
     assert np.bincount(w.alpha.as_array()).max() == block
-    ctx = _context(w.alpha, w.beta, w.gamma)
+    ctx = matrix_context(w.alpha, w.beta, w.gamma)
     lhs, rhs = family_exprs("wedge-power", m=m, q=q)
     viol = expr_matrix(lhs, ctx) & ~expr_matrix(rhs, ctx)
     pairs = [tuple(int(v) for v in p) for p in np.argwhere(viol)]
@@ -249,3 +250,41 @@ def test_full_mode_counts_paths_without_wrapping(witness_cache, m, q, block):
         assert len(pairs) == 2
     else:
         assert full.counterexample == (537, 117)
+
+
+def catalogue(m, q):
+    """Every catalogue family at (m, q), with the parameters the sharpness
+    claims use."""
+    out = [("dist", {"n": 2 * m - 5}), ("dist", {"n": 2 * m - 4}),
+           ("alvin", {"n": 2 * m - 4}), ("wedge-power", {"m": m, "q": q})]
+    if m >= 5:
+        out.append(("wedge-power-j", {"m": m, "q": q, "j": 3}))
+    if q % 2 == 0:
+        out += [("wedge-power-2", {"m": m}), ("zigzag-even", {"m": m, "q": q}),
+                ("zigzag-even-swapped", {"m": m, "q": q})]
+    else:
+        out += [("wedge-power-odd", {"m": m, "q": q}), ("zigzag-odd", {"m": m, "q": q}),
+                ("zigzag-odd-swapped", {"m": m, "q": q})]
+    return out
+
+
+@pytest.mark.parametrize("m, q", [(m, 2) for m in range(3, 9)] + [(m, 3) for m in range(3, 8)])
+def test_full_mode_violations_match_the_oracle(witness_cache, m, q):
+    w = witness_cache(m, q)
+    ctx = _context(w.alpha, w.beta, w.gamma)
+    rels = matrix_context(w.alpha, w.beta, w.gamma)
+    eye = np.eye(w.size, dtype=bool)
+    for family, params in catalogue(m, q):
+        lhs, rhs = family_exprs(family, **params)
+        want = expr_matrix(lhs, rels) & ~expr_matrix(rhs, rels)
+        got = expr_image(lhs, ctx, eye) & ~expr_image(rhs, ctx, eye)
+        assert np.array_equal(got, want), (family, params)
+        full = check_identity(family, w.alpha, w.beta, w.gamma, **params)
+        if not want.any():
+            assert full.verdict == "holds"
+            continue
+        assert full.verdict == "fails"
+        assert full.counterexample == tuple(int(v) for v in np.argwhere(want)[0])
+        by_pair = check_identity(family, w.alpha, w.beta, w.gamma, **params,
+                                 pair=full.counterexample)
+        assert by_pair.verdict == "fails", (family, params)

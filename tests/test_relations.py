@@ -1,3 +1,5 @@
+"""Relation evaluation by block images, against matrix and brute-force oracles."""
+
 import itertools
 import random
 
@@ -5,115 +7,163 @@ import numpy as np
 import pytest
 
 from finalg.algebras import AlgebraError, CapExceeded
-from finalg.congruences import Partition
-from finalg.relations import (
-    BinRelation,
-    ChainPattern,
-    check_inclusion,
-    eval_chain,
-    rel_compose,
-    rel_meet,
-    rel_of_partition,
-    rel_power,
+from finalg.congruences import Partition, partition_meet
+from finalg.identities import (
+    ALPHA_BETA,
+    BETA,
+    GAMMA,
+    Comp,
+    MeetAlpha,
+    Power,
+    Prim,
+    _alt,
+    _context,
+    check_identity,
+    expr_image,
+    family_exprs,
     shortest_alternating_chain,
 )
+from relation_oracle import bool_product, expr_matrix, matrix_context, relation
 
 
-def random_relation(rng, size, density=0.3, reflexive=False):
-    m = np.zeros((size, size), dtype=bool)
-    for i in range(size):
-        for j in range(size):
-            if rng.random() < density:
-                m[i, j] = True
-        if reflexive:
-            m[i, i] = True
-    return BinRelation(m)
+def random_partition(rng, size, blocks=3):
+    return Partition(tuple(rng.randrange(blocks) for _ in range(size)))
+
+
+def full(expr, alpha, beta, gamma):
+    """The whole relation of the expression, from the identity rows."""
+    return expr_image(expr, _context(alpha, beta, gamma), np.eye(alpha.size, dtype=bool))
+
+
+def pairs(mat):
+    return sorted((int(x), int(y)) for x, y in np.argwhere(mat))
 
 
 def test_rel_of_partition():
-    assert rel_of_partition(Partition.zero(3)) == BinRelation.identity(3)
-    assert rel_of_partition(Partition.one(3)) == BinRelation.full(3)
+    one = Partition.one(3)
+    assert np.array_equal(full(Prim(BETA), one, Partition.zero(3), one), np.eye(3, dtype=bool))
+    assert full(Prim(BETA), one, one, one).all()
     bs = Partition.from_blocks(3, [[2, 1], [0]])
-    assert sorted(rel_of_partition(bs).pairs()) == [
-        (0, 0), (1, 1), (1, 2), (2, 1), (2, 2)
-    ]
+    assert pairs(full(Prim(BETA), one, bs, one)) == [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_compose_identity_and_oracle():
     rng = random.Random(11)
     for _ in range(25):
-        r = random_relation(rng, 5)
-        s = random_relation(rng, 5)
-        assert rel_compose(r, BinRelation.identity(5)) == r
-        composed = rel_compose(r, s)
+        alpha, beta, gamma = (random_partition(rng, 5) for _ in range(3))
+        r = full(Prim(BETA), alpha, beta, gamma)
+        identity = Partition.zero(5)
+        assert np.array_equal(full(Comp((Prim(BETA), Prim(GAMMA))), alpha, beta, identity), r)
+        composed = full(Comp((Prim(BETA), Prim(GAMMA))), alpha, beta, gamma)
         expected = {
             (x, z)
-            for (x, y1) in r.pairs()
-            for (y2, z) in s.pairs()
+            for (x, y1) in pairs(r)
+            for (y2, z) in pairs(relation(gamma))
             if y1 == y2
         }
-        assert set(composed.pairs()) == expected
+        assert set(pairs(composed)) == expected
 
 
 def test_compose_size_mismatch():
     with pytest.raises(AlgebraError):
-        rel_compose(BinRelation.identity(3), BinRelation.identity(4))
+        check_identity("dist", Partition.one(3), Partition.one(3), Partition.one(4), n=2)
+    with pytest.raises(AlgebraError):
+        shortest_alternating_chain(0, 1, Partition.zero(3), Partition.zero(4))
+
+
+def chain(count):
+    return Comp(tuple(_alt(BETA, GAMMA, count)))
 
 
 def test_eval_chain_conventions():
     rng = random.Random(5)
-    r, s = random_relation(rng, 4), random_relation(rng, 4)
-    assert eval_chain(ChainPattern(r, s, 0)) == BinRelation.identity(4)
-    assert eval_chain(ChainPattern(r, s, 1)) == r
-    assert eval_chain(ChainPattern(r, s, 2)) == rel_compose(r, s)
-    assert eval_chain(ChainPattern(r, s, 3)) == rel_compose(rel_compose(r, s), r)
-    with pytest.raises(AlgebraError):
-        ChainPattern(r, s, -1)
+    alpha, beta, gamma = (random_partition(rng, 4) for _ in range(3))
+    r, s = relation(beta), relation(gamma)
+    assert np.array_equal(full(chain(0), alpha, beta, gamma), np.eye(4, dtype=bool))
+    assert np.array_equal(full(chain(1), alpha, beta, gamma), r)
+    assert np.array_equal(full(chain(2), alpha, beta, gamma), bool_product(r, s))
+    assert np.array_equal(full(chain(3), alpha, beta, gamma),
+                          bool_product(bool_product(r, s), r))
 
 
 def test_eval_chain_monotone():
+    # merging blocks can only grow every alternating chain
     rng = random.Random(7)
     for _ in range(20):
-        r1 = random_relation(rng, 5)
-        s1 = random_relation(rng, 5)
-        r2 = BinRelation(r1.bits | random_relation(rng, 5).bits)
-        s2 = BinRelation(s1.bits | random_relation(rng, 5).bits)
+        alpha, beta1, gamma1 = (random_partition(rng, 5, blocks=5) for _ in range(3))
+        beta2 = Partition(tuple(b // 2 for b in beta1.block_id))
+        gamma2 = Partition(tuple(b // 2 for b in gamma1.block_id))
         for count in (1, 2, 3, 4):
-            small = eval_chain(ChainPattern(r1, s1, count))
-            big = eval_chain(ChainPattern(r2, s2, count))
-            assert check_inclusion(small, big)[0]
+            small = full(chain(count), alpha, beta1, gamma1)
+            big = full(chain(count), alpha, beta2, gamma2)
+            assert not (small & ~big).any()
 
 
 def test_chain_grows_for_reflexive_relations():
     rng = random.Random(13)
     for _ in range(15):
-        r = random_relation(rng, 5, reflexive=True)
-        s = random_relation(rng, 5, reflexive=True)
+        alpha, beta, gamma = (random_partition(rng, 5, blocks=4) for _ in range(3))
         for count in range(4):
-            shorter = eval_chain(ChainPattern(r, s, count))
-            longer = eval_chain(ChainPattern(r, s, count + 1))
-            assert check_inclusion(shorter, longer)[0]
+            shorter = full(chain(count), alpha, beta, gamma)
+            longer = full(chain(count + 1), alpha, beta, gamma)
+            assert not (shorter & ~longer).any()
 
 
 def test_check_inclusion():
-    r = BinRelation.from_pairs(3, [(0, 1), (2, 0)])
-    assert check_inclusion(r, r) == (True, None)
-    bigger = BinRelation.from_pairs(3, [(0, 1), (2, 0), (1, 1)])
-    assert check_inclusion(r, bigger)[0]
-    ok, pair = check_inclusion(bigger, r)
-    assert not ok and pair == (1, 1)
+    # full mode says "holds" exactly when the oracle finds no violating pair
+    rng = random.Random(19)
+    verdicts = set()
+    for _ in range(40):
+        alpha, beta, gamma = (random_partition(rng, 6) for _ in range(3))
+        lhs, rhs = family_exprs("dist", n=2)
+        rels = matrix_context(alpha, beta, gamma)
+        viol = expr_matrix(lhs, rels) & ~expr_matrix(rhs, rels)
+        inst = check_identity("dist", alpha, beta, gamma, n=2)
+        assert inst.verdict == ("fails" if viol.any() else "holds")
+        verdicts.add(inst.verdict)
+    assert verdicts == {"holds", "fails"}
 
 
 def test_check_inclusion_least_pair():
-    lhs = BinRelation.from_pairs(4, [(2, 3), (1, 0), (3, 1)])
-    ok, pair = check_inclusion(lhs, BinRelation.identity(4))
-    assert not ok and pair == (1, 0)
+    rng = random.Random(29)
+    seen = 0
+    for _ in range(40):
+        alpha, beta, gamma = (random_partition(rng, 7) for _ in range(3))
+        lhs, rhs = family_exprs("alvin", n=2)
+        rels = matrix_context(alpha, beta, gamma)
+        viol = np.argwhere(expr_matrix(lhs, rels) & ~expr_matrix(rhs, rels))
+        if len(viol) < 2:
+            continue
+        inst = check_identity("alvin", alpha, beta, gamma, n=2)
+        assert inst.counterexample == tuple(int(v) for v in viol[0])
+        seen += 1
+    assert seen > 0
 
 
 def test_rel_power():
-    step = BinRelation.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-    assert (3 in [p[1] for p in rel_power(step, 3).pairs()])
-    assert rel_power(step, 0) == BinRelation.identity(4)
+    rng = random.Random(31)
+    for _ in range(10):
+        alpha, beta, gamma = (random_partition(rng, 6, blocks=4) for _ in range(3))
+        step = bool_product(relation(beta), relation(gamma))
+        power = np.eye(6, dtype=bool)
+        for k in range(4):
+            expr = Power(Comp((Prim(BETA), Prim(GAMMA))), k)
+            assert np.array_equal(full(expr, alpha, beta, gamma), power)
+            power = bool_product(power, step)
+
+
+def test_meet():
+    alpha = Partition((0, 0, 1))
+    beta = Partition((0, 1, 1))
+    got = full(MeetAlpha(Prim(BETA)), alpha, beta, Partition.one(3))
+    assert pairs(got) == [(0, 0), (1, 1), (2, 2)]
+    assert np.array_equal(full(Prim(ALPHA_BETA), alpha, beta, beta),
+                          relation(partition_meet(alpha, beta)))
+    # a meet keeps each image inside its source's alpha block, so a source
+    # spread over two blocks is refused
+    ctx = _context(alpha, beta, Partition.one(3))
+    with pytest.raises(AlgebraError):
+        expr_image(MeetAlpha(Prim(BETA)), ctx, np.array([[True, False, True]]))
 
 
 def brute_shortest_alternating(start, goal, first, second, cap):
@@ -122,8 +172,8 @@ def brute_shortest_alternating(start, goal, first, second, cap):
     for length in range(1, cap + 1):
         best = None
         for lead in (0, 1):
-            rels = [first.bits, second.bits] if lead == 0 else [second.bits, first.bits]
-            for middle in itertools.product(range(first.size), repeat=length - 1):
+            rels = [first, second] if lead == 0 else [second, first]
+            for middle in itertools.product(range(len(first)), repeat=length - 1):
                 path = [start, *middle, goal]
                 if all(rels[i % 2][path[i], path[i + 1]] for i in range(length)):
                     if best is None or path < best:
@@ -135,33 +185,32 @@ def brute_shortest_alternating(start, goal, first, second, cap):
 
 def test_shortest_alternating_matches_bruteforce():
     rng = random.Random(23)
+    outcomes = set()
     for _ in range(30):
-        f = random_relation(rng, 5, density=0.25, reflexive=True)
-        s = random_relation(rng, 5, density=0.25, reflexive=True)
-        start, goal = rng.randrange(5), rng.randrange(5)
-        expected = brute_shortest_alternating(start, goal, f, s, 4)
+        f = random_partition(rng, 7, blocks=5)
+        s = random_partition(rng, 7, blocks=5)
+        start, goal = rng.randrange(7), rng.randrange(7)
+        expected = brute_shortest_alternating(start, goal, relation(f), relation(s), 4)
         try:
             got = shortest_alternating_chain(start, goal, f, s, cap=4)
         except CapExceeded:
-            assert expected is None or len(expected) - 1 > 4
+            assert expected is None
+            outcomes.add("capped")
             continue
         if got is None:
             assert expected is None
+            outcomes.add("none")
         else:
             path, factors = got
             assert expected is not None
             assert len(path) - 1 == len(expected) - 1 == factors
             assert path == expected  # lex-least among minimal
+            outcomes.add("at cap" if factors == 4 else "found")
+    assert outcomes == {"capped", "none", "found", "at cap"}
 
 
 def test_shortest_alternating_trivial_and_missing():
-    f = BinRelation.identity(3)
-    s = BinRelation.identity(3)
+    f = Partition.zero(3)
+    s = Partition.zero(3)
     assert shortest_alternating_chain(1, 1, f, s) == ([1], 0)
     assert shortest_alternating_chain(0, 2, f, s, cap=6) is None
-
-
-def test_meet():
-    a = BinRelation.from_pairs(3, [(0, 1), (1, 2)])
-    b = BinRelation.from_pairs(3, [(0, 1), (2, 2)])
-    assert rel_meet(a, b).pairs() == [(0, 1)]

@@ -287,18 +287,18 @@ def test_q3_chain_lengths_bounded_by_identities(witness_cache):
     """For q = 3 the path may move two components at once, so only bounds are
     asserted: the two-sided search stays within the holding zigzag bound,
     while a forced swapped start cannot make that bound (its zigzag fails)."""
-    from finalg.relations import rel_of_partition, shortest_alternating_chain
-    from finalg.relations import _bfs_alternating
+    from finalg.identities import shortest_alternating_chain
+    from relation_oracle import _bfs_alternating, relation
 
     for m in (3, 4, 5):
         w = witness_cache(m, 3)
-        ab = rel_of_partition(partition_meet(w.alpha, w.beta))
-        ag = rel_of_partition(partition_meet(w.alpha, w.gamma))
+        ab = partition_meet(w.alpha, w.beta)
+        ag = partition_meet(w.alpha, w.gamma)
         bound = 2 * m - 3  # the factor count of the holding zigzag bound
         path, factors = shortest_alternating_chain(w.a, w.d, ab, ag, cap=4 * m)
         assert factors <= bound
         try:
-            swapped = _bfs_alternating(w.a, w.d, ag, ab, cap=bound)
+            swapped = _bfs_alternating(w.a, w.d, relation(ag), relation(ab), cap=bound)
         except CapExceeded:
             swapped = None  # still searching past the bound: long enough
         assert swapped is None or len(swapped) - 1 > bound
