@@ -12,7 +12,16 @@ element.  `algebras._arg_blocks`, shared with the subuniverse check,
 unranks those tuples in numpy, in blocks of `_CHUNK` rows of shape (rows,
 arity), in a fixed order (multisets for symmetric operations), so the work
 count, the point where the work cap bites and every provenance term are
-deterministic.  Cost grows as C(N+r-1, r) in the element count N.
+deterministic.
+
+Each argument tuple is applied once, in the round after its newest element
+was found, so a completed closure over N elements does exactly
+`_closure_work(tables, N)` work: the sum over the operations of
+C(N+r-1, r) (symmetric, arity r) or N**r.  That sum only grows with N, so
+once the elements found so far put it over the work cap the closure cannot
+finish under the cap: a closure that may not return a partial result
+raises `CapExceeded` then, before the first round or after the block that
+pushed it over, not when the cap bites.
 
 An operation is evaluated at every coordinate by one gather (`_Kernel`).
 Once per generate_subpower call, each operation's flat tables over the
@@ -98,19 +107,10 @@ class Subpower:
             return np.asarray([self.contains(v) for v in vecs], dtype=bool)
         mask = np.ones(len(vecs), dtype=bool)
         width = min(self._local.width, self.ncoords)
-        sizes = [self.gens[ai].size for ai in self.coord_algs]
         for subset in itertools.combinations(range(self.ncoords), width):
             if not mask.any():
                 break
-            table = _local_closure_for(self, subset)
-            weights = np.ones(len(subset), dtype=np.int64)
-            for i in range(len(subset) - 2, -1, -1):
-                weights[i] = weights[i + 1] * sizes[subset[i + 1]]
-            allowed = np.zeros(int(weights[0]) * sizes[subset[0]], dtype=bool)
-            for proj in table:
-                allowed[int(np.asarray(proj, dtype=np.int64) @ weights)] = True
-            keys = vecs[:, subset].astype(np.int64) @ weights
-            mask &= allowed[keys]
+            mask &= _local_mask(self, subset, vecs)
         return mask
 
     def term_for(self, i: int) -> Term:
@@ -169,7 +169,10 @@ def generate_subpower(
     'partial' marks the incomplete result); 'local' the projection engine
     (needs a shared near-unanimity basic operation); 'membership' builds only
     the local closures, for containment queries over boxes too big to
-    enumerate; 'auto' tries closure first, then local.
+    enumerate; 'auto' runs the closure until the work its elements already
+    force passes the work cap, then local, then membership.  When the
+    membership engine is the result of 'auto', its stats name why the other
+    two engines refused ('closure', 'local').
     """
     gens = tuple(gens)
     for a in gens[1:]:
@@ -216,15 +219,19 @@ def _generate(tables, gens, coord_algs, gen_rows, element_cap, work_cap, engine)
     try:
         return _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                               partial_ok=(engine == "partial"))
-    except CapExceeded:
+    except CapExceeded as exc:
         if engine in ("closure", "partial"):
             raise
-        try:
-            return _build_local(tables, gens, coord_algs, gen_rows, element_cap,
-                                work_cap, enumerate_all=True)
-        except CapExceeded:
-            return _build_local(tables, gens, coord_algs, gen_rows, element_cap,
-                                work_cap, enumerate_all=False)
+        closure_reason = str(exc)
+    try:
+        return _build_local(tables, gens, coord_algs, gen_rows, element_cap,
+                            work_cap, enumerate_all=True)
+    except CapExceeded as exc:
+        local_reason = str(exc)
+    sub = _build_local(tables, gens, coord_algs, gen_rows, element_cap,
+                       work_cap, enumerate_all=False)
+    sub.stats.update(closure=closure_reason, local=local_reason)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +289,9 @@ def build_free_algebra(
         element_cap=element_cap, work_cap=work_cap, engine=engine,
     )
     if sub.engine == "membership":
-        raise CapExceeded("free algebra too large to enumerate", explored=0)
+        why = "".join(f"; {stage}: {sub.stats[stage]}" for stage in ("closure", "local")
+                      if stage in sub.stats)
+        raise CapExceeded(f"free algebra too large to enumerate{why}", explored=0)
     return FreeAlgebra(sub, g, assignments)
 
 
@@ -375,6 +384,20 @@ class _Kernel:
 _CHUNK = 250_000  # argument rows per block of the closure kernel
 
 
+def _closure_work(tables: _Tables, n: int) -> int:
+    """Argument tuples a completed closure over n elements applies."""
+    return sum(math.comb(n + r - 1, r) if sym else n**r
+               for r, sym in zip(tables.arity, tables.sym))
+
+
+def _refuse_doomed(tables: _Tables, n: int, work_cap: int) -> None:
+    """Raise once n elements already force more work than the cap allows."""
+    need = _closure_work(tables, n)
+    if need > work_cap:
+        raise CapExceeded(f"subpower work cap exceeded: {n} elements need at least "
+                          f"{need} argument tuples, cap {work_cap}", explored=n)
+
+
 def _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                    partial_ok=False) -> Subpower:
     rows: list[np.ndarray] = []
@@ -400,6 +423,8 @@ def _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
     work = 0
     old = 0
     complete = True
+    if not partial_ok:
+        _refuse_doomed(tables, len(rows), work_cap)
     while True:
         n = len(rows)
         stacked = np.stack(rows)
@@ -416,6 +441,7 @@ def _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                                              return_index=True)
                     else:
                         _, first = np.unique(out, axis=0, return_index=True)
+                    before = len(rows)
                     for where in np.sort(first):
                         row = out[where]
                         key = row.tobytes()
@@ -428,6 +454,8 @@ def _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
                             terms.append(
                                 App(oi, tuple(terms[i] for i in idx[where]))
                             )
+                    if not partial_ok and len(rows) > before:
+                        _refuse_doomed(tables, len(rows), work_cap)
         except CapExceeded:
             if not partial_ok:
                 raise
@@ -488,19 +516,12 @@ def _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
 
     space = math.prod(sizes)
     if space > element_cap:
-        raise CapExceeded(f"coordinate box of {space} vectors exceeds the cap")
+        raise CapExceeded(f"coordinate box of {space} vectors exceeds the element cap "
+                          f"{element_cap}")
     grids = _box_grid(sizes)
     keep = np.ones(space, dtype=bool)
     for subset in itertools.combinations(range(ncoords), min(width, ncoords)):
-        table = _local_closure_for(sub, subset)
-        weights = np.ones(len(subset), dtype=np.int64)
-        for i in range(len(subset) - 2, -1, -1):
-            weights[i] = weights[i + 1] * sizes[subset[i + 1]]
-        keys = grids[:, subset].astype(np.int64) @ weights
-        allowed = np.zeros(int(weights[0]) * sizes[subset[0]], dtype=bool)
-        for proj in table:
-            allowed[int(np.asarray(proj, dtype=np.int64) @ weights)] = True
-        keep &= allowed[keys]
+        keep &= _local_mask(sub, subset, grids)
     vectors = grids[keep]
     sub.vectors = vectors
     sub.engine = "local"
@@ -532,6 +553,18 @@ def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> dict:
              for row, term in zip(closed.vectors, closed.terms)}
     local.local_closures[subset] = table
     return table
+
+
+def _local_mask(sub: Subpower, subset: tuple[int, ...], vecs: np.ndarray) -> np.ndarray:
+    """Rows of vecs whose projection onto `subset` lies in its local closure."""
+    sizes = [sub.gens[sub.coord_algs[k]].size for k in subset]
+    weights = np.ones(len(subset), dtype=np.int64)
+    for i in range(len(subset) - 2, -1, -1):
+        weights[i] = weights[i + 1] * sizes[i + 1]
+    allowed = np.zeros(int(weights[0]) * sizes[0], dtype=bool)
+    for proj in _local_closure_for(sub, subset):
+        allowed[int(np.asarray(proj, dtype=np.int64) @ weights)] = True
+    return allowed[vecs[:, subset].astype(np.int64) @ weights]
 
 
 def _local_member(sub: Subpower, vec: np.ndarray) -> bool:

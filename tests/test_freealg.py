@@ -18,11 +18,13 @@ from finalg.algebras import (
 from finalg.fixtures import load_fixtures
 from finalg.freealg import (
     _CHUNK,
+    _closure_work,
     _local_closure_for,
     build_free_algebra,
     generate_subpower,
     shared_nu_op,
 )
+from finalg.maltsev import absorption_search, nu_scheme
 from finalg.terms import App, Var, term_eval
 from finalg.witnesses import implication_expansion, modular_sum_algebra, nu_family_generators
 
@@ -304,3 +306,114 @@ def test_generator_entries_must_fit_their_algebra():
     gens = load_fixtures("N:2:4,Nq:2:4:3")
     with pytest.raises(AlgebraError):
         generate_subpower(gens, [0, 1], [[0, 2], [2, 1]])
+
+
+# ---------------------------------------------------------------------------
+# the work lower bound: a completed closure applies exactly _closure_work
+# tuples, so a closure whose elements already force more is refused at once
+
+
+# (fixture, generators, partial run at half the total: (size, work)); the
+# partial figures are those of the closure before the bound was added
+EXACT_CASES = [
+    ("N:2:3", 3, (4, 20)),                  # one symmetric ternary operation
+    ("N:2:4,N:3:4", 3, (9, 495)),           # symmetric 4-ary, two algebras
+    ("I:4", 3, (38, 75040)),                # binary implication: asymmetric
+    ("LD2", 3, (64, 546475)),               # minority and lone dissent
+]
+
+
+def test_exact_cases_cover_symmetric_and_asymmetric_operations():
+    sym = set()
+    for fixture, _, _ in EXACT_CASES:
+        sym.update(freealg._prepare_tables(tuple(load_fixtures(fixture))).sym)
+    assert sym == {True, False}
+
+
+@pytest.mark.parametrize("fixture, g, partial", EXACT_CASES)
+def test_completed_closure_work_is_exactly_the_bound(fixture, g, partial):
+    gens = load_fixtures(fixture)
+    full = build_free_algebra(gens, g, engine="closure").sub
+    total = _closure_work(full._tables, full.size)
+    assert full.stats["work"] == total
+    with pytest.raises(CapExceeded, match="work cap exceeded"):
+        build_free_algebra(gens, g, engine="closure", work_cap=total - 1)
+    tight = build_free_algebra(gens, g, engine="closure", work_cap=total).sub
+    assert tight.engine == "closure"
+    assert np.array_equal(tight.vectors, full.vectors)
+    assert tight.terms == full.terms
+    # partial mode keeps generating until the cap bites
+    cap = total // 2
+    part = build_free_algebra(gens, g, engine="partial", work_cap=cap).sub
+    assert part.engine == "partial"
+    assert (part.size, part.stats["work"]) == partial
+    assert part.stats["work"] > cap
+    assert np.array_equal(part.vectors, full.vectors[: part.size])
+    assert part.terms == full.terms[: part.size]
+
+
+def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch):
+    # nu(4) over I:5: the closure behind it needs about 15M tuples, against
+    # a 4M cap that the closure used to reach before refusing.  One entry
+    # [partial_ok, work_cap, rows applied, raised] per closure; closures
+    # never nest, so rows go to the latest one
+    calls = []
+    apply, build = freealg._Kernel.apply, freealg._build_closure
+
+    def counted_apply(self, oi, weighted, idx):
+        calls[-1][2] += len(idx)
+        return apply(self, oi, weighted, idx)
+
+    def recorded_build(*args, partial_ok=False):
+        calls.append([partial_ok, args[5], 0, False])
+        try:
+            return build(*args, partial_ok=partial_ok)
+        except CapExceeded:
+            calls[-1][3] = True
+            raise
+
+    monkeypatch.setattr(freealg._Kernel, "apply", counted_apply)
+    monkeypatch.setattr(freealg, "_build_closure", recorded_build)
+    cert = absorption_search(load_fixtures("I:5"), nu_scheme(4), work_cap=4_000_000)
+    assert not cert.found
+    assert cert.stats == {"engine": "local", "size": 94}
+    refused = [c for c in calls if c[3]]
+    assert len(refused) == 1
+    partial_ok, work_cap, applied, _ = refused[0]
+    assert not partial_ok and work_cap == 4_000_000
+    assert applied < 100_000
+
+
+def test_refusal_message_names_elements_bound_and_cap():
+    # one symmetric 4-ary operation: 9 elements need C(12, 4) = 495 tuples,
+    # 10 need C(13, 4) = 715, so the tenth element is the last one found
+    gens = load_fixtures("N:2:4,N:3:4")
+    with pytest.raises(CapExceeded) as info:
+        build_free_algebra(gens, 3, engine="closure", work_cap=600)
+    assert str(info.value) == ("subpower work cap exceeded: 10 elements need at least "
+                               "715 argument tuples, cap 600")
+    assert info.value.explored == 10
+
+
+def test_refusal_before_the_first_round(monkeypatch):
+    monkeypatch.setattr(freealg, "_arg_blocks", _no_rounds)
+    gens = load_fixtures("N:2:3")                     # 3 generators: 10 multisets
+    with pytest.raises(CapExceeded, match="3 elements need at least 10 "):
+        build_free_algebra(gens, 3, engine="closure", work_cap=9)
+
+
+def test_membership_fallback_records_why():
+    # the free algebra on 5 generators over I:4: 32 two-element coordinates
+    gens = load_fixtures("I:4")
+    assignments = list(itertools.product(range(2), repeat=5))
+    gen_rows = np.asarray([[a[j] for a in assignments] for j in range(5)])
+    sub = generate_subpower(gens, [0] * 32, gen_rows, work_cap=1000)
+    assert sub.engine == "membership"
+    assert sub.stats["closure"].startswith("subpower work cap exceeded: ")
+    assert sub.stats["closure"].endswith(" argument tuples, cap 1000")
+    assert sub.stats["local"] == (f"coordinate box of {2 ** 32} vectors "
+                                  f"exceeds the element cap {1 << 20}")
+    with pytest.raises(CapExceeded) as info:
+        build_free_algebra(gens, 5, work_cap=1000)
+    assert str(info.value) == ("free algebra too large to enumerate; closure: "
+                               f"{sub.stats['closure']}; local: {sub.stats['local']}")

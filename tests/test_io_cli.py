@@ -95,6 +95,19 @@ def test_cli_exit_codes_cover_cap(tmp_path):
     assert rc in (0, 2)  # large m may exceed caps; must not crash or lie
 
 
+@pytest.mark.parametrize("scheme, fixture", [
+    ("day", "N:2:5,N:3:5"),             # 4 generators: 168 elements, 5-ary operations
+    ("jonsson", "N:2:7,N:3:7,N:4:7"),   # 3 generators: 49 elements, 7-ary operations
+])
+def test_cli_refuses_a_free_algebra_past_the_work_cap(scheme, fixture, capsys):
+    # the closure is refused as soon as its elements force more work than
+    # the cap, not after burning the whole budget
+    assert main(["level", "--scheme", scheme, "--fixture", fixture]) == 2
+    err = capsys.readouterr().err
+    assert "free algebra too large to enumerate; closure: subpower work cap exceeded: " in err
+    assert "cap 80000000; local: coordinate box of " in err
+
+
 def test_cli_entrypoint_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "finalg.cli", "level", "--scheme", "jonsson",
