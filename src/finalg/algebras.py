@@ -300,14 +300,15 @@ def order_statistic_table(chain_size: int, j: int, m: int) -> np.ndarray:
     cached = _UJM_TABLES.get(key)
     if cached is not None:
         return cached
-    count = chain_size**m
-    idx = np.arange(count, dtype=np.int64)
-    cols = np.empty((count, m), dtype=np.int64)
-    for pos in range(m - 1, -1, -1):
-        cols[:, pos] = idx % chain_size
-        idx //= chain_size
-    cols.sort(axis=1)
-    table = cols[:, j - 1].copy()
+    # the j-th smallest argument is the number of values v below which fewer
+    # than j arguments lie (at or below v); the counts are uint8 grids
+    table = np.zeros(chain_size**m, dtype=np.int64)
+    for v in range(chain_size - 1):
+        at_most_v = (np.arange(chain_size) <= v).astype(np.uint8)
+        count = at_most_v
+        for _ in range(m - 1):
+            count = np.add.outer(count, at_most_v)  # first argument most significant
+        table += count.ravel() < j
     table.setflags(write=False)
     _UJM_TABLES[key] = table
     return table
@@ -470,6 +471,10 @@ def _op_symmetrical(op: Operation) -> bool:
         return True
     if op.size**op.arity > DEFAULT_TABLE_CAP:
         raise CapExceeded(f"symmetry check on {op.name} needs a table")
+    if isinstance(op, TableOp):  # permute the axes of the table itself
+        grid = op.table.reshape((op.size,) * op.arity)
+        return all(np.array_equal(grid, grid.transpose(perm))
+                   for perm in (_transposition(op.arity), _cycle(op.arity)))
     cols = _tuple_cols(op.size, op.arity)
     out = op.apply_cols(cols)
     for perm in (_transposition(op.arity), _cycle(op.arity)):
@@ -545,19 +550,60 @@ def subalgebra_closure(
 # subuniverse check
 
 
+class BoxUnion:
+    """A subset given as a union of boxes over the coordinates of a product.
+
+    A box holds one value set per flattened coordinate (`flat_view`'s, for a
+    product whose factors are not subalgebras): the atomic factors, left to
+    right.  Its elements are the product ids of its coordinate rows, mixed
+    radix over `sizes` with the first coordinate most significant.
+    """
+
+    def __init__(self, sizes: Sequence[int], boxes: Iterable[Sequence[Iterable[int]]]):
+        self.sizes = tuple(int(s) for s in sizes)
+        self.boxes = tuple(tuple(tuple(sorted({int(v) for v in vals})) for vals in box)
+                           for box in boxes)
+        for box in self.boxes:
+            if len(box) != len(self.sizes):
+                raise AlgebraError(f"a box needs {len(self.sizes)} value sets, not {len(box)}")
+            if any(vals and not 0 <= vals[0] <= vals[-1] < s
+                   for vals, s in zip(box, self.sizes)):
+                raise AlgebraError("box value out of range")
+        self._ids = None
+
+    def ids(self) -> np.ndarray:
+        """The sorted element ids (read-only)."""
+        if self._ids is None:
+            parts = [np.zeros(0, dtype=np.int64)]
+            for box in self.boxes:
+                ids = np.zeros(1, dtype=np.int64)
+                for vals, s in zip(box, self.sizes):
+                    ids = (ids[:, None] * s + np.asarray(vals, dtype=np.int64)).ravel()
+                parts.append(ids)
+            self._ids = np.unique(np.concatenate(parts))
+            self._ids.setflags(write=False)
+        return self._ids
+
+    def __len__(self) -> int:
+        return len(self.ids())
+
+
 def is_subuniverse(
     alg: FiniteAlgebra,
-    subset: Iterable[int],
+    subset: Iterable[int] | BoxUnion,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ):
     """Exact closure test.
 
     Returns (True, None) or (False, witness) with witness = (op_index, args,
-    result) for one application leaving the subset.  Beyond the direct tuple
-    budget an absorbing-coordinate reduction over the flattened product
-    structure is used; if neither route applies, raises CapExceeded rather
-    than sampling.
+    result) for one application leaving the subset.  A `BoxUnion` is checked
+    on its boxes (`_box_violation`), whatever its element count.  An id list
+    is checked by direct enumeration, and beyond the direct tuple budget by an
+    absorbing-coordinate reduction over the flattened product structure; if
+    no route applies, raises CapExceeded rather than sampling.
     """
+    if isinstance(subset, BoxUnion):
+        return _box_union_check(alg, subset, tuple_cap)
     ids = sorted(set(int(x) for x in subset))
     if ids and (ids[0] < 0 or ids[-1] >= alg.size):
         raise AlgebraError("subset out of range")
@@ -683,6 +729,198 @@ def _enumerate_violation(oi, op, pool, member_ids, sym):
             i = int(np.argmax(bad))
             return (oi, tuple(int(x) for x in rows[i]), int(out[i]))
     return None
+
+
+# ---------------------------------------------------------------------------
+# box route
+
+
+_IMAGE_ROWS = 1 << 20  # argument rows enumerated for one coordinate image
+
+
+def _leaf_ops(op: Operation) -> list[Operation]:
+    """The operations of the flattened coordinates of a (nested) product op."""
+    if isinstance(op, ProductOp):
+        return [leaf for f in op.factor_ops for leaf in _leaf_ops(f)]
+    return [op]
+
+
+def _box_union_check(alg, union, tuple_cap):
+    boxes = [box for box in union.boxes if all(box)]  # an empty value set: no elements
+    for oi, op in enumerate(alg.ops):
+        leaves = _leaf_ops(op)
+        if tuple(leaf.size for leaf in leaves) != union.sizes:
+            raise AlgebraError(
+                f"box union over sizes {union.sizes} does not match the coordinates of "
+                f"{alg.label or 'the algebra'}"
+            )
+        if boxes:
+            witness = _box_violation(oi, op, leaves, boxes, tuple_cap)
+            if witness is not None:
+                return False, witness
+    return True, None
+
+
+def _box_violation(oi, op, leaves, boxes, tuple_cap):
+    """Closure of a union of boxes under one op, checked box tuple by box tuple.
+
+    The op acts coordinatewise, so its image of r boxes is the box of the
+    per-coordinate images, and the union is closed iff every such image box
+    lies in the union: C(K+r-1, r) box multisets for a symmetric op (K^r
+    tuples otherwise), however many elements the boxes hold.  A coordinate's
+    image depends only on its operation and the value sets of the r boxes
+    there, so images are memoised on that pair; each block then tests all of
+    its image boxes against every single box at once, and only an image held
+    by no single box goes to the cube-cover split (`_uncovered_point`).
+    """
+    r, nbox = op.arity, len(boxes)
+    try:
+        sym = _op_symmetrical(op)
+    except CapExceeded:
+        sym = False
+    count = _count_multisets(nbox, r) if sym else nbox**r
+    if count > tuple_cap:
+        raise CapExceeded(
+            f"box route on {op.name} needs {count} box "
+            f"{'multisets' if sym else 'tuples'} against the cap {tuple_cap}"
+        )
+    image_cap = min(tuple_cap, _IMAGE_ROWS)
+    coords = [_BoxCoord(leaf, [box[c] for box in boxes]) for c, leaf in enumerate(leaves)]
+    memo: dict = {}     # (leaf, value sets of the arguments) -> image value set
+    covered: dict = {}  # image ids of a box held by no single box -> escaping point or None
+    frozen = [tuple(map(frozenset, box)) for box in boxes]
+    for rows in _arg_blocks(nbox, 0, r, sym, _SCAN_ROWS):
+        img = [coord.image_ids(rows, sym, memo, image_cap) for coord in coords]
+        held = np.ones((len(rows), nbox), dtype=bool)
+        for coord, ids in zip(coords, img):
+            held &= coord.inside[ids]
+        for i in np.flatnonzero(~held.any(axis=1)):
+            key = tuple(int(ids[i]) for ids in img)
+            if key not in covered:
+                cube = tuple(coord.images[k] for coord, k in zip(coords, key))
+                covered[key] = _uncovered_point(cube, frozen)
+            if covered[key] is not None:
+                return _box_witness(oi, leaves, [boxes[b] for b in rows[i]], covered[key], sym)
+    return None
+
+
+class _BoxCoord:
+    """One coordinate of the box route: its value sets and the images met so far."""
+
+    def __init__(self, leaf, box_sets):
+        self.leaf = leaf
+        self.sets = sorted(set(box_sets))
+        self.set_of_box = np.asarray([self.sets.index(s) for s in box_sets], dtype=np.int64)
+        self.box_sets = [frozenset(s) for s in box_sets]
+        self.keys = np.full(1, -1, dtype=np.int64)       # sorted keys met; -1 names no row
+        self.key_image = np.full(1, -1, dtype=np.int64)  # and their image ids
+        self.images: list[frozenset] = []               # image id -> image value set
+        self.image_id: dict = {}
+        self.inside = np.zeros((0, len(box_sets)), dtype=bool)  # image id -> boxes holding it
+
+    def row_keys(self, rows, sym):
+        """One int64 per row of boxes naming the value sets the row takes here:
+        their multiset for a symmetric op, their tuple otherwise."""
+        d, r = len(self.sets), rows.shape[1]
+        if sym and (r + 1) ** d < 1 << 62:  # the count of each set in base r + 1: no sort
+            return ((r + 1) ** self.set_of_box)[rows].sum(axis=1)
+        sid = self.set_of_box[rows]
+        if sym:
+            sid.sort(axis=1)
+        if d**r >= 1 << 62:
+            raise CapExceeded(f"box route: {d} value sets of {self.leaf.name} are too many to key")
+        return sid @ (d ** np.arange(r, dtype=np.int64))
+
+    def image_ids(self, rows, sym, memo, cap):
+        """The image id of each row of boxes at this coordinate."""
+        key = self.row_keys(rows, sym)
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        new = self.keys[pos] != key
+        if new.any():
+            fresh, first = np.unique(key[new], return_index=True)
+            ids = [self._image_id(row, memo, sym, cap) for row in rows[new][first]]
+            order = np.argsort(np.concatenate([self.keys, fresh]))
+            self.keys = np.concatenate([self.keys, fresh])[order]
+            self.key_image = np.concatenate([self.key_image, ids]).astype(np.int64)[order]
+            pos = np.searchsorted(self.keys, key)
+        return self.key_image[pos]
+
+    def _image_id(self, row, memo, sym, cap):
+        arg_sets = tuple(self.sets[k] for k in self.set_of_box[row])
+        if sym:
+            arg_sets = tuple(sorted(arg_sets))
+        image = memo.get((self.leaf, arg_sets))
+        if image is None:
+            choices = _arg_choices(self.leaf, arg_sets, sym, cap)
+            image = frozenset(np.unique(self.leaf.apply_cols(choices.T)).tolist())
+            memo[(self.leaf, arg_sets)] = image
+        if image not in self.image_id:
+            self.image_id[image] = len(self.images)
+            self.images.append(image)
+            self.inside = np.vstack([self.inside, [image <= s for s in self.box_sets]])
+        return self.image_id[image]
+
+
+def _arg_choices(leaf, arg_sets, sym, cap):
+    """Argument rows of `leaf` with row[i] drawn from arg_sets[i].
+
+    For a symmetric operation, positions with equal value sets take one
+    multiset of values between them, so the rows still reach every value.
+    """
+    groups: dict = {}
+    for pos, vals in enumerate(arg_sets):
+        groups.setdefault(vals if sym else pos, []).append(pos)
+    count = math.prod(_count_multisets(len(arg_sets[pos[0]]), len(pos))
+                      for pos in groups.values())
+    if count > cap:
+        raise CapExceeded(
+            f"image of {leaf.name} on the box route needs {count} argument rows "
+            f"against the cap {cap}"
+        )
+    rows = np.zeros((1, len(arg_sets)), dtype=np.int64)
+    for pos in groups.values():
+        combos = np.asarray(
+            list(itertools.combinations_with_replacement(arg_sets[pos[0]], len(pos))),
+            dtype=np.int64,
+        )
+        prior = len(rows)
+        rows = np.repeat(rows, len(combos), axis=0)
+        rows[:, pos] = np.tile(combos, (prior, 1))
+    return rows
+
+
+def _uncovered_point(cube, boxes):
+    """A point of `cube` (one value set per coordinate) in none of `boxes`, or None.
+
+    The multiple-valued cube-cover test (Rudell & Sangiovanni-Vincentelli,
+    IEEE TCAD 1987): boxes missing the cube are dropped; a box holding it
+    covers it; otherwise the cube is split on a coordinate that a remaining
+    box cuts, into the part inside that box's value set and the part outside,
+    and both halves are tested.
+    """
+    live = [b for b in boxes if all(c & v for c, v in zip(cube, b))]
+    if not live:
+        return tuple(min(c) for c in cube)
+    if any(all(c <= v for c, v in zip(cube, b)) for b in live):
+        return None
+    box = live[0]
+    k = next(k for k, (c, v) in enumerate(zip(cube, box)) if not c <= v)
+    for part in (cube[k] & box[k], cube[k] - box[k]):
+        point = _uncovered_point(cube[:k] + (part,) + cube[k + 1:], live)
+        if point is not None:
+            return point
+    return None
+
+
+def _box_witness(oi, leaves, arg_boxes, point, sym):
+    """Argument elements, one from each box, whose image is the escaping point."""
+    cols = []
+    for c, leaf in enumerate(leaves):
+        choices = _arg_choices(leaf, tuple(box[c] for box in arg_boxes), sym, _IMAGE_ROWS)
+        cols.append(choices[int(np.argmax(leaf.apply_cols(choices.T) == point[c]))])
+    indexing = FactorIndexing(tuple(leaf.size for leaf in leaves))
+    args = tuple(indexing.encode(row) for row in np.asarray(cols).T.tolist())
+    return (oi, args, indexing.encode(point))
 
 
 def flat_view(alg: FiniteAlgebra):

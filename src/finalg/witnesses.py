@@ -22,6 +22,7 @@ import numpy as np
 from .algebras import (
     DEFAULT_TUPLE_CAP,
     AlgebraError,
+    BoxUnion,
     FiniteAlgebra,
     direct_product,
     is_k_absorbing,
@@ -203,21 +204,24 @@ def filtered_subproduct(
 
 
 def cube_minus_top(m: int, tuple_cap: int = DEFAULT_TUPLE_CAP):
-    """The (m-1)-th power of the two-element reduct, minus the all-ones tuple.
+    """The (m-1)-th power of the two-element reduct N(2,m), minus the all-ones tuple.
 
-    Closed for m >= 4: any m arguments from the subset share a zero in two
-    positions... for m = 3 the majority of the three one-zero tuples escapes,
-    so the request is rejected there.
+    Closed: a tuple is sent to the top only when at most one argument has a
+    zero in each coordinate, but m arguments from the subset carry at least m
+    zeros in m - 1 coordinates.  The count needs the power to stay below m:
+    in N(2,3)^3 the majority of the three one-zero tuples is the top.  The
+    subset is the union of the m - 1 boxes "coordinate i is 0", and closure
+    is checked on those boxes.  The construction is only offered for m >= 4.
     """
     if m < 4:
-        raise AlgebraError("needs m >= 4; the subset is not closed for m = 3")
+        raise AlgebraError("needs m >= 4")
     power = direct_product([make_ujm_reduct(2, 2, m)] * (m - 1), label=f"N(2,{m})^{m-1}")
-    top = power.size - 1
-    subset = [e for e in range(power.size) if e != top]
-    ok, witness = is_subuniverse(power, subset, tuple_cap=tuple_cap)
+    union = BoxUnion(power.indexing.sizes,
+                     [[(0,) if c == i else (0, 1) for c in range(m - 1)] for i in range(m - 1)])
+    ok, witness = is_subuniverse(power, union, tuple_cap=tuple_cap)
     if not ok:
         raise AlgebraError(f"cube-minus-top failed to close at {witness}")
-    return power, subset
+    return power, union.ids().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -337,34 +341,35 @@ def _factor_plan(params: SharpnessParams) -> list[dict]:
     return roles
 
 
-def good_coords(coords: Sequence[int], roles: Sequence[dict], q: int) -> bool:
-    """The membership rule for the distinguished subuniverse.
+def good_boxes(roles: Sequence[dict], q: int) -> list[list[tuple[int, ...]]]:
+    """The distinguished subuniverse as a union of boxes, one value set per factor.
 
-    Elements whose final coordinate is 0 are always good.  Otherwise the
-    pair sequence must be a run of null pairs, then one pair of shape (-,0)
-    or (0,-), then a constant run of (q,0) or (0,q) respectively; the half
-    coordinate of odd m behaves as the first component of one more pair.
+    Elements whose final coordinate is 0 are always good (box 0).  Otherwise
+    the pair sequence must be a run of null pairs, then one pair of shape
+    (-,0) or (0,-), then a constant run of (q,0) or (0,q) respectively; the
+    half coordinate of odd m behaves as the first component of one more pair
+    and is free when every pair is null (box 1).  Each pair position gives one
+    box per shape, 2 + 2 * (number of pairs) boxes in all.  An element of a
+    shape's box whose shaped pair is null lies in the next pair's box of that
+    shape, or in box 1 after the last pair, so the union is the good set.
     """
-    if coords[-1] == 0:
-        return True
-    pairs = []
-    half = None
-    for i, r in enumerate(roles):
-        if r["role"] == "pair-first":
-            pairs.append((coords[i], coords[i + 1]))
-        elif r["role"] == "half":
-            half = coords[i]
-    i = 0
-    while i < len(pairs) and pairs[i] == (0, 0):
-        i += 1
-    if i == len(pairs):
-        return True  # all pairs null; the half stays unconstrained
-    x, y = pairs[i]
-    if y == 0:
-        return all(p == (q, 0) for p in pairs[i + 1 :]) and (half is None or half == q)
-    if x == 0:
-        return all(p == (0, q) for p in pairs[i + 1 :]) and (half is None or half == 0)
-    return False
+    chain = tuple(range(q + 1))
+    firsts = [i for i, r in enumerate(roles) if r["role"] == "pair-first"]
+    halves = [i for i, r in enumerate(roles) if r["role"] == "half"]
+    null = [(0,)] * (len(roles) - 1) + [(1,)]
+    for i in halves:
+        null[i] = chain
+    boxes = [[chain] * (len(roles) - 1) + [(0,)], null]
+    for k, i in enumerate(firsts):
+        for free, later, half in ((i, (q, 0), q), (i + 1, (0, q), 0)):
+            box = list(null)
+            box[free] = chain
+            for j in firsts[k + 1:]:
+                box[j], box[j + 1] = (later[0],), (later[1],)
+            for j in halves:
+                box[j] = (half,)
+            boxes.append(box)
+    return boxes
 
 
 def build_sharpness_witness(
@@ -385,15 +390,10 @@ def build_sharpness_witness(
         for r in roles
     ]
     product = direct_product(factors, label=f"P({m},{q})")
-    dec = product.indexing.decode_matrix()
-
-    good = [
-        eid
-        for eid in range(product.size)
-        if good_coords([int(v) for v in dec[eid]], roles, q)
-    ]
+    union = BoxUnion(product.indexing.sizes, good_boxes(roles, q))
+    good = union.ids().tolist()
     if verify_closure:
-        ok, witness = is_subuniverse(product, good, tuple_cap=tuple_cap)
+        ok, witness = is_subuniverse(product, union, tuple_cap=tuple_cap)
         if not ok:
             raise AlgebraError(f"good set failed to close at {witness}")
 

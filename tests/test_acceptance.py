@@ -38,7 +38,7 @@ from finalg.witnesses import (
     nu_family_generators,
 )
 
-MS = range(3, 9)
+MS = range(3, 11)
 
 
 def _line(n, text, t0):
@@ -58,7 +58,7 @@ def test_criterion_1_sharpness_witnesses(report_cache):
             assert ident["lhs_chain"][0] == r["pair"][0]
             assert ident["lhs_chain"][-1] == r["pair"][1]
             assert len(r["lhs_chain"]) == q + 1
-    _line(1, "B(m,q) closed, pair on the left, identity refuted, m=3..8 q=2,3 (budget 10s)", t0)
+    _line(1, "B(m,q) closed, pair on the left, identity refuted, m=3..10 q=2,3 (budget 10s)", t0)
 
 
 def test_criterion_2_exact_distributivity_gap(report_cache):
@@ -71,7 +71,7 @@ def test_criterion_2_exact_distributivity_gap(report_cache):
         assert c["ab_chain_2m4"]["stats"]["in_rhs"] is True, m
         assert c["bfs_factors"] == 2 * m - 4, m
         assert c["bfs_matches_canonical"], m
-    _line(2, "pair misses the 2m-5 and swapped 2m-4 chains, rides the 2m-4 chain, m=3..8 (budget 10s)", t0)
+    _line(2, "pair misses the 2m-5 and swapped 2m-4 chains, rides the 2m-4 chain, m=3..10 (budget 10s)", t0)
 
 
 def test_criterion_3_power_instance(report_cache, witness_cache):

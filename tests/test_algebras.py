@@ -19,6 +19,7 @@ from finalg.algebras import (
     make_chain_lattice,
     make_ujm_reduct,
     one_element_algebra,
+    order_statistic_table,
     restrict_algebra,
     subalgebra_closure,
 )
@@ -70,6 +71,26 @@ def test_table_validation():
 def test_ujm_is_order_statistic(chain_size, j, m):
     alg = make_ujm_reduct(chain_size, j, m)
     assert np.array_equal(alg.ops[0].table, subset_formula_table(chain_size, j, m))
+
+
+def _sorted_digit_table(chain_size, j, m):
+    """The order-statistic table built from sorted int64 digit columns."""
+    idx = np.arange(chain_size**m, dtype=np.int64)
+    cols = np.empty((chain_size**m, m), dtype=np.int64)
+    for pos in range(m - 1, -1, -1):
+        cols[:, pos] = idx % chain_size
+        idx //= chain_size
+    cols.sort(axis=1)
+    return cols[:, j - 1]
+
+
+def test_order_statistic_table_matches_sorted_digits():
+    for chain_size in (2, 3, 4, 5):
+        for m in range(3, 8 if chain_size < 4 else 6):
+            for j in range(1, m + 1):
+                table = order_statistic_table(chain_size, j, m)
+                assert table.dtype == np.int64 and not table.flags.writeable
+                assert np.array_equal(table, _sorted_digit_table(chain_size, j, m))
 
 
 def test_ujm_majority_reduct_is_median():
@@ -225,6 +246,11 @@ def test_symmetry_generator_pair_vs_all_permutations():
         TableOp("i", 2, 2, [0, 0, 1, 0]),
         TableOp("f", 3, 2, [0, 0, 0, 0, 1, 1, 0, 1]),
         make_chain_lattice(3).ops[0],
+        # invariant under the transposition only, and under the cycle only
+        TableOp("t", 3, 3, [max(x, y) if z else min(x, y)
+                            for x, y, z in itertools.product(range(3), repeat=3)]),
+        TableOp("c", 3, 3, [(x * y * y + y * z * z + z * x * x) % 3
+                            for x, y, z in itertools.product(range(3), repeat=3)]),
     ]
     for op in cases:
         alg = FiniteAlgebra(op.size, [op])

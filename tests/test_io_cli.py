@@ -87,12 +87,19 @@ def test_cli_invalid_inputs():
     assert main(["build", "fixture", "--fixture", "N:9", "--out", "/tmp/x.json"]) == 3
 
 
-def test_cli_exit_codes_cover_cap(tmp_path):
-    # an impossible cap triggers the resource-cap exit code
-    import finalg.cli as cli_mod
+def test_cli_exit_codes_cover_cap(capsys):
+    # the lifted stage's template subproduct is past the slice route's cap
+    assert main(["verify", "induction", "--m", "11", "--q", "2"]) == 2
+    assert "resource cap: " in capsys.readouterr().err
 
-    rc = main(["verify", "induction", "--m", "11", "--q", "2"])
-    assert rc in (0, 2)  # large m may exceed caps; must not crash or lie
+
+def test_cli_verify_sharpness_past_the_element_routes(tmp_path):
+    # B(11,2) needs 34.6M element multisets; its 10 boxes need 167,960
+    cert = tmp_path / "sharp.json"
+    assert main(["verify", "sharpness", "--m", "11", "--q", "2", "--out", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    assert doc["verdict"] == "verified" and doc["evidence"]["subuniverse_size"] == 19702
+    assert main(["recheck", "--cert", str(cert)]) == 0
 
 
 @pytest.mark.parametrize("scheme, fixture", [

@@ -128,7 +128,8 @@ def test_expansion_in_small_key_groups(monkeypatch):
         counts.append(int(keys.max()))
         return real(outs, *rest)
     monkeypatch.setattr(algebras, "_expanded_escape", expand)
-    w = build_sharpness_witness(5, 3)  # closure verified on the slice route
+    w = build_sharpness_witness(5, 3, verify_closure=False)
+    assert is_subuniverse(w.product, w.good_ids) == (True, None)  # an id list: slice route
     assert max(counts) > 2
     w = build_sharpness_witness(5, 2, verify_closure=False)
     gone = w.product.indexing.encode((0, 1, 0, 1))
@@ -150,7 +151,9 @@ def test_slice_cap_raises_before_scanning(monkeypatch):
 
 
 def test_b53_stays_on_the_slice_route(monkeypatch):
-    # the smallest direct count at or above 4M among the B(m, q): above the default cap
+    # the smallest direct count at or above 4M among the B(m, q): above the
+    # default cap.  The builder checks its boxes; its good ids as an id list
+    # still take the slice route.
     w = build_sharpness_witness(5, 3, verify_closure=False)
     assert math.comb(len(w.good_ids) + 4, 5) > DEFAULT_TUPLE_CAP
     routes = []
@@ -160,7 +163,7 @@ def test_b53_stays_on_the_slice_route(monkeypatch):
         routes.append("slice")
         return real(*args)
     monkeypatch.setattr(algebras, "_absorbing_slice_violation", slice_route)
-    build_sharpness_witness(5, 3)
+    assert is_subuniverse(w.product, w.good_ids) == (True, None)
     assert routes == ["slice"]
 
 

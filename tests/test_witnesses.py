@@ -5,8 +5,10 @@ import pytest
 
 from finalg.algebras import (
     AlgebraError,
+    BoxUnion,
     CapExceeded,
     apply_op,
+    direct_product,
     is_k_majority,
     is_near_unanimity,
     is_subuniverse,
@@ -23,12 +25,13 @@ from finalg.witnesses import (
     dissent_pair_fixture,
     ell_of,
     filtered_subproduct,
-    good_coords,
+    good_boxes,
     implication_expansion,
     modular_sum_algebra,
     nu_family_generators,
     staircase_partitions,
 )
+from good_set_oracle import good_coords
 
 
 def test_ell():
@@ -146,6 +149,24 @@ def test_cube_minus_top():
         cube_minus_top(3)
 
 
+def test_cube_minus_top_is_decided_on_its_boxes_up_to_m_10():
+    for m in range(4, 11):
+        power, subset = cube_minus_top(m)
+        assert power.size == 2 ** (m - 1) and subset == list(range(power.size - 1))
+
+
+def test_cube_minus_top_closes_below_the_cube_only():
+    # N(2,3)^2 minus its top is closed; in N(2,3)^3 the majority of the
+    # three one-zero tuples is the top
+    n23 = make_ujm_reduct(2, 2, 3)
+    square = direct_product([n23] * 2)
+    assert is_subuniverse(square, range(square.size - 1)) == (True, None)
+    cube = direct_product([n23] * 3)
+    ok, (oi, args, result) = is_subuniverse(cube, range(cube.size - 1))
+    assert not ok and result == cube.size - 1
+    assert sorted(args) == [0b011, 0b101, 0b110]
+
+
 def test_cube_minus_top_contradiction_device():
     # the one-zero tuples map to the top under any near-unanimity output row
     m = 4
@@ -243,6 +264,18 @@ def test_witness_m3_is_everything(witness_cache):
     assert w.size == w.product.size
 
 
+def test_good_boxes_match_the_good_coords_filter():
+    for m in range(3, 9):
+        for q in (2, 3, 4):
+            w = build_sharpness_witness(m, q, verify_closure=False)
+            roles = w.factor_roles
+            filtered = [e for e, coords in enumerate(itertools.product(
+                *(range(s) for s in w.product.indexing.sizes))) if good_coords(coords, roles, q)]
+            assert w.good_ids == filtered, (m, q)
+            assert len(good_boxes(roles, q)) == 2 + 2 * sum(
+                r["role"] == "pair-first" for r in roles)
+
+
 def test_good_rule_m_odd_half_branches():
     w = build_sharpness_witness(5, 2, verify_closure=False)
     roles, q = w.factor_roles, 2
@@ -275,12 +308,14 @@ def test_canonical_chain_rejected_for_q3(witness_cache):
 
 
 def test_subuniverse_verified_against_direct_enumeration():
-    # cross-check the absorbing-slice reduction against plain enumeration
+    # cross-check the absorbing-slice reduction and the box route against
+    # plain enumeration
     for (m, q) in [(4, 2), (5, 2), (4, 3)]:
         w = build_sharpness_witness(m, q, verify_closure=False)
         direct_ok, _ = is_subuniverse(w.product, w.good_ids, tuple_cap=10_000_000)
         fast_ok, _ = is_subuniverse(w.product, w.good_ids, tuple_cap=1_000)
-        assert direct_ok and fast_ok
+        union = BoxUnion(w.product.indexing.sizes, good_boxes(w.factor_roles, q))
+        assert direct_ok and fast_ok and is_subuniverse(w.product, union) == (True, None)
 
 
 def test_q3_chain_lengths_bounded_by_identities(witness_cache):
