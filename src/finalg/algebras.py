@@ -469,18 +469,9 @@ def _op_symmetrical(op: Operation) -> bool:
         return all(_op_symmetrical(f) for f in op.factor_ops)
     if isinstance(op, RestrictedOp) and _op_symmetrical(op.inner):
         return True
-    if op.size**op.arity > DEFAULT_TABLE_CAP:
-        raise CapExceeded(f"symmetry check on {op.name} needs a table")
-    if isinstance(op, TableOp):  # permute the axes of the table itself
-        grid = op.table.reshape((op.size,) * op.arity)
-        return all(np.array_equal(grid, grid.transpose(perm))
-                   for perm in (_transposition(op.arity), _cycle(op.arity)))
-    cols = _tuple_cols(op.size, op.arity)
-    out = op.apply_cols(cols)
-    for perm in (_transposition(op.arity), _cycle(op.arity)):
-        if not (out == op.apply_cols(cols[perm])).all():
-            return False
-    return True
+    grid = op.table_array(DEFAULT_TABLE_CAP).reshape((op.size,) * op.arity)
+    return all(np.array_equal(grid, grid.transpose(perm))
+               for perm in (_transposition(op.arity), _cycle(op.arity)))
 
 
 def _transposition(m: int) -> list[int]:

@@ -5,6 +5,7 @@ import pytest
 
 from finalg.algebras import (
     AlgebraError,
+    DEFAULT_TABLE_CAP,
     CapExceeded,
     FactorIndexing,
     FiniteAlgebra,
@@ -271,6 +272,15 @@ def _symmetric_all_permutations(op):
 def test_unary_op_symmetrical():
     alg = FiniteAlgebra(3, [TableOp("u", 1, 3, [2, 0, 1])])
     assert is_symmetrical(alg, 0)
+
+
+def test_stored_table_over_the_table_cap_is_checked_not_refused():
+    size = 2049                                        # 2049**2 entries: over the cap
+    assert size**2 > DEFAULT_TABLE_CAP
+    grid = np.add.outer(np.arange(size), np.arange(size)) % size
+    assert is_symmetrical(FiniteAlgebra(size, [TableOp("s", 2, size, grid.ravel())]), 0)
+    grid[0, 1] = 0
+    assert not is_symmetrical(FiniteAlgebra(size, [TableOp("a", 2, size, grid.ravel())]), 0)
 
 
 def _random_symmetric_absorbing_factor(rng, size, arity, k):
