@@ -202,15 +202,20 @@ class FactorIndexing:
             index //= s
         return tuple(reversed(out))
 
+    def digits(self, ids) -> np.ndarray:
+        """The decodings of the given flat indices, shape (len(ids), nfactors)."""
+        idx = np.array(ids, dtype=np.int64).ravel()
+        out = np.empty((len(idx), len(self.sizes)), dtype=np.int64)
+        for pos in range(len(self.sizes) - 1, -1, -1):
+            out[:, pos] = idx % self.sizes[pos]
+            idx //= self.sizes[pos]
+        return out
+
     def decode_matrix(self) -> np.ndarray:
         """All decodings at once, shape (size, nfactors)."""
         cached = getattr(self, "_dec", None)
         if cached is None:
-            idx = np.arange(self.size, dtype=np.int64)
-            cached = np.empty((self.size, len(self.sizes)), dtype=np.int64)
-            for pos in range(len(self.sizes) - 1, -1, -1):
-                cached[:, pos] = idx % self.sizes[pos]
-                idx //= self.sizes[pos]
+            cached = self.digits(np.arange(self.size))
             cached.setflags(write=False)
             object.__setattr__(self, "_dec", cached)
         return cached
@@ -541,13 +546,21 @@ def subalgebra_closure(
 # subuniverse check
 
 
+def coordinate_sizes(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """The coordinate sizes of a `BoxUnion` over `alg`: its nested factors' leaves."""
+    if alg.factors is None:
+        return (alg.size,)
+    return tuple(s for f in alg.factors for s in coordinate_sizes(f))
+
+
 class BoxUnion:
     """A subset given as a union of boxes over the coordinates of a product.
 
-    A box holds one value set per flattened coordinate (`flat_view`'s, for a
-    product whose factors are not subalgebras): the atomic factors, left to
-    right.  Its elements are the product ids of its coordinate rows, mixed
-    radix over `sizes` with the first coordinate most significant.
+    The coordinates are the leaves of the product's nested factors, left to
+    right (`coordinate_sizes`); a subalgebra factor is one coordinate.  A box
+    holds one value set per coordinate.  Its elements are the product ids of
+    its coordinate rows, mixed radix over `sizes` with the first coordinate
+    most significant, which is also the id of a nested product.
     """
 
     def __init__(self, sizes: Sequence[int], boxes: Iterable[Sequence[Iterable[int]]]):
@@ -561,6 +574,12 @@ class BoxUnion:
                    for vals, s in zip(box, self.sizes)):
                 raise AlgebraError("box value out of range")
         self._ids = None
+
+    @classmethod
+    def whole(cls, alg: FiniteAlgebra) -> "BoxUnion":
+        """All of `alg` as one box."""
+        sizes = coordinate_sizes(alg)
+        return cls(sizes, [[range(s) for s in sizes]])
 
     def ids(self) -> np.ndarray:
         """The sorted element ids (read-only)."""
@@ -589,9 +608,9 @@ def is_subuniverse(
     Returns (True, None) or (False, witness) with witness = (op_index, args,
     result) for one application leaving the subset.  A `BoxUnion` is checked
     on its boxes (`_box_violation`), whatever its element count.  An id list
-    is checked by direct enumeration, and beyond the direct tuple budget by an
-    absorbing-coordinate reduction over the flattened product structure; if
-    no route applies, raises CapExceeded rather than sampling.
+    is checked by direct enumeration of its element multisets (tuples for a
+    non-symmetric operation) and raises CapExceeded past `tuple_cap`; a large
+    subset of a product is checked by passing it as a `BoxUnion`.
     """
     if isinstance(subset, BoxUnion):
         return _box_union_check(alg, subset, tuple_cap)
@@ -602,7 +621,7 @@ def is_subuniverse(
         return True, None  # no applicable tuples: arities are >= 1
     ids_arr = np.asarray(ids, dtype=np.int64)
     for oi, op in enumerate(alg.ops):
-        witness = _closed_under(alg, oi, op, ids_arr, tuple_cap)
+        witness = _closed_under(oi, op, ids_arr, tuple_cap)
         if witness is not None:
             return False, witness
     return True, None
@@ -612,23 +631,20 @@ def _count_multisets(n: int, r: int) -> int:
     return math.comb(n + r - 1, r)
 
 
-def _closed_under(alg, oi, op, ids_arr, tuple_cap):
+def _closed_under(oi, op, ids_arr, tuple_cap):
     n = len(ids_arr)
-    r = op.arity
     try:
         sym = _op_symmetrical(op)
     except CapExceeded:
         sym = False
-    direct = _count_multisets(n, r) if sym else n**r
-    if direct <= tuple_cap:
-        return _enumerate_violation(oi, op, ids_arr, ids_arr, sym)
-    view = flat_view(alg)
-    if view is None or not sym:
+    direct = _count_multisets(n, op.arity) if sym else n**op.arity
+    if direct > tuple_cap:
         raise CapExceeded(
-            f"subuniverse check on {op.name} over {n} elements needs "
-            f"{direct} tuples and no product reduction applies"
+            f"subuniverse check on {op.name} over {n} elements needs {direct} element "
+            f"{'multisets' if sym else 'tuples'} against the cap {tuple_cap}; "
+            f"pass the subset as a BoxUnion"
         )
-    return _absorbing_slice_violation(view, oi, op, ids_arr, tuple_cap)
+    return _enumerate_violation(oi, op, ids_arr, ids_arr, sym)
 
 
 _SCAN_ROWS = 100_000  # argument rows per block in the subuniverse check
@@ -912,246 +928,3 @@ def _box_witness(oi, leaves, arg_boxes, point, sym):
     indexing = FactorIndexing(tuple(leaf.size for leaf in leaves))
     args = tuple(indexing.encode(row) for row in np.asarray(cols).T.tolist())
     return (oi, args, indexing.encode(point))
-
-
-def flat_view(alg: FiniteAlgebra):
-    """Flatten nested products/subalgebras into atomic coordinates.
-
-    Returns (coord_ops, decode) where coord_ops[op_index] is the list of
-    per-coordinate operations and decode maps element ids to coordinate rows;
-    None when the algebra has no product structure.
-    """
-    if alg.parent is not None:
-        inner = flat_view(alg.parent)
-        if inner is None:
-            return None
-        coord_ops, decode = inner
-        return coord_ops, decode[alg.embed]
-    if alg.factors is None:
-        return None
-    per_op: list[list[Operation]] = [[] for _ in alg.ops]
-    decodes = []
-    dec = alg.indexing.decode_matrix()
-    for fi, factor in enumerate(alg.factors):
-        inner = flat_view(factor)
-        if inner is None:
-            for k, op in enumerate(factor.ops):
-                per_op[k].append(op)
-            decodes.append(dec[:, fi : fi + 1])
-        else:
-            coord_ops, fdecode = inner
-            for k in range(len(alg.ops)):
-                per_op[k].extend(coord_ops[k])
-            decodes.append(fdecode[dec[:, fi]])
-    return per_op, np.concatenate(decodes, axis=1)
-
-
-def _min_absorbing(op: Operation, zero: int, r: int):
-    """Least k < r making `zero` k-absorbing, from one table scan."""
-    if op.size**op.arity > DEFAULT_TABLE_CAP:
-        return None
-    cols = _tuple_cols(op.size, op.arity)
-    counts = (cols == zero).sum(axis=0)
-    bad = op.apply_cols(cols) != zero
-    worst = int(counts[bad].max()) if bad.any() else 0
-    k = worst + 1
-    return k if k < r else None
-
-
-def _absorbing_slice_violation(view, oi, op, ids_arr, tuple_cap):
-    """Closure check through an absorbing coordinate value.
-
-    Requires a coordinate c* and value z that is k-absorbing there such that
-    the slice {s in S : s[c*] = z} is a full box of its own coordinate
-    projections, and each coordinate's occurring values absorb into the box.
-    Then any application with >= k slice arguments stays inside the box, and
-    the remaining applications (< k slice arguments, ranging symbolically as
-    per-coordinate wildcards over the box) are enumerable.
-    """
-    coord_ops, decode = view
-    ops_c = coord_ops[oi]
-    r = op.arity
-    sub = decode[ids_arr]  # (n, ncoords)
-    ncoords = sub.shape[1]
-    # mixed-radix keys over the flattened (possibly padded) coordinate box
-    weights = np.ones(ncoords, dtype=np.int64)
-    for c in range(ncoords - 2, -1, -1):
-        weights[c] = weights[c + 1] * ops_c[c + 1].size
-    virtual = int(weights[0]) * ops_c[0].size
-    if virtual > (1 << 24):
-        raise CapExceeded("flattened coordinate space too large to index")
-    key_to_id = np.full(virtual, -1, dtype=np.int64)
-    key_to_id[decode @ weights] = np.arange(len(decode))
-    member_mask = np.zeros(len(decode), dtype=bool)
-    member_mask[ids_arr] = True
-
-    candidates = []
-    for c in range(ncoords):
-        for z in np.unique(sub[:, c]):
-            k = _min_absorbing(ops_c[c], int(z), r)
-            if k is None:
-                continue
-            in_slice = sub[:, c] == z
-            if not in_slice.any() or in_slice.all():
-                continue  # the slice must actually split the subset
-            cost = _count_multisets(int((~in_slice).sum()), r)
-            candidates.append((cost, c, int(z), k, in_slice))
-    candidates.sort(key=lambda t: t[0])
-    chosen = None
-    projs = [np.unique(sub[:, c]) for c in range(ncoords)]
-    for _, cstar, z, k, in_slice in candidates:
-        slice_rows = sub[in_slice]
-        boxes = [np.unique(slice_rows[:, c]) for c in range(ncoords)]
-        if len(slice_rows) != math.prod(len(b) for b in boxes):
-            continue
-        if all(
-            c == cstar or _coord_absorbs(ops_c[c], projs[c], boxes[c], k, r)
-            for c in range(ncoords)
-        ):
-            chosen = (cstar, z, k, in_slice, boxes)
-            break
-    if chosen is None:
-        raise CapExceeded(f"no usable absorbing slice for {op.name}")
-    cstar, z, k, in_slice, boxes = chosen
-
-    rest_ids = ids_arr[~in_slice]
-    rest_rows = sub[~in_slice]
-    # e = 0 has the most argument rows of every pass
-    count = _count_multisets(len(rest_ids), r)
-    if count > tuple_cap:
-        raise CapExceeded(f"slice reduction still needs {count} tuples on {op.name}")
-    for e in range(min(k, r)):
-        witness = _slice_scan(
-            oi, ops_c, rest_rows, rest_ids, boxes, e, weights, key_to_id, member_mask
-        )
-        if witness is not None:
-            return witness
-    return None
-
-
-def _coord_absorbs(cop, proj, box, k, r):
-    """All r-multisets over proj with >= k entries from box map into box."""
-    if np.isin(proj, box).all():
-        return True
-    if _count_multisets(len(proj), r) > 200_000:
-        raise CapExceeded("per-coordinate absorption check too large")
-    for idx in _arg_blocks(len(proj), 0, r, True, _SCAN_ROWS):
-        vals = proj[idx]
-        enough = np.isin(vals, box).sum(axis=1) >= k
-        if not np.isin(cop.apply_cols(vals[enough].T), box).all():
-            return False
-    return True
-
-
-_EXPAND_KEYS = 1 << 20  # wildcard-expanded keys held at once by the scan
-
-
-def _slice_scan(oi, ops_c, rest_rows, rest_ids, boxes, e, weights, key_to_id, member_mask):
-    """Scan applications with exactly `e` box-wildcard arguments.
-
-    The box is a full product, so as the wildcards range over it their values
-    at distinct coordinates vary independently; per coordinate the candidate
-    output values are computed for every e-multiset of box values, and any
-    combination across coordinates is realised by some wildcard choice.
-    The rows (multisets of the t = arity - e other arguments) come in blocks
-    of `_SCAN_ROWS`, which bounds the memory of one pass.
-    """
-    ncoords = rest_rows.shape[1]
-    t = ops_c[0].arity - e
-    wild = []  # per coordinate: the e-multisets of its box values, (count, e)
-    for b in boxes:
-        combos = list(itertools.combinations_with_replacement(b, e))
-        wild.append(np.asarray(combos, dtype=np.int64).reshape(len(combos), e))
-    # one contiguous column per coordinate; values stay below 2**24 (the key space)
-    cols = np.ascontiguousarray(rest_rows.T, dtype=np.int32)
-    for rows in _arg_blocks(len(rest_ids), 0, t, True, _SCAN_ROWS):
-        args = np.empty((t + e, len(rows)), dtype=np.int32)
-        outs = []  # per coordinate: (wildcard multisets, rows) output values
-        for c in range(ncoords):
-            np.take(cols[c], rows.T, out=args[:t])
-            out = np.empty((len(wild[c]), len(rows)), dtype=np.int64)
-            for w, combo in enumerate(wild[c]):
-                args[t:] = combo[:, None]
-                out[w] = ops_c[c].apply_cols(args)
-            outs.append(out)
-        hit = _expanded_escape(outs, weights, key_to_id, member_mask)
-        if hit is not None:
-            i, key = hit
-            target = [int(key // weights[c] % ops_c[c].size) for c in range(ncoords)]
-            return _slice_witness(oi, rows[i], rest_ids, rest_rows, boxes, e, ops_c,
-                                  weights, key_to_id, target)
-    return None
-
-
-def _expanded_escape(outs, weights, key_to_id, member_mask):
-    """First (row, key) of an output combination outside the subset, or None.
-
-    outs[c] holds the candidate values of coordinate c, one column per row.
-    Each row stands for the product of its distinct candidates over the
-    coordinates; the products are expanded coordinate by coordinate into
-    mixed-radix keys (np.repeat of the row owners), in groups of rows holding
-    at most `_EXPAND_KEYS` keys, and looked up with one gather per group.  A
-    row larger than that forms a group of its own; no row exceeds the key
-    space, which `_absorbing_slice_violation` caps at 2**24.
-    """
-    nrows = outs[0].shape[1]
-    base = sum(out[0] * weights[c] for c, out in enumerate(outs))
-    count = np.ones(nrows, dtype=np.int64)
-    varying = []  # (key shifts of the distinct values row after row, offset, count)
-    for c, out in enumerate(outs):
-        if len(out) == 1:
-            continue
-        vals = np.sort(out, axis=0).T  # (rows, candidates)
-        keep = np.ones(vals.shape, dtype=bool)
-        keep[:, 1:] = vals[:, 1:] != vals[:, :-1]
-        nvals = keep.sum(axis=1)
-        if (nvals == 1).all():
-            continue
-        # shift so that adding a value replaces the first candidate in `base`
-        flat = (vals[keep] - np.repeat(out[0], nvals)) * weights[c]
-        varying.append((flat, np.cumsum(nvals) - nvals, nvals))
-        count *= nvals
-    ends = np.cumsum(count)
-    lo = 0
-    while lo < nrows:
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + _EXPAND_KEYS,
-                                             side="right")))
-        owner = np.arange(lo, hi)
-        key = base[lo:hi]
-        for flat, offset, nvals in varying:
-            reps = nvals[owner]
-            step = np.repeat(np.cumsum(reps) - reps - offset[owner], reps)
-            key = np.repeat(key, reps) + flat[np.arange(len(step)) - step]
-            owner = np.repeat(owner, reps)
-        ids = key_to_id[key]
-        bad = (ids < 0) | ~member_mask[ids]
-        if bad.any():
-            j = int(np.argmax(bad))
-            return int(owner[j]), int(key[j])
-        lo = hi
-    return None
-
-
-def _slice_witness(oi, row_idx, rest_ids, rest_rows, boxes, e, ops_c, weights,
-                   key_to_id, target):
-    """Concrete arguments for a violating application found by the scan."""
-    ncoords = rest_rows.shape[1]
-    fixed = [int(rest_ids[i]) for i in row_idx]
-    wild_elems = []
-    if e:
-        per_coord = []
-        for c in range(ncoords):
-            colvals = [int(rest_rows[i, c]) for i in row_idx]
-            chosen = None
-            for combo in itertools.combinations_with_replacement(
-                [int(v) for v in boxes[c]], e
-            ):
-                if ops_c[c].apply(colvals + list(combo)) == target[c]:
-                    chosen = combo
-                    break
-            per_coord.append(chosen)
-        for w in range(e):
-            key = sum(int(per_coord[c][w]) * int(weights[c]) for c in range(ncoords))
-            wild_elems.append(int(key_to_id[key]))
-    result_key = sum(v * int(w) for v, w in zip(target, weights))
-    return (oi, tuple(fixed + wild_elems), int(key_to_id[result_key]))

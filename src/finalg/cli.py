@@ -11,7 +11,9 @@ import argparse
 import json
 import sys
 
-from .algebras import AlgebraError, CapExceeded, direct_product, make_chain_lattice, make_ujm_reduct
+from .algebras import (
+    AlgebraError, BoxUnion, CapExceeded, direct_product, make_chain_lattice, make_ujm_reduct,
+)
 from .certificates import (
     identity_certificate,
     induction_certificate,
@@ -75,13 +77,13 @@ def _cmd_build(args) -> int:
         algs = load_fixtures(args.fixture)
         if len(algs) != 4:
             raise AlgebraError("the filtered build needs exactly four fixtures")
-        f_ids = (
+        f_pairs = (
             [int(x) for x in args.f.split(",")] if args.f
-            else list(range(algs[2].size * algs[3].size))
+            else BoxUnion.whole(direct_product(algs[2:]))
         )
         built = filtered_subproduct(
             algs[0], algs[1], algs[2], algs[3], 0, 0, 0,
-            args.h, args.k, args.a, args.d, f_ids,
+            args.h, args.k, args.a, args.d, f_pairs,
         )
         doc = {
             "ambient_size": built.ambient.size,

@@ -199,7 +199,7 @@ def induced_product_congruence(
     sub = sorted(set(int(x) for x in subuniverse))
     if not sub:
         raise AlgebraError("empty subuniverse")
-    dec = indexing.decode_matrix()[np.asarray(sub, dtype=np.int64)]
+    dec = indexing.digits(sub)
     keys = np.zeros(len(sub), dtype=np.int64)
     for i, p in enumerate(factor_parts):
         keys = keys * (p.n_blocks) + p.as_array()[dec[:, i]]

@@ -17,9 +17,13 @@ Stage invariants, re-verified computationally at every level:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .algebras import (
     AlgebraError,
+    BoxUnion,
     FiniteAlgebra,
     direct_product,
     make_ujm_reduct,
@@ -36,7 +40,7 @@ class InductionState:
     j: int
     algebra3: FiniteAlgebra          # A3^j
     pair_product: FiniteAlgebra      # A3^j x N(2,m)
-    f_ids: list[int]                 # subuniverse F^j of the pair product
+    f_union: BoxUnion                # subuniverse F^j of the pair product
     alpha: Partition                 # congruences on F^j (local indices)
     beta: Partition
     gamma: Partition
@@ -45,6 +49,11 @@ class InductionState:
     chain3: list[int]                # middle chain elements of A3^j
     pair: tuple[int, int]            # (a,1), (d,1) as local F^j indices
     identity: IdentityInstance       # the level-j refutation
+
+    @cached_property
+    def f_ids(self) -> list[int]:
+        """The elements of F^j, sorted."""
+        return self.f_union.ids().tolist()
 
     def f_algebra(self, label: str = "") -> FiniteAlgebra:
         return restrict_algebra(self.pair_product, self.f_ids, label or f"F^{self.j}")
@@ -73,7 +82,6 @@ def _verify_stage(st: InductionState, m: int, q: int) -> None:
     """Invariants (b) and (c); (a) is checked when the stage is built."""
     n2 = st.pair_product.factors[1].size
     assert n2 == 2
-    dec = st.pair_product.indexing.decode_matrix()
     local = _local(st.f_ids)
     # (b): the chain elements carry final coordinate 0 and sit in F^j
     chain_pairs = [st.pair_product.indexing.encode((c3, 0)) for c3 in st.chain3]
@@ -90,7 +98,7 @@ def _verify_stage(st: InductionState, m: int, q: int) -> None:
         if not rel.related(chain[i], chain[i + 1]):
             raise AlgebraError(f"stage j={st.j}: witness chain breaks at step {i}")
     # (c): alpha is exactly the final-coordinate congruence
-    want = Partition(tuple(int(dec[pid][1]) for pid in st.f_ids))
+    want = Partition(tuple(st.pair_product.indexing.digits(st.f_ids)[:, 1].tolist()))
     if want != st.alpha:
         raise AlgebraError(f"stage j={st.j}: alpha is not the final-coordinate kernel")
 
@@ -114,7 +122,8 @@ def _base_stage_odd(m: int, q: int) -> InductionState:
     chain3 = list(range(q - 1, 0, -1))
     inst = _stage_identity((alpha, beta, gamma, pair, len(f_ids)), m, q, ell)
     st = InductionState(
-        ell, a3_alg, pairalg, f_ids, alpha, beta, gamma, q, 0, chain3, pair, inst
+        ell, a3_alg, pairalg, BoxUnion.whole(pairalg), alpha, beta, gamma, q, 0, chain3,
+        pair, inst,
     )
     _verify_stage(st, m, q)
     return st
@@ -143,7 +152,7 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
         h = k = ell
         a1 = a2 = make_ujm_reduct(q + 1, ell, m)
         a3 = one_element_algebra(m)
-        f_pairs = list(range(a3.size * 2))  # F = A3 x A4, all of it
+        f_pairs = BoxUnion.whole(direct_product([a3, n2m]))  # F = A3 x A4, all of it
         anchor_a = anchor_d = 0
         prev_beta = prev_gamma = None
         prev_chain3 = [0] * (q - 1)
@@ -155,7 +164,7 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
         a1 = a2 = make_ujm_reduct(q + 1, level, m)
         a3 = prev.algebra3
         # F^j lives in A3^j x N(2,m); its flat pair indices transfer directly
-        f_pairs = prev.f_ids
+        f_pairs = prev.f_union
         anchor_a, anchor_d = prev.a3, prev.d3
         prev_beta, prev_gamma = prev.beta, prev.gamma
         prev_chain3 = prev.chain3
@@ -164,8 +173,6 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
         a1, a2, a3, n2m, 0, 0, 0, h, k, anchor_a, anchor_d, f_pairs
     )
     amb = built.ambient
-    dec = amb.indexing.decode_matrix()
-    s2, s3, s4 = a2.size, a3.size, 2
 
     # regroup: ambient id == ((x1*s2 + x2)*s3 + x3)*s4 + x4, so B's ids are
     # also ids of (A1 x A2 x A3) x A4
@@ -173,34 +180,24 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
     pairalg = direct_product([algebra3, n2m], label=f"F^{level}({m},{q})")
     f_ids = built.b_ids
     local = _local(f_ids)
+    x1, x2, x3, x4 = amb.indexing.digits(f_ids).T
 
     # congruences on B: pairs of staircases on A1, A2 (swapped for even q),
     # the previous stage's triple on the F part, final coordinate glued/split
-    if prev is None:
-        f_local = {pid: i for i, pid in enumerate(sorted(set(f_pairs)))}
-        prev_beta_ids = {pid: 0 for pid in f_local}
-        prev_gamma_ids = {pid: 0 for pid in f_local}
-    else:
-        f_sorted = sorted(prev.f_ids)
-        f_local = {pid: i for i, pid in enumerate(f_sorted)}
-        prev_beta_ids = {pid: prev_beta.block_id[f_local[pid]] for pid in f_sorted}
-        prev_gamma_ids = {pid: prev_gamma.block_id[f_local[pid]] for pid in f_sorted}
-
     bsecond = gamma_star if q % 2 == 0 else beta_star
     gsecond = beta_star if q % 2 == 0 else gamma_star
+    if prev is not None:
+        f_pos = np.searchsorted(prev.f_ids, x3 * 2 + x4)  # (x3, x4)'s index in F
 
-    def assemble(first: Partition, second: Partition, fpart_ids: dict) -> Partition:
-        keys = []
-        for pid in f_ids:
-            x1, x2, x3, x4 = (int(v) for v in dec[pid])
-            fpid = x3 * s4 + x4
-            keys.append((first.block_id[x1], second.block_id[x2], fpart_ids[fpid]))
-        remap: dict[tuple, int] = {}
-        return Partition(tuple(remap.setdefault(key, len(remap)) for key in keys))
+    def assemble(first: Partition, second: Partition, fpart: Partition | None) -> Partition:
+        key = first.as_array()[x1] * second.n_blocks + second.as_array()[x2]
+        if fpart is not None:
+            key = key * fpart.n_blocks + fpart.as_array()[f_pos]
+        return Partition(tuple(key.tolist()))
 
-    beta = assemble(beta_star, bsecond, prev_beta_ids)
-    gamma = assemble(gamma_star, gsecond, prev_gamma_ids)
-    alpha = Partition(tuple(int(dec[pid][3]) for pid in f_ids))
+    beta = assemble(beta_star, bsecond, prev_beta)
+    gamma = assemble(gamma_star, gsecond, prev_gamma)
+    alpha = Partition(tuple(x4.tolist()))
 
     enc = amb.indexing.encode
     a3_new = algebra3.indexing.encode((q, 0, anchor_a))
@@ -212,7 +209,7 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
     pair = (local[enc((q, 0, anchor_a, 1))], local[enc((0, q, anchor_d, 1))])
     inst = _stage_identity((alpha, beta, gamma, pair, len(f_ids)), m, q, level)
     st = InductionState(
-        level, algebra3, pairalg, f_ids, alpha, beta, gamma,
+        level, algebra3, pairalg, built.union, alpha, beta, gamma,
         a3_new, d3_new, chain3, pair, inst,
     )
     _verify_stage(st, m, q)

@@ -15,6 +15,7 @@ Three constructions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,9 @@ from .algebras import (
     DEFAULT_TUPLE_CAP,
     AlgebraError,
     BoxUnion,
+    FactorIndexing,
     FiniteAlgebra,
+    coordinate_sizes,
     direct_product,
     is_k_absorbing,
     is_k_majority,
@@ -103,13 +106,26 @@ TEMPLATES = ("(-,0,a,-)", "(0,0,-,-)", "(0,-,d,-)", "(-,-,-,0)")
 @dataclass
 class FilteredSubproduct:
     ambient: FiniteAlgebra
-    b_ids: list[int]
-    tags: dict[int, tuple[int, ...]]
+    union: BoxUnion
     h: int
     k: int
     a: int
     d: int
     zeros: tuple[int, int, int]
+
+    @cached_property
+    def b_ids(self) -> list[int]:
+        return self.union.ids().tolist()
+
+    @cached_property
+    def tags(self) -> dict[int, tuple[int, ...]]:
+        """The templates (numbered from 1 as in TEMPLATES) each element matches."""
+        x1, x2, x3, x4 = self.ambient.indexing.digits(self.b_ids).T
+        z1, z2, z4 = self.zeros
+        hits = np.stack([(x2 == z2) & (x3 == self.a), (x1 == z1) & (x2 == z2),
+                         (x1 == z1) & (x3 == self.d), x4 == z4], axis=1)
+        named = [tuple(t + 1 for t in range(4) if code >> t & 1) for code in range(16)]
+        return {eid: named[code] for eid, code in zip(self.b_ids, (hits @ (1, 2, 4, 8)).tolist())}
 
     def as_algebra(self, label: str = "") -> FiniteAlgebra:
         return restrict_algebra(self.ambient, self.b_ids, label=label or "B(a,d)")
@@ -127,9 +143,8 @@ def filtered_subproduct(
     k: int,
     a: int,
     d: int,
-    f_pairs: Sequence[int],
+    f_pairs: Sequence[int] | BoxUnion,
     *,
-    verify_f: bool = True,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> FilteredSubproduct:
     """Subalgebra of A1 x A2 x A3 x A4 cut out by the four templates.
@@ -139,9 +154,16 @@ def filtered_subproduct(
       absorb-1 / absorb-2: zero1 / zero2 is h-absorbing in A1 / A2;
       majority-3: the operation of A3 is a k-majority operation;
       absorb-4: zero4 is 2-absorbing in A4;
-      f-subuniverse: f_pairs is a subuniverse of A3 x A4 (flat indices).
+      f-subuniverse: F is a subuniverse of A3 x A4, given as flat indices
+      (checked element by element) or as a `BoxUnion` (checked on its boxes).
 
-    Closure of the result is re-verified; a failure there is a bug, not an
+    The result is built as a union of boxes, from each box (b3, b4) of F:
+    template 1 gives (A1, zero2, a, b4) when b3 holds a, template 3 gives
+    (zero1, A2, d, b4) when b3 holds d, template 4 gives (A1, A2, b3, zero4)
+    when b4 holds zero4, and template 2 gives (zero1, zero2, b3, b4) less its
+    zero4 part, which template 4's box holds.  A box inside another is
+    dropped.  An id list F becomes one box per element for this.  Closure of
+    the result is re-verified on its boxes; a failure there is a bug, not an
     input error, and raises AlgebraError.
     """
     for alg in (a2, a3, a4):
@@ -166,37 +188,66 @@ def filtered_subproduct(
         raise HypothesisError("anchors", "a and d must lie in A3")
 
     prod34 = direct_product([a3, a4], label="A3 x A4")
-    f_set = frozenset(int(x) for x in f_pairs)
-    if verify_f:
-        ok, witness = is_subuniverse(prod34, f_set, tuple_cap=tuple_cap)
-        if not ok:
-            raise HypothesisError("f-subuniverse", f"violated at {witness}")
+    if isinstance(f_pairs, BoxUnion):
+        f_union = f_pairs
+    else:
+        f_pairs = sorted({int(x) for x in f_pairs})
+        sizes34 = coordinate_sizes(prod34)
+        f_union = BoxUnion(sizes34, [[(v,) for v in row]
+                                     for row in FactorIndexing(sizes34).digits(f_pairs).tolist()])
+    ok, witness = is_subuniverse(prod34, f_pairs, tuple_cap=tuple_cap)
+    if not ok:
+        raise HypothesisError("f-subuniverse", f"violated at {witness}")
 
     ambient = direct_product([a1, a2, a3, a4], label="A1 x A2 x A3 x A4")
-    dec = ambient.indexing.decode_matrix()
-    s4 = a4.size
-    b_ids: list[int] = []
-    tags: dict[int, tuple[int, ...]] = {}
-    for eid in range(ambient.size):
-        x1, x2, x3, x4 = (int(v) for v in dec[eid])
-        if (x3 * s4 + x4) not in f_set:
-            continue
-        matched = []
-        if x2 == zero2 and x3 == a:
-            matched.append(1)
-        if x1 == zero1 and x2 == zero2:
-            matched.append(2)
-        if x1 == zero1 and x3 == d:
-            matched.append(3)
-        if x4 == zero4:
-            matched.append(4)
-        if matched:
-            b_ids.append(eid)
-            tags[eid] = tuple(matched)
-    ok, witness = is_subuniverse(ambient, b_ids, tuple_cap=tuple_cap)
+    whole1, whole2 = ([tuple(range(s)) for s in coordinate_sizes(x)] for x in (a1, a2))
+    pt1, pt2, pt_a, pt_d, pt4 = (_point(alg, x) for alg, x in
+                                 ((a1, zero1), (a2, zero2), (a3, a), (a3, d), (a4, zero4)))
+    n3 = len(pt_a)
+    boxes = []
+    for b3, b4 in ((list(box[:n3]), list(box[n3:])) for box in f_union.boxes):
+        if _holds(b3, pt_a):
+            boxes.append(whole1 + pt2 + pt_a + b4)
+        if _holds(b3, pt_d):
+            boxes.append(pt1 + whole2 + pt_d + b4)
+        if _holds(b4, pt4):
+            boxes.append(whole1 + whole2 + b3 + pt4)
+        boxes += [pt1 + pt2 + b3 + rest for rest in _minus_point(b4, pt4)]
+    union = BoxUnion(coordinate_sizes(ambient), _maximal(boxes))
+    ok, witness = is_subuniverse(ambient, union, tuple_cap=tuple_cap)
     if not ok:
         raise AlgebraError(f"template subproduct failed to close at {witness}")
-    return FilteredSubproduct(ambient, b_ids, tags, h, k, a, d, (zero1, zero2, zero4))
+    return FilteredSubproduct(ambient, union, h, k, a, d, (zero1, zero2, zero4))
+
+
+def _point(alg: FiniteAlgebra, x: int) -> list[tuple[int]]:
+    """The element x of alg as a box of singleton value sets."""
+    return [(v,) for v in FactorIndexing(coordinate_sizes(alg)).digits([x])[0].tolist()]
+
+
+def _holds(box, point) -> bool:
+    return all(p in vals for vals, (p,) in zip(box, point))
+
+
+def _minus_point(box, point) -> list:
+    """The box less one point, as disjoint boxes: the first coordinate that
+    differs from the point's takes its other values there."""
+    if not _holds(box, point):
+        return [box]
+    return [list(point[:c]) + [rest] + list(box[c + 1:])
+            for c, vals in enumerate(box)
+            if (rest := tuple(v for v in vals if v != point[c][0]))]
+
+
+def _maximal(boxes) -> list:
+    """The boxes inside no other box; of equal boxes, the first."""
+    sets = [[set(vals) for vals in box] for box in boxes]
+
+    def inside(i, j):
+        return all(x <= y for x, y in zip(sets[i], sets[j]))
+    return [box for i, box in enumerate(boxes)
+            if not any(inside(i, j) and (j < i or not inside(j, i))
+                       for j in range(len(boxes)) if j != i)]
 
 
 # ---------------------------------------------------------------------------

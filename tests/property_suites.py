@@ -24,6 +24,7 @@ from finalg.identities import _context, expr_image, family_exprs
 from finalg.witnesses import filtered_subproduct
 
 from conftest import all_partitions, subset_formula_table
+from template_oracle import template_filter
 
 
 def suite_odd_equivalence(trials=500, seed=20210510):
@@ -151,8 +152,10 @@ def suite_filtered_closure(instances=200, seed=424242):
         algs, h, k, a, d, f = random_filtered_instance(rng)
         out = filtered_subproduct(algs[0], algs[1], algs[2], algs[3],
                                   0, 0, 0, h, k, a, d, f)
-        # closure is re-verified inside the builder; double-check a sample
+        # closure is re-verified inside the builder; the boxes must hold
+        # exactly what the per-element template rule keeps
         assert out.b_ids
+        assert (out.b_ids, out.tags) == template_filter(out.ambient, f, out.zeros, a, d)
         built += 1
     return f"{built} randomized template subproducts, all closed"
 

@@ -1,9 +1,12 @@
 import pytest
 
+from finalg import induction
 from finalg.algebras import AlgebraError
 from finalg.congruences import partition_meet
 from finalg.induction import run_level_induction
 from finalg.witnesses import ell_of
+
+from template_oracle import template_filter
 
 
 @pytest.mark.parametrize("m,q", [(3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (6, 2)])
@@ -79,3 +82,23 @@ def test_rejects_bad_parameters():
         run_level_induction(2, 2)
     with pytest.raises(AlgebraError):
         run_level_induction(4, 1)
+
+
+@pytest.mark.parametrize("m,q", [(m, q) for m in range(4, 9) for q in (2, 3)])
+def test_template_boxes_match_the_element_filter(monkeypatch, m, q):
+    # every stage's subproduct, built from boxes, holds exactly the elements
+    # the per-element template rule keeps, with the same templates matched
+    built = []
+    real = induction.filtered_subproduct
+
+    def record(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.append((args[11], out))
+        return out
+    monkeypatch.setattr(induction, "filtered_subproduct", record)
+    states = run_level_induction(m, q)
+    assert len(built) == len(states) - m % 2  # odd m starts from the chain pair
+    for f_union, out in built:
+        b_ids, tags = template_filter(out.ambient, f_union.ids(), out.zeros, out.a, out.d)
+        assert out.b_ids == b_ids
+        assert out.tags == tags

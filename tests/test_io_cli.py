@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from finalg.algebras import AlgebraError, make_chain_lattice, make_ujm_reduct
+from finalg.algebras import AlgebraError, direct_product, make_chain_lattice, make_ujm_reduct
 from finalg.cli import main
 from finalg.fixtures import load_fixture, load_fixtures
 from finalg.io import (
@@ -14,6 +14,8 @@ from finalg.io import (
     load_algebra,
     save_algebra,
 )
+
+from template_oracle import template_filter
 
 
 def test_roundtrip_structural_and_byte_identical(tmp_path):
@@ -88,9 +90,35 @@ def test_cli_invalid_inputs():
 
 
 def test_cli_exit_codes_cover_cap(capsys):
-    # the lifted stage's template subproduct is past the slice route's cap
-    assert main(["verify", "induction", "--m", "11", "--q", "2"]) == 2
-    assert "resource cap: " in capsys.readouterr().err
+    # the 12-ary chain reducts on four elements are past the table cap of the
+    # template subproduct's absorption checks
+    assert main(["verify", "induction", "--m", "12", "--q", "3"]) == 2
+    assert "resource cap: absorption check on u needs a table" in capsys.readouterr().err
+
+
+def test_cli_verify_induction_on_template_boxes(tmp_path):
+    # the last stage's subproduct has 65,561 elements on 9 boxes
+    cert = tmp_path / "induction.json"
+    assert main(["verify", "induction", "--m", "10", "--q", "3", "--out", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    assert doc["verdict"] == "verified"
+    assert [st["f_size"] for st in doc["evidence"]["stages"]] == [23, 269, 4115, 65561]
+
+
+@pytest.mark.parametrize("f", ["", "0,2,4,5"])
+def test_cli_build_filtered_matches_the_element_filter(tmp_path, f):
+    # third-step shape; the default F is all of A3 x A4, passed as one box
+    out = tmp_path / "filtered.json"
+    fixture = "Nq:2:5:3,Nq:2:5:3,Nq:3:5:3,N:2:5"
+    args = ["build", "filtered", "--fixture", fixture, "--h", "2", "--k", "3",
+            "--a", "2", "--d", "0", "--out", str(out)]
+    assert main(args + (["--f", f] if f else [])) == 0
+    doc = json.loads(out.read_text())
+    algs = load_fixtures(fixture)
+    f_ids = [int(x) for x in f.split(",")] if f else range(6)
+    b_ids, tags = template_filter(direct_product(algs), f_ids, (0, 0, 0), 2, 0)
+    assert doc["subuniverse"] == b_ids
+    assert doc["templates"] == {str(e): list(t) for e, t in tags.items()}
 
 
 def test_cli_verify_sharpness_past_the_element_routes(tmp_path):

@@ -31,6 +31,7 @@ from finalg.witnesses import (
     nu_family_generators,
     staircase_partitions,
 )
+from conftest import boxes_without
 from good_set_oracle import good_coords
 
 
@@ -308,14 +309,15 @@ def test_canonical_chain_rejected_for_q3(witness_cache):
 
 
 def test_subuniverse_verified_against_direct_enumeration():
-    # cross-check the absorbing-slice reduction and the box route against
-    # plain enumeration
+    # cross-check the box route against plain enumeration; an id list past
+    # its cap is refused, not reduced
     for (m, q) in [(4, 2), (5, 2), (4, 3)]:
         w = build_sharpness_witness(m, q, verify_closure=False)
         direct_ok, _ = is_subuniverse(w.product, w.good_ids, tuple_cap=10_000_000)
-        fast_ok, _ = is_subuniverse(w.product, w.good_ids, tuple_cap=1_000)
+        with pytest.raises(CapExceeded, match="pass the subset as a BoxUnion"):
+            is_subuniverse(w.product, w.good_ids, tuple_cap=1_000)
         union = BoxUnion(w.product.indexing.sizes, good_boxes(w.factor_roles, q))
-        assert direct_ok and fast_ok and is_subuniverse(w.product, union) == (True, None)
+        assert direct_ok and is_subuniverse(w.product, union, tuple_cap=1_000) == (True, None)
 
 
 def test_q3_chain_lengths_bounded_by_identities(witness_cache):
@@ -340,13 +342,17 @@ def test_q3_chain_lengths_bounded_by_identities(witness_cache):
 
 
 def test_subuniverse_fast_path_detects_violations():
-    # drop one good element off the zero-slice: the reduction must notice
+    # drop one good element off the zero-slice, splitting its box around it:
+    # the box route must notice
     w = build_sharpness_witness(5, 2, verify_closure=False)
     f1 = w.good_ids[canonical_witness_chain(w)[1]]
     assert w.product.indexing.decode(f1) == (1, 0, 2, 1)
     broken = [e for e in w.good_ids if e != f1]
+    union = BoxUnion(w.product.indexing.sizes,
+                     boxes_without(good_boxes(w.factor_roles, 2), (1, 0, 2, 1)))
+    assert union.ids().tolist() == broken
     ok_direct, _ = is_subuniverse(w.product, broken, tuple_cap=10_000_000)
-    ok_fast, wit_fast = is_subuniverse(w.product, broken, tuple_cap=1_000)
+    ok_fast, wit_fast = is_subuniverse(w.product, union, tuple_cap=1_000)
     assert not ok_direct and not ok_fast
     oi, args, result = wit_fast
     assert w.product.ops[oi].apply(args) == result
