@@ -546,11 +546,18 @@ def subalgebra_closure(
 # subuniverse check
 
 
+def _leaf_ops(op: Operation) -> list[Operation]:
+    """The operations of the flattened coordinates of a (nested) product op."""
+    if isinstance(op, ProductOp):
+        return [leaf for f in op.factor_ops for leaf in _leaf_ops(f)]
+    return [op]
+
+
 def coordinate_sizes(alg: FiniteAlgebra) -> tuple[int, ...]:
-    """The coordinate sizes of a `BoxUnion` over `alg`: its nested factors' leaves."""
-    if alg.factors is None:
+    """The coordinate sizes of a `BoxUnion` over `alg`: its operations' leaves."""
+    if not alg.ops:
         return (alg.size,)
-    return tuple(s for f in alg.factors for s in coordinate_sizes(f))
+    return tuple(leaf.size for leaf in _leaf_ops(alg.ops[0]))
 
 
 class BoxUnion:
@@ -745,24 +752,16 @@ def _enumerate_violation(oi, op, pool, member_ids, sym):
 _IMAGE_ROWS = 1 << 20  # argument rows enumerated for one coordinate image
 
 
-def _leaf_ops(op: Operation) -> list[Operation]:
-    """The operations of the flattened coordinates of a (nested) product op."""
-    if isinstance(op, ProductOp):
-        return [leaf for f in op.factor_ops for leaf in _leaf_ops(f)]
-    return [op]
-
-
 def _box_union_check(alg, union, tuple_cap):
+    if coordinate_sizes(alg) != union.sizes:
+        raise AlgebraError(
+            f"box union over sizes {union.sizes} does not match the coordinates of "
+            f"{alg.label or 'the algebra'}"
+        )
     boxes = [box for box in union.boxes if all(box)]  # an empty value set: no elements
     for oi, op in enumerate(alg.ops):
-        leaves = _leaf_ops(op)
-        if tuple(leaf.size for leaf in leaves) != union.sizes:
-            raise AlgebraError(
-                f"box union over sizes {union.sizes} does not match the coordinates of "
-                f"{alg.label or 'the algebra'}"
-            )
         if boxes:
-            witness = _box_violation(oi, op, leaves, boxes, tuple_cap)
+            witness = _box_violation(oi, op, _leaf_ops(op), boxes, tuple_cap)
             if witness is not None:
                 return False, witness
     return True, None

@@ -62,18 +62,3 @@ def all_partitions(n: int):
 
     grow([], 0)
     return out
-
-
-def boxes_without(boxes, point):
-    """The boxes with one point split out: each box holding it is replaced by
-    its parts that differ from the point first at coordinate c, for each c."""
-    out = []
-    for box in boxes:
-        if not all(p in vals for vals, p in zip(box, point)):
-            out.append(list(box))
-            continue
-        for c, vals in enumerate(box):
-            rest = [v for v in vals if v != point[c]]
-            if rest:
-                out.append([(p,) for p in point[:c]] + [rest] + list(box[c + 1:]))
-    return out

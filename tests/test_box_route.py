@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from finalg import algebras
@@ -20,6 +19,8 @@ from finalg.algebras import (
     restrict_algebra,
 )
 from finalg.witnesses import build_sharpness_witness, cube_minus_top, good_boxes
+
+import slice_route_oracle
 
 
 def _assert_escape(alg, ids, witness):
@@ -82,9 +83,8 @@ def test_box_route_agrees_with_the_element_route_on_broken_good_sets():
     n23 = make_ujm_reduct(2, 2, 3)
     cube = direct_product([n23] * 3)
     cases.append((cube, _minus_top(cube)))  # the majority of the one-zero tuples is the top
-    agreed = refused = sampled = 0
+    agreed = refused = skipped = 0
     element_verdicts = {}  # the two decompositions' variants share many element sets
-    rng = np.random.default_rng(7)
     for alg, union in cases:
         ok, witness = is_subuniverse(alg, union)
         ids = union.ids().tolist()
@@ -96,28 +96,16 @@ def test_box_route_agrees_with_the_element_route_on_broken_good_sets():
         key = (alg.label, tuple(ids))
         if key not in element_verdicts:
             try:
-                element_verdicts[key] = is_subuniverse(alg, ids)[0]
+                element_verdicts[key] = slice_route_oracle.closed(alg, ids)
             except CapExceeded:
                 element_verdicts[key] = None
         if element_verdicts[key] is None:
-            # past direct enumeration (all but two variants each of B(5,3)
-            # and B(6,2)): a set found closed must keep random applications in
-            sampled += 1
-            assert not ok or not _sampled_escape(alg, ids, rng), (alg.label, union.boxes)
+            skipped += 1
             continue
         assert ok == element_verdicts[key], (alg.label, union.boxes)
         agreed += 1
-    assert (len(cases), agreed, refused, sampled) == (147, 61, 35, 86)
-
-
-def _sampled_escape(alg, ids, rng, samples=2_000):
-    """Whether one of `samples` random applications per operation leaves the set."""
-    members = np.asarray(ids, dtype=np.int64)
-    for op in alg.ops:
-        out = op.apply_cols(members[rng.integers(len(members), size=(op.arity, samples))])
-        if not np.isin(out, members).all():
-            return True
-    return False
+    # overlapping boxes: 68 variants, 16 refuse, 1 skipped; disjoint: 78, 18, 1
+    assert (len(cases), agreed, refused, skipped) == (147, 145, 35, 2)
 
 
 def _random_factor(rng, size, arities, sym):

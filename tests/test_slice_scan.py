@@ -3,8 +3,8 @@
 These are the cases the absorbing-slice route of `is_subuniverse` was tested
 on; the route is deleted, and the tests keep their names.  Each case is now
 a `BoxUnion` checked on the box route and compared with direct enumeration
-of its elements under a large cap, and every refusal's witness must be a
-real escape.
+of its elements under a large cap, or past it with the route itself, kept as
+`slice_route_oracle`; every refusal's witness must be a real escape.
 """
 
 import itertools
@@ -20,9 +20,9 @@ from finalg.algebras import (
     _arg_blocks,
     is_subuniverse,
 )
-from finalg.witnesses import build_sharpness_witness, good_boxes
+from finalg.witnesses import _minus_point, build_sharpness_witness, good_boxes
 
-from conftest import boxes_without
+import slice_route_oracle
 
 _LARGE_CAP = 10_000_000
 
@@ -45,8 +45,9 @@ def _union(w, boxes):
 
 @pytest.mark.parametrize("m, q", [(m, q) for m in range(3, 8) for q in (2, 3)])
 def test_slice_scan_matches_scalar_oracle(m, q):
-    """B(m, q) is closed on its boxes, and by direct enumeration where that
-    fits under the large cap; past it, the id list is refused by its count."""
+    """B(m, q) is closed on its boxes, and element by element: by direct
+    enumeration where that fits under the large cap, else by the slice-route
+    oracle; past the cap, the id list is refused by its count."""
     w = build_sharpness_witness(m, q, verify_closure=False)
     assert is_subuniverse(w.product, _union(w, good_boxes(w.factor_roles, q))) == (True, None)
     direct = math.comb(len(w.good_ids) + m - 1, m)
@@ -55,13 +56,16 @@ def test_slice_scan_matches_scalar_oracle(m, q):
     else:
         with pytest.raises(CapExceeded, match=f"needs {direct} element multisets"):
             is_subuniverse(w.product, w.good_ids, tuple_cap=_LARGE_CAP)
+        assert slice_route_oracle.closed(w.product, w.good_ids)
 
 
 def _check_broken(w, gone):
-    """The good set less one element, as boxes: the box route and direct
-    enumeration both refuse it, and the box route's witness is a real escape."""
-    point = w.product.indexing.decode(gone)
-    union = _union(w, boxes_without(good_boxes(w.factor_roles, w.params.q), point))
+    """The good set less one element, as boxes: the box route, direct
+    enumeration and the slice-route oracle all refuse it, and the box
+    route's witness is a real escape."""
+    point = [(v,) for v in w.product.indexing.decode(gone)]
+    union = _union(w, [part for box in good_boxes(w.factor_roles, w.params.q)
+                       for part in _minus_point(box, point)])
     broken = [e for e in w.good_ids if e != gone]
     assert union.ids().tolist() == broken
     ok, witness = is_subuniverse(w.product, union)
@@ -71,6 +75,7 @@ def _check_broken(w, gone):
     assert result not in set(broken)
     assert w.product.ops[oi].apply(args) == result
     assert is_subuniverse(w.product, broken, tuple_cap=_LARGE_CAP)[0] is False
+    assert slice_route_oracle.closed(w.product, broken, tuple_cap=5_000) is False
 
 
 def test_violation_only_in_wildcard_dependent_rows():

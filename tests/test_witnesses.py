@@ -19,6 +19,7 @@ from finalg.congruences import Partition, is_congruence, partition_meet
 from finalg.witnesses import (
     HypothesisError,
     SharpnessParams,
+    _minus_point,
     build_sharpness_witness,
     canonical_witness_chain,
     cube_minus_top,
@@ -31,7 +32,6 @@ from finalg.witnesses import (
     nu_family_generators,
     staircase_partitions,
 )
-from conftest import boxes_without
 from good_set_oracle import good_coords
 
 
@@ -349,7 +349,8 @@ def test_subuniverse_fast_path_detects_violations():
     assert w.product.indexing.decode(f1) == (1, 0, 2, 1)
     broken = [e for e in w.good_ids if e != f1]
     union = BoxUnion(w.product.indexing.sizes,
-                     boxes_without(good_boxes(w.factor_roles, 2), (1, 0, 2, 1)))
+                     [part for box in good_boxes(w.factor_roles, 2)
+                      for part in _minus_point(box, [(1,), (0,), (2,), (1,)])])
     assert union.ids().tolist() == broken
     ok_direct, _ = is_subuniverse(w.product, broken, tuple_cap=10_000_000)
     ok_fast, wit_fast = is_subuniverse(w.product, union, tuple_cap=1_000)
