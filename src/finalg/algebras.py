@@ -68,34 +68,35 @@ class Operation:
             raise CapExceeded(
                 f"table of {self.name} would need {count} entries", explored=0
             )
-        idx = np.arange(count, dtype=np.int64)
-        cols = np.empty((self.arity, count), dtype=np.int64)
-        for pos in range(self.arity - 1, -1, -1):
-            cols[pos] = idx % self.size
-            idx //= self.size
-        return self.apply_cols(cols).astype(np.int64)
+        cols = FactorIndexing((self.size,) * self.arity).digits(np.arange(count)).T
+        return self.apply_cols(cols)
 
     def __repr__(self):  # pragma: no cover
         return f"<{type(self).__name__} {self.name}/{self.arity} on {self.size}>"
 
 
 class TableOp(Operation):
+    """An operation stored as its flat table, in the smallest unsigned dtype
+    that holds size - 1."""
+
     def __init__(self, name: str, arity: int, size: int, table: Sequence[int]):
         if arity < 1:
             raise AlgebraError("arity must be >= 1 (constants are not modelled)")
         if size < 1:
             raise AlgebraError("size must be >= 1")
-        tbl = np.asarray(table, dtype=np.int64)
+        tbl = np.asarray(table)
+        if tbl.dtype.kind not in "iu":
+            tbl = tbl.astype(np.int64)
         if tbl.shape != (size**arity,):
             raise AlgebraError(
                 f"table of {name!r} has {tbl.size} entries, expected {size**arity}"
             )
-        if tbl.size and (tbl.min() < 0 or tbl.max() >= size):
+        if tbl.size and (tbl.min() < 0 or tbl.max() >= size):  # before narrowing
             raise AlgebraError(f"table of {name!r} has out-of-range entries")
         self.name = name
         self.arity = arity
         self.size = size
-        self.table = tbl
+        self.table = tbl.astype(np.min_scalar_type(size - 1), copy=False)
         self.table.setflags(write=False)
 
     def apply(self, args: Sequence[int]) -> int:
@@ -137,35 +138,10 @@ class ProductOp(Operation):
         return self.indexing.encode(out)
 
     def apply_cols(self, cols: np.ndarray) -> np.ndarray:
-        dec = self.indexing.decode_matrix()
+        digits = self.indexing.digits(cols)  # one row per entry of cols
         out = np.zeros(cols.shape[1], dtype=np.int64)
         for i, op in enumerate(self.factor_ops):
-            out = out * op.size + op.apply_cols(dec[cols, i])
-        return out
-
-
-class RestrictedOp(Operation):
-    """Operation of a subalgebra, re-indexed over the closed subset."""
-
-    def __init__(self, name: str, inner: Operation, embed: np.ndarray):
-        self.name = name
-        self.inner = inner
-        self.embed = np.asarray(embed, dtype=np.int64)
-        self.arity = inner.arity
-        self.size = len(self.embed)
-        self.section = np.full(inner.size, -1, dtype=np.int64)
-        self.section[self.embed] = np.arange(self.size)
-
-    def apply(self, args: Sequence[int]) -> int:
-        out = self.section[self.inner.apply([int(self.embed[a]) for a in args])]
-        if out < 0:
-            raise AlgebraError(f"{self.name}: subset is not closed at {tuple(args)}")
-        return int(out)
-
-    def apply_cols(self, cols: np.ndarray) -> np.ndarray:
-        out = self.section[self.inner.apply_cols(self.embed[cols])]
-        if out.size and out.min() < 0:
-            raise AlgebraError(f"{self.name}: subset is not closed")
+            out = out * op.size + op.apply_cols(digits[:, i].reshape(cols.shape))
         return out
 
 
@@ -203,22 +179,17 @@ class FactorIndexing:
         return tuple(reversed(out))
 
     def digits(self, ids) -> np.ndarray:
-        """The decodings of the given flat indices, shape (len(ids), nfactors)."""
+        """The decodings of the given flat indices, shape (len(ids), nfactors).
+
+        Column-major, so each factor's column, and each row of the transpose,
+        is contiguous.
+        """
         idx = np.array(ids, dtype=np.int64).ravel()
-        out = np.empty((len(idx), len(self.sizes)), dtype=np.int64)
+        out = np.empty((len(idx), len(self.sizes)), dtype=np.int64, order="F")
         for pos in range(len(self.sizes) - 1, -1, -1):
             out[:, pos] = idx % self.sizes[pos]
             idx //= self.sizes[pos]
         return out
-
-    def decode_matrix(self) -> np.ndarray:
-        """All decodings at once, shape (size, nfactors)."""
-        cached = getattr(self, "_dec", None)
-        if cached is None:
-            cached = self.digits(np.arange(self.size))
-            cached.setflags(write=False)
-            object.__setattr__(self, "_dec", cached)
-        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +206,6 @@ class FiniteAlgebra:
         label: str = "",
         factors: Optional[Sequence["FiniteAlgebra"]] = None,
         indexing: Optional[FactorIndexing] = None,
-        parent: Optional["FiniteAlgebra"] = None,
-        embed: Optional[np.ndarray] = None,
     ):
         if size < 1:
             raise AlgebraError("size must be >= 1")
@@ -248,8 +217,6 @@ class FiniteAlgebra:
         self.label = label
         self.factors = tuple(factors) if factors is not None else None
         self.indexing = indexing
-        self.parent = parent
-        self.embed = embed
 
     def op(self, index: int) -> Operation:
         if not 0 <= index < len(self.ops):
@@ -306,14 +273,10 @@ def order_statistic_table(chain_size: int, j: int, m: int) -> np.ndarray:
     if cached is not None:
         return cached
     # the j-th smallest argument is the number of values v below which fewer
-    # than j arguments lie (at or below v); the counts are uint8 grids
-    table = np.zeros(chain_size**m, dtype=np.int64)
+    # than j arguments lie (at or below v)
+    table = np.zeros(chain_size**m, dtype=np.min_scalar_type(chain_size - 1))
     for v in range(chain_size - 1):
-        at_most_v = (np.arange(chain_size) <= v).astype(np.uint8)
-        count = at_most_v
-        for _ in range(m - 1):
-            count = np.add.outer(count, at_most_v)  # first argument most significant
-        table += count.ravel() < j
+        table += _count_grid(np.arange(chain_size) <= v, m) < j
     table.setflags(write=False)
     _UJM_TABLES[key] = table
     return table
@@ -361,43 +324,18 @@ def direct_product(
     return FiniteAlgebra(indexing.size, ops, label=label, factors=factors, indexing=indexing)
 
 
-def restrict_algebra(
-    parent: FiniteAlgebra, subset: Iterable[int], label: str = ""
-) -> FiniteAlgebra:
-    """Subalgebra on a closed subset, re-indexed over its sorted order."""
-    embed = np.asarray(sorted(set(subset)), dtype=np.int64)
-    if embed.size == 0:
-        raise AlgebraError("empty subuniverse")
-    if embed[0] < 0 or embed[-1] >= parent.size:
-        raise AlgebraError("subset out of range")
-    ops = [RestrictedOp(op.name, op, embed) for op in parent.ops]
-    return FiniteAlgebra(
-        len(embed), ops, label=label or f"{parent.label}|{len(embed)}",
-        parent=parent, embed=embed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # pointwise predicates
 
 
-_TUPLE_COLS_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _tuple_cols(size: int, arity: int) -> np.ndarray:
-    cached = _TUPLE_COLS_CACHE.get((size, arity))
-    if cached is not None:
-        return cached
-    idx = np.arange(size**arity, dtype=np.int64)
-    cols = np.empty((arity, size**arity), dtype=np.int64)
-    for pos in range(arity - 1, -1, -1):
-        cols[pos] = idx % size
-        idx //= size
-    cols.setflags(write=False)
-    if len(_TUPLE_COLS_CACHE) > 32:
-        _TUPLE_COLS_CACHE.clear()
-    _TUPLE_COLS_CACHE[(size, arity)] = cols
-    return cols
+def _count_grid(hit: np.ndarray, arity: int) -> np.ndarray:
+    """For each argument tuple in flat-table order, the number of its
+    arguments x with hit[x]."""
+    hit = np.asarray(hit, dtype=np.min_scalar_type(arity))
+    count = hit
+    for _ in range(arity - 1):
+        count = (count[:, None] + hit).ravel()  # first argument most significant
+    return count
 
 
 def is_k_absorbing(alg: FiniteAlgebra, op_index: int, zero: int, k: int) -> bool:
@@ -414,16 +352,14 @@ def _op_k_absorbing(op: Operation, zero: int, k: int) -> bool:
     if isinstance(op, ProductOp):
         coords = op.indexing.decode(zero)
         return all(_op_k_absorbing(f, c, k) for f, c in zip(op.factor_ops, coords))
-    if isinstance(op, RestrictedOp):
-        if _op_k_absorbing(op.inner, int(op.embed[zero]), k):
-            return True
-        # the restriction can still be absorbing when the parent is not
     if op.size**op.arity > DEFAULT_TABLE_CAP:
         raise CapExceeded(f"absorption check on {op.name} needs a table")
-    cols = _tuple_cols(op.size, op.arity)
-    mask = (cols == zero).sum(axis=0) >= k
-    out = op.apply_cols(cols[:, mask])
-    return bool((out == zero).all())
+    return _absorbs(op, op.table_array(), zero, k)
+
+
+def _absorbs(op: Operation, table: np.ndarray, zero: int, k: int) -> bool:
+    """The flat table of op sends every tuple with >= k arguments `zero` to `zero`."""
+    return bool((table[_count_grid(np.arange(op.size) == zero, op.arity) >= k] == zero).all())
 
 
 def is_k_majority(alg: FiniteAlgebra, op_index: int, k: int) -> bool:
@@ -437,17 +373,10 @@ def is_k_majority(alg: FiniteAlgebra, op_index: int, k: int) -> bool:
 def _op_k_majority(op: Operation, k: int) -> bool:
     if isinstance(op, ProductOp):
         return all(_op_k_majority(f, k) for f in op.factor_ops)
-    if isinstance(op, RestrictedOp) and _op_k_majority(op.inner, k):
-        return True
     if op.size**op.arity > DEFAULT_TABLE_CAP:
         raise CapExceeded(f"majority check on {op.name} needs a table")
-    cols = _tuple_cols(op.size, op.arity)
-    out = op.apply_cols(cols)
-    for z in range(op.size):
-        mask = (cols == z).sum(axis=0) >= k
-        if not (out[mask] == z).all():
-            return False
-    return True
+    table = op.table_array()
+    return all(_absorbs(op, table, z, k) for z in range(op.size))
 
 
 def is_near_unanimity(alg: FiniteAlgebra, op_index: int) -> bool:
@@ -472,8 +401,6 @@ def _op_symmetrical(op: Operation) -> bool:
         return True
     if isinstance(op, ProductOp):
         return all(_op_symmetrical(f) for f in op.factor_ops)
-    if isinstance(op, RestrictedOp) and _op_symmetrical(op.inner):
-        return True
     grid = op.table_array(DEFAULT_TABLE_CAP).reshape((op.size,) * op.arity)
     return all(np.array_equal(grid, grid.transpose(perm))
                for perm in (_transposition(op.arity), _cycle(op.arity)))
@@ -564,10 +491,10 @@ class BoxUnion:
     """A subset given as a union of boxes over the coordinates of a product.
 
     The coordinates are the leaves of the product's nested factors, left to
-    right (`coordinate_sizes`); a subalgebra factor is one coordinate.  A box
-    holds one value set per coordinate.  Its elements are the product ids of
-    its coordinate rows, mixed radix over `sizes` with the first coordinate
-    most significant, which is also the id of a nested product.
+    right (`coordinate_sizes`).  A box holds one value set per coordinate.
+    Its elements are the product ids of its coordinate rows, mixed radix over
+    `sizes` with the first coordinate most significant, which is also the id
+    of a nested product.
     """
 
     def __init__(self, sizes: Sequence[int], boxes: Iterable[Sequence[Iterable[int]]]):

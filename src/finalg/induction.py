@@ -28,7 +28,6 @@ from .algebras import (
     direct_product,
     make_ujm_reduct,
     one_element_algebra,
-    restrict_algebra,
 )
 from .congruences import Partition, partition_meet
 from .identities import FULL_PAIR_CAP, IdentityInstance, check_identity
@@ -54,9 +53,6 @@ class InductionState:
     def f_ids(self) -> list[int]:
         """The elements of F^j, sorted."""
         return self.f_union.ids().tolist()
-
-    def f_algebra(self, label: str = "") -> FiniteAlgebra:
-        return restrict_algebra(self.pair_product, self.f_ids, label or f"F^{self.j}")
 
 
 def _local(ids: list[int]) -> dict[int, int]:

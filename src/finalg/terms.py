@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebras import AlgebraError, CapExceeded, FiniteAlgebra
+from .algebras import AlgebraError, CapExceeded, FactorIndexing, FiniteAlgebra
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,7 @@ def subst(term: Term, mapping: Sequence[Term]) -> Term:
 
 def all_assignment_cols(size: int, nvars: int) -> np.ndarray:
     """Columns of every assignment of nvars variables over 0..size-1."""
-    idx = np.arange(size**nvars, dtype=np.int64)
-    cols = np.empty((nvars, size**nvars), dtype=np.int64)
-    for pos in range(nvars - 1, -1, -1):
-        cols[pos] = idx % size
-        idx //= size
-    return cols
+    return FactorIndexing((size,) * nvars).digits(np.arange(size**nvars)).T
 
 
 def verify_equations(

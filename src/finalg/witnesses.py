@@ -14,7 +14,7 @@ Three constructions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -32,7 +32,6 @@ from .algebras import (
     is_k_majority,
     is_subuniverse,
     make_ujm_reduct,
-    restrict_algebra,
     TableOp,
 )
 from .congruences import Partition, induced_product_congruence, partition_meet
@@ -126,9 +125,6 @@ class FilteredSubproduct:
                          (x1 == z1) & (x3 == self.d), x4 == z4], axis=1)
         named = [tuple(t + 1 for t in range(4) if code >> t & 1) for code in range(16)]
         return {eid: named[code] for eid, code in zip(self.b_ids, (hits @ (1, 2, 4, 8)).tolist())}
-
-    def as_algebra(self, label: str = "") -> FiniteAlgebra:
-        return restrict_algebra(self.ambient, self.b_ids, label=label or "B(a,d)")
 
 
 def filtered_subproduct(
@@ -349,7 +345,6 @@ class SharpnessWitness:
     d: int
     c: Optional[int]     # the single mid witness, q = 2 only
     lhs_chain: list[int]  # a, c_1 .. c_{q-1}, d as local indices
-    _algebra: Optional[FiniteAlgebra] = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -365,13 +360,6 @@ class SharpnessWitness:
 
     def coords_of_local(self, i: int) -> tuple[int, ...]:
         return self.product.indexing.decode(self.good_ids[i])
-
-    def as_algebra(self) -> FiniteAlgebra:
-        if self._algebra is None:
-            self._algebra = restrict_algebra(
-                self.product, self.good_ids, label=f"B({self.params.m},{self.params.q})"
-            )
-        return self._algebra
 
 
 def _factor_plan(params: SharpnessParams) -> list[dict]:

@@ -21,7 +21,6 @@ from finalg.algebras import (
     _arg_blocks,
     _enumerate_violation,
     _op_symmetrical,
-    _tuple_cols,
 )
 
 _ROWS = 100_000      # argument rows per block of the scan
@@ -54,14 +53,11 @@ def _flat_view(alg):
     """(coord_ops, decode): per operation the operations of the flattened
     coordinates, and the coordinate rows of every element; None when the
     algebra has no product structure."""
-    if alg.parent is not None:
-        inner = _flat_view(alg.parent)
-        return None if inner is None else (inner[0], inner[1][alg.embed])
     if alg.factors is None:
         return None
     per_op = [[] for _ in alg.ops]
     decodes = []
-    dec = alg.indexing.decode_matrix()
+    dec = alg.indexing.digits(np.arange(alg.size))
     for fi, factor in enumerate(alg.factors):
         inner = _flat_view(factor)
         if inner is None:
@@ -79,7 +75,7 @@ def _min_absorbing(op, zero, r):
     """Least k < r making `zero` k-absorbing, from one table scan."""
     if op.size**op.arity > DEFAULT_TABLE_CAP:
         return None
-    cols = _tuple_cols(op.size, op.arity)
+    cols = np.indices((op.size,) * op.arity).reshape(op.arity, -1)  # table order
     bad = op.apply_cols(cols) != zero
     k = int((cols == zero).sum(axis=0)[bad].max()) + 1 if bad.any() else 1
     return k if k < r else None

@@ -4,6 +4,8 @@
 this is the rule it replaced, kept as an oracle for the tests.
 """
 
+import numpy as np
+
 
 def template_filter(ambient, f_ids, zeros, a, d):
     """(b_ids, tags) of the elements of A1 x A2 x A3 x A4 that lie in F on
@@ -11,7 +13,7 @@ def template_filter(ambient, f_ids, zeros, a, d):
     z1, z2, z4 = zeros
     s4 = ambient.factors[3].size
     f_set = set(int(x) for x in f_ids)
-    dec = ambient.indexing.decode_matrix()
+    dec = ambient.indexing.digits(np.arange(ambient.size))
     b_ids, tags = [], {}
     for eid in range(ambient.size):
         x1, x2, x3, x4 = (int(v) for v in dec[eid])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from finalg import algebras
 from finalg.algebras import (
     AlgebraError,
     BoxUnion,
@@ -22,12 +23,12 @@ from finalg.algebras import (
     make_ujm_reduct,
     one_element_algebra,
     order_statistic_table,
-    restrict_algebra,
     subalgebra_closure,
 )
 from finalg.terms import term_eval
 
 from conftest import subset_formula_table
+import predicate_oracle
 import slice_route_oracle
 
 
@@ -70,6 +71,17 @@ def test_table_validation():
         TableOp("bad", 0, 2, [])  # constants are out of the data model
 
 
+def test_table_is_stored_narrow_after_its_range_check():
+    assert TableOp("t", 2, 2, [0, 1, 1, 0]).table.dtype == np.uint8
+    # an entry that would wrap into range in uint8 is refused, list or array
+    for bad in ([0, 1, 1, -1], [0, 1, 1, 256], np.array([0, 1, 1, 256]), np.array([0, 1, 1, -1])):
+        with pytest.raises(AlgebraError, match="out-of-range"):
+            TableOp("bad", 2, 2, bad)
+    wide = TableOp("w", 1, 257, range(256, -1, -1))
+    assert wide.table.dtype == np.uint16
+    assert wide.apply([0]) == 256 and wide.table_array()[0] == 256
+
+
 @pytest.mark.parametrize("chain_size,j,m", [(2, 2, 3), (2, 2, 4), (3, 2, 3), (3, 2, 5), (4, 3, 5)])
 def test_ujm_is_order_statistic(chain_size, j, m):
     alg = make_ujm_reduct(chain_size, j, m)
@@ -92,7 +104,7 @@ def test_order_statistic_table_matches_sorted_digits():
         for m in range(3, 8 if chain_size < 4 else 6):
             for j in range(1, m + 1):
                 table = order_statistic_table(chain_size, j, m)
-                assert table.dtype == np.int64 and not table.flags.writeable
+                assert table.dtype == np.uint8 and not table.flags.writeable
                 assert np.array_equal(table, _sorted_digit_table(chain_size, j, m))
 
 
@@ -116,8 +128,9 @@ def test_factor_indexing_roundtrip():
     idx = FactorIndexing((3, 2, 4))
     for coords in itertools.product(range(3), range(2), range(4)):
         assert idx.decode(idx.encode(coords)) == coords
-    dec = idx.decode_matrix()
+    dec = idx.digits(np.arange(idx.size))
     assert dec.shape == (24, 3)
+    assert [tuple(row) for row in dec.tolist()] == [idx.decode(i) for i in range(idx.size)]
     with pytest.raises(AlgebraError):
         idx.encode((3, 0, 0))
 
@@ -129,7 +142,7 @@ def test_direct_product_identity_and_projection():
     assert np.array_equal(single.ops[0].table_array(), n23.ops[0].table)
     # componentwise projection recovers factor tables exactly
     prod = direct_product([n23, make_ujm_reduct(3, 2, 3)])
-    dec = prod.indexing.decode_matrix()
+    dec = prod.indexing.digits(np.arange(prod.size))
     for args in itertools.product(range(prod.size), repeat=3):
         out = prod.ops[0].apply(args)
         for c in range(2):
@@ -191,15 +204,6 @@ def test_is_subuniverse_witness():
     assert all(a < 7 for a in args)
 
 
-def test_restrict_algebra():
-    power = direct_product([make_ujm_reduct(2, 2, 4)] * 3)
-    sub = restrict_algebra(power, range(power.size - 1))
-    assert sub.size == power.size - 1
-    assert sub.ops[0].apply((0, 1, 2, 3)) == power.ops[0].apply((0, 1, 2, 3))
-    with pytest.raises(AlgebraError):
-        restrict_algebra(power, [])
-
-
 def test_absorbing_basics():
     for m in (3, 4, 5):
         for j in (2, 3):
@@ -225,6 +229,75 @@ def test_majority_levels():
             assert not is_k_majority(alg, 0, p - 1)
             assert is_near_unanimity(alg, 0)
     assert is_k_majority(one_element_algebra(4), 0, 1)
+
+
+def _random_predicate_op(rng, size, arity):
+    """A random table, or one forced to absorb one value from some count on,
+    or to return any value held by more than half of the arguments, so that
+    both verdicts of each predicate occur."""
+    mode = rng.choice(["random", "absorbing", "majority"])
+    zero, k = rng.randrange(size), rng.randint(1, arity)
+    if mode == "majority":
+        k = rng.randint(arity // 2 + 1, arity)
+    entries = []
+    for args in itertools.product(range(size), repeat=arity):
+        counts = [args.count(v) for v in range(size)]
+        if mode == "absorbing" and counts[zero] >= k:
+            entries.append(zero)
+        elif mode == "majority" and max(counts) >= k:
+            entries.append(counts.index(max(counts)))
+        else:
+            entries.append(rng.randrange(size))
+    return TableOp("r", arity, size, entries)
+
+
+def _assert_predicates_match_the_oracle(alg):
+    op = alg.ops[0]
+    verdicts = set()
+    for k in range(1, op.arity + 1):
+        for zero in range(alg.size):
+            want = predicate_oracle.k_absorbing(op, zero, k)
+            assert is_k_absorbing(alg, 0, zero, k) == want, (op.table_array(), zero, k)
+            verdicts.add(("absorbing", want))
+        want = predicate_oracle.k_majority(op, k)
+        assert is_k_majority(alg, 0, k) == want, (op.table_array(), k)
+        verdicts.add(("majority", want))
+    want = predicate_oracle.near_unanimity(op)
+    assert is_near_unanimity(alg, 0) == want
+    verdicts.add(("near-unanimity", want))
+    return verdicts
+
+
+def test_predicates_match_the_brute_force_oracle():
+    import random
+
+    rng = random.Random(20261018)
+    verdicts = set()
+    for size in range(1, 5):
+        for arity in range(1, 6):
+            for _ in range(3):
+                op = _random_predicate_op(rng, size, arity)
+                verdicts |= _assert_predicates_match_the_oracle(FiniteAlgebra(size, [op]))
+    assert verdicts == {(p, v) for p in ("absorbing", "majority", "near-unanimity")
+                        for v in (True, False)}
+
+
+def test_count_grid_holds_counts_past_255_arguments():
+    assert algebras._count_grid(np.ones(1, dtype=bool), 300).tolist() == [300]
+    assert algebras._count_grid(np.array([True, False]), 3).tolist() == [3, 2, 2, 1, 2, 1, 1, 0]
+    triv = one_element_algebra(300)
+    assert is_k_absorbing(triv, 0, 0, 300) and is_k_majority(triv, 0, 1)
+
+
+def test_predicates_on_a_product_with_a_factor_that_does_not_absorb():
+    good = make_ujm_reduct(3, 2, 4)                     # 0 is 2-absorbing
+    top = FiniteAlgebra(2, [TableOp("u", 4, 2, [int(any(args)) for args in
+                                                itertools.product(range(2), repeat=4)])])
+    prod = direct_product([good, top])                  # max: 0 absorbs only at 4
+    zero = prod.indexing.encode((0, 0))
+    assert is_k_absorbing(good, 0, 0, 2) and not is_k_absorbing(prod, 0, zero, 2)
+    assert is_k_absorbing(prod, 0, zero, 4)
+    _assert_predicates_match_the_oracle(prod)
 
 
 def test_majority_monotone_in_k():
@@ -318,7 +391,7 @@ def test_absorbing_slice_reduction_vs_direct_enumeration():
             for _ in range(nfac)
         ]
         prod = direct_product(factors)
-        dec = prod.indexing.decode_matrix()
+        dec = prod.indexing.digits(np.arange(prod.size))
         cstar = nfac - 1
         slice_ids = [e for e in range(prod.size) if dec[e][cstar] == 0]
         others = [e for e in range(prod.size) if dec[e][cstar] != 0]

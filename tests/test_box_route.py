@@ -16,7 +16,6 @@ from finalg.algebras import (
     direct_product,
     is_subuniverse,
     make_ujm_reduct,
-    restrict_algebra,
 )
 from finalg.witnesses import build_sharpness_witness, cube_minus_top, good_boxes
 
@@ -161,7 +160,7 @@ def test_box_route_agrees_with_direct_enumeration_on_random_products(monkeypatch
 
 def test_a_restricted_factor_is_one_coordinate():
     n23 = make_ujm_reduct(3, 2, 3)
-    low = restrict_algebra(n23, [0, 1])        # a chain of two inside the chain of three
+    low = make_ujm_reduct(2, 2, 3)  # the median on {0, 1}: n23 restricted to a chain of two
     prod = direct_product([low, n23])
     union = BoxUnion((2, 3), [[(0, 1), (0,)], [(0,), (2,)], [(1,), (1,)]])
     ok, witness = is_subuniverse(prod, union)

@@ -1,12 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finalg.algebras import (
     AlgebraError,
     CapExceeded,
+    FiniteAlgebra,
+    TableOp,
     direct_product,
     make_chain_lattice,
     make_ujm_reduct,
@@ -191,7 +194,7 @@ def test_induced_product_congruence():
     sub = list(range(prod.size))
     alpha = induced_product_congruence(prod.indexing, [Partition.one(3), Partition.zero(2)], sub)
     # related iff the second coordinates agree
-    dec = prod.indexing.decode_matrix()
+    dec = prod.indexing.digits(np.arange(prod.size))
     for x, y in itertools.combinations(range(len(sub)), 2):
         assert alpha.related(x, y) == (dec[x][1] == dec[y][1])
     with pytest.raises(AlgebraError):
@@ -202,12 +205,13 @@ def test_induced_product_congruence():
 
 def test_induced_restriction_is_congruence_on_subalgebra():
     # restriction of a product congruence to a closed subset stays compatible
-    from finalg.algebras import restrict_algebra
-
     m = 4
     power = direct_product([make_ujm_reduct(2, 2, m)] * (m - 1))
     subset = list(range(power.size - 1))
-    sub = restrict_algebra(power, subset)
+    local = {x: i for i, x in enumerate(subset)}  # the subalgebra's table over local indices
+    table = [local[power.ops[0].apply([subset[i] for i in args])]
+             for args in itertools.product(range(len(subset)), repeat=m)]
+    sub = FiniteAlgebra(len(subset), [TableOp("u", m, len(subset), table)])
     parts = [Partition.one(2), Partition.zero(2), Partition.one(2)]
     induced = induced_product_congruence(power.indexing, parts, subset)
     assert is_congruence(sub, induced)[0]

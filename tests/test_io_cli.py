@@ -90,10 +90,11 @@ def test_cli_invalid_inputs():
 
 
 def test_cli_exit_codes_cover_cap(capsys):
-    # the 12-ary chain reducts on four elements are past the table cap of the
-    # template subproduct's absorption checks
-    assert main(["verify", "induction", "--m", "12", "--q", "3"]) == 2
-    assert "resource cap: absorption check on u needs a table" in capsys.readouterr().err
+    # the 12-ary chain reducts on four elements and the 14-ary ones on three
+    # are past the table cap of the template subproduct's absorption checks
+    for m, q in ((12, 3), (14, 2)):
+        assert main(["verify", "induction", "--m", str(m), "--q", str(q)]) == 2
+        assert "resource cap: absorption check on u needs a table" in capsys.readouterr().err
 
 
 def test_cli_verify_induction_on_template_boxes(tmp_path):
@@ -103,6 +104,15 @@ def test_cli_verify_induction_on_template_boxes(tmp_path):
     doc = json.loads(cert.read_text())
     assert doc["verdict"] == "verified"
     assert [st["f_size"] for st in doc["evidence"]["stages"]] == [23, 269, 4115, 65561]
+
+
+def test_cli_verify_induction_m11_q3(tmp_path):
+    # the absorption and majority checks on 4**11-entry tables: about 2 s, 150 MB
+    cert = tmp_path / "induction.json"
+    assert main(["verify", "induction", "--m", "11", "--q", "3", "--out", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    assert doc["verdict"] == "verified"
+    assert [st["f_size"] for st in doc["evidence"]["stages"]] == [8, 74, 1040, 16406, 262172]
 
 
 @pytest.mark.parametrize("f", ["", "0,2,4,5"])

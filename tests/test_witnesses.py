@@ -132,10 +132,8 @@ def test_filtered_subproduct_respects_f():
     a4 = make_ujm_reduct(2, 2, m)
     f = [0, 2, 4, 5]  # pairs (x, 0) plus the top pair; closed on the chain pair
     built = filtered_subproduct(a1, a2, a3, a4, 0, 0, 0, 2, 3, 2, 0, f)
-    dec = built.ambient.indexing.decode_matrix()
     assert built.b_ids
-    for eid in built.b_ids:
-        x1, x2, x3, x4 = (int(v) for v in dec[eid])
+    for x1, x2, x3, x4 in built.ambient.indexing.digits(built.b_ids).tolist():
         assert (x3 * 2 + x4) in set(f)
 
 
