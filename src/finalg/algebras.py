@@ -1,4 +1,4 @@
-"""Finite algebras: operation tables, products, subuniverses, closure.
+"""Finite algebras: operation tables, products, subuniverses, predicates.
 
 Elements are integers 0..size-1.  Flat tables are row-major with the FIRST
 argument most significant; every module in the package shares this encoding,
@@ -38,7 +38,7 @@ def _env_cap(name: str, default: int) -> int:
     return int(value) if value else default
 
 
-DEFAULT_CLOSURE_CAP = _env_cap("FINALG_CAP", 1 << 20)
+DEFAULT_PRODUCT_CAP = _env_cap("FINALG_CAP", 1 << 20)
 DEFAULT_TUPLE_CAP = 16_000_000
 DEFAULT_TABLE_CAP = 1 << 22
 
@@ -53,9 +53,6 @@ class Operation:
     name: str
     arity: int
     size: int
-
-    def apply(self, args: Sequence[int]) -> int:
-        raise NotImplementedError
 
     def apply_cols(self, cols: np.ndarray) -> np.ndarray:
         """Vectorised apply; `cols` has shape (arity, n)."""
@@ -99,16 +96,6 @@ class TableOp(Operation):
         self.table = tbl.astype(np.min_scalar_type(size - 1), copy=False)
         self.table.setflags(write=False)
 
-    def apply(self, args: Sequence[int]) -> int:
-        if len(args) != self.arity:
-            raise AlgebraError(f"{self.name} expects {self.arity} arguments")
-        idx = 0
-        for a in args:
-            if not 0 <= a < self.size:
-                raise AlgebraError(f"element {a} out of range for {self.name}")
-            idx = idx * self.size + a
-        return int(self.table[idx])
-
     def apply_cols(self, cols: np.ndarray) -> np.ndarray:
         idx = cols[0].astype(np.int64)
         for pos in range(1, self.arity):
@@ -129,13 +116,6 @@ class ProductOp(Operation):
         self.indexing = indexing
         self.arity = self.factor_ops[0].arity
         self.size = indexing.size
-
-    def apply(self, args: Sequence[int]) -> int:
-        coords = [self.indexing.decode(a) for a in args]
-        out = tuple(
-            op.apply([c[i] for c in coords]) for i, op in enumerate(self.factor_ops)
-        )
-        return self.indexing.encode(out)
 
     def apply_cols(self, cols: np.ndarray) -> np.ndarray:
         digits = self.indexing.digits(cols)  # one row per entry of cols
@@ -226,9 +206,6 @@ class FiniteAlgebra:
     def signature(self) -> tuple[int, ...]:
         return tuple(op.arity for op in self.ops)
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def __repr__(self):  # pragma: no cover
         sig = ",".join(map(str, self.signature()))
         return f"FiniteAlgebra({self.label or '?'}, size={self.size}, arities=[{sig}])"
@@ -237,10 +214,6 @@ class FiniteAlgebra:
 def similar(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
     """Same number of operations with matching arities."""
     return a.signature() == b.signature()
-
-
-def apply_op(alg: FiniteAlgebra, op_index: int, args: Sequence[int]) -> int:
-    return alg.op(op_index).apply(args)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +272,7 @@ def one_element_algebra(arity: int, label: str = "triv") -> FiniteAlgebra:
 
 
 def direct_product(
-    factors: Sequence[FiniteAlgebra], cap: int = DEFAULT_CLOSURE_CAP, label: str = ""
+    factors: Sequence[FiniteAlgebra], cap: int = DEFAULT_PRODUCT_CAP, label: str = ""
 ) -> FiniteAlgebra:
     """Componentwise product; operations stay lazy."""
     factors = list(factors)
@@ -386,17 +359,13 @@ def is_near_unanimity(alg: FiniteAlgebra, op_index: int) -> bool:
     return is_k_majority(alg, op_index, op.arity - 1)
 
 
-def is_symmetrical(alg: FiniteAlgebra, op_index: int) -> bool:
+def _op_symmetrical(op: Operation) -> bool:
     """Invariance under all argument permutations.
 
     Checked on the adjacent transposition and the full cycle, which generate
     the whole symmetric group; the full-permutation check is kept in the test
     suite as a cross-check.
     """
-    return _op_symmetrical(alg.op(op_index))
-
-
-def _op_symmetrical(op: Operation) -> bool:
     if op.arity == 1:
         return True
     if isinstance(op, ProductOp):
@@ -414,59 +383,6 @@ def _transposition(m: int) -> list[int]:
 
 def _cycle(m: int) -> list[int]:
     return list(range(1, m)) + [0]
-
-
-# ---------------------------------------------------------------------------
-# closure
-
-
-def subalgebra_closure(
-    alg: FiniteAlgebra,
-    generators: Iterable[int],
-    track_terms: bool = False,
-    cap: int = DEFAULT_CLOSURE_CAP,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-):
-    """Smallest subset containing the generators and closed under all ops.
-
-    Returns a sorted list, or (sorted list, {element: Term}) with provenance
-    when `track_terms` is set.  Deterministic: tuples are explored in
-    lexicographic order of discovery indices, so the first derivation wins.
-    """
-    from .terms import App, Var
-
-    gens = sorted(set(generators))
-    for g in gens:
-        if not 0 <= g < alg.size:
-            raise AlgebraError(f"generator {g} out of range")
-    order: list[int] = list(gens)
-    seen: dict[int, object] = {g: Var(i) for i, g in enumerate(gens)}
-    frontier_start = 0
-    while True:
-        new_start = len(order)
-        for oi, op in enumerate(alg.ops):
-            r = op.arity
-            total = len(order) ** r - max(0, frontier_start) ** r
-            if total > tuple_cap:
-                raise CapExceeded(
-                    f"closure tuple budget exceeded on {op.name}", explored=len(order)
-                )
-            for args in itertools.product(range(len(order)), repeat=r):
-                if max(args) < frontier_start:
-                    continue  # all arguments already processed in earlier rounds
-                val = op.apply([order[a] for a in args])
-                if val not in seen:
-                    if len(order) + 1 > cap:
-                        raise CapExceeded("closure cap exceeded", explored=len(order))
-                    seen[val] = App(oi, tuple(seen[order[a]] for a in args))
-                    order.append(val)
-        if new_start == len(order):
-            break
-        frontier_start = new_start
-    result = sorted(order)
-    if track_terms:
-        return result, {e: seen[e] for e in result}
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from .algebras import (
     FiniteAlgebra,
     _arg_blocks,
     _op_symmetrical,
-    is_k_majority,
+    is_near_unanimity,
     similar,
 )
 from .terms import App, Term, Var
@@ -95,16 +95,11 @@ class Subpower:
     def index_of(self, vec) -> Optional[int]:
         return self._index.get(np.asarray(vec, dtype=np.int16).tobytes())
 
-    def contains(self, vec) -> bool:
-        if self.engine == "membership":
-            return _local_member(self, np.asarray(vec, dtype=np.int16))
-        return self.index_of(vec) is not None
-
     def contains_bulk(self, vecs: np.ndarray) -> np.ndarray:
         """Membership mask for many candidate vectors at once."""
         vecs = np.asarray(vecs, dtype=np.int16)
         if self.engine != "membership":
-            return np.asarray([self.contains(v) for v in vecs], dtype=bool)
+            return np.asarray([self.index_of(v) is not None for v in vecs], dtype=bool)
         mask = np.ones(len(vecs), dtype=bool)
         width = min(self._local.width, self.ncoords)
         for subset in itertools.combinations(range(self.ncoords), width):
@@ -488,10 +483,8 @@ class _LocalData:
 
 def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
     """Index of a basic operation that is near-unanimity on every generator."""
-    for oi, op in enumerate(gens[0].ops):
-        if op.arity >= 3 and all(
-            is_k_majority(a, oi, a.ops[oi].arity - 1) for a in gens
-        ):
+    for oi in range(len(gens[0].ops)):
+        if all(is_near_unanimity(a, oi) for a in gens):
             return oi
     return None
 
@@ -565,15 +558,6 @@ def _local_mask(sub: Subpower, subset: tuple[int, ...], vecs: np.ndarray) -> np.
     for proj in _local_closure_for(sub, subset):
         allowed[int(np.asarray(proj, dtype=np.int64) @ weights)] = True
     return allowed[vecs[:, subset].astype(np.int64) @ weights]
-
-
-def _local_member(sub: Subpower, vec: np.ndarray) -> bool:
-    width = min(sub._local.width, sub.ncoords)
-    for subset in itertools.combinations(range(sub.ncoords), width):
-        table = _local_closure_for(sub, subset)
-        if tuple(int(vec[k]) for k in subset) not in table:
-            return False
-    return True
 
 
 def _interpolate_term(sub: Subpower, target: np.ndarray) -> Term:

@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebras import AlgebraError, CapExceeded, FiniteAlgebra
-from .congruences import Partition, is_congruence
+from .algebras import AlgebraError, CapExceeded
+from .congruences import Partition
 
 ALPHA, BETA, GAMMA = "alpha", "beta", "gamma"
 ALPHA_BETA, ALPHA_GAMMA = "alpha_beta", "alpha_gamma"
@@ -317,7 +317,6 @@ def check_identity(
     q: int = 0,
     j: int = 0,
     n: int = 0,
-    alg: Optional[FiniteAlgebra] = None,
     pair: Optional[tuple[int, int]] = None,
 ) -> IdentityInstance:
     """Evaluate one identity instance.
@@ -325,20 +324,9 @@ def check_identity(
     Without `pair`: full verdict over all pairs (needs size^2 <= FULL_PAIR_CAP).
     With `pair`: decides whether that pair is a counterexample from its
     images alone; scales to universes where all pairs are hopeless.
-
-    When `alg` is given the three partitions are verified to be congruences
-    if the exhaustive check is affordable.
     """
     if alpha.size != beta.size or alpha.size != gamma.size:
         raise AlgebraError("partition sizes differ")
-    if alg is not None:
-        for name, part in ((ALPHA, alpha), (BETA, beta), (GAMMA, gamma)):
-            try:
-                ok, witness = is_congruence(alg, part)
-            except CapExceeded:
-                break
-            if not ok:
-                raise AlgebraError(f"{name} is not a congruence: {witness}")
     lhs, rhs = family_exprs(family, m=m, q=q, j=j, n=n)
     params = {k: v for k, v in (("m", m), ("q", q), ("j", j), ("n", n)) if v}
     size = alpha.size

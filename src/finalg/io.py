@@ -76,8 +76,3 @@ def save_algebra(alg: FiniteAlgebra, path: str) -> None:
 def load_algebra(path: str) -> FiniteAlgebra:
     with open(path) as handle:
         return algebra_from_obj(json.load(handle))
-
-
-def algebras_equal(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
-    """Structural equality through the canonical document."""
-    return algebra_to_obj(a) == algebra_to_obj(b)

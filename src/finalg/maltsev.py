@@ -142,12 +142,13 @@ def _node_mask(free: FreeAlgebra, node) -> np.ndarray:
     return (free.vectors[:, coords] == want).all(axis=1)
 
 
-def _fingerprint_groups(free: FreeAlgebra, pattern) -> np.ndarray:
-    """Group id per element: equal ids iff equal restriction to the pattern."""
-    coords, _ = _pattern_coords(free, pattern)
-    sub = free.vectors[:, coords]
-    _, groups = np.unique(sub, axis=0, return_inverse=True)
-    return groups
+def _fingerprint_groups(free: FreeAlgebra, *patterns) -> list[np.ndarray]:
+    """One group id per element for each pattern, aligned across the patterns:
+    groups[i][e] == groups[j][e'] iff e restricted to pattern i equals e'
+    restricted to pattern j."""
+    parts = [free.vectors[:, _pattern_coords(free, p)[0]] for p in patterns]
+    _, groups = np.unique(np.concatenate(parts), axis=0, return_inverse=True)
+    return np.split(groups.ravel(), len(patterns))
 
 
 @dataclass
@@ -220,7 +221,7 @@ def _parity_chain(free, scheme, max_level):
         raise AlgebraError("projection endpoints fail the node constraint")
     if start == end:
         return [start]
-    groups = [_fingerprint_groups(free, scheme.even), _fingerprint_groups(free, scheme.odd)]
+    groups = [*_fingerprint_groups(free, scheme.even), *_fingerprint_groups(free, scheme.odd)]
     edges = lambda depth: (groups[depth % 2], groups[depth % 2])
     return _bfs_levels(eligible, [start], lambda e: e == end, edges, max_level,
                        parity_matters=True)
@@ -232,7 +233,7 @@ def _linked_chain(free, scheme, max_level):
     start, end = gen_idx[scheme.start_var], gen_idx[scheme.end_var]
     if start == end:
         return [start]
-    pair = _fingerprint_groups2(free, scheme.left, scheme.right)
+    pair = _fingerprint_groups(free, scheme.left, scheme.right)
     return _bfs_levels(eligible, [start], lambda e: e == end, lambda depth: pair,
                        max_level, parity_matters=False)
 
@@ -246,18 +247,9 @@ def _directed_chain(free, scheme, max_level):
     hits = [s for s in starts if accept[s]]
     if hits:
         return [min(hits)]
-    pair = _fingerprint_groups2(free, scheme.left, scheme.right)
+    pair = _fingerprint_groups(free, scheme.left, scheme.right)
     return _bfs_levels(eligible, starts, lambda e: bool(accept[e]), lambda depth: pair,
                        max_level, parity_matters=False)
-
-
-def _fingerprint_groups2(free, left_pattern, right_pattern):
-    """(left_groups, right_groups) aligned: edge e -> e' iff left[e] == right[e']."""
-    lcoords, _ = _pattern_coords(free, left_pattern)
-    rcoords, _ = _pattern_coords(free, right_pattern)
-    both = np.concatenate([free.vectors[:, lcoords], free.vectors[:, rcoords]], axis=0)
-    _, groups = np.unique(both, axis=0, return_inverse=True)
-    return groups[: len(free.vectors)], groups[len(free.vectors) :]
 
 
 def _bfs_levels(eligible, starts, is_goal, edges, max_level, parity_matters):

@@ -62,23 +62,6 @@ def term_size(term: Term) -> int:
     return walk(term)
 
 
-def term_eval(term: Term, alg: FiniteAlgebra, env: Sequence[int]) -> int:
-    memo: dict[int, int] = {}
-
-    def walk(t):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        if isinstance(t, Var):
-            out = int(env[t.index])
-        else:
-            out = alg.op(t.op_index).apply([walk(a) for a in t.args])
-        memo[key] = out
-        return out
-
-    return walk(term)
-
-
 def term_eval_cols(term: Term, alg: FiniteAlgebra, env_cols: np.ndarray) -> np.ndarray:
     """Evaluate over many assignments at once; env_cols is (nvars, n)."""
     memo: dict[int, np.ndarray] = {}

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from finalg.freealg import generate_subpower
 from finalg.witnesses import build_sharpness_witness, sharpness_report
 
 _WITNESSES = {}
@@ -49,16 +50,11 @@ def subset_formula_table(chain_size: int, j: int, m: int) -> np.ndarray:
     return best
 
 
-def all_partitions(n: int):
-    """Every set-partition of 0..n-1, as block-id tuples (restricted growth)."""
-    out = []
+def product_subpower(prod, ids):
+    """`generate_subpower` over the factors of the direct product `prod`,
+    generated by the elements `ids`; returns the subpower and the product id
+    of each of its elements, in its order."""
+    rows = prod.indexing.digits(list(ids))
+    sub = generate_subpower(prod.factors, range(len(prod.factors)), rows)
+    return sub, [prod.indexing.encode(v) for v in sub.vectors.tolist()]
 
-    def grow(prefix, blocks):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for b in range(blocks + 1):
-            grow(prefix + [b], max(blocks, b + 1))
-
-    grow([], 0)
-    return out

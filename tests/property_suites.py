@@ -10,20 +10,12 @@ import random
 
 import numpy as np
 
-from finalg.algebras import (
-    FiniteAlgebra,
-    TableOp,
-    direct_product,
-    is_subuniverse,
-    make_chain_lattice,
-    make_ujm_reduct,
-    subalgebra_closure,
-)
-from finalg.congruences import Partition, is_congruence, partition_meet
+from finalg.algebras import FiniteAlgebra, TableOp, direct_product, make_ujm_reduct
+from finalg.congruences import Partition, partition_meet
 from finalg.identities import _context, expr_image, family_exprs
 from finalg.witnesses import filtered_subproduct
 
-from conftest import all_partitions, subset_formula_table
+from conftest import product_subpower, subset_formula_table
 from template_oracle import template_filter
 
 
@@ -56,36 +48,6 @@ def suite_odd_equivalence(trials=500, seed=20210510):
         assert not (expr_image(r_odd, ctx, eye) & ~expr_image(r_orig, ctx, eye)).any()
         done += 1
     return f"{done} random triples, q in {{3,5}}, sizes <= 8"
-
-
-def suite_congruence_generation(max_size=6, seed=1729):
-    """Generated congruences against the exhaustive-partition oracle."""
-    from finalg.congruences import congruence_generated
-
-    rng = random.Random(seed)
-    checked = 0
-    for size in range(3, max_size + 1):
-        algebras = [make_chain_lattice(size), make_ujm_reduct(size, 2, 3)]
-        partitions = all_partitions(size)
-        for alg in algebras:
-            congruences = [
-                Partition(ids) for ids in partitions
-                if is_congruence(alg, Partition(ids))[0]
-            ]
-            for _ in range(6):
-                pairs = [
-                    (rng.randrange(size), rng.randrange(size))
-                    for _ in range(rng.randrange(1, 3))
-                ]
-                got = congruence_generated(alg, pairs)
-                above = [
-                    c for c in congruences
-                    if all(c.related(a, b) for a, b in pairs)
-                ]
-                best = max(above, key=lambda c: c.n_blocks)
-                assert got == best, (alg.label, pairs)
-                checked += 1
-    return f"{checked} generated congruences vs the partition lattice, sizes 3..{max_size}"
 
 
 def suite_order_statistic(seed=None):
@@ -138,7 +100,7 @@ def random_filtered_instance(rng):
         algs.append(FiniteAlgebra(size, [TableOp("u", m, size, table)], label=f"R{z}"))
     prod34 = direct_product(algs[2:])
     gens = rng.sample(range(prod34.size), rng.randrange(1, 3))
-    f = subalgebra_closure(prod34, gens)
+    f = sorted(product_subpower(prod34, gens)[1])
     a = rng.randrange(algs[2].size)
     d = rng.randrange(algs[2].size)
     return algs, h, k, a, d, f

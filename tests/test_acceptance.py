@@ -191,7 +191,6 @@ def test_criterion_9_property_suites(tmp_path):
     t0 = time.time()
     notes = [
         ps.suite_odd_equivalence(trials=500),
-        ps.suite_congruence_generation(max_size=6),
         ps.suite_order_statistic(),
         ps.suite_filtered_closure(instances=200),
         ps.suite_certificate_recheck(tmp_path),

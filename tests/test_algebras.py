@@ -12,50 +12,38 @@ from finalg.algebras import (
     FactorIndexing,
     FiniteAlgebra,
     TableOp,
-    apply_op,
+    _op_symmetrical,
     direct_product,
     is_k_absorbing,
     is_k_majority,
     is_near_unanimity,
     is_subuniverse,
-    is_symmetrical,
     make_chain_lattice,
     make_ujm_reduct,
     one_element_algebra,
     order_statistic_table,
-    subalgebra_closure,
 )
-from finalg.terms import term_eval
 
-from conftest import subset_formula_table
+from conftest import product_subpower, subset_formula_table
+from scalar_oracle import apply, term_value
 import predicate_oracle
 import slice_route_oracle
 
 
 def test_apply_op_values():
     n23 = make_ujm_reduct(2, 2, 3)
-    assert apply_op(n23, 0, (0, 1, 1)) == 1
+    assert apply(n23.ops[0], (0, 1, 1)) == 1
     n24c3 = make_ujm_reduct(3, 2, 4)
-    assert apply_op(n24c3, 0, (0, 0, 2, 2)) == 0
+    assert apply(n24c3.ops[0], (0, 0, 2, 2)) == 0
     # idempotence on a constant tuple
     for x in range(3):
-        assert apply_op(n24c3, 0, (x,) * 4) == x
-
-
-def test_apply_op_errors():
-    n23 = make_ujm_reduct(2, 2, 3)
-    with pytest.raises(AlgebraError):
-        apply_op(n23, 0, (0, 1))
-    with pytest.raises(AlgebraError):
-        apply_op(n23, 0, (0, 1, 2))
-    with pytest.raises(AlgebraError):
-        apply_op(n23, 1, (0, 1, 1))
+        assert apply(n24c3.ops[0], (x,) * 4) == x
 
 
 def test_chain_lattice():
     c3 = make_chain_lattice(3)
-    assert apply_op(c3, 0, (1, 2)) == 2  # join
-    assert apply_op(c3, 1, (1, 2)) == 1  # meet
+    assert apply(c3.ops[0], (1, 2)) == 2  # join
+    assert apply(c3.ops[1], (1, 2)) == 1  # meet
     c2 = make_chain_lattice(2)
     assert c2.size == 2 and c2.signature() == (2, 2)
     with pytest.raises(AlgebraError):
@@ -79,7 +67,7 @@ def test_table_is_stored_narrow_after_its_range_check():
             TableOp("bad", 2, 2, bad)
     wide = TableOp("w", 1, 257, range(256, -1, -1))
     assert wide.table.dtype == np.uint16
-    assert wide.apply([0]) == 256 and wide.table_array()[0] == 256
+    assert apply(wide, [0]) == 256 and wide.table_array()[0] == 256
 
 
 @pytest.mark.parametrize("chain_size,j,m", [(2, 2, 3), (2, 2, 4), (3, 2, 3), (3, 2, 5), (4, 3, 5)])
@@ -140,14 +128,14 @@ def test_direct_product_identity_and_projection():
     single = direct_product([n23])
     assert single.size == n23.size
     assert np.array_equal(single.ops[0].table_array(), n23.ops[0].table)
-    # componentwise projection recovers factor tables exactly
+    # the lazy operation's values project onto the factor tables exactly
     prod = direct_product([n23, make_ujm_reduct(3, 2, 3)])
     dec = prod.indexing.digits(np.arange(prod.size))
-    for args in itertools.product(range(prod.size), repeat=3):
-        out = prod.ops[0].apply(args)
+    cols = np.asarray(list(itertools.product(range(prod.size), repeat=3))).T
+    for args, out in zip(cols.T.tolist(), prod.ops[0].apply_cols(cols).tolist()):
         for c in range(2):
             factor = prod.factors[c]
-            assert dec[out][c] == factor.ops[0].apply([dec[a][c] for a in args])
+            assert dec[out][c] == apply(factor.ops[0], [dec[a][c] for a in args])
 
 
 def test_direct_product_dissimilar():
@@ -158,35 +146,24 @@ def test_direct_product_dissimilar():
 
 
 def test_subalgebra_closure_basics():
+    # generated by generate_subpower over the cube's factors
     n23 = make_ujm_reduct(2, 2, 3)
     cube = direct_product([n23] * 3)
-    assert subalgebra_closure(cube, range(cube.size)) == list(range(cube.size))
-    # the three one-zero tuples generate the top under the majority
+    assert sorted(product_subpower(cube, range(cube.size))[1]) == list(range(cube.size))
+    # the three one-zero tuples generate the top under the majority, and each
+    # element's provenance term evaluates to it
     gens = [0b011, 0b101, 0b110]
-    closed = subalgebra_closure(cube, gens)
-    assert 0b111 in closed
+    sub, closed = product_subpower(cube, gens)
+    assert sorted(closed) == gens + [0b111]
+    for element, term in zip(closed, sub.terms):
+        assert term_value(term, cube, gens) == element
 
 
 def test_subalgebra_closure_cube_minus_top_is_closed():
     m = 4
     power = direct_product([make_ujm_reduct(2, 2, m)] * (m - 1))
     subset = list(range(power.size - 1))
-    assert subalgebra_closure(power, subset) == subset
-
-
-def test_subalgebra_closure_provenance():
-    n23 = make_ujm_reduct(2, 2, 3)
-    cube = direct_product([n23] * 3)
-    gens = [0b011, 0b101, 0b110]
-    closed, terms = subalgebra_closure(cube, gens, track_terms=True)
-    for element, term in terms.items():
-        assert term_eval(term, cube, gens) == element
-
-
-def test_subalgebra_closure_cap():
-    cube = direct_product([make_ujm_reduct(2, 2, 3)] * 3)
-    with pytest.raises(CapExceeded):
-        subalgebra_closure(cube, [1, 2, 4], cap=2)
+    assert sorted(product_subpower(power, subset)[1]) == subset
 
 
 def test_is_subuniverse_empty_and_full():
@@ -200,7 +177,7 @@ def test_is_subuniverse_witness():
     ok, witness = is_subuniverse(cube, range(7))
     assert not ok
     oi, args, result = witness
-    assert result == 7 and cube.ops[oi].apply(args) == 7
+    assert result == 7 and apply(cube.ops[oi], args) == 7
     assert all(a < 7 for a in args)
 
 
@@ -329,33 +306,29 @@ def test_symmetry_generator_pair_vs_all_permutations():
                             for x, y, z in itertools.product(range(3), repeat=3)]),
     ]
     for op in cases:
-        alg = FiniteAlgebra(op.size, [op])
-        fast = is_symmetrical(alg, 0)
-        full = _symmetric_all_permutations(op)
-        assert fast == full
+        assert _op_symmetrical(op) == _symmetric_all_permutations(op)
 
 
 def _symmetric_all_permutations(op):
     for args in itertools.product(range(op.size), repeat=op.arity):
-        base = op.apply(args)
+        base = apply(op, args)
         for perm in itertools.permutations(range(op.arity)):
-            if op.apply([args[p] for p in perm]) != base:
+            if apply(op, [args[p] for p in perm]) != base:
                 return False
     return True
 
 
 def test_unary_op_symmetrical():
-    alg = FiniteAlgebra(3, [TableOp("u", 1, 3, [2, 0, 1])])
-    assert is_symmetrical(alg, 0)
+    assert _op_symmetrical(TableOp("u", 1, 3, [2, 0, 1]))
 
 
 def test_stored_table_over_the_table_cap_is_checked_not_refused():
     size = 2049                                        # 2049**2 entries: over the cap
     assert size**2 > DEFAULT_TABLE_CAP
     grid = np.add.outer(np.arange(size), np.arange(size)) % size
-    assert is_symmetrical(FiniteAlgebra(size, [TableOp("s", 2, size, grid.ravel())]), 0)
+    assert _op_symmetrical(TableOp("s", 2, size, grid.ravel()))
     grid[0, 1] = 0
-    assert not is_symmetrical(FiniteAlgebra(size, [TableOp("a", 2, size, grid.ravel())]), 0)
+    assert not _op_symmetrical(TableOp("a", 2, size, grid.ravel()))
 
 
 def _random_symmetric_absorbing_factor(rng, size, arity, k):
@@ -407,7 +380,7 @@ def test_absorbing_slice_reduction_vs_direct_enumeration():
         assert direct[0] == boxed[0], (trial, subset)
         if not boxed[0]:
             oi, args, result = boxed[1]
-            assert prod.ops[oi].apply(args) == result
+            assert apply(prod.ops[oi], args) == result
             assert result not in set(subset) and set(args) <= set(subset)
             refused += 1
         try:

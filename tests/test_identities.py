@@ -143,15 +143,6 @@ def test_counterexample_reverifies_by_matrices(witness_cache):
     assert w.gamma.related(chain[-2], chain[-1])
 
 
-def test_identity_rejects_non_congruence_inputs(witness_cache):
-    from finalg.algebras import make_chain_lattice
-
-    c3 = make_chain_lattice(3)
-    bad = Partition.from_blocks(3, [[0, 2], [1]])
-    with pytest.raises(AlgebraError):
-        check_identity("dist", bad, Partition.one(3), Partition.one(3), n=2, alg=c3)
-
-
 def test_expr_image_matches_matrix_rows():
     rng = random.Random(17)
     for _ in range(30):

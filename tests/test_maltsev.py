@@ -282,18 +282,14 @@ def test_chain_is_lex_least_among_minimal():
         gi = free.generator_indices()
         start, end = gi[scheme.start_var], gi[scheme.end_var]
         if scheme.kind == "parity":
-            groups = [
-                _fingerprint_groups(free, scheme.even),
-                _fingerprint_groups(free, scheme.odd),
-            ]
+            groups = [*_fingerprint_groups(free, scheme.even),
+                      *_fingerprint_groups(free, scheme.odd)]
 
             def linked(i, a, b):
                 return groups[i % 2][a] == groups[i % 2][b]
 
         else:
-            from finalg.maltsev import _fingerprint_groups2
-
-            left, right = _fingerprint_groups2(free, scheme.left, scheme.right)
+            left, right = _fingerprint_groups(free, scheme.left, scheme.right)
 
             def linked(i, a, b):
                 return left[a] == right[b]

@@ -8,10 +8,6 @@ def test_odd_equivalence_500_trials():
     print(ps.suite_odd_equivalence(trials=500))
 
 
-def test_congruence_generation_vs_oracle():
-    print(ps.suite_congruence_generation(max_size=6))
-
-
 def test_order_statistic_vs_subset_oracle():
     print(ps.suite_order_statistic())
 

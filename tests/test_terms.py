@@ -12,7 +12,6 @@ from finalg.terms import (
     nu_equations,
     subst,
     term_arity,
-    term_eval,
     term_eval_cols,
     term_from_obj,
     term_size,
@@ -21,17 +20,22 @@ from finalg.terms import (
 )
 from finalg.witnesses import dissent_pair_fixture, modular_sum_algebra
 
+from scalar_oracle import term_value
+
 
 def test_eval_and_arity():
     n23 = make_ujm_reduct(2, 2, 3)
     t = App(0, (Var(0), Var(1), Var(2)))
     assert term_arity(t) == 3
-    assert term_eval(t, n23, (0, 1, 1)) == 1
     cols = all_assignment_cols(2, 3)
     vals = term_eval_cols(t, n23, cols)
     assert vals.shape == (8,)
+    assert vals[0b011] == 1
     nested = App(0, (t, Var(0), Var(0)))
-    assert term_eval(nested, n23, (0, 1, 1)) == 0  # median(1, 0, 0)
+    assert term_eval_cols(nested, n23, cols)[0b011] == 0  # median(1, 0, 0)
+    for term in (t, nested):
+        assert term_eval_cols(term, n23, cols).tolist() == [
+            term_value(term, n23, env) for env in cols.T.tolist()]
 
 
 def test_subst_shares_nodes():
