@@ -6,8 +6,8 @@ so printed tuples map to indices deterministically.
 
 Large direct products keep their operations componentwise instead of
 materialising tables (a table for an 8-ary operation on a few thousand
-elements is physically impossible); `Operation.table` raises `CapExceeded`
-in that case.
+elements is physically impossible); the `table_array` of such a lazy
+`ProductOp` raises `CapExceeded`.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def make_chain_lattice(size: int) -> FiniteAlgebra:
     return FiniteAlgebra(size, [join, meet], label=f"C{size}")
 
 
-_UJM_TABLES: dict[tuple[int, int, int], np.ndarray] = {}
+_UJM_OPS: dict[tuple[int, int, int], TableOp] = {}
 
 
 def order_statistic_table(chain_size: int, j: int, m: int) -> np.ndarray:
@@ -238,33 +238,30 @@ def order_statistic_table(chain_size: int, j: int, m: int) -> np.ndarray:
 
     On a chain this agrees with the lattice term 'meet over all j-element
     subsets of the join of the chosen arguments'; the subset form is kept in
-    the test suite as an independent oracle.  Tables are materialised once
-    per (chain_size, j, m).
+    the test suite as an independent oracle.
     """
-    key = (chain_size, j, m)
-    cached = _UJM_TABLES.get(key)
-    if cached is not None:
-        return cached
     # the j-th smallest argument is the number of values v below which fewer
     # than j arguments lie (at or below v)
     table = np.zeros(chain_size**m, dtype=np.min_scalar_type(chain_size - 1))
     for v in range(chain_size - 1):
         table += _count_grid(np.arange(chain_size) <= v, m) < j
     table.setflags(write=False)
-    _UJM_TABLES[key] = table
     return table
 
 
 def make_ujm_reduct(chain_size: int, j: int, m: int) -> FiniteAlgebra:
-    """Chain reduct whose only operation picks the j-th smallest of m arguments."""
+    """Chain reduct whose only operation picks the j-th smallest of m arguments;
+    reducts with equal parameters share one operation object."""
     if m < 3:
         raise AlgebraError("the subset operation needs arity >= 3")
     if not 1 <= j <= m:
         raise AlgebraError(f"j={j} out of range 1..{m}")
     if chain_size < 2:
         raise AlgebraError("chain must have at least 2 elements")
-    op = TableOp("u", m, chain_size, order_statistic_table(chain_size, j, m))
-    return FiniteAlgebra(chain_size, [op], label=f"N({j},{m})@{chain_size}")
+    key = (chain_size, j, m)
+    if key not in _UJM_OPS:
+        _UJM_OPS[key] = TableOp("u", m, chain_size, order_statistic_table(chain_size, j, m))
+    return FiniteAlgebra(chain_size, [_UJM_OPS[key]], label=f"N({j},{m})@{chain_size}")
 
 
 def one_element_algebra(arity: int, label: str = "triv") -> FiniteAlgebra:
@@ -457,10 +454,12 @@ def is_subuniverse(
 
     Returns (True, None) or (False, witness) with witness = (op_index, args,
     result) for one application leaving the subset.  A `BoxUnion` is checked
-    on its boxes (`_box_violation`), whatever its element count.  An id list
-    is checked by direct enumeration of its element multisets (tuples for a
-    non-symmetric operation) and raises CapExceeded past `tuple_cap`; a large
-    subset of a product is checked by passing it as a `BoxUnion`.
+    on its boxes (`_box_union_check`), whatever its element count; `tuple_cap`
+    bounds the class-table entries of one coordinate and the candidate joint
+    states of one step there.  An id list is checked by direct enumeration of
+    its element multisets (tuples for a non-symmetric operation) and raises
+    CapExceeded past `tuple_cap`; a large subset of a product is checked by
+    passing it as a `BoxUnion`.
     """
     if isinstance(subset, BoxUnion):
         return _box_union_check(alg, subset, tuple_cap)
@@ -483,10 +482,7 @@ def _count_multisets(n: int, r: int) -> int:
 
 def _closed_under(oi, op, ids_arr, tuple_cap):
     n = len(ids_arr)
-    try:
-        sym = _op_symmetrical(op)
-    except CapExceeded:
-        sym = False
+    sym = _op_symmetrical(op)
     direct = _count_multisets(n, op.arity) if sym else n**op.arity
     if direct > tuple_cap:
         raise CapExceeded(
@@ -596,118 +592,132 @@ _IMAGE_ROWS = 1 << 20  # argument rows enumerated for one coordinate image
 
 
 def _box_union_check(alg, union, tuple_cap):
+    """Closure of a union of boxes, checked image box by image box.
+
+    Each op acts coordinatewise, so its image of r boxes is the box of the
+    per-coordinate images, and the union is closed iff every such image box
+    lies in the union (`_uncovered_point`), however many elements the boxes
+    hold.  `_box_images` gives each image box once.
+    """
     if coordinate_sizes(alg) != union.sizes:
         raise AlgebraError(
             f"box union over sizes {union.sizes} does not match the coordinates of "
             f"{alg.label or 'the algebra'}"
         )
     boxes = [box for box in union.boxes if all(box)]  # an empty value set: no elements
+    if not boxes:
+        return True, None
+    frozen = [tuple(map(frozenset, box)) for box in boxes]
     for oi, op in enumerate(alg.ops):
-        if boxes:
-            witness = _box_violation(oi, op, _leaf_ops(op), boxes, tuple_cap)
-            if witness is not None:
-                return False, witness
+        sym, leaves = _op_symmetrical(op), _leaf_ops(op)
+        for cube, args in _box_images(op, leaves, boxes, sym, tuple_cap):
+            point = _uncovered_point(cube, frozen)
+            if point is not None:
+                return False, _box_witness(oi, leaves, [boxes[b] for b in args], point, sym)
     return True, None
 
 
-def _box_violation(oi, op, leaves, boxes, tuple_cap):
-    """Closure of a union of boxes under one op, checked box tuple by box tuple.
+def _box_images(op, leaves, boxes, sym, cap):
+    """Every image box of r of the boxes, once each, with the indices of
+    argument boxes that give it.
 
-    The op acts coordinatewise, so its image of r boxes is the box of the
-    per-coordinate images, and the union is closed iff every such image box
-    lies in the union: C(K+r-1, r) box multisets for a symmetric op (K^r
-    tuples otherwise), however many elements the boxes hold.  A coordinate's
-    image depends only on its operation and the value sets of the r boxes
-    there, so images are memoised on that pair; each block then tests all of
-    its image boxes against every single box at once, and only an image held
-    by no single box goes to the cube-cover split (`_uncovered_point`).
+    The boxes are added one argument at a time to joint states, one residual
+    class per coordinate (`_residual_classes`, shared by coordinates with one
+    leaf and one list of value sets).  Argument lists in one joint state give
+    the same image box under every completion, so the states are deduplicated
+    after each step, and a back-pointer per state rebuilds its arguments.  The
+    candidates of a step, states times boxes, are checked against `cap` first.
     """
     r, nbox = op.arity, len(boxes)
-    try:
-        sym = _op_symmetrical(op)
-    except CapExceeded:
-        sym = False
-    count = _count_multisets(nbox, r) if sym else nbox**r
-    if count > tuple_cap:
+    classes: dict = {}  # (leaf, value sets of the coordinate) -> transitions, images
+    coords = []
+    for c, leaf in enumerate(leaves):
+        box_sets = [box[c] for box in boxes]
+        sets = tuple(sorted(set(box_sets)))
+        if (leaf, sets) not in classes:
+            classes[leaf, sets] = _residual_classes(leaf, sets, r, sym, cap)
+        set_of_box = np.asarray([sets.index(s) for s in box_sets], dtype=np.int64)
+        coords.append((set_of_box, *classes[leaf, sets]))
+    states = np.zeros((1, len(coords)), dtype=np.int64)  # one class per coordinate
+    steps = []  # per step, the candidate each state came from: parent * K + box
+    for t in range(r):
+        count = len(states) * nbox
+        if count > cap:
+            raise CapExceeded(
+                f"box route on {op.name} needs {count} candidate joint states at "
+                f"argument {t + 1} against the cap {cap}"
+            )
+        parent, box = np.divmod(np.arange(count), nbox)
+        key = _mixed_radix_keys(count, (
+            (trans[t][states[parent, c], set_of_box[box]],
+             len(trans[t + 1]) if t + 1 < r else len(images))
+            for c, (set_of_box, trans, images) in enumerate(coords)))
+        first = np.unique(key, return_index=True)[1]
+        parent, box = parent[first], box[first]
+        states = np.stack([trans[t][states[parent, c], set_of_box[box]]
+                           for c, (set_of_box, trans, _) in enumerate(coords)], axis=1)
+        steps.append(first)
+    args = np.empty((len(states), r), dtype=np.int64)
+    at = np.arange(len(states))
+    for t in range(r - 1, -1, -1):
+        at, args[:, t] = np.divmod(steps[t][at], nbox)
+    for row, arg in zip(states.tolist(), args.tolist()):
+        yield tuple(images[k] for (_, _, images), k in zip(coords, row)), arg
+
+
+def _mixed_radix_keys(count, digits):
+    """One int64 key per row of `count` rows, given as (digit column, radix)
+    pairs, with equal keys exactly for equal rows.  The key so far is
+    re-ranked whenever the next digit could make it wrap."""
+    key = np.zeros(count, dtype=np.int64)
+    bound = 1  # key < bound
+    for col, radix in digits:
+        if bound * radix > 1 << 63:
+            key = np.unique(key, return_inverse=True)[1].ravel()
+            bound = int(key.max()) + 1
+        key = key * radix + col
+        bound *= radix
+    return key
+
+
+def _residual_classes(leaf, sets, r, sym, cap):
+    """The residual classes of partial argument lists of `leaf` drawn from `sets`.
+
+    A list of t value sets (a multiset for a symmetric op, a sequence
+    otherwise) is classed by the images of its completions to r arguments: at
+    t = r by its image, at t < r by the classes reached by adding each value
+    set.  Returns the transitions (trans[t][class at t, index in sets] =
+    class at t + 1) and the image value set of each class at r.  The table's
+    entries, one per partial list, are checked against `cap` before any is
+    formed.
+    """
+    d = len(sets)
+    # the multisets of at most r of the d sets, or the sequences
+    entries = _count_multisets(d + 1, r) if sym else sum(d**t for t in range(r + 1))
+    if entries > cap:
         raise CapExceeded(
-            f"box route on {op.name} needs {count} box "
-            f"{'multisets' if sym else 'tuples'} against the cap {tuple_cap}"
+            f"box route on {leaf.name} needs {entries} class-table entries at one "
+            f"coordinate against the cap {cap}"
         )
-    image_cap = min(tuple_cap, _IMAGE_ROWS)
-    coords = [_BoxCoord(leaf, [box[c] for box in boxes]) for c, leaf in enumerate(leaves)]
-    memo: dict = {}     # (leaf, value sets of the arguments) -> image value set
-    covered: dict = {}  # image ids of a box held by no single box -> escaping point or None
-    frozen = [tuple(map(frozenset, box)) for box in boxes]
-    for rows in _arg_blocks(nbox, 0, r, sym, _SCAN_ROWS):
-        img = [coord.image_ids(rows, sym, memo, image_cap) for coord in coords]
-        held = np.ones((len(rows), nbox), dtype=bool)
-        for coord, ids in zip(coords, img):
-            held &= coord.inside[ids]
-        for i in np.flatnonzero(~held.any(axis=1)):
-            key = tuple(int(ids[i]) for ids in img)
-            if key not in covered:
-                cube = tuple(coord.images[k] for coord, k in zip(coords, key))
-                covered[key] = _uncovered_point(cube, frozen)
-            if covered[key] is not None:
-                return _box_witness(oi, leaves, [boxes[b] for b in rows[i]], covered[key], sym)
-    return None
-
-
-class _BoxCoord:
-    """One coordinate of the box route: its value sets and the images met so far."""
-
-    def __init__(self, leaf, box_sets):
-        self.leaf = leaf
-        self.sets = sorted(set(box_sets))
-        self.set_of_box = np.asarray([self.sets.index(s) for s in box_sets], dtype=np.int64)
-        self.box_sets = [frozenset(s) for s in box_sets]
-        self.keys = np.full(1, -1, dtype=np.int64)       # sorted keys met; -1 names no row
-        self.key_image = np.full(1, -1, dtype=np.int64)  # and their image ids
-        self.images: list[frozenset] = []               # image id -> image value set
-        self.image_id: dict = {}
-        self.inside = np.zeros((0, len(box_sets)), dtype=bool)  # image id -> boxes holding it
-
-    def row_keys(self, rows, sym):
-        """One int64 per row of boxes naming the value sets the row takes here:
-        their multiset for a symmetric op, their tuple otherwise."""
-        d, r = len(self.sets), rows.shape[1]
-        if sym and (r + 1) ** d < 1 << 62:  # the count of each set in base r + 1: no sort
-            return ((r + 1) ** self.set_of_box)[rows].sum(axis=1)
-        sid = self.set_of_box[rows]
-        if sym:
-            sid.sort(axis=1)
-        if d**r >= 1 << 62:
-            raise CapExceeded(f"box route: {d} value sets of {self.leaf.name} are too many to key")
-        return sid @ (d ** np.arange(r, dtype=np.int64))
-
-    def image_ids(self, rows, sym, memo, cap):
-        """The image id of each row of boxes at this coordinate."""
-        key = self.row_keys(rows, sym)
-        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        new = self.keys[pos] != key
-        if new.any():
-            fresh, first = np.unique(key[new], return_index=True)
-            ids = [self._image_id(row, memo, sym, cap) for row in rows[new][first]]
-            order = np.argsort(np.concatenate([self.keys, fresh]))
-            self.keys = np.concatenate([self.keys, fresh])[order]
-            self.key_image = np.concatenate([self.key_image, ids]).astype(np.int64)[order]
-            pos = np.searchsorted(self.keys, key)
-        return self.key_image[pos]
-
-    def _image_id(self, row, memo, sym, cap):
-        arg_sets = tuple(self.sets[k] for k in self.set_of_box[row])
-        if sym:
-            arg_sets = tuple(sorted(arg_sets))
-        image = memo.get((self.leaf, arg_sets))
-        if image is None:
-            choices = _arg_choices(self.leaf, arg_sets, sym, cap)
-            image = frozenset(np.unique(self.leaf.apply_cols(choices.T)).tolist())
-            memo[(self.leaf, arg_sets)] = image
-        if image not in self.image_id:
-            self.image_id[image] = len(self.images)
-            self.images.append(image)
-            self.inside = np.vstack([self.inside, [image <= s for s in self.box_sets]])
-        return self.image_id[image]
+    levels = [list(itertools.combinations_with_replacement(range(d), t) if sym
+                   else itertools.product(range(d), repeat=t)) for t in range(r + 1)]
+    image_id: dict = {}  # image value set -> class at r
+    cls = []
+    for full in levels[r]:
+        choices = _arg_choices(leaf, tuple(sets[k] for k in full), sym, min(cap, _IMAGE_ROWS))
+        image = frozenset(np.unique(leaf.apply_cols(choices.T)).tolist())
+        cls.append(image_id.setdefault(image, len(image_id)))
+    cls, nclass = np.asarray(cls, dtype=np.int64), len(image_id)
+    trans = [None] * r
+    for t in range(r - 1, -1, -1):
+        rank = {part: i for i, part in enumerate(levels[t + 1])}
+        nxt = np.asarray([[rank[tuple(sorted(part + (s,))) if sym else part + (s,)]
+                           for s in range(d)] for part in levels[t]], dtype=np.int64)
+        rows = cls[nxt]
+        key = _mixed_radix_keys(len(rows), ((col, nclass) for col in rows.T))
+        _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+        trans[t], cls, nclass = rows[first], cls.ravel(), len(first)
+    return trans, list(image_id)
 
 
 def _arg_choices(leaf, arg_sets, sym, cap):

@@ -156,9 +156,8 @@ def filtered_subproduct(
     The result is built as a union of boxes, from each box (b3, b4) of F:
     template 1 gives (A1, zero2, a, b4) when b3 holds a, template 3 gives
     (zero1, A2, d, b4) when b3 holds d, template 4 gives (A1, A2, b3, zero4)
-    when b4 holds zero4, and template 2 gives (zero1, zero2, b3, b4) less its
-    zero4 part, which template 4's box holds.  A box inside another is
-    dropped.  An id list F becomes one box per element for this.  Closure of
+    when b4 holds zero4, and template 2 gives (zero1, zero2, b3, b4).  A box
+    inside another is dropped.  An id list F becomes one box per element for this.  Closure of
     the result is re-verified on its boxes; a failure there is a bug, not an
     input error, and raises AlgebraError.
     """
@@ -208,7 +207,7 @@ def filtered_subproduct(
             boxes.append(pt1 + whole2 + pt_d + b4)
         if _holds(b4, pt4):
             boxes.append(whole1 + whole2 + b3 + pt4)
-        boxes += [pt1 + pt2 + b3 + rest for rest in _minus_point(b4, pt4)]
+        boxes.append(pt1 + pt2 + b3 + b4)
     union = BoxUnion(coordinate_sizes(ambient), _maximal(boxes))
     ok, witness = is_subuniverse(ambient, union, tuple_cap=tuple_cap)
     if not ok:
@@ -223,16 +222,6 @@ def _point(alg: FiniteAlgebra, x: int) -> list[tuple[int]]:
 
 def _holds(box, point) -> bool:
     return all(p in vals for vals, (p,) in zip(box, point))
-
-
-def _minus_point(box, point) -> list:
-    """The box less one point, as disjoint boxes: the first coordinate that
-    differs from the point's takes its other values there."""
-    if not _holds(box, point):
-        return [box]
-    return [list(point[:c]) + [rest] + list(box[c + 1:])
-            for c, vals in enumerate(box)
-            if (rest := tuple(v for v in vals if v != point[c][0]))]
 
 
 def _maximal(boxes) -> list:

@@ -1,7 +1,8 @@
 """The element-by-element membership rule of the sharpness witness's good set.
 
 `witnesses.good_boxes` builds the good set as a union of boxes; this is the
-rule it replaced, kept as an oracle for the tests.
+rule it replaced, kept as an oracle for the tests.  `minus_point` builds
+broken good sets as boxes.
 """
 
 from typing import Sequence
@@ -35,3 +36,14 @@ def good_coords(coords: Sequence[int], roles: Sequence[dict], q: int) -> bool:
     if x == 0:
         return all(p == (0, q) for p in pairs[i + 1 :]) and (half is None or half == 0)
     return False
+
+
+def minus_point(box, point) -> list:
+    """The box less one point (a box of singletons), as disjoint boxes: the
+    first coordinate that differs from the point's takes its other values
+    there."""
+    if not all(p in vals for vals, (p,) in zip(box, point)):
+        return [box]
+    return [list(point[:c]) + [rest] + list(box[c + 1:])
+            for c, vals in enumerate(box)
+            if (rest := tuple(v for v in vals if v != point[c][0]))]

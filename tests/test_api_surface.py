@@ -1,14 +1,16 @@
-"""Every public module-level function and class of `finalg` has a caller in
-the package itself, or a stated reason to exist without one.
+"""Every module-level function and class of `finalg` has a caller in the
+package itself, or a stated reason to exist without one.
 
 A name counts as used when it occurs in `src/finalg` outside its own
 definition: as a name, an attribute or an imported name.  Library code that
 only tests call is a second implementation to keep in step; a test oracle
-belongs in `tests/`.
+belongs in `tests/`.  Private helpers are held to the same rule, so a helper
+whose last caller is deleted goes with it.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import finalg
 
@@ -22,10 +24,8 @@ ALLOWED = {
 }
 
 
-def _names(node, skip):
+def _names(node):
     for n in ast.walk(node):
-        if n in skip:
-            continue
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
@@ -34,21 +34,21 @@ def _names(node, skip):
             yield n.name
 
 
-def _unused_public_names():
+def _unused_names():
     package = pathlib.Path(finalg.__file__).parent
     trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
-    unused = set()
-    for tree in trees:
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                own = set(ast.walk(node))
-                if not any(node.name in set(_names(t, own)) for t in trees):
-                    unused.add(node.name)
-    return unused
+    uses = Counter(name for tree in trees for name in _names(tree))
+    return {node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and uses[node.name] == Counter(_names(node))[node.name]}  # only inside itself
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    unused = _unused_public_names()
+    unused = {name for name in _unused_names() if not name.startswith("_")}
     assert unused - ALLOWED.keys() == set(), "public names only tests call"
     assert ALLOWED.keys() - unused == set(), "allow-list entries now called or gone"
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    unused = {name for name in _unused_names() if name.startswith("_")}
+    assert unused == set(), "private names no code in the package calls"

@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from finalg import algebras
 from finalg.algebras import (
+    DEFAULT_TUPLE_CAP,
     AlgebraError,
     BoxUnion,
     CapExceeded,
@@ -170,9 +172,20 @@ def test_a_restricted_factor_is_one_coordinate():
     assert witness[2] == prod.indexing.encode((0, 1))
 
 
-def test_box_route_caps_name_their_counts():
-    with pytest.raises(CapExceeded, match=f"needs {math.comb(10, 6)} box multisets"):
-        cube_minus_top(6, tuple_cap=10)
+def test_box_route_caps_name_their_counts(monkeypatch):
+    # N(2,6)^5 minus its top: each of the five coordinates has the value sets
+    # {0} and {0, 1}, so its class table holds the C(8, 6) multisets of at
+    # most six of them, and none is formed past the cap
+    def no_images(*args):
+        raise AssertionError("an image was formed despite the cap")
+    with monkeypatch.context() as patch:
+        patch.setattr(algebras, "_arg_choices", no_images)
+        with pytest.raises(CapExceeded, match=f"needs {math.comb(8, 6)} class-table entries"):
+            cube_minus_top(6, tuple_cap=math.comb(8, 6) - 1)
+    # its five boxes reach 15 joint states in two arguments, times five boxes
+    with pytest.raises(CapExceeded, match=f"needs {math.comb(6, 2) * 5} candidate joint "
+                                          f"states at argument 3 against the cap 28"):
+        cube_minus_top(6, tuple_cap=math.comb(8, 6))
     w = build_sharpness_witness(5, 2, verify_closure=False)
     sizes = w.product.indexing.sizes
     whole = BoxUnion(sizes, [[range(s) for s in sizes]])
@@ -180,6 +193,93 @@ def test_box_route_caps_name_their_counts():
     with pytest.raises(CapExceeded, match=f"needs {math.comb(7, 5)} argument rows"):
         is_subuniverse(w.product, whole, tuple_cap=10)
     assert is_subuniverse(w.product, whole, tuple_cap=21) == (True, None)
+
+
+def test_b92_is_decided_under_a_small_cap():
+    # its eight good boxes make C(16, 9) = 11,440 box multisets, but the fold
+    # forms at most 1,824 candidate joint states in one step
+    w = build_sharpness_witness(9, 2, verify_closure=False)
+    union = BoxUnion(w.product.indexing.sizes, good_boxes(w.factor_roles, 2))
+    assert len(union.boxes) == 8
+    assert is_subuniverse(w.product, union, tuple_cap=5_000) == (True, None)
+    with pytest.raises(CapExceeded, match="needs 1824 candidate joint states"):
+        is_subuniverse(w.product, union, tuple_cap=1_823)
+
+
+def _image_box(grids, args, memo):
+    """The image box of the argument boxes, each coordinate's image read off
+    its leaf's table."""
+    cube = []
+    for c, grid in enumerate(grids):
+        sets = tuple(box[c] for box in args)
+        if (c, sets) not in memo:
+            memo[c, sets] = frozenset(np.unique(grid[np.ix_(*sets)]).tolist())
+        cube.append(memo[c, sets])
+    return tuple(cube)
+
+
+def _assert_fold_reaches_every_image(alg, union, sym):
+    """The fold yields each image box once, exactly those of every box
+    multiset (every box tuple unless `sym`), and the argument boxes it names
+    give the box it yields with them."""
+    boxes = [box for box in union.boxes if all(box)]
+    for op in alg.ops:
+        grids = [leaf.table.reshape((leaf.size,) * op.arity) for leaf in algebras._leaf_ops(op)]
+        memo = {}
+        brute = {_image_box(grids, args, memo)
+                 for args in (itertools.combinations_with_replacement(boxes, op.arity) if sym
+                              else itertools.product(boxes, repeat=op.arity))}
+        reached = list(algebras._box_images(op, algebras._leaf_ops(op), boxes,
+                                            algebras._op_symmetrical(op), DEFAULT_TUPLE_CAP))
+        cubes = [cube for cube, _ in reached]
+        assert len(set(cubes)) == len(cubes)
+        assert set(cubes) == brute
+        for cube, args in reached:
+            assert _image_box(grids, [boxes[b] for b in args], memo) == cube
+
+
+def test_fold_reaches_the_image_boxes_of_every_box_multiset():
+    for m, q in [(m, q) for m in range(3, 7) for q in (2, 3)]:
+        w = build_sharpness_witness(m, q, verify_closure=False)
+        sizes = w.product.indexing.sizes
+        good = good_boxes(w.factor_roles, q)
+        for boxes in [good, *_broken_variants(sizes, good)]:
+            _assert_fold_reaches_every_image(w.product, BoxUnion(sizes, boxes), True)
+    rng = random.Random(20261019)
+    for trial in range(80):
+        sym = trial % 2 == 0
+        arities = rng.choice([[2], [3], [2, 3]])
+        factors = [_random_factor(rng, rng.choice([2, 3]), arities, sym)
+                   for _ in range(rng.choice([2, 3]))]
+        sizes = [f.size for f in factors]
+        boxes = [[rng.sample(range(s), rng.randrange(1, s + 1)) for s in sizes]
+                 for _ in range(rng.randrange(1, 5))]
+        _assert_fold_reaches_every_image(direct_product(factors), BoxUnion(sizes, boxes), sym)
+
+
+def test_joint_state_keys_over_many_coordinates_do_not_wrap():
+    # 70 coordinates of join on {0, 1}: every coordinate has two classes at
+    # each step, so an unranked mixed-radix key would be a multiple of 2^64
+    # in the first coordinates and merge (0,1,...,1) with the top
+    join = make_ujm_reduct(2, 3, 3)
+    power = direct_product([join] * 70, cap=2**70)
+    low, high, one_off = (0,) * 70, (1,) * 70, (0,) + (1,) * 69
+    for boxes, closed in [([low, one_off, high], True),
+                          ([low, one_off, (1, 0) + (1,) * 68], False)]:
+        union = BoxUnion(power.indexing.sizes, [[(v,) for v in box] for box in boxes])
+        _assert_fold_reaches_every_image(power, union, True)
+        ok, witness = is_subuniverse(power, union)
+        assert ok == closed
+        if not ok:
+            assert power.indexing.decode(witness[2]) == high
+    # 44 coordinates of random three-element factors
+    rng = random.Random(44)
+    for sym in (True, False):
+        factors = [_random_factor(rng, 3, [3], sym) for _ in range(44)]
+        sizes = [3] * 44
+        boxes = [[rng.sample(range(3), rng.randrange(1, 3)) for _ in sizes] for _ in range(3)]
+        _assert_fold_reaches_every_image(direct_product(factors, cap=3**44),
+                                         BoxUnion(sizes, boxes), sym)
 
 
 def test_box_union_elements_and_validation():

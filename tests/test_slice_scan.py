@@ -20,10 +20,11 @@ from finalg.algebras import (
     _arg_blocks,
     is_subuniverse,
 )
-from finalg.witnesses import _minus_point, build_sharpness_witness, good_boxes
+from finalg.witnesses import build_sharpness_witness, good_boxes
 
 import scalar_oracle
 import slice_route_oracle
+from good_set_oracle import minus_point
 
 _LARGE_CAP = 10_000_000
 
@@ -66,7 +67,7 @@ def _check_broken(w, gone):
     route's witness is a real escape."""
     point = [(v,) for v in w.product.indexing.decode(gone)]
     union = _union(w, [part for box in good_boxes(w.factor_roles, w.params.q)
-                       for part in _minus_point(box, point)])
+                       for part in minus_point(box, point)])
     broken = [e for e in w.good_ids if e != gone]
     assert union.ids().tolist() == broken
     ok, witness = is_subuniverse(w.product, union)

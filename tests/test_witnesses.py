@@ -18,7 +18,6 @@ from finalg.congruences import Partition, partition_meet
 from finalg.witnesses import (
     HypothesisError,
     SharpnessParams,
-    _minus_point,
     build_sharpness_witness,
     canonical_witness_chain,
     cube_minus_top,
@@ -31,7 +30,7 @@ from finalg.witnesses import (
     nu_family_generators,
     staircase_partitions,
 )
-from good_set_oracle import good_coords
+from good_set_oracle import good_coords, minus_point
 from scalar_oracle import apply, is_congruence
 
 
@@ -348,7 +347,7 @@ def test_subuniverse_fast_path_detects_violations():
     broken = [e for e in w.good_ids if e != f1]
     union = BoxUnion(w.product.indexing.sizes,
                      [part for box in good_boxes(w.factor_roles, 2)
-                      for part in _minus_point(box, [(1,), (0,), (2,), (1,)])])
+                      for part in minus_point(box, [(1,), (0,), (2,), (1,)])])
     assert union.ids().tolist() == broken
     ok_direct, _ = is_subuniverse(w.product, broken, tuple_cap=10_000_000)
     ok_fast, wit_fast = is_subuniverse(w.product, union, tuple_cap=1_000)
