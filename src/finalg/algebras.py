@@ -95,6 +95,7 @@ class TableOp(Operation):
         self.size = size
         self.table = tbl.astype(np.min_scalar_type(size - 1), copy=False)
         self.table.setflags(write=False)
+        self._least_absorbing: dict[int, int] = {}
 
     def apply_cols(self, cols: np.ndarray) -> np.ndarray:
         idx = cols[0].astype(np.int64)
@@ -105,6 +106,16 @@ class TableOp(Operation):
 
     def table_array(self, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
         return self.table
+
+    def least_absorbing(self, zero: int) -> int:
+        """The least k making `zero` k-absorbing: 1 + the most arguments
+        `zero` among the tuples whose value is not `zero` (1 when there are
+        none, arity + 1 when no k works).  One count grid per value, kept
+        with the operation, which reducts with equal parameters share."""
+        if zero not in self._least_absorbing:
+            count = _count_grid(np.arange(self.size) == zero, self.arity)[self.table != zero]
+            self._least_absorbing[zero] = int(count.max()) + 1 if count.size else 1
+        return self._least_absorbing[zero]
 
 
 class ProductOp(Operation):
@@ -324,12 +335,7 @@ def _op_k_absorbing(op: Operation, zero: int, k: int) -> bool:
         return all(_op_k_absorbing(f, c, k) for f, c in zip(op.factor_ops, coords))
     if op.size**op.arity > DEFAULT_TABLE_CAP:
         raise CapExceeded(f"absorption check on {op.name} needs a table")
-    return _absorbs(op, op.table_array(), zero, k)
-
-
-def _absorbs(op: Operation, table: np.ndarray, zero: int, k: int) -> bool:
-    """The flat table of op sends every tuple with >= k arguments `zero` to `zero`."""
-    return bool((table[_count_grid(np.arange(op.size) == zero, op.arity) >= k] == zero).all())
+    return op.least_absorbing(zero) <= k
 
 
 def is_k_majority(alg: FiniteAlgebra, op_index: int, k: int) -> bool:
@@ -345,8 +351,7 @@ def _op_k_majority(op: Operation, k: int) -> bool:
         return all(_op_k_majority(f, k) for f in op.factor_ops)
     if op.size**op.arity > DEFAULT_TABLE_CAP:
         raise CapExceeded(f"majority check on {op.name} needs a table")
-    table = op.table_array()
-    return all(_absorbs(op, table, z, k) for z in range(op.size))
+    return all(op.least_absorbing(z) <= k for z in range(op.size))
 
 
 def is_near_unanimity(alg: FiniteAlgebra, op_index: int) -> bool:
@@ -428,6 +433,16 @@ class BoxUnion:
         sizes = coordinate_sizes(alg)
         return cls(sizes, [[range(s) for s in sizes]])
 
+    @classmethod
+    def points(cls, alg: FiniteAlgebra, ids: Iterable[int]) -> "BoxUnion":
+        """The elements `ids` of `alg`, one box of singletons each."""
+        ids = sorted({int(x) for x in ids})
+        if ids and (ids[0] < 0 or ids[-1] >= alg.size):  # digits would wrap them
+            raise AlgebraError("subset out of range")
+        sizes = coordinate_sizes(alg)
+        return cls(sizes, [[(v,) for v in row]
+                           for row in FactorIndexing(sizes).digits(ids).tolist()])
+
     def ids(self) -> np.ndarray:
         """The sorted element ids (read-only)."""
         if self._ids is None:
@@ -453,135 +468,19 @@ def is_subuniverse(
     """Exact closure test.
 
     Returns (True, None) or (False, witness) with witness = (op_index, args,
-    result) for one application leaving the subset.  A `BoxUnion` is checked
-    on its boxes (`_box_union_check`), whatever its element count; `tuple_cap`
-    bounds the class-table entries of one coordinate and the candidate joint
-    states of one step there.  An id list is checked by direct enumeration of
-    its element multisets (tuples for a non-symmetric operation) and raises
-    CapExceeded past `tuple_cap`; a large subset of a product is checked by
-    passing it as a `BoxUnion`.
+    result) for one application leaving the subset.  The subset is checked on
+    its boxes (`_box_union_check`), whatever its element count: a `BoxUnion`
+    as it is, an id list as one box of singletons per element
+    (`BoxUnion.points`).  `tuple_cap` bounds the class-table entries of one
+    coordinate and the candidate joint states of one step there.
     """
-    if isinstance(subset, BoxUnion):
-        return _box_union_check(alg, subset, tuple_cap)
-    ids = sorted(set(int(x) for x in subset))
-    if ids and (ids[0] < 0 or ids[-1] >= alg.size):
-        raise AlgebraError("subset out of range")
-    if not ids:
-        return True, None  # no applicable tuples: arities are >= 1
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    for oi, op in enumerate(alg.ops):
-        witness = _closed_under(oi, op, ids_arr, tuple_cap)
-        if witness is not None:
-            return False, witness
-    return True, None
+    if not isinstance(subset, BoxUnion):
+        subset = BoxUnion.points(alg, subset)
+    return _box_union_check(alg, subset, tuple_cap)
 
 
 def _count_multisets(n: int, r: int) -> int:
     return math.comb(n + r - 1, r)
-
-
-def _closed_under(oi, op, ids_arr, tuple_cap):
-    n = len(ids_arr)
-    sym = _op_symmetrical(op)
-    direct = _count_multisets(n, op.arity) if sym else n**op.arity
-    if direct > tuple_cap:
-        raise CapExceeded(
-            f"subuniverse check on {op.name} over {n} elements needs {direct} element "
-            f"{'multisets' if sym else 'tuples'} against the cap {tuple_cap}; "
-            f"pass the subset as a BoxUnion"
-        )
-    return _enumerate_violation(oi, op, ids_arr, ids_arr, sym)
-
-
-_SCAN_ROWS = 100_000  # argument rows per block in the subuniverse check
-
-
-def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
-    """Argument-index blocks over range(n) whose rows touch an index >= old.
-
-    One generator serves the subuniverse check here and the closure kernel
-    in `freealg`.  Symmetric operations get the sorted r-multisets, ordered by their largest
-    entry t and then lexicographically; the others get all r-tuples in
-    lexicographic order.  Every block but the last has `chunk` rows.
-
-    A block [a, b) of that sequence is unranked column by column.  The rows
-    sharing a prefix form a group with a known row count; each level expands
-    the groups into children, one per value of the next column, and keeps
-    the children whose rows meet [a, b).  Every child holds at least one row,
-    so a level handles at most b - a + 2n children.  Counts are clamped at b,
-    which keeps them in int64 and still ends every group that runs past b.
-    The array yielded is a view of one buffer that the next block overwrites;
-    the buffer is column-major, so `block.T` gives each argument position
-    contiguously.
-    """
-    if sym:
-        total = math.comb(n + r - 1, r) - math.comb(old + r - 1, r)
-        cols = [r - 1, *range(r - 1)]      # t first, then left to right
-        # multisets[k][d]: number of k-multisets over d values (float, exact
-        # below 2**53; larger counts are clamped anyway)
-        multisets = [np.ones(n + 1)]
-        for _ in range(r - 1):
-            multisets.append(np.concatenate(([0.0], np.cumsum(multisets[-1][1:]))))
-    else:
-        total = n**r - old**r
-        cols = list(range(r))
-    block = np.empty((r, min(chunk, total)), dtype=np.int64)  # yielded transposed
-    for a in range(0, total, chunk):
-        b = min(a + chunk, total)
-        start = 0                           # first row of the first group
-        lo = np.full(1, old if sym else 0, dtype=np.int64)
-        hi = np.full(1, n, dtype=np.int64)
-        fresh = np.zeros(1, dtype=bool)     # prefix already holds an index >= old
-        trail = []
-        for level in range(r):
-            left = r - 1 - level            # columns still open below a child
-            if not sym and left == 0:
-                lo = np.where(fresh, 0, old)
-            width = hi - lo
-            offset = np.cumsum(width) - width
-            parent = np.repeat(np.arange(len(width)), width)
-            value = np.arange(len(parent)) - np.repeat(offset - lo, width)
-            if sym:
-                d = value + 1 if level == 0 else hi[parent] - value
-                count = np.minimum(multisets[left][d], b).astype(np.int64)
-            else:
-                fresh = fresh[parent] | (value >= old)
-                count = np.where(fresh, min(n**left, b), min(n**left - old**left, b))
-            end = start + np.cumsum(count)
-            # keep the first child ending after a up to the first ending at or after b
-            first = int(np.searchsorted(end, a, side="right"))
-            stop = int(np.searchsorted(end, b)) + 1
-            parent, value = parent[first:stop], value[first:stop]
-            start = int(end[first] - count[first])
-            trail.append((parent, value))
-            if sym:
-                hi = value + 1 if level == 0 else hi[parent]
-                lo = np.zeros_like(value) if level == 0 else value
-            else:
-                fresh = fresh[first:stop]
-                hi = np.full(len(value), n, dtype=np.int64)
-                lo = np.zeros_like(hi)
-        at = np.arange(b - a)
-        for level in range(r - 1, -1, -1):
-            parent, value = trail[level]
-            block[cols[level], : b - a] = value[at]
-            at = parent[at]
-        yield block[:, : b - a].T
-
-
-def _enumerate_violation(oi, op, pool, member_ids, sym):
-    """Scan op over pool tuples; return a witness or None."""
-    member_sorted = np.sort(member_ids)
-    for idx in _arg_blocks(len(pool), 0, op.arity, sym, _SCAN_ROWS):
-        rows = pool[idx]
-        out = op.apply_cols(rows.T)
-        pos = np.searchsorted(member_sorted, out)
-        pos[pos >= len(member_sorted)] = len(member_sorted) - 1
-        bad = member_sorted[pos] != out
-        if bad.any():
-            i = int(np.argmax(bad))
-            return (oi, tuple(int(x) for x in rows[i]), int(out[i]))
-    return None
 
 
 # ---------------------------------------------------------------------------

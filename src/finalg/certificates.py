@@ -144,6 +144,7 @@ def search_certificate(scheme_name: str, fixture_names: str, *, arity: int = 0,
          "expect": expect},
         "verified" if ok else "refuted",
         cert.to_obj(op_names),
+        stats=cert.stats,
     )
 
 
@@ -178,6 +179,7 @@ def toolkit_certificate(fixture_names: str, d_index: int = 0, e_index: int = 1) 
         {"fixtures": fixture_names, "d_index": d_index, "e_index": e_index},
         "verified" if ok else "refuted",
         evidence,
+        stats={"majority": out["majority"].stats},
     )
 
 

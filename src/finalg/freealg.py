@@ -8,11 +8,10 @@ algebra on g generators is the special case with one coordinate per
 One closure kernel, `_build_closure`, runs in frontier rounds: each round
 applies every operation to the argument-index tuples that touch an element
 found in the previous round, and records a provenance term for each new
-element.  `algebras._arg_blocks`, shared with the subuniverse check,
-unranks those tuples in numpy, in blocks of `_CHUNK` rows of shape (rows,
-arity), in a fixed order (multisets for symmetric operations), so the work
-count, the point where the work cap bites and every provenance term are
-deterministic.
+element.  `_arg_blocks` unranks those tuples in numpy, in blocks of
+`_CHUNK` rows of shape (rows, arity), in a fixed order (multisets for
+symmetric operations), so the work count, the point where the work cap
+bites and every provenance term are deterministic.
 
 Each argument tuple is applied once, in the round after its newest element
 was found, so a completed closure over N elements does exactly
@@ -57,8 +56,8 @@ from .algebras import (
     DEFAULT_TABLE_CAP,
     AlgebraError,
     CapExceeded,
+    FactorIndexing,
     FiniteAlgebra,
-    _arg_blocks,
     _op_symmetrical,
     is_near_unanimity,
     similar,
@@ -379,6 +378,80 @@ class _Kernel:
 _CHUNK = 250_000  # argument rows per block of the closure kernel
 
 
+def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
+    """Argument-index blocks over range(n) whose rows touch an index >= old.
+
+    Symmetric operations get the sorted r-multisets, ordered by their
+    largest entry t and then lexicographically; the others get all r-tuples
+    in lexicographic order.  This order fixes which argument tuple first
+    yields each new element, and so every provenance term of the closure.
+    Every block but the last has `chunk` rows.
+
+    A block [a, b) of that sequence is unranked column by column.  The rows
+    sharing a prefix form a group with a known row count; each level expands
+    the groups into children, one per value of the next column, and keeps
+    the children whose rows meet [a, b).  Every child holds at least one row,
+    so a level handles at most b - a + 2n children.  Counts are clamped at b,
+    which keeps them in int64 and still ends every group that runs past b.
+    The array yielded is a view of one buffer that the next block overwrites;
+    the buffer is column-major, so `block.T` gives each argument position
+    contiguously.
+    """
+    if sym:
+        total = math.comb(n + r - 1, r) - math.comb(old + r - 1, r)
+        cols = [r - 1, *range(r - 1)]      # t first, then left to right
+        # multisets[k][d]: number of k-multisets over d values (float, exact
+        # below 2**53; larger counts are clamped anyway)
+        multisets = [np.ones(n + 1)]
+        for _ in range(r - 1):
+            multisets.append(np.concatenate(([0.0], np.cumsum(multisets[-1][1:]))))
+    else:
+        total = n**r - old**r
+        cols = list(range(r))
+    block = np.empty((r, min(chunk, total)), dtype=np.int64)  # yielded transposed
+    for a in range(0, total, chunk):
+        b = min(a + chunk, total)
+        start = 0                           # first row of the first group
+        lo = np.full(1, old if sym else 0, dtype=np.int64)
+        hi = np.full(1, n, dtype=np.int64)
+        fresh = np.zeros(1, dtype=bool)     # prefix already holds an index >= old
+        trail = []
+        for level in range(r):
+            left = r - 1 - level            # columns still open below a child
+            if not sym and left == 0:
+                lo = np.where(fresh, 0, old)
+            width = hi - lo
+            offset = np.cumsum(width) - width
+            parent = np.repeat(np.arange(len(width)), width)
+            value = np.arange(len(parent)) - np.repeat(offset - lo, width)
+            if sym:
+                d = value + 1 if level == 0 else hi[parent] - value
+                count = np.minimum(multisets[left][d], b).astype(np.int64)
+            else:
+                fresh = fresh[parent] | (value >= old)
+                count = np.where(fresh, min(n**left, b), min(n**left - old**left, b))
+            end = start + np.cumsum(count)
+            # keep the first child ending after a up to the first ending at or after b
+            first = int(np.searchsorted(end, a, side="right"))
+            stop = int(np.searchsorted(end, b)) + 1
+            parent, value = parent[first:stop], value[first:stop]
+            start = int(end[first] - count[first])
+            trail.append((parent, value))
+            if sym:
+                hi = value + 1 if level == 0 else hi[parent]
+                lo = np.zeros_like(value) if level == 0 else value
+            else:
+                fresh = fresh[first:stop]
+                hi = np.full(len(value), n, dtype=np.int64)
+                lo = np.zeros_like(hi)
+        at = np.arange(b - a)
+        for level in range(r - 1, -1, -1):
+            parent, value = trail[level]
+            block[cols[level], : b - a] = value[at]
+            at = parent[at]
+        yield block[:, : b - a].T
+
+
 def _closure_work(tables: _Tables, n: int) -> int:
     """Argument tuples a completed closure over n elements applies."""
     return sum(math.comb(n + r - 1, r) if sym else n**r
@@ -511,7 +584,7 @@ def _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
     if space > element_cap:
         raise CapExceeded(f"coordinate box of {space} vectors exceeds the element cap "
                           f"{element_cap}")
-    grids = _box_grid(sizes)
+    grids = FactorIndexing(tuple(sizes)).digits(np.arange(space)).astype(np.int16)
     keep = np.ones(space, dtype=bool)
     for subset in itertools.combinations(range(ncoords), min(width, ncoords)):
         keep &= _local_mask(sub, subset, grids)
@@ -521,16 +594,6 @@ def _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
     sub.stats["space"] = space
     sub._index = {row.tobytes(): i for i, row in enumerate(vectors)}
     return sub
-
-
-def _box_grid(sizes) -> np.ndarray:
-    space = math.prod(sizes)
-    idx = np.arange(space, dtype=np.int64)
-    grid = np.empty((space, len(sizes)), dtype=np.int16)
-    for pos in range(len(sizes) - 1, -1, -1):
-        grid[:, pos] = idx % sizes[pos]
-        idx //= sizes[pos]
-    return grid
 
 
 def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> dict:

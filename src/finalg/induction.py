@@ -29,9 +29,14 @@ from .algebras import (
     make_ujm_reduct,
     one_element_algebra,
 )
-from .congruences import Partition, partition_meet
+from .congruences import Partition, induced_product_congruence
 from .identities import FULL_PAIR_CAP, IdentityInstance, check_identity
-from .witnesses import SharpnessParams, filtered_subproduct, staircase_partitions
+from .witnesses import (
+    SharpnessParams,
+    filtered_subproduct,
+    lhs_chain_relations,
+    staircase_partitions,
+)
 
 
 @dataclass
@@ -85,11 +90,7 @@ def _verify_stage(st: InductionState, m: int, q: int) -> None:
         if pid not in local:
             raise AlgebraError(f"stage j={st.j}: chain element {pid} left F")
     chain = [st.pair[0]] + [local[pid] for pid in chain_pairs] + [st.pair[1]]
-    rels = [st.beta]
-    for i in range(q - 2):
-        base = st.gamma if i % 2 == 0 else st.beta
-        rels.append(partition_meet(st.alpha, base))
-    rels.append(st.gamma if q % 2 == 0 else st.beta)
+    rels = lhs_chain_relations(st.alpha, st.beta, st.gamma, q)
     for i, rel in enumerate(rels):
         if not rel.related(chain[i], chain[i + 1]):
             raise AlgebraError(f"stage j={st.j}: witness chain breaks at step {i}")
@@ -111,9 +112,9 @@ def _base_stage_odd(m: int, q: int) -> InductionState:
     onec = Partition.one(q + 1)
     enc = pairalg.indexing.encode
     local = _local(f_ids)
-    alpha = _induced(pairalg, f_ids, [onec, zero2])
-    beta = _induced(pairalg, f_ids, [beta_star, one2])
-    gamma = _induced(pairalg, f_ids, [gamma_star, one2])
+    alpha = induced_product_congruence(pairalg.indexing, [onec, zero2], f_ids)
+    beta = induced_product_congruence(pairalg.indexing, [beta_star, one2], f_ids)
+    gamma = induced_product_congruence(pairalg.indexing, [gamma_star, one2], f_ids)
     pair = (local[enc((q, 1))], local[enc((0, 1))])
     chain3 = list(range(q - 1, 0, -1))
     inst = _stage_identity((alpha, beta, gamma, pair, len(f_ids)), m, q, ell)
@@ -123,12 +124,6 @@ def _base_stage_odd(m: int, q: int) -> InductionState:
     )
     _verify_stage(st, m, q)
     return st
-
-
-def _induced(prod: FiniteAlgebra, ids, parts) -> Partition:
-    from .congruences import induced_product_congruence
-
-    return induced_product_congruence(prod.indexing, parts, ids)
 
 
 def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState:

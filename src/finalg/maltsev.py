@@ -425,7 +425,6 @@ class SearchCertificate:
             "term": term_to_obj(self.term, op_names) if self.term is not None else None,
             "verified": self.verified,
             "complete": self.complete,
-            "stats": self.stats,
         }
 
 

@@ -24,7 +24,6 @@ from .algebras import (
     DEFAULT_TUPLE_CAP,
     AlgebraError,
     BoxUnion,
-    FactorIndexing,
     FiniteAlgebra,
     coordinate_sizes,
     direct_product,
@@ -150,16 +149,17 @@ def filtered_subproduct(
       absorb-1 / absorb-2: zero1 / zero2 is h-absorbing in A1 / A2;
       majority-3: the operation of A3 is a k-majority operation;
       absorb-4: zero4 is 2-absorbing in A4;
-      f-subuniverse: F is a subuniverse of A3 x A4, given as flat indices
-      (checked element by element) or as a `BoxUnion` (checked on its boxes).
+      f-subuniverse: F is a subuniverse of A3 x A4, given as a `BoxUnion` or
+      as flat indices, which become one box of singletons each
+      (`BoxUnion.points`); either way it is checked on its boxes.
 
     The result is built as a union of boxes, from each box (b3, b4) of F:
     template 1 gives (A1, zero2, a, b4) when b3 holds a, template 3 gives
     (zero1, A2, d, b4) when b3 holds d, template 4 gives (A1, A2, b3, zero4)
     when b4 holds zero4, and template 2 gives (zero1, zero2, b3, b4).  A box
-    inside another is dropped.  An id list F becomes one box per element for this.  Closure of
-    the result is re-verified on its boxes; a failure there is a bug, not an
-    input error, and raises AlgebraError.
+    inside another is dropped.  Closure of the result is re-verified on its
+    boxes; a failure there is a bug, not an input error, and raises
+    AlgebraError.
     """
     for alg in (a2, a3, a4):
         if alg.signature() != a1.signature():
@@ -183,20 +183,14 @@ def filtered_subproduct(
         raise HypothesisError("anchors", "a and d must lie in A3")
 
     prod34 = direct_product([a3, a4], label="A3 x A4")
-    if isinstance(f_pairs, BoxUnion):
-        f_union = f_pairs
-    else:
-        f_pairs = sorted({int(x) for x in f_pairs})
-        sizes34 = coordinate_sizes(prod34)
-        f_union = BoxUnion(sizes34, [[(v,) for v in row]
-                                     for row in FactorIndexing(sizes34).digits(f_pairs).tolist()])
-    ok, witness = is_subuniverse(prod34, f_pairs, tuple_cap=tuple_cap)
+    f_union = f_pairs if isinstance(f_pairs, BoxUnion) else BoxUnion.points(prod34, f_pairs)
+    ok, witness = is_subuniverse(prod34, f_union, tuple_cap=tuple_cap)
     if not ok:
         raise HypothesisError("f-subuniverse", f"violated at {witness}")
 
     ambient = direct_product([a1, a2, a3, a4], label="A1 x A2 x A3 x A4")
     whole1, whole2 = ([tuple(range(s)) for s in coordinate_sizes(x)] for x in (a1, a2))
-    pt1, pt2, pt_a, pt_d, pt4 = (_point(alg, x) for alg, x in
+    pt1, pt2, pt_a, pt_d, pt4 = (list(BoxUnion.points(alg, [x]).boxes[0]) for alg, x in
                                  ((a1, zero1), (a2, zero2), (a3, a), (a3, d), (a4, zero4)))
     n3 = len(pt_a)
     boxes = []
@@ -213,11 +207,6 @@ def filtered_subproduct(
     if not ok:
         raise AlgebraError(f"template subproduct failed to close at {witness}")
     return FilteredSubproduct(ambient, union, h, k, a, d, (zero1, zero2, zero4))
-
-
-def _point(alg: FiniteAlgebra, x: int) -> list[tuple[int]]:
-    """The element x of alg as a box of singleton value sets."""
-    return [(v,) for v in FactorIndexing(coordinate_sizes(alg)).digits([x])[0].tolist()]
 
 
 def _holds(box, point) -> bool:
@@ -488,17 +477,21 @@ def build_sharpness_witness(
     return witness
 
 
+def lhs_chain_relations(alpha: Partition, beta: Partition, gamma: Partition,
+                        q: int) -> list[Partition]:
+    """The relations that consecutive elements of a left-side chain of length
+    q must lie in: beta, then the meets of alpha with gamma and beta in
+    turn, then the trailing relation (gamma for even q, beta for odd q)."""
+    meets = [partition_meet(alpha, gamma if i % 2 == 0 else beta) for i in range(q - 2)]
+    return [beta, *meets, gamma if q % 2 == 0 else beta]
+
+
 def _check_lhs_chain(w: SharpnessWitness) -> None:
     """The designated chain must realise membership of (a, d) on the left side:
     alpha on the endpoints, then beta, alternating meets, trailing swap."""
-    q = w.params.q
     if not w.alpha.related(w.a, w.d):
         raise AlgebraError("endpoints are not alpha-related")
-    rels = [w.beta]
-    for i in range(q - 2):
-        base = w.gamma if i % 2 == 0 else w.beta
-        rels.append(partition_meet(w.alpha, base))
-    rels.append(w.gamma if q % 2 == 0 else w.beta)
+    rels = lhs_chain_relations(w.alpha, w.beta, w.gamma, w.params.q)
     for i, rel in enumerate(rels):
         if not rel.related(w.lhs_chain[i], w.lhs_chain[i + 1]):
             raise AlgebraError(f"left-side chain breaks at step {i}")

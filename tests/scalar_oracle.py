@@ -4,13 +4,22 @@
 `apply` reads a `TableOp`'s stored table at the mixed-radix index of its
 arguments and evaluates a `ProductOp` factor by factor on the decoded
 digits.  `term_value` walks a term with it, and `is_congruence` checks every
-translation of every related pair with it.
+translation of every related pair with it.  `values` reads the tables the
+same way for many argument rows at once, and `closed` decides whether an id
+list is a subuniverse by enumerating its element multisets (tuples for an
+operation that is not symmetric) and applying `values` to them, sharing no
+code with the subuniverse check or the argument blocks of the closure.
 """
 
 import itertools
+import math
+
+import numpy as np
 
 from finalg.algebras import CapExceeded, ProductOp
 from finalg.terms import Var
+
+_BLOCK = 100_000  # argument rows evaluated at once by `closed`
 
 
 def _digits(index, sizes):
@@ -74,3 +83,81 @@ def is_congruence(alg, part, work_cap=20_000_000):
                     if ids[vx] != ids[vy]:
                         return False, (oi, pos, (x, y), rest, (vx, vy))
     return True, None
+
+
+def values(op, rows):
+    """The values of `op` at many argument rows, shape (n, arity), read off
+    the stored tables as `apply` reads them."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, op.arity)
+    if isinstance(op, ProductOp):
+        sizes = op.indexing.sizes
+        out = np.zeros(len(rows), dtype=np.int64)
+        rest = rows.copy()
+        digits = []
+        for s in reversed(sizes):
+            digits.append(rest % s)
+            rest //= s
+        for factor, s, digit in zip(op.factor_ops, sizes, reversed(digits)):
+            out = out * s + values(factor, digit)
+        return out
+    idx = np.zeros(len(rows), dtype=np.int64)
+    for pos in range(op.arity):
+        idx = idx * op.size + rows[:, pos]
+    return op.table[idx].astype(np.int64)
+
+
+def symmetric(op):
+    """Whether the stored tables are invariant under every swap of two
+    adjacent arguments, which generate all argument permutations."""
+    if isinstance(op, ProductOp):
+        return all(symmetric(f) for f in op.factor_ops)
+    grid = op.table.reshape((op.size,) * op.arity)
+    return all(np.array_equal(grid, np.swapaxes(grid, i, i + 1)) for i in range(op.arity - 1))
+
+
+def argument_rows(n, r, sym):
+    """Every sorted r-multiset of range(n) if `sym`, else every r-tuple, as
+    index rows in blocks of about `_BLOCK` rows."""
+    if not sym:
+        for start in range(0, n**r, _BLOCK):
+            idx = np.arange(start, min(start + _BLOCK, n**r), dtype=np.int64)
+            yield np.stack([idx // n ** (r - 1 - pos) % n for pos in range(r)], axis=1)
+        return
+    yield from _multisets(0, n, r)
+
+
+def _multisets(lo, n, r):
+    """The sorted r-multisets of range(lo, n); split on the first entry
+    while there are more than `_BLOCK` of them."""
+    if r > 1 and math.comb(n - lo + r - 1, r) > _BLOCK:
+        for first in range(lo, n):
+            for rest in _multisets(first, n, r - 1):
+                yield np.column_stack([np.full(len(rest), first), rest])
+        return
+    rows = np.arange(lo, n, dtype=np.int64)[:, None]
+    for _ in range(r - 1):  # append each value from the row's last one up
+        last = rows[:, -1]
+        reps = n - last
+        step = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), np.repeat(last, reps) + step])
+    yield rows
+
+
+def op_closed(op, ids, sym):
+    """Whether the sorted id array is closed under `op`: every multiset of
+    its elements (every tuple unless `sym`) has its value in it."""
+    return all(np.isin(values(op, ids[rows]), ids).all()
+               for rows in argument_rows(len(ids), op.arity, sym))
+
+
+def closed(alg, ids, cap=10_000_000):
+    """Whether the id list is closed under every operation of `alg`, by
+    direct enumeration.  Raises CapExceeded, before enumerating anything,
+    when that takes more than `cap` argument rows."""
+    ids = np.asarray(sorted({int(x) for x in ids}), dtype=np.int64)
+    plan = [(op, symmetric(op)) for op in alg.ops]
+    count = sum(math.comb(len(ids) + op.arity - 1, op.arity) if sym else len(ids)**op.arity
+                for op, sym in plan)
+    if count > cap:
+        raise CapExceeded(f"direct enumeration needs {count} argument rows")
+    return all(op_closed(op, ids, sym) for op, sym in plan)

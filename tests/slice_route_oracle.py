@@ -1,12 +1,13 @@
 """The absorbing-slice route that `is_subuniverse` once took for large id lists.
 
-`is_subuniverse` checks a large subset of a product on its boxes; this is the
-element-level route it replaced, kept as an independent oracle for the tests.
-`closed` decides an id list operation by operation: by direct enumeration
-while its multisets fit under `tuple_cap`, else through an absorbing slice of
-the flattened product (`_slice_closed`).  It returns the verdict only, and
-raises CapExceeded when no usable slice exists or the reduced scan is too
-large.
+`is_subuniverse` checks every subset on its boxes; this is an element-level
+route it replaced, kept as an independent oracle for the tests.  `closed`
+decides an id list operation by operation: by direct enumeration
+(`scalar_oracle.op_closed`) while its multisets fit under `tuple_cap`, else
+through an absorbing slice of the flattened product (`_slice_closed`).  It
+evaluates operations only through `scalar_oracle.values`, returns the
+verdict only, and raises CapExceeded when no usable slice exists or the
+reduced scan is too large.
 """
 
 import itertools
@@ -14,16 +15,10 @@ import math
 
 import numpy as np
 
-from finalg.algebras import (
-    DEFAULT_TABLE_CAP,
-    DEFAULT_TUPLE_CAP,
-    CapExceeded,
-    _arg_blocks,
-    _enumerate_violation,
-    _op_symmetrical,
-)
+from finalg.algebras import DEFAULT_TABLE_CAP, DEFAULT_TUPLE_CAP, CapExceeded
 
-_ROWS = 100_000      # argument rows per block of the scan
+import scalar_oracle
+
 _EXPAND_KEYS = 1 << 20  # wildcard-expanded keys held at once by the scan
 
 
@@ -32,14 +27,11 @@ def closed(alg, ids, tuple_cap=DEFAULT_TUPLE_CAP) -> bool:
     if not len(ids_arr):
         return True
     for oi, op in enumerate(alg.ops):
-        try:
-            sym = _op_symmetrical(op)
-        except CapExceeded:
-            sym = False
+        sym = scalar_oracle.symmetric(op)
         n, r = len(ids_arr), op.arity
         direct = math.comb(n + r - 1, r) if sym else n**r
         if direct <= tuple_cap:
-            ok = _enumerate_violation(oi, op, ids_arr, ids_arr, sym) is None
+            ok = scalar_oracle.op_closed(op, ids_arr, sym)
         elif sym and (view := _flat_view(alg)) is not None:
             ok = _slice_closed(view, oi, op, ids_arr, tuple_cap)
         else:
@@ -76,7 +68,7 @@ def _min_absorbing(op, zero, r):
     if op.size**op.arity > DEFAULT_TABLE_CAP:
         return None
     cols = np.indices((op.size,) * op.arity).reshape(op.arity, -1)  # table order
-    bad = op.apply_cols(cols) != zero
+    bad = scalar_oracle.values(op, cols.T) != zero
     k = int((cols == zero).sum(axis=0)[bad].max()) + 1 if bad.any() else 1
     return k if k < r else None
 
@@ -141,10 +133,10 @@ def _coord_absorbs(cop, proj, box, k, r):
         return True
     if math.comb(len(proj) + r - 1, r) > 200_000:
         raise CapExceeded("per-coordinate absorption check too large")
-    for idx in _arg_blocks(len(proj), 0, r, True, _ROWS):
+    for idx in scalar_oracle.argument_rows(len(proj), r, True):
         vals = proj[idx]
         enough = np.isin(vals, box).sum(axis=1) >= k
-        if not np.isin(cop.apply_cols(vals[enough].T), box).all():
+        if not np.isin(scalar_oracle.values(cop, vals[enough]), box).all():
             return False
     return True
 
@@ -163,7 +155,7 @@ def _slice_escapes(ops_c, rest_rows, boxes, e, weights, key_to_id, member):
         combos = list(itertools.combinations_with_replacement(b, e))
         wild.append(np.asarray(combos, dtype=np.int64).reshape(len(combos), e))
     cols = np.ascontiguousarray(rest_rows.T)
-    for rows in _arg_blocks(len(rest_rows), 0, t, True, _ROWS):
+    for rows in scalar_oracle.argument_rows(len(rest_rows), t, True):
         args = np.empty((t + e, len(rows)), dtype=np.int64)
         outs = []  # per coordinate: (wildcard multisets, rows) output values
         for c, cop in enumerate(ops_c):
@@ -171,7 +163,7 @@ def _slice_escapes(ops_c, rest_rows, boxes, e, weights, key_to_id, member):
             out = np.empty((len(wild[c]), len(rows)), dtype=np.int64)
             for w, combo in enumerate(wild[c]):
                 args[t:] = combo[:, None]
-                out[w] = cop.apply_cols(args)
+                out[w] = scalar_oracle.values(cop, args.T)
             outs.append(out)
         if _expanded_escapes(outs, weights, key_to_id, member):
             return True

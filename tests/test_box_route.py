@@ -1,4 +1,6 @@
-"""The box route of `is_subuniverse` against the element routes."""
+"""The box route of `is_subuniverse` against the element-level oracles:
+direct enumeration (`scalar_oracle.closed`) and the absorbing-slice route
+(`slice_route_oracle`), neither of which shares code with the box route."""
 
 import itertools
 import math
@@ -153,9 +155,12 @@ def test_box_route_agrees_with_direct_enumeration_on_random_products(monkeypatch
         ids = union.ids().tolist()
         assert ids == sorted({sum(v * math.prod(sizes[c + 1:]) for c, v in enumerate(row))
                               for box in boxes for row in itertools.product(*box)})
-        assert ok == is_subuniverse(alg, ids, tuple_cap=10_000_000)[0], trial
+        assert ok == scalar_oracle.closed(alg, ids), trial
+        points_ok, points_witness = is_subuniverse(alg, ids)  # one box per element
+        assert points_ok == ok, trial
         if not ok:
             _assert_escape(alg, ids, witness)
+            _assert_escape(alg, ids, points_witness)
         verdicts.append(ok)
     assert 120 < sum(verdicts) < 480
     assert True in splits and False in splits  # the split both covers and escapes
@@ -167,7 +172,7 @@ def test_a_restricted_factor_is_one_coordinate():
     prod = direct_product([low, n23])
     union = BoxUnion((2, 3), [[(0, 1), (0,)], [(0,), (2,)], [(1,), (1,)]])
     ok, witness = is_subuniverse(prod, union)
-    assert not ok and not is_subuniverse(prod, union.ids())[0]
+    assert not ok and not scalar_oracle.closed(prod, union.ids())
     _assert_escape(prod, union.ids(), witness)  # the median of (0,0), (0,2), (1,1)
     assert witness[2] == prod.indexing.encode((0, 1))
 
@@ -296,3 +301,6 @@ def test_box_union_elements_and_validation():
     assert is_subuniverse(prod, BoxUnion((3, 2), [[(), (0,)]])) == (True, None)
     with pytest.raises(AlgebraError, match="does not match"):
         is_subuniverse(prod, BoxUnion((2, 3), [[(0,), (0,)]]))
+    for outside in ([0, prod.size], [-1, 2]):  # digits would wrap these ids silently
+        with pytest.raises(AlgebraError, match="subset out of range"):
+            is_subuniverse(prod, outside)

@@ -11,13 +11,13 @@ from finalg.algebras import (
     FiniteAlgebra,
     Operation,
     TableOp,
-    _arg_blocks,
     make_ujm_reduct,
     one_element_algebra,
 )
 from finalg.fixtures import load_fixtures
 from finalg.freealg import (
     _CHUNK,
+    _arg_blocks,
     _closure_work,
     _local_closure_for,
     build_free_algebra,

@@ -1,10 +1,13 @@
 """Absorbing-slice subsets, decided on their boxes.
 
 These are the cases the absorbing-slice route of `is_subuniverse` was tested
-on; the route is deleted, and the tests keep their names.  Each case is now
-a `BoxUnion` checked on the box route and compared with direct enumeration
-of its elements under a large cap, or past it with the route itself, kept as
-`slice_route_oracle`; every refusal's witness must be a real escape.
+on; the route is deleted, and the tests keep their names.  Each good set is
+checked as a `BoxUnion` and, where that stays small, as an id list, which
+`is_subuniverse` turns into one box of singletons per element.  The
+verdicts are compared with direct enumeration of the elements
+(`scalar_oracle.closed`) under a large cap, or past it with the slice route
+itself, kept as `slice_route_oracle`; every refusal's witness must be a
+real escape.
 """
 
 import itertools
@@ -13,13 +16,8 @@ import math
 import pytest
 
 from finalg import algebras
-from finalg.algebras import (
-    DEFAULT_TUPLE_CAP,
-    BoxUnion,
-    CapExceeded,
-    _arg_blocks,
-    is_subuniverse,
-)
+from finalg.algebras import DEFAULT_TUPLE_CAP, BoxUnion, CapExceeded, is_subuniverse
+from finalg.freealg import _arg_blocks
 from finalg.witnesses import build_sharpness_witness, good_boxes
 
 import scalar_oracle
@@ -27,6 +25,9 @@ import slice_route_oracle
 from good_set_oracle import minus_point
 
 _LARGE_CAP = 10_000_000
+#: the good sets also checked as id lists, up to B(6,2)'s 90 elements; the
+#: 269 and 254 point boxes of B(6,3) and B(7,2) take seconds each
+_ID_LISTS = {(m, q) for m in range(3, 7) for q in (2, 3)} - {(6, 3)}
 
 
 @pytest.mark.parametrize("sym", [True, False])
@@ -47,36 +48,36 @@ def _union(w, boxes):
 
 @pytest.mark.parametrize("m, q", [(m, q) for m in range(3, 8) for q in (2, 3)])
 def test_slice_scan_matches_scalar_oracle(m, q):
-    """B(m, q) is closed on its boxes, and element by element: by direct
-    enumeration where that fits under the large cap, else by the slice-route
-    oracle; past the cap, the id list is refused by its count."""
+    """B(m, q) is closed on its boxes and, up to B(6,2), as an id list; so
+    it is element by element: by direct enumeration where that fits under
+    the large cap, else by the slice-route oracle."""
     w = build_sharpness_witness(m, q, verify_closure=False)
     assert is_subuniverse(w.product, _union(w, good_boxes(w.factor_roles, q))) == (True, None)
-    direct = math.comb(len(w.good_ids) + m - 1, m)
-    if direct <= _LARGE_CAP:
-        assert is_subuniverse(w.product, w.good_ids, tuple_cap=_LARGE_CAP) == (True, None)
+    if (m, q) in _ID_LISTS:
+        assert is_subuniverse(w.product, w.good_ids) == (True, None)
+    if math.comb(len(w.good_ids) + m - 1, m) <= _LARGE_CAP:
+        assert scalar_oracle.closed(w.product, w.good_ids, cap=_LARGE_CAP)
     else:
-        with pytest.raises(CapExceeded, match=f"needs {direct} element multisets"):
-            is_subuniverse(w.product, w.good_ids, tuple_cap=_LARGE_CAP)
         assert slice_route_oracle.closed(w.product, w.good_ids)
 
 
 def _check_broken(w, gone):
-    """The good set less one element, as boxes: the box route, direct
-    enumeration and the slice-route oracle all refuse it, and the box
-    route's witness is a real escape."""
+    """The good set less one element: the box route, on its boxes and on the
+    id list, direct enumeration and the slice-route oracle all refuse it,
+    and each witness of the box route is a real escape."""
     point = [(v,) for v in w.product.indexing.decode(gone)]
     union = _union(w, [part for box in good_boxes(w.factor_roles, w.params.q)
                        for part in minus_point(box, point)])
     broken = [e for e in w.good_ids if e != gone]
     assert union.ids().tolist() == broken
-    ok, witness = is_subuniverse(w.product, union)
-    assert not ok
-    oi, args, result = witness
-    assert all(a in set(broken) for a in args)
-    assert result not in set(broken)
-    assert scalar_oracle.apply(w.product.ops[oi], args) == result
-    assert is_subuniverse(w.product, broken, tuple_cap=_LARGE_CAP)[0] is False
+    for subset in (union, broken):
+        ok, witness = is_subuniverse(w.product, subset)
+        assert not ok
+        oi, args, result = witness
+        assert all(a in set(broken) for a in args)
+        assert result not in set(broken)
+        assert scalar_oracle.apply(w.product.ops[oi], args) == result
+    assert scalar_oracle.closed(w.product, broken, cap=_LARGE_CAP) is False
     assert slice_route_oracle.closed(w.product, broken, tuple_cap=5_000) is False
 
 
@@ -94,24 +95,26 @@ def test_violation_in_a_plain_row():
 
 
 def test_slice_cap_raises_before_scanning(monkeypatch):
-    """An id list past the cap is refused by its count before any scanning."""
+    """An id list is refused under a small cap by the box route's own count,
+    before any image is formed: the 34 good points of B(5,2) give each
+    coordinate its values as singletons, so the first coordinate, a chain of
+    three, needs the C(3 + 5, 5) multisets of at most five of them."""
     w = build_sharpness_witness(5, 2, verify_closure=False)
 
-    def no_scan(*args):
-        raise AssertionError("scanned despite the cap")
-    monkeypatch.setattr(algebras, "_enumerate_violation", no_scan)
-    count = math.comb(len(w.good_ids) + 4, 5)
-    with pytest.raises(CapExceeded, match=f"needs {count} element multisets against "
-                                          f"the cap 10; pass the subset as a BoxUnion"):
+    def no_images(*args):
+        raise AssertionError("an image was formed despite the cap")
+    monkeypatch.setattr(algebras, "_arg_choices", no_images)
+    with pytest.raises(CapExceeded, match=f"needs {math.comb(8, 5)} class-table entries "
+                                          f"at one coordinate against the cap 10"):
         is_subuniverse(w.product, w.good_ids, tuple_cap=10)
 
 
-def test_b53_needs_its_boxes():
-    # the smallest direct count at or above 4M among the B(m, q): above the
-    # default cap, so its good ids as an id list are refused; its boxes decide it
+def test_b53_good_ids_are_decided():
+    # the smallest direct count at or above 4M among the B(m, q): too many
+    # element multisets to enumerate under the default cap, but as an id
+    # list its 74 elements are 74 point boxes, decided like its own boxes
     w = build_sharpness_witness(5, 3, verify_closure=False)
     count = math.comb(len(w.good_ids) + 4, 5)
     assert count > DEFAULT_TUPLE_CAP
-    with pytest.raises(CapExceeded, match=f"needs {count} element multisets"):
-        is_subuniverse(w.product, w.good_ids)
+    assert is_subuniverse(w.product, w.good_ids) == (True, None)
     assert is_subuniverse(w.product, _union(w, good_boxes(w.factor_roles, 3))) == (True, None)

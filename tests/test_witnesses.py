@@ -32,6 +32,7 @@ from finalg.witnesses import (
 )
 from good_set_oracle import good_coords, minus_point
 from scalar_oracle import apply, is_congruence
+import scalar_oracle
 
 
 def test_ell():
@@ -306,15 +307,14 @@ def test_canonical_chain_rejected_for_q3(witness_cache):
 
 
 def test_subuniverse_verified_against_direct_enumeration():
-    # cross-check the box route against plain enumeration; an id list past
-    # its cap is refused, not reduced
+    # cross-check the box route, on the good boxes and on the good ids as
+    # point boxes, against plain enumeration of the element multisets
     for (m, q) in [(4, 2), (5, 2), (4, 3)]:
         w = build_sharpness_witness(m, q, verify_closure=False)
-        direct_ok, _ = is_subuniverse(w.product, w.good_ids, tuple_cap=10_000_000)
-        with pytest.raises(CapExceeded, match="pass the subset as a BoxUnion"):
-            is_subuniverse(w.product, w.good_ids, tuple_cap=1_000)
+        assert scalar_oracle.closed(w.product, w.good_ids)
+        assert is_subuniverse(w.product, w.good_ids) == (True, None)
         union = BoxUnion(w.product.indexing.sizes, good_boxes(w.factor_roles, q))
-        assert direct_ok and is_subuniverse(w.product, union, tuple_cap=1_000) == (True, None)
+        assert is_subuniverse(w.product, union, tuple_cap=1_000) == (True, None)
 
 
 def test_q3_chain_lengths_bounded_by_identities(witness_cache):
@@ -349,9 +349,8 @@ def test_subuniverse_fast_path_detects_violations():
                      [part for box in good_boxes(w.factor_roles, 2)
                       for part in minus_point(box, [(1,), (0,), (2,), (1,)])])
     assert union.ids().tolist() == broken
-    ok_direct, _ = is_subuniverse(w.product, broken, tuple_cap=10_000_000)
     ok_fast, wit_fast = is_subuniverse(w.product, union, tuple_cap=1_000)
-    assert not ok_direct and not ok_fast
+    assert not scalar_oracle.closed(w.product, broken) and not ok_fast
     oi, args, result = wit_fast
     assert apply(w.product.ops[oi], args) == result
     assert result not in set(broken) and all(a in set(broken) for a in args)
