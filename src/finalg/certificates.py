@@ -19,6 +19,7 @@ from .induction import run_level_induction
 from .io import dumps_canonical, write_atomic
 from .maltsev import (
     ABSORPTION_SCHEMES,
+    CHAIN_SCHEMES,
     absorption_search,
     chain_level,
     coprime_dissent_pipeline,
@@ -234,11 +235,9 @@ def _recheck_level(cert: dict) -> tuple[bool, str]:
     ev = cert["evidence"]
     op_names = [op.name for op in gens[0].ops]
     if ev["terms"]:
-        from .maltsev import _CHAIN_EQUATIONS
-
         terms = [term_from_obj(t, op_names) for t in ev["terms"]]
-        builder, nvars = _CHAIN_EQUATIONS[p["scheme"]]
-        ok, violation = verify_equations(builder(terms), gens, nvars)
+        equations, nvars = CHAIN_SCHEMES[p["scheme"]].equations(terms)
+        ok, violation = verify_equations(equations, gens, nvars)
         if not ok:
             return False, f"stored chain fails its equations at {violation}"
     fresh = chain_level(gens, p["scheme"])
@@ -255,8 +254,6 @@ def _recheck_search(cert: dict) -> tuple[bool, str]:
     scheme = _search_scheme(p["scheme"], p["arity"], p["m"])
     op_names = [op.name for op in gens[0].ops]
     if ev["found"]:
-        from .maltsev import _scheme_equations
-
         # a found term is re-verified, not searched for again: the search can
         # cost far more than the check
         expected = {"scheme": scheme.name, "params": scheme.params,
@@ -266,7 +263,7 @@ def _recheck_search(cert: dict) -> tuple[bool, str]:
         if drifted:
             return False, f"stored {', '.join(drifted)} differ from the parameters"
         term = term_from_obj(ev["term"], op_names)
-        equations, nvars = _scheme_equations(scheme, term)
+        equations, nvars = scheme.equations(term)
         ok, violation = verify_equations(equations, gens, nvars)
         if not ok:
             return False, f"term fails at {violation}"

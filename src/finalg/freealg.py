@@ -56,7 +56,6 @@ from .algebras import (
     DEFAULT_TABLE_CAP,
     AlgebraError,
     CapExceeded,
-    FactorIndexing,
     FiniteAlgebra,
     _op_symmetrical,
     is_near_unanimity,
@@ -235,7 +234,6 @@ def _generate(tables, gens, coord_algs, gen_rows, element_cap, work_cap, engine)
 @dataclass
 class FreeAlgebra:
     sub: Subpower
-    g: int
     assignments: list[tuple[int, tuple[int, ...]]]  # coordinate -> (alg, assignment)
 
     @property
@@ -245,15 +243,6 @@ class FreeAlgebra:
     @property
     def vectors(self) -> np.ndarray:
         return self.sub.vectors
-
-    def generator_indices(self) -> list[int]:
-        out = []
-        for j in range(self.g):
-            i = self.sub.index_of(self.sub.gen_rows[j])
-            if i is None:
-                raise AlgebraError("projection vector missing from the free algebra")
-            out.append(i)
-        return out
 
 
 def build_free_algebra(
@@ -286,7 +275,7 @@ def build_free_algebra(
         why = "".join(f"; {stage}: {sub.stats[stage]}" for stage in ("closure", "local")
                       if stage in sub.stats)
         raise CapExceeded(f"free algebra too large to enumerate{why}", explored=0)
-    return FreeAlgebra(sub, g, assignments)
+    return FreeAlgebra(sub, assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +573,7 @@ def _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
     if space > element_cap:
         raise CapExceeded(f"coordinate box of {space} vectors exceeds the element cap "
                           f"{element_cap}")
-    grids = FactorIndexing(tuple(sizes)).digits(np.arange(space)).astype(np.int16)
+    grids = np.indices(sizes, dtype=np.int16).reshape(len(sizes), -1).T
     keep = np.ones(space, dtype=bool)
     for subset in itertools.combinations(range(ncoords), min(width, ncoords)):
         keep &= _local_mask(sub, subset, grids)

@@ -1,47 +1,46 @@
-"""Chain-style Maltsev-condition levels and absorption-style term searches.
+"""Maltsev conditions as scheme records: chain levels and absorption-style searches.
 
-Chain levels run a breadth-first search over the free algebra on 3 or 4
-generators: an element takes part when its value vector returns the right
-generator on every coordinate matching the scheme's node pattern, and two
-elements are linked when their vectors agree on the coordinates matching the
-parity's identification pattern.  Witness chains re-verify against the
-scheme's equation system by exhaustive evaluation.
+Each condition is written down once, as a record, and everything else reads
+it: the search for terms, the equations a found term is re-verified against
+(`equations`), and the recheck of a stored certificate.
 
-Absorption searches generate the subalgebra of the product over (generating
-algebra, constraint row, valuation) coordinates from the argument columns; a
-satisfying term exists iff some generated vector meets the required outputs
-and equality links.
+A `ChainScheme` is searched breadth-first over the free algebra on `arity`
+generators.  An element takes part when its value vector satisfies the
+`every` equation; starts satisfy `first`, ends `last`; and an element at
+depth i links to one at depth i + 1 when their vectors agree on the
+coordinates of the parity's link patterns.
+
+An `AbsorptionScheme` is searched in the subalgebra of the product over
+(generating algebra, constraint row, valuation) coordinates generated by the
+argument columns; a satisfying term exists iff some generated vector meets
+the required outputs and equality links.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebras import AlgebraError, CapExceeded, FiniteAlgebra
 from .freealg import FreeAlgebra, Subpower, build_free_algebra, generate_subpower
-from .terms import (
-    App,
-    Term,
-    Var,
-    alvin_chain_equations,
-    day_chain_equations,
-    directed_jonsson_chain_equations,
-    directed_minority_chain_equations,
-    dissent_unanimity_equations,
-    half_nu_equations,
-    hagemann_mitschke_chain_equations,
-    jonsson_chain_equations,
-    lone_dissent_equations,
-    maltsev_equations,
-    nu_equations,
-    subst,
-    term_to_obj,
-    verify_equations,
-)
+from .terms import App, Term, Var, subst, term_to_obj, verify_equations
+
+Args = tuple[int, ...]            # variable per argument position: x=0, y=1, z=2, u=3
+Value = tuple[Args, int]          # t(args) = result variable
+Link = tuple[Args, Args]          # t_i(left) = t_{i+1}(right)
+
+
+def _at(term: Term, args: Args) -> Term:
+    return subst(term, tuple(Var(v) for v in args))
+
+
+def _verify(system, algebras) -> tuple:
+    """verify_equations on an (equations, nvars) pair."""
+    equations, nvars = system
+    return verify_equations(equations, algebras, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -50,105 +49,96 @@ from .terms import (
 
 @dataclass(frozen=True)
 class ChainScheme:
-    """How a chain of terms is constrained.
+    """A chain condition on terms t_i, ..., t_n, all of one arity.
 
-    kind 'parity': elements t_0..t_n between two projections, edges
-    alternating between two identification patterns; kind 'linked': same but
-    the link equation reshuffles arguments, so edges compare two different
-    patterns; kind 'directed': endpoints are value conditions instead of
-    projections and every link uses the same (left, right) pattern pair.
-    Patterns are tuples of variable classes, e.g. (0, 0, 1) marks the
-    coordinates whose generator assignment has shape (a, a, c).
+    arity: the terms' arity, which is the free algebra's generator count.
+    first, last: (argument variables, result variable) equations of the first
+    and the last term.  every: an equation each term satisfies, or None.
+    links: (even, odd) pairs (left, right), t_i(left) = t_{i+1}(right) with
+    i counted from the chain's first term.  first_index: 0 for t_0..t_n, 1
+    for the directed chains t_1..t_n; the level is n.  Variables are the
+    equations' own, x=0, y=1, z=2, u=3.
     """
 
-    name: str
-    gcount: int
-    kind: str
-    node: Optional[tuple[tuple[int, ...], int]]
-    start_var: int = 0
-    end_var: int = 0
-    even: Optional[tuple[int, ...]] = None
-    odd: Optional[tuple[int, ...]] = None
-    left: Optional[tuple[int, ...]] = None
-    right: Optional[tuple[int, ...]] = None
-    start_cond: Optional[tuple[tuple[int, ...], int]] = None
-    end_cond: Optional[tuple[tuple[int, ...], int]] = None
+    arity: int
+    first: Value
+    last: Value
+    every: Optional[Value]
+    links: tuple[Link, Link]
+    first_index: int
+
+    def equations(self, terms: Sequence[Term]):
+        """(equations, nvars) of the chain terms[0], ..., terms[-1]."""
+        values = [(self.first, terms[:1]), (self.last, terms[-1:])]
+        if self.every is not None:
+            values.append((self.every, terms))
+        eqs = [(_at(t, args), Var(result)) for (args, result), ts in values for t in ts]
+        for i in range(len(terms) - 1):
+            left, right = self.links[i % 2]
+            eqs.append((_at(terms[i], left), _at(terms[i + 1], right)))
+        patterns = [args for (args, _), _ in values] + [p for link in self.links for p in link]
+        return eqs, 1 + max(max(p) for p in patterns)
 
 
 CHAIN_SCHEMES = {
     "jonsson": ChainScheme(
-        "jonsson", 3, "parity", node=((0, 1, 0), 0),
-        start_var=0, end_var=2, even=(0, 0, 1), odd=(0, 1, 1),
+        3, ((0, 1, 2), 0), ((0, 1, 2), 2), ((0, 1, 0), 0),
+        (((0, 0, 2), (0, 0, 2)), ((0, 2, 2), (0, 2, 2))), 0,
     ),
     "alvin": ChainScheme(
-        "alvin", 3, "parity", node=((0, 1, 0), 0),
-        start_var=0, end_var=2, even=(0, 1, 1), odd=(0, 0, 1),
+        3, ((0, 1, 2), 0), ((0, 1, 2), 2), ((0, 1, 0), 0),
+        (((0, 2, 2), (0, 2, 2)), ((0, 0, 2), (0, 0, 2))), 0,
     ),
     "day": ChainScheme(
-        "day", 4, "parity", node=((0, 1, 1, 0), 0),
-        start_var=0, end_var=3, even=(0, 0, 1, 1), odd=(0, 1, 1, 2),
+        4, ((0, 1, 2, 3), 0), ((0, 1, 2, 3), 3), ((0, 1, 1, 0), 0),
+        (((0, 0, 3, 3), (0, 0, 3, 3)), ((0, 1, 1, 3), (0, 1, 1, 3))), 0,
     ),
     "hagemann-mitschke": ChainScheme(
-        "hagemann-mitschke", 3, "linked", node=None,
-        start_var=0, end_var=2, left=(0, 0, 1), right=(0, 1, 1),
+        3, ((0, 1, 2), 0), ((0, 1, 2), 2), None,
+        (((0, 0, 2), (0, 2, 2)), ((0, 0, 2), (0, 2, 2))), 0,
     ),
     "directed-jonsson": ChainScheme(
-        "directed-jonsson", 3, "directed", node=((0, 1, 0), 0),
-        left=(0, 1, 1), right=(0, 0, 1),
-        start_cond=((0, 0, 1), 0), end_cond=((0, 1, 1), 1),
+        3, ((0, 0, 2), 0), ((0, 2, 2), 2), ((0, 1, 0), 0),
+        (((0, 2, 2), (0, 0, 2)), ((0, 2, 2), (0, 0, 2))), 1,
     ),
     "directed-minority": ChainScheme(
-        "directed-minority", 3, "directed", node=((0, 1, 0), 1),
-        left=(0, 1, 1), right=(0, 0, 1),
-        start_cond=((0, 0, 1), 1), end_cond=((0, 1, 1), 0),
+        3, ((0, 0, 1), 1), ((0, 1, 1), 0), ((0, 1, 0), 1),
+        (((0, 1, 1), (0, 0, 1)), ((0, 1, 1), (0, 0, 1))), 1,
     ),
 }
 
-_CHAIN_EQUATIONS: dict[str, tuple[Callable, int]] = {
-    "jonsson": (jonsson_chain_equations, 3),
-    "alvin": (alvin_chain_equations, 3),
-    "day": (day_chain_equations, 4),
-    "hagemann-mitschke": (hagemann_mitschke_chain_equations, 3),
-    "directed-jonsson": (directed_jonsson_chain_equations, 3),
-    "directed-minority": (directed_minority_chain_equations, 2),
-}
 
-
-def _pattern_coords(free: FreeAlgebra, pattern: tuple[int, ...]):
-    """Coordinates whose assignment factors through the pattern, sorted by
-    (algebra, class-value tuple) so fingerprints of different patterns with
-    the same class count align positionally."""
-    nclasses = max(pattern) + 1
+def _pattern_coords(free: FreeAlgebra, args: Args) -> list[int]:
+    """Coordinates whose assignment factors through the argument variables,
+    sorted by (algebra, values of the variables used), so the coordinates of
+    two patterns on the same variables, (0, 0, 2) and (0, 2, 2), align."""
+    used = sorted(set(args))
     keyed = []
     for k, (ai, asg) in enumerate(free.assignments):
-        values = [None] * nclasses
-        ok = True
-        for pos, cls in enumerate(pattern):
-            if values[cls] is None:
-                values[cls] = asg[pos]
-            elif values[cls] != asg[pos]:
-                ok = False
-                break
-        if ok:
-            keyed.append(((ai, tuple(values)), k))
+        values: dict[int, int] = {}
+        if all(values.setdefault(v, a) == a for v, a in zip(args, asg, strict=True)):
+            keyed.append(((ai, tuple(values[v] for v in used)), k))
     keyed.sort()
-    return [k for _, k in keyed], [key for key, _ in keyed]
+    return [k for _, k in keyed]
 
 
-def _node_mask(free: FreeAlgebra, node) -> np.ndarray:
-    pattern, result = node
-    coords, keys = _pattern_coords(free, pattern)
-    want = np.asarray([key[1][result] for key in keys], dtype=np.int16)
+def _value_mask(free: FreeAlgebra, value: Value) -> np.ndarray:
+    """Elements t with t(args) = result."""
+    args, result = value
+    coords = _pattern_coords(free, args)
+    pos = args.index(result)
+    want = np.asarray([free.assignments[k][1][pos] for k in coords], dtype=np.int16)
     return (free.vectors[:, coords] == want).all(axis=1)
 
 
-def _fingerprint_groups(free: FreeAlgebra, *patterns) -> list[np.ndarray]:
-    """One group id per element for each pattern, aligned across the patterns:
-    groups[i][e] == groups[j][e'] iff e restricted to pattern i equals e'
-    restricted to pattern j."""
-    parts = [free.vectors[:, _pattern_coords(free, p)[0]] for p in patterns]
+def _link_groups(free: FreeAlgebra, link: Link) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) group id per element: e links to e' iff left[e] == right[e'],
+    that is, e(left) = e'(right)."""
+    patterns = list(dict.fromkeys(link))  # one pattern when both sides read alike
+    parts = [free.vectors[:, _pattern_coords(free, p)] for p in patterns]
     _, groups = np.unique(np.concatenate(parts), axis=0, return_inverse=True)
-    return np.split(groups.ravel(), len(patterns))
+    groups = np.split(groups.ravel(), len(patterns))
+    return groups[0], groups[-1]
 
 
 @dataclass
@@ -179,7 +169,6 @@ def chain_level(
     scheme_name: str,
     *,
     max_level: int = 64,
-    engine: str = "auto",
     free: Optional[FreeAlgebra] = None,
 ) -> LevelCertificate:
     """Minimal chain length for the scheme over the generated variety.
@@ -192,64 +181,33 @@ def chain_level(
         raise AlgebraError(f"unknown chain scheme {scheme_name!r}")
     gens = list(gens)
     if free is None:
-        free = build_free_algebra(gens, scheme.gcount, engine=engine)
+        free = build_free_algebra(gens, scheme.arity)
     labels = [a.label for a in gens]
-    if scheme.kind == "parity":
-        chain = _parity_chain(free, scheme, max_level)
-    elif scheme.kind == "linked":
-        chain = _linked_chain(free, scheme, max_level)
-    else:
-        chain = _directed_chain(free, scheme, max_level)
+    chain = _chain(free, scheme, max_level)
     if chain is None:
         return LevelCertificate(scheme_name, labels, False, None, None, None, True,
                                 {"free_size": free.size})
     terms = [free.sub.term_for(i) for i in chain]
-    builder, nvars = _CHAIN_EQUATIONS[scheme_name]
-    ok, violation = verify_equations(builder(terms), gens, nvars)
+    ok, violation = _verify(scheme.equations(terms), gens)
     if not ok:
         raise AlgebraError(f"chain witness failed re-verification at {violation}")
-    level = len(chain) - 1 if scheme.kind in ("parity", "linked") else len(chain)
-    return LevelCertificate(scheme_name, labels, True, level, chain, terms, True,
-                            {"free_size": free.size})
+    return LevelCertificate(scheme_name, labels, True, len(chain) - 1 + scheme.first_index,
+                            chain, terms, True, {"free_size": free.size})
 
 
-def _parity_chain(free, scheme, max_level):
-    eligible = _node_mask(free, scheme.node) if scheme.node else np.ones(free.size, bool)
-    gen_idx = free.generator_indices()
-    start, end = gen_idx[scheme.start_var], gen_idx[scheme.end_var]
-    if not (eligible[start] and eligible[end]):
-        raise AlgebraError("projection endpoints fail the node constraint")
-    if start == end:
-        return [start]
-    groups = [*_fingerprint_groups(free, scheme.even), *_fingerprint_groups(free, scheme.odd)]
-    edges = lambda depth: (groups[depth % 2], groups[depth % 2])
-    return _bfs_levels(eligible, [start], lambda e: e == end, edges, max_level,
-                       parity_matters=True)
-
-
-def _linked_chain(free, scheme, max_level):
-    eligible = np.ones(free.size, bool)
-    gen_idx = free.generator_indices()
-    start, end = gen_idx[scheme.start_var], gen_idx[scheme.end_var]
-    if start == end:
-        return [start]
-    pair = _fingerprint_groups(free, scheme.left, scheme.right)
-    return _bfs_levels(eligible, [start], lambda e: e == end, lambda depth: pair,
-                       max_level, parity_matters=False)
-
-
-def _directed_chain(free, scheme, max_level):
-    eligible = _node_mask(free, scheme.node) if scheme.node else np.ones(free.size, bool)
-    starts = [int(s) for s in np.flatnonzero(eligible & _node_mask(free, scheme.start_cond))]
-    accept = eligible & _node_mask(free, scheme.end_cond)
-    if not starts:
-        return None
+def _chain(free: FreeAlgebra, scheme: ChainScheme, max_level: int):
+    """The lex-least minimal chain of element indices, or None."""
+    eligible = (_value_mask(free, scheme.every) if scheme.every is not None
+                else np.ones(free.size, dtype=bool))
+    starts = [int(s) for s in np.flatnonzero(eligible & _value_mask(free, scheme.first))]
+    accept = eligible & _value_mask(free, scheme.last)
     hits = [s for s in starts if accept[s]]
     if hits:
         return [min(hits)]
-    pair = _fingerprint_groups(free, scheme.left, scheme.right)
-    return _bfs_levels(eligible, starts, lambda e: bool(accept[e]), lambda depth: pair,
-                       max_level, parity_matters=False)
+    groups = {link: _link_groups(free, link) for link in scheme.links}
+    return _bfs_levels(eligible, starts, lambda e: bool(accept[e]),
+                       lambda depth: groups[scheme.links[depth % 2]], max_level,
+                       parity_matters=scheme.links[0] != scheme.links[1])
 
 
 def _bfs_levels(eligible, starts, is_goal, edges, max_level, parity_matters):
@@ -268,11 +226,11 @@ def _bfs_levels(eligible, starts, is_goal, edges, max_level, parity_matters):
     elig = [int(e) for e in np.flatnonzero(eligible)]
     while goal_level is None:
         depth = len(level_sets) - 1
-        if depth >= max_level:
-            raise CapExceeded(f"chain search exceeded {max_level} levels")
         current = level_sets[-1]
         if not current:
             return None
+        if depth >= max_level:
+            raise CapExceeded(f"chain search exceeded {max_level} levels")
         left, right = edges(depth)
         cur_groups = set(int(left[e]) for e in current)
         par = (depth + 1) % nparities
@@ -314,6 +272,20 @@ class AbsorptionScheme:
     nvars: int
     rows: tuple[SchemeRow, ...]
     params: dict = field(default_factory=dict)
+
+    def equations(self, term: Term):
+        """(equations, nvars): term(pattern) = required for each required row,
+        and each later row of a link group equal to the group's first row."""
+        eqs, linked = [], {}
+        for row in self.rows:
+            lhs = _at(term, row.pattern)
+            if row.required is not None:
+                eqs.append((lhs, Var(row.required)))
+            elif row.link in linked:
+                eqs.append((linked[row.link], lhs))
+            else:
+                linked[row.link] = lhs
+        return eqs, self.nvars
 
 
 def nu_scheme(arity: int) -> AbsorptionScheme:
@@ -391,20 +363,6 @@ ABSORPTION_SCHEMES = {
 }
 
 
-def _scheme_equations(scheme: AbsorptionScheme, term: Term):
-    if scheme.name == "nu":
-        return nu_equations(term, scheme.arity), 2
-    if scheme.name == "lone-dissent":
-        return lone_dissent_equations(term, scheme.arity), 2
-    if scheme.name == "nu-half":
-        return half_nu_equations(term, scheme.params["m"]), 2
-    if scheme.name == "dissent-unanimity":
-        return dissent_unanimity_equations(term, scheme.params["m"]), 3
-    if scheme.name == "maltsev":
-        return maltsev_equations(term), 2
-    raise AlgebraError(f"unknown scheme {scheme.name!r}")
-
-
 @dataclass
 class SearchCertificate:
     scheme: str
@@ -428,13 +386,11 @@ class SearchCertificate:
         }
 
 
+SEARCH_WORK_CAP = 4_000_000  # the closure's work bound; the element cap is freealg's 2^20
+
+
 def absorption_search(
-    gens: Sequence[FiniteAlgebra],
-    scheme: AbsorptionScheme,
-    *,
-    element_cap: int = 1 << 20,
-    work_cap: int = 4_000_000,
-    engine: str = "auto",
+    gens: Sequence[FiniteAlgebra], scheme: AbsorptionScheme
 ) -> SearchCertificate:
     """Decide whether a term satisfying the scheme exists in the variety.
 
@@ -478,31 +434,22 @@ def absorption_search(
 
     # a shallow pass first: witnesses of small depth (often a basic
     # operation) appear within a tiny work budget
-    sub = None
-    if engine == "auto":
-        quick = generate_subpower(
-            gens, coord_algs, gen_rows,
-            element_cap=element_cap, work_cap=min(work_cap, 300_000),
-            engine="partial",
+    quick = generate_subpower(gens, coord_algs, gen_rows, work_cap=300_000, engine="partial")
+    required, link_groups, ok = constraints(quick)
+    if not ok:
+        return SearchCertificate(scheme.name, scheme.params, labels, False, None,
+                                 False, True, {"reason": "contradictory requirements"})
+    vec = _scan_vectors(quick, required, link_groups)
+    if vec is not None:
+        term = quick.term_for_vector(vec)
+        return _verified_hit(scheme, gens, labels, term, quick)
+    if quick.engine == "closure":  # the shallow pass already saturated
+        return SearchCertificate(
+            scheme.name, scheme.params, labels, False, None, False, True,
+            {"engine": "closure", "size": quick.size},
         )
-        required, link_groups, ok = constraints(quick)
-        if not ok:
-            return SearchCertificate(scheme.name, scheme.params, labels, False, None,
-                                     False, True, {"reason": "contradictory requirements"})
-        vec = _scan_vectors(quick, required, link_groups)
-        if vec is not None:
-            term = quick.term_for_vector(vec)
-            return _verified_hit(scheme, gens, labels, term, quick)
-        if quick.engine == "closure":  # the shallow pass already saturated
-            return SearchCertificate(
-                scheme.name, scheme.params, labels, False, None, False, True,
-                {"engine": "closure", "size": quick.size},
-            )
 
-    sub = generate_subpower(
-        gens, coord_algs, gen_rows,
-        element_cap=element_cap, work_cap=work_cap, engine=engine,
-    )
+    sub = generate_subpower(gens, coord_algs, gen_rows, work_cap=SEARCH_WORK_CAP)
     required, link_groups, ok = constraints(sub)
     if not ok:
         return SearchCertificate(scheme.name, scheme.params, labels, False, None,
@@ -527,8 +474,7 @@ def absorption_search(
 
 
 def _verified_hit(scheme, gens, labels, term, sub) -> "SearchCertificate":
-    equations, nvars = _scheme_equations(scheme, term)
-    verified, violation = verify_equations(equations, gens, nvars)
+    verified, violation = _verify(scheme.equations(term), gens)
     if not verified:
         raise AlgebraError(f"found term failed re-verification at {violation}")
     return SearchCertificate(
@@ -593,7 +539,7 @@ def _op_term(alg: FiniteAlgebra, op_index: int) -> Term:
 
 
 def _require_lone_dissent(alg: FiniteAlgebra, term: Term, arity: int, what: str):
-    ok, violation = verify_equations(lone_dissent_equations(term, arity), [alg], 2)
+    ok, violation = _verify(lone_dissent_scheme(arity).equations(term), [alg])
     if not ok:
         raise AlgebraError(
             f"{what} is not a lone-dissent term: equation {violation[1]} fails "
@@ -617,14 +563,14 @@ def dissent_self_composition(alg: FiniteAlgebra, op_index: int, k: int):
     m = arity - 1
     base = _op_term(alg, op_index)
     _require_lone_dissent(alg, base, arity, f"operation {alg.op(op_index).name}")
-    term, term_arity = base, arity
+    term, out_arity = base, arity
     for _ in range(k - 1):
-        term = compose_dissent(base, arity, term, term_arity)
-        term_arity = term_arity + m
-    ok, violation = verify_equations(lone_dissent_equations(term, term_arity), [alg], 2)
+        term = compose_dissent(base, arity, term, out_arity)
+        out_arity = out_arity + m
+    ok, violation = _verify(lone_dissent_scheme(out_arity).equations(term), [alg])
     if not ok:
         raise AlgebraError(f"self-composition failed verification at {violation}")
-    return term, term_arity
+    return term, out_arity
 
 
 def dissent_mixed_composition(alg: FiniteAlgebra, d_index: int, e_index: int):
@@ -636,7 +582,7 @@ def dissent_mixed_composition(alg: FiniteAlgebra, d_index: int, e_index: int):
     _require_lone_dissent(alg, e_term, e_arity, "second operation")
     term = compose_dissent(d_term, d_arity, e_term, e_arity)
     arity = d_arity + e_arity - 2 + 1
-    ok, violation = verify_equations(lone_dissent_equations(term, arity), [alg], 2)
+    ok, violation = _verify(lone_dissent_scheme(arity).equations(term), [alg])
     if not ok:
         raise AlgebraError(f"mixed composition failed verification at {violation}")
     return term, arity
@@ -648,7 +594,7 @@ def maltsev_from_dissent(alg: FiniteAlgebra, op_index: int) -> Term:
     base = _op_term(alg, op_index)
     _require_lone_dissent(alg, base, arity, f"operation {alg.op(op_index).name}")
     term = subst(base, (Var(0),) + (Var(1),) * (arity - 2) + (Var(2),))
-    ok, violation = verify_equations(maltsev_equations(term), [alg], 2)
+    ok, violation = _verify(maltsev_scheme().equations(term), [alg])
     if not ok:
         raise AlgebraError(f"derived term failed the Maltsev equations at {violation}")
     return term
@@ -669,7 +615,7 @@ def nu_from_consecutive_dissent(
         vars_ = tuple(Var(i) for i in range(e_arity) if i != omit)
         inners.append(subst(d_term, vars_))
     term = subst(e_term, tuple(inners))
-    ok, violation = verify_equations(nu_equations(term, e_arity), [alg], 2)
+    ok, violation = _verify(nu_scheme(e_arity).equations(term), [alg])
     if not ok:
         raise AlgebraError(f"composite failed the near-unanimity equations at {violation}")
     return term

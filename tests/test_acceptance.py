@@ -11,6 +11,7 @@ import time
 import pytest
 
 import property_suites as ps
+from equation_oracle import lone_dissent_equations, maltsev_equations, nu_equations
 from finalg.algebras import is_k_majority, make_ujm_reduct
 from finalg.freealg import build_free_algebra
 from finalg.identities import check_identity
@@ -25,12 +26,7 @@ from finalg.maltsev import (
     nu_half_scheme,
     nu_scheme,
 )
-from finalg.terms import (
-    lone_dissent_equations,
-    maltsev_equations,
-    nu_equations,
-    verify_equations,
-)
+from finalg.terms import verify_equations
 from finalg.witnesses import (
     dissent_pair_fixture,
     implication_expansion,

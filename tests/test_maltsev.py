@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,19 +21,16 @@ from finalg.maltsev import (
     dissent_unanimity_scheme,
     _op_term,
 )
-from finalg.terms import (
-    lone_dissent_equations,
-    maltsev_equations,
-    nu_equations,
-    term_arity,
-    verify_equations,
-)
+from finalg.terms import App, Var, verify_equations
 from finalg.witnesses import (
     dissent_pair_fixture,
     implication_expansion,
     modular_sum_algebra,
     nu_family_generators,
 )
+
+import equation_oracle as oracle
+from equation_oracle import lone_dissent_equations, maltsev_equations, nu_equations, term_arity
 
 
 N23 = make_ujm_reduct(2, 2, 3)
@@ -256,10 +255,43 @@ def test_level_monotone_under_added_generators():
         assert a is not None and b is not None and a <= b, (scheme, a, b)
 
 
+def _brute_force_chains(gens, free, scheme, length):
+    """Every chain of `length` elements that meets the scheme, in lex order,
+    read off the element vectors valuation by valuation."""
+    index = {key: k for k, key in enumerate(free.assignments)}
+    vals = [(ai, val) for ai, alg in enumerate(gens)
+            for val in itertools.product(range(alg.size), repeat=scheme.arity)]
+
+    def image(args):  # the vectors' entries at the coordinates t(args) reads
+        return free.vectors[:, [index[(ai, tuple(val[v] for v in args))] for ai, val in vals]]
+
+    def holds(value):
+        args, result = value
+        return (image(args) == [val[result] for _, val in vals]).all(axis=1)
+
+    eligible = holds(scheme.every) if scheme.every else np.ones(free.size, dtype=bool)
+    pool = [int(e) for e in np.flatnonzero(eligible)]
+    starts = [int(e) for e in np.flatnonzero(eligible & holds(scheme.first))]
+    ends = eligible & holds(scheme.last)
+    links = [(image(left), image(right)) for left, right in scheme.links]
+    found = []
+    stack = [[s] for s in reversed(starts)]
+    while stack:
+        chain = stack.pop()
+        if len(chain) == length:
+            if ends[chain[-1]]:
+                found.append(chain)
+            continue
+        left, right = links[(len(chain) - 1) % 2]
+        for e in reversed(pool):
+            if (left[chain[-1]] == right[e]).all():
+                stack.append(chain + [e])
+    return found
+
+
 def test_chain_is_lex_least_among_minimal():
-    # brute-force every chain of the found length and compare
-    from finalg.freealg import build_free_algebra
-    from finalg.maltsev import CHAIN_SCHEMES, _fingerprint_groups, _node_mask
+    # brute-force every chain up to the found length and compare
+    from finalg.maltsev import CHAIN_SCHEMES
 
     for gens, scheme_name in [
         ([N23], "jonsson"),
@@ -267,43 +299,52 @@ def test_chain_is_lex_least_among_minimal():
         ([N23], "day"),
         ([N24], "jonsson"),
         ([implication_expansion(4)], "hagemann-mitschke"),
+        ([N23], "directed-jonsson"),
+        ([N24], "directed-jonsson"),
+        ([modular_sum_algebra(3, 4)], "directed-minority"),
     ]:
         scheme = CHAIN_SCHEMES[scheme_name]
-        free = build_free_algebra(gens, scheme.gcount)
+        free = build_free_algebra(gens, scheme.arity)
         cert = chain_level(gens, scheme_name)
         assert cert.found
-        n = cert.level
-        if n == 0:
-            continue
-        eligible = (
-            _node_mask(free, scheme.node) if scheme.node
-            else np.ones(free.size, dtype=bool)
-        )
-        gi = free.generator_indices()
-        start, end = gi[scheme.start_var], gi[scheme.end_var]
-        if scheme.kind == "parity":
-            groups = [*_fingerprint_groups(free, scheme.even),
-                      *_fingerprint_groups(free, scheme.odd)]
+        length = cert.level + 1 - scheme.first_index
+        for shorter in range(1, length):
+            assert _brute_force_chains(gens, free, scheme, shorter) == [], (scheme_name, shorter)
+        chains = _brute_force_chains(gens, free, scheme, length)
+        assert chains and cert.chain == min(chains), (scheme_name, cert.chain, chains[:1])
 
-            def linked(i, a, b):
-                return groups[i % 2][a] == groups[i % 2][b]
 
-        else:
-            left, right = _fingerprint_groups(free, scheme.left, scheme.right)
+# the hand-written equations of each chain scheme and their variable counts
+_CHAIN_ORACLE = {
+    "jonsson": (oracle.jonsson_chain_equations, 3),
+    "alvin": (oracle.alvin_chain_equations, 3),
+    "day": (oracle.day_chain_equations, 4),
+    "hagemann-mitschke": (oracle.hagemann_mitschke_chain_equations, 3),
+    "directed-jonsson": (oracle.directed_jonsson_chain_equations, 3),
+    "directed-minority": (oracle.directed_minority_chain_equations, 2),
+}
 
-            def linked(i, a, b):
-                return left[a] == right[b]
 
-        pool = [int(e) for e in np.flatnonzero(eligible)]
-        best = None
-        stack = [[start]]
-        while stack:
-            chain = stack.pop()
-            if len(chain) == n + 1:
-                if chain[-1] == end and (best is None or chain < best):
-                    best = chain
-                continue
-            for e in pool:
-                if linked(len(chain) - 1, chain[-1], e):
-                    stack.append(chain + [e])
-        assert best is not None and cert.chain == best, (scheme_name, cert.chain, best)
+def test_scheme_equations_match_the_oracle():
+    from finalg.maltsev import CHAIN_SCHEMES
+
+    assert CHAIN_SCHEMES.keys() == _CHAIN_ORACLE.keys()
+    for name, scheme in CHAIN_SCHEMES.items():
+        builder, nvars = _CHAIN_ORACLE[name]
+        for length in range(1, 7):
+            # a different symbol per term, so a term in the wrong place shows
+            terms = [App(i, tuple(Var(v) for v in range(scheme.arity))) for i in range(length)]
+            assert scheme.equations(terms) == (builder(terms), nvars), (name, length)
+
+    def op(arity):
+        return App(0, tuple(Var(v) for v in range(arity)))
+
+    cases = [(nu_scheme(a), oracle.nu_equations(op(a), a), 2) for a in (3, 4, 5, 6)]
+    cases += [(lone_dissent_scheme(a), oracle.lone_dissent_equations(op(a), a), 2)
+              for a in (3, 4, 7)]
+    cases += [(nu_half_scheme(m), oracle.half_nu_equations(op(m + 2), m), 2) for m in (3, 4, 5)]
+    cases += [(dissent_unanimity_scheme(m), oracle.dissent_unanimity_equations(op(2 * m), m), 3)
+              for m in (3, 4)]
+    cases += [(maltsev_scheme(), oracle.maltsev_equations(op(3)), 2)]
+    for scheme, equations, nvars in cases:
+        assert scheme.equations(op(scheme.arity)) == (equations, nvars), scheme

@@ -5,13 +5,7 @@ from finalg.terms import (
     App,
     Var,
     all_assignment_cols,
-    half_nu_equations,
-    idempotence_equation,
-    lone_dissent_equations,
-    maltsev_equations,
-    nu_equations,
     subst,
-    term_arity,
     term_eval_cols,
     term_from_obj,
     term_size,
@@ -20,6 +14,14 @@ from finalg.terms import (
 )
 from finalg.witnesses import dissent_pair_fixture, modular_sum_algebra
 
+from equation_oracle import (
+    half_nu_equations,
+    idempotence_equation,
+    lone_dissent_equations,
+    maltsev_equations,
+    nu_equations,
+    term_arity,
+)
 from scalar_oracle import term_value
 
 
