@@ -176,6 +176,8 @@ class FactorIndexing:
         is contiguous.
         """
         idx = np.array(ids, dtype=np.int64).ravel()
+        if len(idx) and (idx.min() < 0 or idx.max() >= self.size):
+            raise AlgebraError(f"index out of range 0..{self.size - 1}")
         out = np.empty((len(idx), len(self.sizes)), dtype=np.int64, order="F")
         for pos in range(len(self.sizes) - 1, -1, -1):
             out[:, pos] = idx % self.sizes[pos]
@@ -437,8 +439,6 @@ class BoxUnion:
     def points(cls, alg: FiniteAlgebra, ids: Iterable[int]) -> "BoxUnion":
         """The elements `ids` of `alg`, one box of singletons each."""
         ids = sorted({int(x) for x in ids})
-        if ids and (ids[0] < 0 or ids[-1] >= alg.size):  # digits would wrap them
-            raise AlgebraError("subset out of range")
         sizes = coordinate_sizes(alg)
         return cls(sizes, [[(v,) for v in row]
                            for row in FactorIndexing(sizes).digits(ids).tolist()])

@@ -205,28 +205,20 @@ def recheck(cert: dict) -> tuple[bool, str]:
         return False, f"replay error: {exc}"
 
 
-def _recheck_sharpness(cert: dict) -> tuple[bool, str]:
-    p = cert["parameters"]
-    fresh = sharpness_certificate(p["m"], p["q"])
+def _recheck_rebuild(cert: dict) -> tuple[bool, str]:
+    """Rebuild the certificate from its parameters; verdict and evidence must match."""
+    claim, p = cert["claim"], cert["parameters"]
+    if claim == "sharpness":
+        fresh = sharpness_certificate(p["m"], p["q"])
+    elif claim == "induction":
+        fresh = induction_certificate(p["m"], p["q"])
+    elif claim == "identity":
+        fresh = identity_certificate(p["family"], p["m"], p["q"], j=p.get("j", 0),
+                                     n=p.get("n", 0), expect=p.get("expect", ""))
+    else:
+        fresh = toolkit_certificate(p["fixtures"], p["d_index"], p["e_index"])
     same = fresh["verdict"] == cert["verdict"] and fresh["evidence"] == cert["evidence"]
-    return same, "recomputed report matches" if same else "report drifted"
-
-
-def _recheck_induction(cert: dict) -> tuple[bool, str]:
-    p = cert["parameters"]
-    fresh = induction_certificate(p["m"], p["q"])
-    same = fresh["verdict"] == cert["verdict"] and fresh["evidence"] == cert["evidence"]
-    return same, "stages match" if same else "stages drifted"
-
-
-def _recheck_identity(cert: dict) -> tuple[bool, str]:
-    p = cert["parameters"]
-    fresh = identity_certificate(
-        p["family"], p["m"], p["q"], j=p.get("j", 0), n=p.get("n", 0),
-        expect=p.get("expect", ""),
-    )
-    same = fresh["verdict"] == cert["verdict"] and fresh["evidence"] == cert["evidence"]
-    return same, "identity instance reproduced" if same else "instance drifted"
+    return same, f"rebuilt {claim} certificate matches" if same else f"{claim} evidence drifted"
 
 
 def _recheck_level(cert: dict) -> tuple[bool, str]:
@@ -275,13 +267,6 @@ def _recheck_search(cert: dict) -> tuple[bool, str]:
     return _verdict_follows(cert, ok, "absence reproduced")
 
 
-def _recheck_toolkit(cert: dict) -> tuple[bool, str]:
-    p = cert["parameters"]
-    fresh = toolkit_certificate(p["fixtures"], p["d_index"], p["e_index"])
-    same = fresh["verdict"] == cert["verdict"] and fresh["evidence"] == cert["evidence"]
-    return same, "toolkit pipeline reproduced" if same else "pipeline drifted"
-
-
 def _verdict_follows(cert: dict, ok: bool, detail: str) -> tuple[bool, str]:
     """The stored verdict must be the one the recomputed facts give."""
     verdict = "verified" if ok else "refuted"
@@ -291,10 +276,10 @@ def _verdict_follows(cert: dict, ok: bool, detail: str) -> tuple[bool, str]:
 
 
 _RECHECKERS: dict[str, Callable] = {
-    "sharpness": _recheck_sharpness,
-    "induction": _recheck_induction,
-    "identity": _recheck_identity,
+    "sharpness": _recheck_rebuild,
+    "induction": _recheck_rebuild,
+    "identity": _recheck_rebuild,
     "level": _recheck_level,
     "search": _recheck_search,
-    "toolkit": _recheck_toolkit,
+    "toolkit": _recheck_rebuild,
 }

@@ -132,7 +132,7 @@ def _cmd_search(args) -> int:
                               expect=args.expect)
     code = _emit(cert, args.out, quiet=True)
     ev = cert["evidence"]
-    what = f"{args.scheme} arity {args.arity or args.m}"
+    what = " ".join([args.scheme, *(f"{k} {v}" for k, v in ev["params"].items())])
     print(f"{what} on V({args.fixture}): {'found' if ev['found'] else 'not found'}")
     return code
 

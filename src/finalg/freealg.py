@@ -18,9 +18,15 @@ was found, so a completed closure over N elements does exactly
 `_closure_work(tables, N)` work: the sum over the operations of
 C(N+r-1, r) (symmetric, arity r) or N**r.  That sum only grows with N, so
 once the elements found so far put it over the work cap the closure cannot
-finish under the cap: a closure that may not return a partial result
-raises `CapExceeded` then, before the first round or after the block that
-pushed it over, not when the cap bites.
+finish under the cap, and it raises `CapExceeded` then, before the first
+round or after the block that pushed it over, not when the cap bites.
+
+A closure may be given a `stop` predicate: it sees the generators and then
+each block of new elements, and the closure returns as soon as one of them
+meets it, ending on that element.  Witnesses of small depth appear within a
+few hundred tuples, often past the point where the work bound would already
+refuse the whole closure, so a closure with `stop` applies the bound only
+once its work would pass `SHALLOW_WORK`.
 
 An operation is evaluated at every coordinate by one gather (`_Kernel`).
 Once per generate_subpower call, each operation's flat tables over the
@@ -31,16 +37,19 @@ a radix (its algebra's size).  Once per round, the element matrix is scaled
 into r int32 copies, copy j by radix**(r-1-j), the base folded into copy 0.
 Per argument block, r row gathers of those copies are summed in place into
 one reused buffer, which indexes the concatenated table.  Term evaluation
-(`Subpower.eval_term`) runs on the same kernel.  Two engines sit on it:
+(`Subpower.eval_term`) runs on the same kernel.  Three engines sit on it,
+tried in this order:
 
-* closure engine - the kernel over all coordinates; 'partial' returns
-  what was generated when the work cap bites.
+* closure engine - the kernel over all coordinates, with a provenance term
+  for every element.
 * local engine - when some basic operation is near-unanimity on every
   generator, the generated subpower is determined by its projections onto
   (arity-1)-sized coordinate sets, each closed by the same kernel under the
   same caps; elements are enumerated by filtering the coordinate box through
   the local closures, and provenance terms are reconstructed on demand by
   the interpolation recursion behind that decomposition.
+* membership engine - the local closures alone, for containment queries
+  over coordinate boxes too big to enumerate.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -86,18 +95,12 @@ class Subpower:
     def ncoords(self) -> int:
         return len(self.coord_algs)
 
-    def coord_class(self, k: int) -> int:
-        """Position inside this subpower of the caller's coordinate k."""
-        return k if self.class_of is None else int(self.class_of[k])
-
     def index_of(self, vec) -> Optional[int]:
         return self._index.get(np.asarray(vec, dtype=np.int16).tobytes())
 
     def contains_bulk(self, vecs: np.ndarray) -> np.ndarray:
-        """Membership mask for many candidate vectors at once."""
+        """Membership mask for many candidate vectors (membership engine)."""
         vecs = np.asarray(vecs, dtype=np.int16)
-        if self.engine != "membership":
-            return np.asarray([self.index_of(v) is not None for v in vecs], dtype=bool)
         mask = np.ones(len(vecs), dtype=bool)
         width = min(self._local.width, self.ncoords)
         for subset in itertools.combinations(range(self.ncoords), width):
@@ -105,13 +108,6 @@ class Subpower:
                 break
             mask &= _local_mask(self, subset, vecs)
         return mask
-
-    def term_for(self, i: int) -> Term:
-        if self.terms is not None:
-            return self.terms[i]
-        if self._local is None:
-            raise AlgebraError("no provenance available")
-        return _interpolate_term(self, self.vectors[i])
 
     def term_for_vector(self, vec) -> Term:
         vec = np.asarray(vec, dtype=np.int16)
@@ -146,26 +142,29 @@ class Subpower:
         return walk(term)
 
 
+ELEMENT_CAP = 1 << 20      # elements of a closure, vectors of a local engine's box
+SHALLOW_WORK = 300_000     # tuples a closure with `stop` applies before the work bound
+
+
 def generate_subpower(
     gens: Sequence[FiniteAlgebra],
     coord_algs: Sequence[int],
     gen_rows: np.ndarray,
     *,
-    element_cap: int = 1 << 20,
     work_cap: int = 80_000_000,
-    engine: str = "auto",
+    stop: Optional[Callable[[np.ndarray], Optional[int]]] = None,
 ) -> Subpower:
     """Close the generator vectors under all componentwise operations.
 
-    engine: 'closure' forces the term-tracking engine; 'partial' is the same
-    but returns whatever was generated when the work cap bites (engine field
-    'partial' marks the incomplete result); 'local' the projection engine
-    (needs a shared near-unanimity basic operation); 'membership' builds only
-    the local closures, for containment queries over boxes too big to
-    enumerate; 'auto' runs the closure until the work its elements already
-    force passes the work cap, then local, then membership.  When the
-    membership engine is the result of 'auto', its stats name why the other
-    two engines refused ('closure', 'local').
+    The closure engine runs first, until the work its elements already force
+    passes the work cap; then the local engine, then the membership engine,
+    whose stats name why the other two refused ('closure', 'local').
+
+    stop(rows) sees the generator rows, then each block of newly generated
+    rows, in the caller's coordinates and in generation order, and returns
+    the position of the first row that ends the search, or None.  The
+    closure engine then returns at once, ending on that row.  The local and
+    membership engines ignore `stop`.
     """
     gens = tuple(gens)
     for a in gens[1:]:
@@ -186,7 +185,8 @@ def generate_subpower(
     for k, ai in enumerate(coord_algs):
         sig = (ai, tuple(int(v) for v in gen_rows[:, k]))
         class_of[k] = classes.setdefault(sig, len(classes))
-    if len(classes) < len(coord_algs):
+    collapsed = len(classes) < len(coord_algs)
+    if collapsed:
         firsts = np.zeros(len(classes), dtype=np.int64)
         seen = set()
         for k in range(len(coord_algs)):
@@ -196,33 +196,26 @@ def generate_subpower(
                 firsts[c] = k
         coord_algs = [coord_algs[int(k)] for k in firsts]
         gen_rows = gen_rows[:, firsts]
-    sub = _generate(tables, gens, coord_algs, gen_rows, element_cap, work_cap, engine)
-    if len(classes) < len(class_of):
+        if stop is not None:
+            caller_stop = stop
+            stop = lambda rows: caller_stop(rows[:, class_of])
+    sub = _generate(tables, gens, coord_algs, gen_rows, work_cap, stop)
+    if collapsed:
         sub.class_of = class_of
     return sub
 
 
-def _generate(tables, gens, coord_algs, gen_rows, element_cap, work_cap, engine):
-    if engine == "local":
-        return _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
-                            enumerate_all=True)
-    if engine == "membership":
-        return _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
-                            enumerate_all=False)
+def _generate(tables, gens, coord_algs, gen_rows, work_cap, stop):
     try:
-        return _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
-                              partial_ok=(engine == "partial"))
+        return _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop)
     except CapExceeded as exc:
-        if engine in ("closure", "partial"):
-            raise
         closure_reason = str(exc)
     try:
-        return _build_local(tables, gens, coord_algs, gen_rows, element_cap,
-                            work_cap, enumerate_all=True)
+        return _build_local(tables, gens, coord_algs, gen_rows, work_cap,
+                            enumerate_all=True)
     except CapExceeded as exc:
         local_reason = str(exc)
-    sub = _build_local(tables, gens, coord_algs, gen_rows, element_cap,
-                       work_cap, enumerate_all=False)
+    sub = _build_local(tables, gens, coord_algs, gen_rows, work_cap, enumerate_all=False)
     sub.stats.update(closure=closure_reason, local=local_reason)
     return sub
 
@@ -245,14 +238,7 @@ class FreeAlgebra:
         return self.sub.vectors
 
 
-def build_free_algebra(
-    gens: Sequence[FiniteAlgebra],
-    g: int,
-    *,
-    element_cap: int = 1 << 20,
-    work_cap: int = 80_000_000,
-    engine: str = "auto",
-) -> FreeAlgebra:
+def build_free_algebra(gens: Sequence[FiniteAlgebra], g: int) -> FreeAlgebra:
     """Free algebra on g generators, realised inside the product of A^(A^g)."""
     gens = tuple(gens)
     if not gens:
@@ -267,10 +253,7 @@ def build_free_algebra(
     gen_rows = np.asarray(
         [[asg[j] for _, asg in assignments] for j in range(g)], dtype=np.int16
     )
-    sub = generate_subpower(
-        gens, coord_algs, gen_rows,
-        element_cap=element_cap, work_cap=work_cap, engine=engine,
-    )
+    sub = generate_subpower(gens, coord_algs, gen_rows)
     if sub.engine == "membership":
         why = "".join(f"; {stage}: {sub.stats[stage]}" for stage in ("closure", "local")
                       if stage in sub.stats)
@@ -455,8 +438,7 @@ def _refuse_doomed(tables: _Tables, n: int, work_cap: int) -> None:
                           f"{need} argument tuples, cap {work_cap}", explored=n)
 
 
-def _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
-                   partial_ok=False) -> Subpower:
+def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> Subpower:
     rows: list[np.ndarray] = []
     terms: list[Term] = []
     index: dict[bytes, int] = {}
@@ -479,53 +461,57 @@ def _build_closure(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
             break
     work = 0
     old = 0
-    complete = True
-    if not partial_ok:
+    hit = None if stop is None else stop(np.stack(rows))
+    bounded = stop is None              # the work bound applies
+    if bounded:
         _refuse_doomed(tables, len(rows), work_cap)
-    while True:
+    while hit is None:
         n = len(rows)
         stacked = np.stack(rows)
-        try:
-            for oi, r in enumerate(tables.arity):
-                weighted = kernel.weigh(oi, stacked)
-                for idx in _arg_blocks(n, old, r, tables.sym[oi], _CHUNK):
-                    work += len(idx)
-                    if work > work_cap:
-                        raise CapExceeded("subpower work cap exceeded", explored=n)
-                    out = kernel.apply(oi, weighted, idx)
-                    if packable:
-                        _, first = np.unique(out.astype(np.int64) @ pack,
-                                             return_index=True)
-                    else:
-                        _, first = np.unique(out, axis=0, return_index=True)
-                    before = len(rows)
-                    for where in np.sort(first):
-                        row = out[where]
-                        key = row.tobytes()
-                        if key not in index:
-                            if len(index) >= element_cap:
-                                raise CapExceeded("subpower element cap",
-                                                  explored=len(index))
-                            index[key] = len(rows)
-                            rows.append(row.copy())
-                            terms.append(
-                                App(oi, tuple(terms[i] for i in idx[where]))
-                            )
-                    if not partial_ok and len(rows) > before:
-                        _refuse_doomed(tables, len(rows), work_cap)
-        except CapExceeded:
-            if not partial_ok:
-                raise
-            complete = False
-            break
+        for oi, r in enumerate(tables.arity):
+            weighted = kernel.weigh(oi, stacked)
+            for idx in _arg_blocks(n, old, r, tables.sym[oi], _CHUNK):
+                work += len(idx)
+                if work > work_cap:
+                    raise CapExceeded("subpower work cap exceeded", explored=n)
+                if not bounded and work > SHALLOW_WORK:
+                    bounded = True
+                    _refuse_doomed(tables, len(rows), work_cap)
+                out = kernel.apply(oi, weighted, idx)
+                if packable:
+                    _, first = np.unique(out.astype(np.int64) @ pack, return_index=True)
+                else:
+                    _, first = np.unique(out, axis=0, return_index=True)
+                before = len(rows)
+                for where in np.sort(first):
+                    row = out[where]
+                    key = row.tobytes()
+                    if key not in index:
+                        if len(index) >= ELEMENT_CAP:
+                            raise CapExceeded("subpower element cap", explored=len(index))
+                        index[key] = len(rows)
+                        rows.append(row.copy())
+                        terms.append(App(oi, tuple(terms[i] for i in idx[where])))
+                if len(rows) == before:
+                    continue
+                if stop is not None:
+                    hit = stop(np.stack(rows[before:]))
+                    if hit is not None:
+                        hit += before
+                        break
+                if bounded:
+                    _refuse_doomed(tables, len(rows), work_cap)
+            if hit is not None:
+                break
         if len(rows) == n:
             break
         old = n
-    vectors = np.stack(rows)
-    sub = Subpower(
-        gens, coord_algs, gen_rows, vectors, terms,
-        "closure" if complete else "partial", {"work": work}, _tables=tables,
-    )
+    if hit is not None:                 # end on the row that met `stop`
+        for row in rows[hit + 1:]:
+            del index[row.tobytes()]
+        del rows[hit + 1:], terms[hit + 1:]
+    sub = Subpower(gens, coord_algs, gen_rows, np.stack(rows), terms, "closure",
+                   {"work": work}, _tables=tables)
     sub._index = index
     return sub
 
@@ -539,8 +525,7 @@ class _LocalData:
     nu_op: int
     width: int
     local_closures: dict                     # ordered coord tuple -> {proj: Term}
-    element_cap: int                         # caps of each local closure
-    work_cap: int
+    work_cap: int                            # of each local closure
 
 
 def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
@@ -551,15 +536,14 @@ def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
     return None
 
 
-def _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
-                 enumerate_all) -> Subpower:
+def _build_local(tables, gens, coord_algs, gen_rows, work_cap, enumerate_all) -> Subpower:
     nu = shared_nu_op(gens)
     if nu is None:
         raise CapExceeded("no shared near-unanimity operation; local engine unavailable")
     width = gens[0].ops[nu].arity - 1
     ncoords = len(coord_algs)
     sizes = [gens[ai].size for ai in coord_algs]
-    local = _LocalData(nu, width, {}, element_cap, work_cap)
+    local = _LocalData(nu, width, {}, work_cap)
     sub = Subpower(
         gens, coord_algs, gen_rows,
         np.empty((0, ncoords), dtype=np.int16), None,
@@ -570,9 +554,9 @@ def _build_local(tables, gens, coord_algs, gen_rows, element_cap, work_cap,
         return sub
 
     space = math.prod(sizes)
-    if space > element_cap:
+    if space > ELEMENT_CAP:
         raise CapExceeded(f"coordinate box of {space} vectors exceeds the element cap "
-                          f"{element_cap}")
+                          f"{ELEMENT_CAP}")
     grids = np.indices(sizes, dtype=np.int16).reshape(len(sizes), -1).T
     keep = np.ones(space, dtype=bool)
     for subset in itertools.combinations(range(ncoords), min(width, ncoords)):
@@ -592,8 +576,7 @@ def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> dict:
     if table is not None:
         return table
     closed = _build_closure(sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
-                            sub.gen_rows[:, list(subset)],
-                            local.element_cap, local.work_cap)
+                            sub.gen_rows[:, list(subset)], local.work_cap)
     table = {tuple(int(v) for v in row): term
              for row, term in zip(closed.vectors, closed.terms)}
     local.local_closures[subset] = table

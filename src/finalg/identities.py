@@ -336,6 +336,8 @@ def check_identity(
     ctx = _context(alpha, beta, gamma)
     if pair is not None:
         a, d = pair
+        if not (0 <= a < size and 0 <= d < size):
+            raise AlgebraError(f"pair {pair} out of range 0..{size - 1}")
         src = np.zeros((1, size), dtype=bool)
         src[0, a] = True
         in_lhs = bool(expr_image(lhs, ctx, src)[0, d])

@@ -13,7 +13,10 @@ coordinates of the parity's link patterns.
 An `AbsorptionScheme` is searched in the subalgebra of the product over
 (generating algebra, constraint row, valuation) coordinates generated by the
 argument columns; a satisfying term exists iff some generated vector meets
-the required outputs and equality links.
+the required outputs and equality links.  The closure that generates it
+stops at the first vector that meets the scheme, so a found term is the
+provenance of the earliest such vector; only an absence needs the whole
+subalgebra.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ def chain_level(
     if chain is None:
         return LevelCertificate(scheme_name, labels, False, None, None, None, True,
                                 {"free_size": free.size})
-    terms = [free.sub.term_for(i) for i in chain]
+    terms = [free.sub.term_for_vector(free.vectors[i]) for i in chain]
     ok, violation = _verify(scheme.equations(terms), gens)
     if not ok:
         raise AlgebraError(f"chain witness failed re-verification at {violation}")
@@ -415,95 +418,59 @@ def absorption_search(
     )
     labels = [a.label for a in gens]
 
-    def constraints(sub: Subpower):
-        required: dict[int, int] = {}
-        consistent = True
-        for k, (ai, ri, val) in enumerate(coords):
-            r = scheme.rows[ri].required
-            if r is None:
-                continue
-            cls = sub.coord_class(k)
-            if required.setdefault(cls, val[r]) != val[r]:
-                consistent = False  # contradictory requirements
-        link_groups: dict[tuple, list[int]] = {}
-        for k, (ai, ri, val) in enumerate(coords):
-            g = scheme.rows[ri].link
-            if g is not None:
-                link_groups.setdefault((ai, g, val), []).append(sub.coord_class(k))
-        return required, link_groups, consistent
+    # the scheme as columns: pins[i] must read want[i]; left[i] must equal right[i]
+    pins, want = [], []
+    links: dict[tuple, list[int]] = {}
+    for k, (ai, ri, val) in enumerate(coords):
+        row = scheme.rows[ri]
+        if row.required is not None:
+            pins.append(k)
+            want.append(val[row.required])
+        elif row.link is not None:
+            links.setdefault((ai, row.link, val), []).append(k)
+    pins, want = np.asarray(pins, dtype=np.int64), np.asarray(want, dtype=np.int16)
+    left = np.asarray([ks[0] for ks in links.values() for _ in ks[1:]], dtype=np.int64)
+    right = np.asarray([k for ks in links.values() for k in ks[1:]], dtype=np.int64)
+    own = np.arange(len(coords))
 
-    # a shallow pass first: witnesses of small depth (often a basic
-    # operation) appear within a tiny work budget
-    quick = generate_subpower(gens, coord_algs, gen_rows, work_cap=300_000, engine="partial")
-    required, link_groups, ok = constraints(quick)
-    if not ok:
-        return SearchCertificate(scheme.name, scheme.params, labels, False, None,
-                                 False, True, {"reason": "contradictory requirements"})
-    vec = _scan_vectors(quick, required, link_groups)
-    if vec is not None:
-        term = quick.term_for_vector(vec)
-        return _verified_hit(scheme, gens, labels, term, quick)
-    if quick.engine == "closure":  # the shallow pass already saturated
-        return SearchCertificate(
-            scheme.name, scheme.params, labels, False, None, False, True,
-            {"engine": "closure", "size": quick.size},
-        )
+    def first_hit(rows: np.ndarray, col: np.ndarray = own):
+        """Position of the first row meeting the scheme; col maps the
+        scheme's coordinates to the columns of rows."""
+        mask = (rows[:, col[pins]] == want).all(axis=1)
+        mask &= (rows[:, col[left]] == rows[:, col[right]]).all(axis=1)
+        hits = np.flatnonzero(mask)
+        return int(hits[0]) if len(hits) else None
 
-    sub = generate_subpower(gens, coord_algs, gen_rows, work_cap=SEARCH_WORK_CAP)
-    required, link_groups, ok = constraints(sub)
-    if not ok:
-        return SearchCertificate(scheme.name, scheme.params, labels, False, None,
-                                 False, True, {"reason": "contradictory requirements"})
-    if sub.engine in ("closure", "local"):
-        vec = _scan_vectors(sub, required, link_groups)
-        if vec is None:
-            return SearchCertificate(
-                scheme.name, scheme.params, labels, False, None, False, True,
-                {"engine": sub.engine, "size": sub.size},
-            )
-        term = sub.term_for_vector(vec)
+    sub = generate_subpower(gens, coord_algs, gen_rows, work_cap=SEARCH_WORK_CAP,
+                            stop=first_hit)
+    col = own if sub.class_of is None else sub.class_of
+    if sub.engine == "membership":
+        vec = _scan_membership(sub, col, pins, want, links, gens)
+        stats = {"engine": sub.engine}
     else:
-        vec = _scan_membership(sub, required, link_groups, gens, coords)
-        if vec is None:
-            return SearchCertificate(
-                scheme.name, scheme.params, labels, False, None, False, True,
-                {"engine": sub.engine},
-            )
-        term = sub.term_for_vector(vec)
-    return _verified_hit(scheme, gens, labels, term, sub)
-
-
-def _verified_hit(scheme, gens, labels, term, sub) -> "SearchCertificate":
+        hit = first_hit(sub.vectors, col)
+        vec = None if hit is None else sub.vectors[hit]
+        stats = {"engine": sub.engine, "size": sub.size}
+    if vec is None:
+        return SearchCertificate(scheme.name, scheme.params, labels, False, None, False,
+                                 True, stats)
+    term = sub.term_for_vector(vec)
     verified, violation = _verify(scheme.equations(term), gens)
     if not verified:
         raise AlgebraError(f"found term failed re-verification at {violation}")
-    return SearchCertificate(
-        scheme.name, scheme.params, labels, True, term, True, True,
-        {"engine": sub.engine, "size": sub.size},
-    )
+    return SearchCertificate(scheme.name, scheme.params, labels, True, term, True, True,
+                             {"engine": sub.engine, "size": sub.size})
 
 
-def _scan_vectors(sub: Subpower, required, link_groups):
-    mask = np.ones(sub.size, dtype=bool)
-    for cls, want in required.items():
-        mask &= sub.vectors[:, cls] == want
-    for classes in link_groups.values():
-        for c in classes[1:]:
-            mask &= sub.vectors[:, c] == sub.vectors[:, classes[0]]
-    hits = np.flatnonzero(mask)
-    return sub.vectors[int(hits[0])] if len(hits) else None
-
-
-def _scan_membership(sub: Subpower, required, link_groups, gens, coords):
+def _scan_membership(sub: Subpower, col, pins, want, links, gens):
     """Pin requirements, enumerate link completions, query local membership."""
-    free_groups = sorted(link_groups.items())
-    sizes = [gens[ai].size for (ai, _, _) in (key for key, _ in free_groups)]
     base = np.full(sub.ncoords, -1, dtype=np.int16)
-    for cls, want in required.items():
-        base[cls] = want
+    base[col[pins]] = want
+    free_groups = sorted(links.items())
+    sizes = [gens[ai].size for (ai, _, _), _ in free_groups]
+    group_classes = [col[ks] for _, ks in free_groups]
     leftover = [k for k in range(sub.ncoords) if base[k] < 0]
-    group_classes = [classes for _, classes in free_groups]
-    covered = set(c for classes in group_classes for c in classes)
+    covered = set(int(c) for classes in group_classes for c in classes)
     if any(k not in covered for k in leftover):
         raise CapExceeded("membership search needs every coordinate pinned or linked")
     if len(free_groups) > 20:

@@ -124,6 +124,15 @@ def test_factor_indexing_roundtrip():
         idx.encode((3, 0, 0))
 
 
+def test_digits_refuse_ids_outside_the_product():
+    # -1 and 6 used to wrap to the digits of 5 and of 0
+    idx = FactorIndexing((2, 3))
+    for ids in ([-1, 6], [6], [-1]):
+        with pytest.raises(AlgebraError, match="out of range"):
+            idx.digits(ids)
+    assert idx.digits([0, 5]).tolist() == [[0, 0], [1, 2]]
+
+
 def test_direct_product_identity_and_projection():
     n23 = make_ujm_reduct(2, 2, 3)
     single = direct_product([n23])

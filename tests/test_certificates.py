@@ -4,10 +4,12 @@ import pytest
 
 from finalg.certificates import (
     identity_certificate,
+    induction_certificate,
     level_certificate,
     recheck,
     search_certificate,
     sharpness_certificate,
+    toolkit_certificate,
 )
 
 FLIP_EXPECT = {2: 3, "found": "absent", "absent": "found"}
@@ -73,10 +75,12 @@ def altered(value):
 
 FULL_EVIDENCE = {
     "sharpness": lambda: sharpness_certificate(4, 2),
+    "induction": lambda: induction_certificate(5, 2),
     "identity": lambda: identity_certificate("wedge-power", 4, 2, expect="fails"),
     "level": lambda: level_certificate("jonsson", "N:2:3", expect=2),
     "search found": lambda: search_certificate("nu", "N:2:3", arity=3, expect="found"),
     "search absent": lambda: search_certificate("nu", "N:2:4", arity=3, expect="absent"),
+    "toolkit": lambda: toolkit_certificate("LD2"),
 }
 
 

@@ -111,6 +111,10 @@ def test_induced_product_congruence():
         induced_product_congruence(prod.indexing, [Partition.one(3)], sub)
     with pytest.raises(AlgebraError):
         induced_product_congruence(prod.indexing, [Partition.one(3), Partition.zero(2)], [])
+    with pytest.raises(AlgebraError, match="out of range"):  # id 6 would join id 0's block
+        induced_product_congruence(direct_product([make_ujm_reduct(2, 2, 3),
+                                                   make_ujm_reduct(3, 2, 3)]).indexing,
+                                   [Partition.one(2), Partition.zero(3)], [0, 6])
 
 
 def test_induced_restriction_is_congruence_on_subalgebra():

@@ -17,16 +17,51 @@ from finalg.algebras import (
 from finalg.fixtures import load_fixtures
 from finalg.freealg import (
     _CHUNK,
+    SHALLOW_WORK,
     _arg_blocks,
+    _build_closure,
+    _build_local,
     _closure_work,
     _local_closure_for,
+    _prepare_tables,
     build_free_algebra,
     generate_subpower,
     shared_nu_op,
 )
 from finalg.maltsev import absorption_search, nu_scheme
-from finalg.terms import App, Var
+from finalg.terms import App, Var, term_to_obj
 from finalg.witnesses import implication_expansion, modular_sum_algebra, nu_family_generators
+
+
+def free_generators(gens, g):
+    """(tables, gens, coord_algs, gen_rows) of the free algebra on g generators."""
+    gens = tuple(gens)
+    assignments = [(ai, asg) for ai, alg in enumerate(gens)
+                   for asg in itertools.product(range(alg.size), repeat=g)]
+    gen_rows = np.asarray([[asg[j] for _, asg in assignments] for j in range(g)],
+                          dtype=np.int16)
+    return _prepare_tables(gens), gens, [ai for ai, _ in assignments], gen_rows
+
+
+def closure(gens, g, work_cap=80_000_000, stop=None):
+    return _build_closure(*free_generators(gens, g), work_cap, stop)
+
+
+def local(gens, g, enumerate_all=True, work_cap=80_000_000):
+    return _build_local(*free_generators(gens, g), work_cap, enumerate_all)
+
+
+def stop_after(k):
+    """A `stop` that ends the closure on its k-th row."""
+    seen = [0]
+
+    def stop(rows):
+        if seen[0] + len(rows) >= k:
+            return k - 1 - seen[0]
+        seen[0] += len(rows)
+        return None
+
+    return stop
 
 
 def test_one_element_generator():
@@ -51,31 +86,30 @@ def test_provenance_reevaluates():
         assert free.sub.terms is not None
         rows = free.sub.gen_rows
         for i in range(free.size):
-            term = free.sub.term_for(i)
+            term = free.sub.term_for_vector(free.vectors[i])
             vec = free.sub.eval_term(term)
             assert np.array_equal(vec, free.vectors[i])
 
 
 def test_engines_agree_on_enumeration():
     gens = [implication_expansion(4)]
-    closure = build_free_algebra(gens, 3, engine="closure")
-    local = build_free_algebra(gens, 3, engine="local")
-    a = {row.tobytes() for row in closure.vectors}
-    b = {row.tobytes() for row in local.vectors}
+    a = {row.tobytes() for row in closure(gens, 3).vectors}
+    b = {row.tobytes() for row in local(gens, 3).vectors}
     assert a == b
 
 
 def test_local_engine_terms_reevaluate():
-    free = build_free_algebra([implication_expansion(4)], 3, engine="local")
-    for i in range(0, free.size, 5):
-        term = free.sub.term_for(i)
-        assert np.array_equal(free.sub.eval_term(term), free.vectors[i])
+    sub = local([implication_expansion(4)], 3)
+    assert sub.engine == "local"
+    for i in range(0, sub.size, 5):
+        term = sub.term_for_vector(sub.vectors[i])
+        assert np.array_equal(sub.eval_term(term), sub.vectors[i])
 
 
 def test_local_engine_needs_nu():
     assert shared_nu_op([modular_sum_algebra(3, 4)]) is None
     with pytest.raises(CapExceeded):
-        build_free_algebra([modular_sum_algebra(3, 4)], 3, engine="local")
+        local([modular_sum_algebra(3, 4)], 3)
 
 
 def test_shared_nu_detection():
@@ -85,9 +119,10 @@ def test_shared_nu_detection():
 
 def test_membership_engine():
     gens = [implication_expansion(4)]
-    sub_full = build_free_algebra(gens, 3, engine="local").sub
+    sub_full = local(gens, 3)
     coord_algs = sub_full.coord_algs
-    member = generate_subpower(gens, coord_algs, sub_full.gen_rows, engine="membership")
+    member = local(gens, 3, enumerate_all=False)
+    assert member.engine == "membership"
     assert member.contains_bulk(sub_full.vectors[:: max(1, len(sub_full.vectors) // 15)]).all()
     # a vector violating idempotence can never be generated
     bad = np.zeros(len(coord_algs), dtype=np.int16)
@@ -96,19 +131,18 @@ def test_membership_engine():
 
 
 def test_subpower_dedup_classes():
-    # duplicated coordinates collapse and map back through coord_class
+    # duplicated coordinates collapse and map back through class_of
     gens = [make_ujm_reduct(2, 2, 3)]
     coord_algs = [0, 0, 0, 0]
     gen_rows = np.asarray([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.int16)
     sub = generate_subpower(gens, coord_algs, gen_rows)
     assert sub.vectors.shape[1] == 2  # two distinct columns
-    assert sub.coord_class(0) == sub.coord_class(2)
-    assert sub.coord_class(1) == sub.coord_class(3)
+    assert sub.class_of.tolist() == [0, 1, 0, 1]
 
 
 def test_work_cap_raises():
     with pytest.raises(CapExceeded):
-        build_free_algebra([make_ujm_reduct(2, 2, 4)], 3, engine="closure", work_cap=3)
+        closure([make_ujm_reduct(2, 2, 4)], 3, work_cap=3)
 
 
 def test_generators_must_be_similar():
@@ -177,22 +211,21 @@ def test_arg_blocks_exact_block_multiple():
 
 
 def test_partial_run_matches_oracle_loop(monkeypatch):
-    # the shallow pass of absorption_search: the cap bites at a block edge
+    # the free algebra over I:5 on 3 generators: 38 elements, 852,112 tuples
+    # in rounds of several blocks; complete, and stopped on its 30th row
     gens = load_fixtures("I:5")
-    fast = build_free_algebra(gens, 3, engine="partial", work_cap=300_000).sub
+    runs = [closure(gens, 3), closure(gens, 3, stop=stop_after(30))]
     monkeypatch.setattr(freealg, "_arg_blocks", oracle_blocks)
-    slow = build_free_algebra(gens, 3, engine="partial", work_cap=300_000).sub
-    assert fast.engine == slow.engine == "partial"
-    assert fast.stats == slow.stats
-    assert np.array_equal(fast.vectors, slow.vectors)
-    assert fast.terms == slow.terms
+    oracle_runs = [closure(gens, 3), closure(gens, 3, stop=stop_after(30))]
+    assert [run.size for run in runs] == [38, 30]
+    for fast, slow in zip(runs, oracle_runs):
+        assert fast.stats == slow.stats
+        assert np.array_equal(fast.vectors, slow.vectors)
+        assert fast.terms == slow.terms
 
 
 def test_local_closure_respects_work_cap():
-    gens = load_fixtures("I:4")
-    full = build_free_algebra(gens, 3, engine="local").sub
-    member = generate_subpower(gens, full.coord_algs, full.gen_rows,
-                               engine="membership", work_cap=10)
+    member = local(load_fixtures("I:4"), 3, enumerate_all=False, work_cap=10)
     with pytest.raises(CapExceeded):
         _local_closure_for(member, (0, 1, 2))
 
@@ -247,7 +280,7 @@ def test_kernel_matches_per_coordinate_loop(r):
 
 def test_kernel_matches_loop_on_chain_reducts_of_two_sizes():
     gens = load_fixtures("N:2:4,Nq:2:4:3")
-    free = build_free_algebra(gens, 3, engine="partial", work_cap=300_000).sub
+    free = closure(gens, 3, stop=stop_after(300))
     assert len(set(free.coord_algs)) == 2
     for i in range(free.size):
         assert np.array_equal(oracle_eval_term(free, free.terms[i]), free.vectors[i])
@@ -256,8 +289,8 @@ def test_kernel_matches_loop_on_chain_reducts_of_two_sizes():
 def test_eval_term_matches_per_coordinate_loop():
     gens = (random_algebra(2, (2, 3), 3), random_algebra(3, (2, 3), 4))
     gen_rows = np.asarray([[0, 1, 2, 0], [1, 0, 1, 2], [1, 1, 0, 1]], dtype=np.int16)
-    sub = generate_subpower(gens, [0, 1, 1, 1], gen_rows, engine="partial",
-                            work_cap=2_000)
+    sub = _build_closure(_prepare_tables(gens), gens, [0, 1, 1, 1], gen_rows, 80_000_000,
+                         stop_after(40))
     x, y, z = Var(0), Var(1), Var(2)
     shared = App(0, (x, z))
     terms = [App(1, (shared, App(0, (y, shared)), x)), App(0, (shared, shared)),
@@ -287,9 +320,8 @@ def test_table_over_cap_raises_before_any_round(monkeypatch):
     monkeypatch.setattr(freealg, "_arg_blocks", _no_rounds)
     big = FiniteAlgebra(2049, [Unbuilt(2049)])        # 2049**2 entries: over the cap
     assert big.size**2 > DEFAULT_TABLE_CAP
-    for engine in ("auto", "closure", "local", "membership"):
-        with pytest.raises(CapExceeded, match="would need"):
-            generate_subpower([big], [0, 0], [[0, 1], [1, 0]], engine=engine)
+    with pytest.raises(CapExceeded, match="would need"):
+        generate_subpower([big], [0, 0], [[0, 1], [1, 0]])
 
 
 def test_concatenated_tables_of_2_31_entries_raise_before_any_round(monkeypatch):
@@ -312,13 +344,12 @@ def test_generator_entries_must_fit_their_algebra():
 # tuples, so a closure whose elements already force more is refused at once
 
 
-# (fixture, generators, partial run at half the total: (size, work)); the
-# partial figures are those of the closure before the bound was added
+# (fixture, generators, a run stopped early: (its rows, its work))
 EXACT_CASES = [
-    ("N:2:3", 3, (4, 20)),                  # one symmetric ternary operation
-    ("N:2:4,N:3:4", 3, (9, 495)),           # symmetric 4-ary, two algebras
-    ("I:4", 3, (38, 75040)),                # binary implication: asymmetric
-    ("LD2", 3, (64, 546475)),               # minority and lone dissent
+    ("N:2:3", 3, (3, 0)),                   # one symmetric ternary operation
+    ("N:2:4,N:3:4", 3, (9, 15)),            # symmetric 4-ary, two algebras
+    ("I:4", 3, (20, 271)),                  # binary implication: asymmetric
+    ("LD2", 3, (40, 235)),                  # minority and lone dissent
 ]
 
 
@@ -332,30 +363,28 @@ def test_exact_cases_cover_symmetric_and_asymmetric_operations():
 @pytest.mark.parametrize("fixture, g, partial", EXACT_CASES)
 def test_completed_closure_work_is_exactly_the_bound(fixture, g, partial):
     gens = load_fixtures(fixture)
-    full = build_free_algebra(gens, g, engine="closure").sub
+    full = closure(gens, g)
     total = _closure_work(full._tables, full.size)
     assert full.stats["work"] == total
     with pytest.raises(CapExceeded, match="work cap exceeded"):
-        build_free_algebra(gens, g, engine="closure", work_cap=total - 1)
-    tight = build_free_algebra(gens, g, engine="closure", work_cap=total).sub
+        closure(gens, g, work_cap=total - 1)
+    tight = closure(gens, g, work_cap=total)
     assert tight.engine == "closure"
     assert np.array_equal(tight.vectors, full.vectors)
     assert tight.terms == full.terms
-    # partial mode keeps generating until the cap bites
-    cap = total // 2
-    part = build_free_algebra(gens, g, engine="partial", work_cap=cap).sub
-    assert part.engine == "partial"
+    # a run stopped on its k-th row is a prefix of the full closure
+    k = partial[0]
+    part = closure(gens, g, stop=stop_after(k))
     assert (part.size, part.stats["work"]) == partial
-    assert part.stats["work"] > cap
-    assert np.array_equal(part.vectors, full.vectors[: part.size])
-    assert part.terms == full.terms[: part.size]
+    assert k < full.size
+    assert np.array_equal(part.vectors, full.vectors[:k])
+    assert part.terms == full.terms[:k]
+    assert sorted(part._index.values()) == list(range(k))
 
 
-def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch):
-    # nu(4) over I:5: the closure behind it needs about 15M tuples, against
-    # a 4M cap that the closure used to reach before refusing.  One entry
-    # [partial_ok, work_cap, rows applied, raised] per closure; closures
-    # never nest, so rows go to the latest one
+def count_applied(monkeypatch):
+    """One entry [has stop, work cap, rows applied, message raised] per
+    closure; closures never nest, so rows go to the latest one."""
     calls = []
     apply, build = freealg._Kernel.apply, freealg._build_closure
 
@@ -363,24 +392,68 @@ def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch):
         calls[-1][2] += len(idx)
         return apply(self, oi, weighted, idx)
 
-    def recorded_build(*args, partial_ok=False):
-        calls.append([partial_ok, args[5], 0, False])
+    def recorded_build(*args):
+        calls.append([len(args) > 5 and args[5] is not None, args[4], 0, None])
         try:
-            return build(*args, partial_ok=partial_ok)
-        except CapExceeded:
-            calls[-1][3] = True
+            return build(*args)
+        except CapExceeded as exc:
+            calls[-1][3] = str(exc)
             raise
 
     monkeypatch.setattr(freealg._Kernel, "apply", counted_apply)
     monkeypatch.setattr(freealg, "_build_closure", recorded_build)
+    return calls
+
+
+def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch):
+    # nu(4) over I:5: the closure behind it needs about 15M tuples, against
+    # a 4M cap.  With a stop it runs until its work would pass SHALLOW_WORK,
+    # then the work bound refuses it and the local engine decides
+    calls = count_applied(monkeypatch)
     cert = absorption_search(load_fixtures("I:5"), nu_scheme(4))
     assert not cert.found
     assert cert.stats == {"engine": "local", "size": 94}
-    refused = [c for c in calls if c[3]]
+    refused = [c for c in calls if c[3] is not None]
     assert len(refused) == 1
-    partial_ok, work_cap, applied, _ = refused[0]
-    assert not partial_ok and work_cap == 4_000_000
-    assert applied < 100_000
+    has_stop, work_cap, applied, message = refused[0]
+    assert has_stop and work_cap == 4_000_000
+    assert applied <= SHALLOW_WORK
+    assert "elements need at least" in message
+    assert sum(c[2] for c in calls) <= 828_912       # the two-pass search applied this
+
+
+# the found searches of the benchmark's varieties workload and the toolkit's
+# majority search, with the terms the two-pass search found before the
+# closure learnt to stop at its first witness
+FOUND_TERMS = [
+    ("I:4", 4, ["u", "x0", "x1", "x2", "x3"]),
+    ("If:4", 4, ["u", "x0", "x1", "x2", "x3"]),
+    ("I:5", 5, ["u", "x0", "x1", "x2", "x3", "x4"]),
+    ("If:5", 5, ["u", "x0", "x1", "x2", "x3", "x4"]),
+    ("LD2", 3, ["d3", ["d4", "x0", "x0", "x1", "x1"], ["d4", "x0", "x0", "x2", "x2"],
+                ["d4", "x1", "x1", "x2", "x2"]]),
+]
+
+
+@pytest.mark.parametrize("fixture, arity, term", FOUND_TERMS)
+def test_found_search_keeps_its_term_within_a_thousand_tuples(monkeypatch, fixture,
+                                                               arity, term):
+    calls = count_applied(monkeypatch)
+    gens = load_fixtures(fixture)
+    cert = absorption_search(gens, nu_scheme(arity))
+    assert cert.found and cert.stats["engine"] == "closure"
+    assert term_to_obj(cert.term, [op.name for op in gens[0].ops]) == term
+    assert sum(c[2] for c in calls) <= 1_000
+
+
+def test_witness_past_the_doom_point_is_found_by_the_closure(monkeypatch):
+    # nu(6) over If:6: the first witness appears after a few hundred tuples,
+    # where the work bound would already refuse the closure
+    calls = count_applied(monkeypatch)
+    cert = absorption_search(load_fixtures("If:6"), nu_scheme(6))
+    assert cert.found and cert.stats["engine"] == "closure"
+    assert len(calls) == 1 and calls[0][0] and calls[0][3] is None
+    assert calls[0][2] < 1_000
 
 
 def test_refusal_message_names_elements_bound_and_cap():
@@ -388,7 +461,7 @@ def test_refusal_message_names_elements_bound_and_cap():
     # 10 need C(13, 4) = 715, so the tenth element is the last one found
     gens = load_fixtures("N:2:4,N:3:4")
     with pytest.raises(CapExceeded) as info:
-        build_free_algebra(gens, 3, engine="closure", work_cap=600)
+        closure(gens, 3, work_cap=600)
     assert str(info.value) == ("subpower work cap exceeded: 10 elements need at least "
                                "715 argument tuples, cap 600")
     assert info.value.explored == 10
@@ -398,7 +471,7 @@ def test_refusal_before_the_first_round(monkeypatch):
     monkeypatch.setattr(freealg, "_arg_blocks", _no_rounds)
     gens = load_fixtures("N:2:3")                     # 3 generators: 10 multisets
     with pytest.raises(CapExceeded, match="3 elements need at least 10 "):
-        build_free_algebra(gens, 3, engine="closure", work_cap=9)
+        closure(gens, 3, work_cap=9)
 
 
 def test_membership_fallback_records_why():
@@ -406,13 +479,13 @@ def test_membership_fallback_records_why():
     gens = load_fixtures("I:4")
     assignments = list(itertools.product(range(2), repeat=5))
     gen_rows = np.asarray([[a[j] for a in assignments] for j in range(5)])
-    sub = generate_subpower(gens, [0] * 32, gen_rows, work_cap=1000)
+    sub = generate_subpower(gens, [0] * 32, gen_rows)
     assert sub.engine == "membership"
     assert sub.stats["closure"].startswith("subpower work cap exceeded: ")
-    assert sub.stats["closure"].endswith(" argument tuples, cap 1000")
+    assert sub.stats["closure"].endswith(" argument tuples, cap 80000000")
     assert sub.stats["local"] == (f"coordinate box of {2 ** 32} vectors "
                                   f"exceeds the element cap {1 << 20}")
     with pytest.raises(CapExceeded) as info:
-        build_free_algebra(gens, 5, work_cap=1000)
+        build_free_algebra(gens, 5)
     assert str(info.value) == ("free algebra too large to enumerate; closure: "
                                f"{sub.stats['closure']}; local: {sub.stats['local']}")

@@ -126,6 +126,16 @@ def test_check_identity_full_vs_pair(witness_cache):
     assert again.verdict == "fails"
 
 
+def test_pair_outside_the_universe_is_refused(witness_cache):
+    # (-3, 5) used to index from the end and report a counterexample [-3, 5];
+    # (11, 17) raised a bare IndexError
+    w = witness_cache(4, 2)
+    assert w.alpha.size == 14
+    for pair in ((-3, 5), (11, 17), (5, 14)):
+        with pytest.raises(AlgebraError, match="out of range"):
+            check_identity("wedge-power", w.alpha, w.beta, w.gamma, m=4, q=2, pair=pair)
+
+
 def test_counterexample_reverifies_by_matrices(witness_cache):
     w = witness_cache(5, 2)
     inst = check_identity("wedge-power", w.alpha, w.beta, w.gamma, m=5, q=2,

@@ -83,6 +83,18 @@ def test_cli_search_and_identity(tmp_path):
                  "--expect", "fails"]) == 0
 
 
+@pytest.mark.parametrize("argv, summary", [
+    (["--scheme", "nu", "--arity", "3", "--fixture", "N:2:3"], "nu arity 3 on V(N:2:3): found"),
+    (["--scheme", "nu-half", "--m", "3", "--fixture", "N:2:3"], "nu-half m 3 on V(N:2:3): found"),
+    (["--scheme", "dissent-unanimity", "--m", "3", "--fixture", "sum:2:3"],
+     "dissent-unanimity m 3 on V(sum:2:3): found"),
+    (["--scheme", "maltsev", "--fixture", "N:2:3"], "maltsev on V(N:2:3): not found"),
+])
+def test_cli_search_summary_names_the_scheme_parameters(argv, summary, capsys):
+    assert main(["search", *argv]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == summary
+
+
 def test_cli_invalid_inputs():
     assert main(["level", "--scheme", "jonsson", "--fixture", "BAD"]) == 3
     assert main(["build", "fixture", "--fixture", "N:9", "--out", "/tmp/x.json"]) == 3
