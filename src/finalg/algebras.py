@@ -407,6 +407,12 @@ def coordinate_sizes(alg: FiniteAlgebra) -> tuple[int, ...]:
     return tuple(leaf.size for leaf in _leaf_ops(alg.ops[0]))
 
 
+def sorted_distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, in increasing order."""
+    ids = np.sort(ids)
+    return np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
+
+
 class BoxUnion:
     """A subset given as a union of boxes over the coordinates of a product.
 
@@ -452,9 +458,18 @@ class BoxUnion:
                 for vals, s in zip(box, self.sizes):
                     ids = (ids[:, None] * s + np.asarray(vals, dtype=np.int64)).ravel()
                 parts.append(ids)
-            self._ids = np.unique(np.concatenate(parts))
+            self._ids = sorted_distinct(np.concatenate(parts))
             self._ids.setflags(write=False)
         return self._ids
+
+    def rank(self, pids) -> np.ndarray:
+        """The positions of the elements `pids` in `ids()`."""
+        ids, pids = self.ids(), np.asarray(pids, dtype=np.int64)
+        pos = np.searchsorted(ids, pids)
+        missing = pids[ids.take(pos, mode="clip") != pids] if len(ids) else pids
+        if len(missing):
+            raise AlgebraError(f"element {missing[0]} is not in the union")
+        return pos
 
     def __len__(self) -> int:
         return len(self.ids())

@@ -76,7 +76,7 @@ def induction_certificate(m: int, q: int) -> dict:
         "stages": [
             {
                 "j": st.j,
-                "f_size": len(st.f_ids),
+                "f_size": len(st.f_union),
                 "pair": list(st.pair),
                 "identity": st.identity.to_obj(),
             }

@@ -1,69 +1,97 @@
 """Partitions of a finite universe, their meets, and induced product congruences.
 
-Partitions are canonical: block numbers appear in order of first occurrence,
-so two equal set-partitions compare equal structurally.
+A partition is a read-only int64 array of block ids, numbered in order of
+first occurrence, so two equal set-partitions hold equal arrays.  Its block
+view (`order`, `starts`) is computed once and cached, and every relation
+image in `identities` reads it directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import itertools
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .algebras import AlgebraError, FactorIndexing
+from .algebras import AlgebraError, FactorIndexing, sorted_distinct
 
 
-@dataclass(frozen=True)
 class Partition:
-    block_id: tuple[int, ...]
+    """A set-partition of 0..size-1, given by any keys equal exactly within a block."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "block_id", _canonical(self.block_id))
+    def __init__(self, keys):
+        ids, n_blocks = _canonical(np.asarray(keys, dtype=np.int64))
+        ids.setflags(write=False)
+        self.__dict__.update(block_id=ids, n_blocks=n_blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a partition is read-only; cannot set {name}")
 
     @property
     def size(self) -> int:
         return len(self.block_id)
 
-    @property
-    def n_blocks(self) -> int:
-        return max(self.block_id) + 1 if self.block_id else 0
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition) and np.array_equal(self.block_id, other.block_id)
+
+    def __hash__(self) -> int:
+        return hash(self.block_id.tobytes())
+
+    def __repr__(self) -> str:
+        return f"Partition({self.block_id.tolist()})"
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The elements listed block by block, each block in increasing order."""
+        return np.argsort(self.block_id, kind="stable")
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Where each block begins in `order`."""
+        counts = np.bincount(self.block_id, minlength=self.n_blocks)
+        return np.cumsum(counts) - counts
 
     @staticmethod
     def zero(size: int) -> "Partition":
         """The identity partition (minimal congruence)."""
-        return Partition(tuple(range(size)))
+        return Partition(np.arange(size))
 
     @staticmethod
     def one(size: int) -> "Partition":
         """The all-block partition (largest congruence)."""
-        return Partition((0,) * size)
+        return Partition(np.zeros(size, dtype=np.int64))
 
     @staticmethod
     def from_blocks(size: int, blocks: Sequence[Sequence[int]]) -> "Partition":
-        ids = [-1] * size
-        for b, block in enumerate(blocks):
-            for x in block:
-                if not 0 <= x < size:
-                    raise AlgebraError(f"element {x} out of range")
-                if ids[x] != -1:
-                    raise AlgebraError(f"element {x} in two blocks")
-                ids[x] = b
-        if any(i == -1 for i in ids):
+        lengths = [len(block) for block in blocks]
+        try:
+            elems = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64)
+        except OverflowError:
+            raise AlgebraError("an element is out of range") from None
+        outside = (elems < 0) | (elems >= size)
+        if outside.any():
+            raise AlgebraError(f"element {elems[outside][0]} out of range")
+        counts = np.bincount(elems, minlength=size)
+        if (counts > 1).any():
+            raise AlgebraError(f"element {np.flatnonzero(counts > 1)[0]} listed twice")
+        if (counts == 0).any():
             raise AlgebraError("blocks do not cover the universe")
-        return Partition(tuple(ids))
+        ids = np.empty(size, dtype=np.int64)
+        ids[elems] = np.repeat(np.arange(len(lengths)), lengths)
+        return Partition(ids)
 
     def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_blocks)]
-        for x, b in enumerate(self.block_id):
-            out[b].append(x)
-        return out
+        flat = self.order.tolist()
+        bounds = [*self.starts.tolist(), self.size]
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def related(self, x: int, y: int) -> bool:
-        return self.block_id[x] == self.block_id[y]
+        return bool(self.block_id[x] == self.block_id[y])
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.block_id, dtype=np.int64)
+        """The block ids themselves (read-only, not a copy)."""
+        return self.block_id
 
     def to_obj(self) -> dict:
         return {"size": self.size, "blocks": self.blocks()}
@@ -73,20 +101,36 @@ class Partition:
         return Partition.from_blocks(int(obj["size"]), obj["blocks"])
 
 
-def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
-    remap: dict[int, int] = {}
-    out = []
-    for b in ids:
-        if b not in remap:
-            remap[b] = len(remap)
-        out.append(remap[b])
-    return tuple(out)
+def _canonical(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Keys renumbered by first occurrence, and the number of blocks.
+
+    Each element goes to where its key first occurs, found through a table
+    over the key range when that is at most 4n (faster than a sort, and at
+    most four times the keys' memory), else through the sorted keys.
+    """
+    n = len(keys)
+    if n == 0:
+        return keys.copy(), 0
+    lo = int(keys.min())
+    span = int(keys.max()) - lo + 1
+    if span <= 4 * n:
+        offset = keys - lo
+        first = np.full(span, n, dtype=np.int64)
+        np.minimum.at(first, offset, np.arange(n))
+        at = first[offset]
+    else:
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        at = first[inverse]
+    is_first = np.zeros(n, dtype=bool)
+    is_first[at] = True
+    label = np.cumsum(is_first) - 1
+    return label[at], int(label[-1]) + 1
 
 
 def induced_product_congruence(
     indexing: FactorIndexing,
     factor_parts: Sequence[Partition],
-    subuniverse: Iterable[int],
+    subuniverse: Sequence[int] | np.ndarray,
 ) -> Partition:
     """Restriction of a product congruence to a subuniverse.
 
@@ -98,18 +142,17 @@ def induced_product_congruence(
     for p, s in zip(factor_parts, indexing.sizes):
         if p.size != s:
             raise AlgebraError(f"partition sized {p.size}, factor sized {s}")
-    sub = sorted(set(int(x) for x in subuniverse))
-    if not sub:
+    sub = sorted_distinct(np.asarray(subuniverse, dtype=np.int64).ravel())
+    if not len(sub):
         raise AlgebraError("empty subuniverse")
     dec = indexing.digits(sub)
     keys = np.zeros(len(sub), dtype=np.int64)
     for i, p in enumerate(factor_parts):
-        keys = keys * (p.n_blocks) + p.as_array()[dec[:, i]]
-    return Partition(tuple(int(k) for k in keys))
+        keys = keys * p.n_blocks + p.block_id[dec[:, i]]
+    return Partition(keys)
 
 
 def partition_meet(p: Partition, q: Partition) -> Partition:
     if p.size != q.size:
         raise AlgebraError("partition sizes differ")
-    nb = q.n_blocks
-    return Partition(tuple(pb * nb + qb for pb, qb in zip(p.block_id, q.block_id)))
+    return Partition(p.block_id * q.n_blocks + q.block_id)

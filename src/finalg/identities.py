@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .algebras import AlgebraError, CapExceeded
-from .congruences import Partition
+from .congruences import Partition, partition_meet
 
 ALPHA, BETA, GAMMA = "alpha", "beta", "gamma"
 ALPHA_BETA, ALPHA_GAMMA = "alpha_beta", "alpha_gamma"
@@ -134,34 +134,14 @@ def family_exprs(family: str, m: int = 0, q: int = 0, j: int = 0, n: int = 0):
 # evaluation
 
 
-@dataclass(frozen=True)
-class _Blocks:
-    """A partition as dense block ids, with its elements listed block by block."""
-
-    ids: np.ndarray      # block of each element, 0 .. k-1
-    order: np.ndarray    # elements sorted by block
-    starts: np.ndarray   # where each block begins in `order`
-
-
-def _blocks(ids: np.ndarray) -> _Blocks:
-    _, dense = np.unique(ids, return_inverse=True)
-    counts = np.bincount(dense)
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    return _Blocks(dense, np.argsort(dense, kind="stable"), starts)
-
-
-def _meet(p: _Blocks, q: _Blocks) -> _Blocks:
-    return _blocks(p.ids * (int(q.ids.max()) + 1) + q.ids)
-
-
 def _context(alpha: Partition, beta: Partition, gamma: Partition) -> dict:
-    a, b, g = (_blocks(part.as_array()) for part in (alpha, beta, gamma))
-    return {ALPHA: a, BETA: b, GAMMA: g, ALPHA_BETA: _meet(a, b), ALPHA_GAMMA: _meet(a, g)}
+    return {ALPHA: alpha, BETA: beta, GAMMA: gamma,
+            ALPHA_BETA: partition_meet(alpha, beta), ALPHA_GAMMA: partition_meet(alpha, gamma)}
 
 
-def _block_image(rows: np.ndarray, blocks: _Blocks) -> np.ndarray:
+def _block_image(rows: np.ndarray, part: Partition) -> np.ndarray:
     """Each row's image under the partition: the union of the blocks it meets."""
-    return np.logical_or.reduceat(rows[:, blocks.order], blocks.starts, axis=1)[:, blocks.ids]
+    return np.logical_or.reduceat(rows[:, part.order], part.starts, axis=1)[:, part.block_id]
 
 
 def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
@@ -180,7 +160,7 @@ def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
             rows = expr_image(item, ctx, rows)
         return rows
     if isinstance(expr, MeetAlpha):
-        ids = ctx[ALPHA].ids
+        ids = ctx[ALPHA].block_id
         home = ids[None, :] == ids[rows.argmax(axis=1)][:, None]
         if (rows & ~home).any():
             raise AlgebraError("image through a meet needs a single alpha block")
@@ -197,18 +177,18 @@ def _staged_path(a: int, d: int, steps: list) -> Optional[list[int]]:
 
     Returns None when there is no such path.
     """
-    n = len(steps[0].ids)
+    n = steps[0].size
     back = np.zeros((1, n), dtype=bool)
     back[0, d] = True
     stages = [back]
-    for blocks in reversed(steps):
-        stages.append(_block_image(stages[-1], blocks))  # partitions are symmetric
+    for part in reversed(steps):
+        stages.append(_block_image(stages[-1], part))  # partitions are symmetric
     stages.reverse()
     if not stages[0][0, a]:
         return None
     path = [a]
-    for i, blocks in enumerate(steps[:-1], start=1):
-        ok = (blocks.ids == blocks.ids[path[-1]]) & stages[i][0]
+    for i, part in enumerate(steps[:-1], start=1):
+        ok = (part.block_id == part.block_id[path[-1]]) & stages[i][0]
         path.append(int(np.flatnonzero(ok)[0]))
     path.append(d)
     return path
@@ -221,8 +201,7 @@ def _comp_chain_witness(expr, ctx: dict, a: int, d: int) -> Optional[list[int]]:
     Returns None when (a, d) is not in the composition.
     """
     if isinstance(expr, MeetAlpha):
-        ids = ctx[ALPHA].ids
-        if ids[a] != ids[d]:
+        if not ctx[ALPHA].related(a, d):
             return None
         return _comp_chain_witness(expr.inner, ctx, a, d)
     assert isinstance(expr, Comp)
@@ -247,18 +226,17 @@ def shortest_alternating_chain(start: int, goal: int, first: Partition, second: 
         raise AlgebraError("endpoints out of range")
     if start == goal:
         return [start], 0
-    rels = (_blocks(first.as_array()), _blocks(second.as_array()))
     best = None
     capped = False
-    for lead in (0, 1):
+    for rels in ((first, second), (second, first)):
         try:
-            length = _alternating_length(start, goal, rels[lead], rels[1 - lead], cap)
+            length = _alternating_length(start, goal, *rels, cap)
         except CapExceeded:
             capped = True
             continue
         if length is None:
             continue
-        found = _staged_path(start, goal, [rels[(lead + i) % 2] for i in range(length)])
+        found = _staged_path(start, goal, [rels[i % 2] for i in range(length)])
         if best is None or (len(found), found) < (len(best), best):
             best = found
     if best is None:
@@ -268,13 +246,13 @@ def shortest_alternating_chain(start: int, goal: int, first: Partition, second: 
     return best, len(best) - 1
 
 
-def _alternating_length(start, goal, lead: _Blocks, other: _Blocks, cap: int):
+def _alternating_length(start, goal, lead: Partition, other: Partition, cap: int):
     """Fewest factors lead . other . lead ... taking start to goal.
 
     Returns None once the images repeat without reaching goal, and raises
     CapExceeded when `cap` factors are used up while they still grow.
     """
-    reach = np.zeros((1, len(lead.ids)), dtype=bool)
+    reach = np.zeros((1, lead.size), dtype=bool)
     reach[0, start] = True
     images = [reach]
     while True:

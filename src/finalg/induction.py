@@ -17,9 +17,6 @@ Stage invariants, re-verified computationally at every level:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from .algebras import (
     AlgebraError,
@@ -54,15 +51,6 @@ class InductionState:
     pair: tuple[int, int]            # (a,1), (d,1) as local F^j indices
     identity: IdentityInstance       # the level-j refutation
 
-    @cached_property
-    def f_ids(self) -> list[int]:
-        """The elements of F^j, sorted."""
-        return self.f_union.ids().tolist()
-
-
-def _local(ids: list[int]) -> dict[int, int]:
-    return {pid: i for i, pid in enumerate(ids)}
-
 
 def _stage_identity(state_args, m, q, j) -> IdentityInstance:
     alpha, beta, gamma, pair, size = state_args
@@ -83,19 +71,15 @@ def _verify_stage(st: InductionState, m: int, q: int) -> None:
     """Invariants (b) and (c); (a) is checked when the stage is built."""
     n2 = st.pair_product.factors[1].size
     assert n2 == 2
-    local = _local(st.f_ids)
     # (b): the chain elements carry final coordinate 0 and sit in F^j
     chain_pairs = [st.pair_product.indexing.encode((c3, 0)) for c3 in st.chain3]
-    for pid in chain_pairs:
-        if pid not in local:
-            raise AlgebraError(f"stage j={st.j}: chain element {pid} left F")
-    chain = [st.pair[0]] + [local[pid] for pid in chain_pairs] + [st.pair[1]]
+    chain = [st.pair[0], *st.f_union.rank(chain_pairs).tolist(), st.pair[1]]
     rels = lhs_chain_relations(st.alpha, st.beta, st.gamma, q)
     for i, rel in enumerate(rels):
         if not rel.related(chain[i], chain[i + 1]):
             raise AlgebraError(f"stage j={st.j}: witness chain breaks at step {i}")
     # (c): alpha is exactly the final-coordinate congruence
-    want = Partition(tuple(st.pair_product.indexing.digits(st.f_ids)[:, 1].tolist()))
+    want = Partition(st.pair_product.indexing.digits(st.f_union.ids())[:, 1])
     if want != st.alpha:
         raise AlgebraError(f"stage j={st.j}: alpha is not the final-coordinate kernel")
 
@@ -106,20 +90,20 @@ def _base_stage_odd(m: int, q: int) -> InductionState:
     a3_alg = make_ujm_reduct(q + 1, ell, m)
     n2m = make_ujm_reduct(2, 2, m)
     pairalg = direct_product([a3_alg, n2m], label=f"F^{ell}({m},{q})")
-    f_ids = list(range(pairalg.size))
+    f_union = BoxUnion.whole(pairalg)
+    f_ids = f_union.ids()
     beta_star, gamma_star = staircase_partitions(q)
     one2, zero2 = Partition.one(2), Partition.zero(2)
     onec = Partition.one(q + 1)
     enc = pairalg.indexing.encode
-    local = _local(f_ids)
     alpha = induced_product_congruence(pairalg.indexing, [onec, zero2], f_ids)
     beta = induced_product_congruence(pairalg.indexing, [beta_star, one2], f_ids)
     gamma = induced_product_congruence(pairalg.indexing, [gamma_star, one2], f_ids)
-    pair = (local[enc((q, 1))], local[enc((0, 1))])
+    pair = tuple(f_union.rank([enc((q, 1)), enc((0, 1))]).tolist())
     chain3 = list(range(q - 1, 0, -1))
     inst = _stage_identity((alpha, beta, gamma, pair, len(f_ids)), m, q, ell)
     st = InductionState(
-        ell, a3_alg, pairalg, BoxUnion.whole(pairalg), alpha, beta, gamma, q, 0, chain3,
+        ell, a3_alg, pairalg, f_union, alpha, beta, gamma, q, 0, chain3,
         pair, inst,
     )
     _verify_stage(st, m, q)
@@ -169,8 +153,7 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
     # also ids of (A1 x A2 x A3) x A4
     algebra3 = direct_product([a1, a2, a3], label=f"A3^{level}({m},{q})")
     pairalg = direct_product([algebra3, n2m], label=f"F^{level}({m},{q})")
-    f_ids = built.b_ids
-    local = _local(f_ids)
+    f_ids = built.union.ids()
     x1, x2, x3, x4 = amb.indexing.digits(f_ids).T
 
     # congruences on B: pairs of staircases on A1, A2 (swapped for even q),
@@ -178,17 +161,17 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
     bsecond = gamma_star if q % 2 == 0 else beta_star
     gsecond = beta_star if q % 2 == 0 else gamma_star
     if prev is not None:
-        f_pos = np.searchsorted(prev.f_ids, x3 * 2 + x4)  # (x3, x4)'s index in F
+        f_pos = prev.f_union.rank(x3 * 2 + x4)  # (x3, x4)'s index in F
 
     def assemble(first: Partition, second: Partition, fpart: Partition | None) -> Partition:
         key = first.as_array()[x1] * second.n_blocks + second.as_array()[x2]
         if fpart is not None:
             key = key * fpart.n_blocks + fpart.as_array()[f_pos]
-        return Partition(tuple(key.tolist()))
+        return Partition(key)
 
     beta = assemble(beta_star, bsecond, prev_beta)
     gamma = assemble(gamma_star, gsecond, prev_gamma)
-    alpha = Partition(tuple(x4.tolist()))
+    alpha = Partition(x4)
 
     enc = amb.indexing.encode
     a3_new = algebra3.indexing.encode((q, 0, anchor_a))
@@ -197,7 +180,7 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
         algebra3.indexing.encode((q - i, i, prev_chain3[i - 1]))
         for i in range(1, q)
     ]
-    pair = (local[enc((q, 0, anchor_a, 1))], local[enc((0, q, anchor_d, 1))])
+    pair = tuple(built.union.rank([enc((q, 0, anchor_a, 1)), enc((0, q, anchor_d, 1))]).tolist())
     inst = _stage_identity((alpha, beta, gamma, pair, len(f_ids)), m, q, level)
     st = InductionState(
         level, algebra3, pairalg, built.union, alpha, beta, gamma,

@@ -78,19 +78,8 @@ def staircase_partitions(q: int) -> tuple[Partition, Partition]:
     """
     if q < 1:
         raise AlgebraError("q must be >= 1")
-    beta_blocks, x = [], q
-    while x >= 0:
-        beta_blocks.append([x] if x == 0 else [x, x - 1])
-        x -= 2
-    gamma_blocks, x = [[q]], q - 1
-    while x >= 0:
-        gamma_blocks.append([x] if x == 0 else [x, x - 1])
-        x -= 2
-    size = q + 1
-    return (
-        Partition.from_blocks(size, beta_blocks),
-        Partition.from_blocks(size, gamma_blocks),
-    )
+    down = q - np.arange(q + 1)  # distance from the top
+    return Partition(down // 2), Partition((down + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +304,7 @@ class SharpnessWitness:
     params: SharpnessParams
     product: FiniteAlgebra
     factor_roles: list[dict]
-    good_ids: list[int]
+    union: BoxUnion      # the good elements; local index i is union.ids()[i]
     alpha: Partition
     beta: Partition
     gamma: Partition
@@ -326,18 +315,14 @@ class SharpnessWitness:
 
     @property
     def size(self) -> int:
-        return len(self.good_ids)
+        return len(self.union)
 
-    def local_of_product(self, pid: int) -> int:
-        from bisect import bisect_left
-
-        i = bisect_left(self.good_ids, pid)
-        if i == len(self.good_ids) or self.good_ids[i] != pid:
-            raise AlgebraError(f"product element {pid} is not good")
-        return i
+    @cached_property
+    def good_ids(self) -> list[int]:
+        return self.union.ids().tolist()
 
     def coords_of_local(self, i: int) -> tuple[int, ...]:
-        return self.product.indexing.decode(self.good_ids[i])
+        return self.product.indexing.decode(int(self.union.ids()[i]))
 
 
 def _factor_plan(params: SharpnessParams) -> list[dict]:
@@ -408,7 +393,6 @@ def build_sharpness_witness(
     ]
     product = direct_product(factors, label=f"P({m},{q})")
     union = BoxUnion(product.indexing.sizes, good_boxes(roles, q))
-    good = union.ids().tolist()
     if verify_closure:
         ok, witness = is_subuniverse(product, union, tuple_cap=tuple_cap)
         if not ok:
@@ -438,9 +422,9 @@ def build_sharpness_witness(
             beta_parts.append(one2)
             gamma_parts.append(one2)
             alpha_parts.append(zero2)
-    alpha = induced_product_congruence(product.indexing, alpha_parts, good)
-    beta = induced_product_congruence(product.indexing, beta_parts, good)
-    gamma = induced_product_congruence(product.indexing, gamma_parts, good)
+    alpha = induced_product_congruence(product.indexing, alpha_parts, union.ids())
+    beta = induced_product_congruence(product.indexing, beta_parts, union.ids())
+    gamma = induced_product_congruence(product.indexing, gamma_parts, union.ids())
 
     def encode_units(pair_val, half_val, last_val):
         coords = []
@@ -455,22 +439,18 @@ def build_sharpness_witness(
                 coords.append(last_val)
         return product.indexing.encode(coords)
 
-    pos = {pid: i for i, pid in enumerate(good)}
     a_id = encode_units((q, 0), q, 1)
     d_id = encode_units((0, q), 0, 1)
     chain_ids = [a_id]
     for i in range(1, q):
         chain_ids.append(encode_units((q - i, i), q - i, 0))
     chain_ids.append(d_id)
-    for cid in chain_ids:
-        if cid not in pos:
-            raise AlgebraError("designated element fell outside the good set")
-    lhs_chain = [pos[cid] for cid in chain_ids]
+    lhs_chain = union.rank(chain_ids).tolist()
     a_loc, d_loc = lhs_chain[0], lhs_chain[-1]
     c_loc = lhs_chain[1] if q == 2 else None
 
     witness = SharpnessWitness(
-        params, product, roles, good, alpha, beta, gamma,
+        params, product, roles, union, alpha, beta, gamma,
         a_loc, d_loc, c_loc, lhs_chain,
     )
     _check_lhs_chain(witness)
@@ -522,10 +502,11 @@ def canonical_witness_chain(w: SharpnessWitness) -> list[int]:
         moves += [(len(roles) - 2, 1), (len(roles) - 2, 0)]
     for i in reversed(firsts):
         moves += [(i + 1, 1), (i + 1, 2)]
-    path = [w.a]
+    path_ids = []
     for pos_i, val in moves:
         coords[pos_i] = val
-        path.append(w.local_of_product(w.product.indexing.encode(coords)))
+        path_ids.append(w.product.indexing.encode(coords))
+    path = [w.a, *w.union.rank(path_ids).tolist()]
     if path[-1] != w.d:
         raise AlgebraError("canonical chain did not land on d")
     ab = partition_meet(w.alpha, w.beta)
@@ -554,7 +535,7 @@ def sharpness_report(m: int, q: int, *, tuple_cap: int = DEFAULT_TUPLE_CAP) -> d
         "subuniverse_size": w.size,
         "subuniverse_ok": True,  # build_sharpness_witness verified closure
         "pair": [w.a, w.d],
-        "pair_product_ids": [w.good_ids[w.a], w.good_ids[w.d]],
+        "pair_product_ids": w.union.ids()[[w.a, w.d]].tolist(),
         "lhs_chain": w.lhs_chain,
         "identity": ident.to_obj(),
     }

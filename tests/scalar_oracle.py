@@ -9,6 +9,7 @@ same way for many argument rows at once, and `closed` decides whether an id
 list is a subuniverse by enumerating its element multisets (tuples for an
 operation that is not symmetric) and applying `values` to them, sharing no
 code with the subuniverse check or the argument blocks of the closure.
+`_canonical` renumbers partition keys by first occurrence one key at a time.
 """
 
 import itertools
@@ -59,6 +60,17 @@ def term_value(term, alg, env):
         return memo[id(t)]
 
     return walk(term)
+
+
+def _canonical(keys):
+    """Block ids numbered by first occurrence: the reference for `Partition`."""
+    remap = {}
+    out = []
+    for b in keys:
+        if b not in remap:
+            remap[b] = len(remap)
+        out.append(remap[b])
+    return tuple(out)
 
 
 def is_congruence(alg, part, work_cap=20_000_000):

@@ -304,3 +304,14 @@ def test_box_union_elements_and_validation():
     for outside in ([0, prod.size], [-1, 2]):  # digits would wrap these ids silently
         with pytest.raises(AlgebraError, match="out of range"):
             is_subuniverse(prod, outside)
+
+
+def test_box_union_ranks_its_elements():
+    union = BoxUnion((3, 2), [[(0, 2), (1,)], [(2,), (0, 1)], [(2,), (1,)]])
+    assert union.ids().tolist() == [1, 4, 5]
+    assert union.rank([5, 1, 4, 5]).tolist() == [2, 0, 1, 2]
+    for missing, pids in ((3, [1, 3, 0]), (6, [6]), (0, [0, 1])):
+        with pytest.raises(AlgebraError, match=f"element {missing} is not in the union"):
+            union.rank(pids)
+    with pytest.raises(AlgebraError, match="element 0 is not"):
+        BoxUnion((3, 2), []).rank([0])

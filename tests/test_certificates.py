@@ -11,6 +11,7 @@ from finalg.certificates import (
     sharpness_certificate,
     toolkit_certificate,
 )
+from finalg.io import dumps_canonical
 
 FLIP_EXPECT = {2: 3, "found": "absent", "absent": "found"}
 
@@ -94,3 +95,48 @@ def test_every_altered_evidence_field_is_rejected(claim):
         bad["evidence"][key] = altered(bad["evidence"][key])
         ok, detail = recheck(bad)
         assert not ok, f"{claim} evidence.{key} altered but accepted: {detail}"
+
+
+# Canonical certificates as written before the partition layer became dense
+# block-id arrays; a change to how partitions are stored or met must leave
+# every byte of them as it is.
+_SHARPNESS_9_2 = (
+    '{"claim":"sharpness",'
+    '"evidence":{"chains":{"ab_chain_2m4":{"counterexample":[1655,559],'
+    '"family":"dist","lhs_chain":null,"params":{"n":14},"stats":{"in_lhs":true,'
+    '"in_rhs":true,"mode":"pair","size":2202},"verdict":"pair-not-counterexample"},'
+    '"ab_chain_2m5":{"counterexample":[1655,559],"family":"dist","lhs_chain":[1655,'
+    '1107,559],"params":{"n":13},"stats":{"mode":"pair","size":2202},'
+    '"verdict":"fails"},"ag_chain_2m4":{"counterexample":[1655,559],"family":"alvin",'
+    '"lhs_chain":[1655,1107,559],"params":{"n":14},"stats":{"mode":"pair",'
+    '"size":2202},"verdict":"fails"},"bfs_chain":[1655,925,193,111,27,17,5,3,1,7,11,'
+    '41,69,315,559],"bfs_factors":14,"bfs_matches_canonical":true,'
+    '"canonical_chain":[1655,925,193,111,27,17,5,3,1,7,11,41,69,315,559]},'
+    '"identity":{"counterexample":[1655,559],"family":"wedge-power",'
+    '"lhs_chain":[1655,1107,559],"params":{"m":9,"q":2},"stats":{"mode":"pair",'
+    '"size":2202},"verdict":"fails"},"lhs_chain":[1655,1107,559],"m":9,"pair":[1655,'
+    '559],"pair_product_ids":[3281,1093],"product_size":4374,"q":2,'
+    '"subuniverse_ok":true,"subuniverse_size":2202},"parameters":{"m":9,"q":2},'
+    '"stats":{},"tool_version":"0.1.0","verdict":"verified"}'
+)
+_INDUCTION_7_3 = (
+    '{"claim":"induction","evidence":{"stages":[{"f_size":8,'
+    '"identity":{"counterexample":[7,1],"family":"wedge-power-j","lhs_chain":[7,4,2,'
+    '1],"params":{"j":4,"m":7,"q":3},"stats":{"mode":"pair","size":8},'
+    '"verdict":"fails"},"j":4,"pair":[7,1]},{"f_size":74,'
+    '"identity":{"counterexample":[61,19],"family":"wedge-power-j","lhs_chain":[61,'
+    '47,33,19],"params":{"j":3,"m":7,"q":3},"stats":{"mode":"pair","size":74},'
+    '"verdict":"fails"},"j":3,"pair":[61,19]},{"f_size":1040,'
+    '"identity":{"counterexample":[835,217],"family":"wedge-power","lhs_chain":[835,'
+    '629,423,217],"params":{"m":7,"q":3},"stats":{"mode":"pair","size":1040},'
+    '"verdict":"fails"},"j":2,"pair":[835,217]}]},"parameters":{"m":7,"q":3},'
+    '"stats":{},"tool_version":"0.1.0","verdict":"verified"}'
+)
+
+
+@pytest.mark.parametrize("build, golden", [
+    (lambda: sharpness_certificate(9, 2), _SHARPNESS_9_2),
+    (lambda: induction_certificate(7, 3), _INDUCTION_7_3),
+], ids=["sharpness-9-2", "induction-7-3"])
+def test_certificates_match_their_golden_bytes(build, golden):
+    assert dumps_canonical(build()) == golden + "\n"

@@ -16,12 +16,12 @@ from finalg.algebras import (
 from finalg.congruences import Partition, induced_product_congruence, partition_meet
 from finalg.witnesses import staircase_partitions
 
-from scalar_oracle import apply, is_congruence
+from scalar_oracle import _canonical, apply, is_congruence
 
 
 def test_partition_canonical():
     p = Partition((5, 5, 2, 2, 5))
-    assert p.block_id == (0, 0, 1, 1, 0)
+    assert p.as_array().tolist() == [0, 0, 1, 1, 0]
     q = Partition.from_blocks(5, [[2, 3], [0, 1, 4]])
     assert p == q
     assert p.n_blocks == 2 and p.size == 5
@@ -37,6 +37,31 @@ def test_partition_from_blocks_validation():
         Partition.from_blocks(3, [[0, 1]])
     with pytest.raises(AlgebraError):
         Partition.from_blocks(3, [[0, 1], [1, 2]])
+    # array assignment would take -1 as the last element and let a repeat overwrite
+    with pytest.raises(AlgebraError, match="element -1 out of range"):
+        Partition.from_blocks(3, [[0, -1], [1, 2]])
+    with pytest.raises(AlgebraError, match="element 3 out of range"):
+        Partition.from_blocks(3, [[0, 1], [2, 3]])
+    with pytest.raises(AlgebraError, match="out of range"):
+        Partition.from_blocks(3, [[0, 2**70], [1, 2]])
+    with pytest.raises(AlgebraError, match="element 1 listed twice"):
+        Partition.from_blocks(3, [[0, 1, 1], [2]])
+    assert Partition.from_blocks(0, []) == Partition(())
+
+
+def test_partition_array_is_read_only():
+    # the cached block view is only right while the ids never change
+    p = Partition((3, 1, 3))
+    assert p.order.tolist() == [0, 2, 1] and p.starts.tolist() == [0, 2]
+    with pytest.raises(ValueError):
+        p.as_array()[0] = 1
+    with pytest.raises(AttributeError):
+        p.block_id = np.array([0, 0, 0])
+    assert {p, Partition((0, 1, 0))} == {p} and p.order.tolist() == [0, 2, 1]
+    keys = np.array([4, 4, 0])
+    q = Partition(keys)
+    keys[0] = 0
+    assert q.blocks() == [[0, 1], [2]]
 
 
 def test_partition_json_roundtrip():
@@ -96,6 +121,35 @@ def test_partition_lattice_laws(data):
     assert partition_meet(p, q) == partition_meet(q, p)
     assert partition_meet(p, Partition.one(n)) == p
     assert partition_meet(p, Partition.zero(n)) == Partition.zero(n)
+
+
+# keys over a range of at most 4n take the table branch; sparse and negative
+# keys take the np.unique branch
+_KEYS = st.one_of(
+    st.integers(1, 24).flatmap(
+        lambda n: st.lists(st.integers(-n, 3 * n - 1), min_size=n, max_size=n)),
+    st.lists(st.integers(0, 2**40), min_size=2, max_size=24),
+    st.lists(st.integers(-2**40, -1), min_size=1, max_size=24),
+    st.just([]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_KEYS)
+def test_partition_is_the_first_occurrence_relabelling(keys):
+    p = Partition(keys)
+    assert p.as_array().tolist() == list(_canonical(keys))
+    assert p.n_blocks == len(set(keys)) and p.size == len(keys)
+    assert Partition.from_blocks(p.size, p.blocks()) == p
+
+
+@settings(deadline=None, max_examples=100)
+@given(_KEYS.flatmap(lambda keys: st.tuples(
+    st.just(keys), st.lists(st.integers(0, 2**40), min_size=len(keys), max_size=len(keys)))))
+def test_meet_is_the_relabelling_of_zipped_keys(drawn):
+    first, second = drawn
+    got = partition_meet(Partition(first), Partition(second))
+    assert got.as_array().tolist() == list(_canonical(list(zip(first, second))))
 
 
 def test_induced_product_congruence():

@@ -21,8 +21,8 @@ def test_stage_sequence(m, q):
 def test_m5_matches_worked_route():
     states = run_level_induction(5, 2)
     assert [st.j for st in states] == [3, 2]
-    assert len(states[0].f_ids) == 6          # the base chain pair
-    assert len(states[1].f_ids) == 34         # same size as the explicit witness
+    assert len(states[0].f_union) == 6          # the base chain pair
+    assert len(states[1].f_union) == 34         # same size as the explicit witness
     # the final stage refutes at the plain exponent m - 2 = 3
     assert states[1].identity.params == {"m": 5, "q": 2}
 
@@ -50,11 +50,10 @@ def test_chain_elements_keep_zero_final_coordinate():
     for m, q in [(5, 2), (5, 3)]:
         for st in run_level_induction(m, q):
             enc = st.pair_product.indexing.encode
-            local = {pid: i for i, pid in enumerate(st.f_ids)}
             ab = partition_meet(st.alpha, st.beta)
             ag = partition_meet(st.alpha, st.gamma)
             chain = [st.pair[0]]
-            chain += [local[enc((c3, 0))] for c3 in st.chain3]
+            chain += st.f_union.rank([enc((c3, 0)) for c3 in st.chain3]).tolist()
             chain.append(st.pair[1])
             assert len(chain) == q + 1
             # endpoints distinguished, middles glued, by the final-coordinate kernel
