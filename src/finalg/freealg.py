@@ -9,8 +9,8 @@ One closure kernel, `_build_closure`, runs in frontier rounds: each round
 applies every operation to the argument-index tuples that touch an element
 found in the previous round, and records a provenance term for each new
 element.  `_arg_blocks` unranks those tuples in numpy, in blocks of
-`_CHUNK` rows of shape (rows, arity), in a fixed order (multisets for
-symmetric operations), so the work count, the point where the work cap
+`_CHUNK` tuples, each block as its prefix tree, in a fixed order (multisets
+for symmetric operations), so the work count, the point where the work cap
 bites and every provenance term are deterministic.
 
 Each argument tuple is applied once, in the round after its newest element
@@ -35,10 +35,16 @@ checked against `DEFAULT_TABLE_CAP` per table and int32 indexing in all);
 coordinate k then has a base offset (where its algebra's table starts) and
 a radix (its algebra's size).  Once per round, the element matrix is scaled
 into r int32 copies, copy j by radix**(r-1-j), the base folded into copy 0.
-Per argument block, r row gathers of those copies are summed in place into
-one reused buffer, which indexes the concatenated table.  Term evaluation
-(`Subpower.eval_term`) runs on the same kernel.  Three engines sit on it,
-tried in this order:
+Per argument block, the kernel walks the block's prefix tree one level (one
+argument position) at a time: a node's partial sum is its parent's plus the
+scaled row of its value, one gather-add per level into reused buffers, and
+the sums of the last level index the concatenated table.  The output rows
+are packed into int64 keys where the coordinate sizes allow, and only the
+keys missing from the sorted keys of the elements found so far are
+deduplicated; an argument tuple is decoded from the tree only for a row
+that yields a new element, for its provenance term.  Term evaluation
+(`Subpower.eval_term`) runs on the same kernel, with one-row trees.  Three
+engines sit on it, tried in this order:
 
 * closure engine - the kernel over all coordinates, with a provenance term
   for every element.
@@ -135,7 +141,9 @@ class Subpower:
                     raise AlgebraError(f"operation {t.op_index} expects {r} arguments")
                 args = np.stack([walk(a) for a in t.args])      # (r, ncoords)
                 weighted = kernel.weigh(t.op_index, args)
-                out = kernel.apply(t.op_index, weighted, np.arange(r)[None, :])[0].copy()
+                row = (range(r), [(np.zeros(1, dtype=np.intp), np.full(1, j))
+                                  for j in range(r)])          # the tuple (0, ..., r-1)
+                out = kernel.apply(t.op_index, weighted, row)[0].copy()
             memo[key] = out
             return out
 
@@ -304,7 +312,8 @@ class _Kernel:
     base_k + sum_j x_j * radix_k**(r-1-j) of the concatenated table, where
     base_k starts the table of coordinate k's algebra and radix_k is that
     algebra's size.  `weigh` scales the element matrix once per round;
-    `apply` then sums r row gathers of it into a reused int32 buffer.
+    `apply` then sums those scaled rows along a block's prefix tree, one
+    gather-add per level, in buffers it keeps from call to call.
     """
 
     def __init__(self, tables: _Tables, coord_algs):
@@ -325,26 +334,34 @@ class _Kernel:
         weighted[0] += self.base[oi]
         return weighted
 
-    def apply(self, oi: int, weighted: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """(rows, ncoords) values on the argument rows idx (rows, r).
+    def apply(self, oi: int, weighted: np.ndarray, tree) -> np.ndarray:
+        """(rows, ncoords) values on the rows of a prefix tree `(cols, trail)`
+        (see `_arg_blocks`), one row per node of its last level.
 
         Returns a view of a buffer that the next call overwrites.
         """
-        rows = len(idx)
+        cols, trail = tree
+        rows = len(trail[-1][1])
         if self._buf is None or len(self._buf[0]) < rows:
             shape = (rows, len(self.radix))
             self._buf = (np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32))
         acc, part = (b[:rows] for b in self._buf)
-        cols = idx.T
-        # indices are in range by construction; 'clip' lets numpy skip the
-        # bounds-checked copy it makes for out= under the default mode
-        np.take(weighted[0], cols[0], axis=0, out=acc, mode="clip")
-        for j in range(1, len(weighted)):
-            np.take(weighted[j], cols[j], axis=0, out=part, mode="clip")
-            acc += part
+        # every level sums into the head of acc, where the level above left
+        # its sums: they are gathered into part before the values overwrite
+        # them.  Indices are in range by construction, and 'clip' lets numpy
+        # skip the bounds-checked copy it makes for out= under the default mode
+        above = 0                               # nodes of the level above
+        for col, (parent, value) in zip(cols, trail):
+            k = len(value)
+            if above:
+                acc[:above].take(parent, axis=0, out=part[:k], mode="clip")
+            weighted[col].take(value, axis=0, out=acc[:k], mode="clip")
+            if above:
+                acc[:k] += part[:k]
+            above = k
         # the values go into the first half of `part`, which is free by now
         out = part.reshape(-1).view(np.int16)[: acc.size].reshape(acc.shape)
-        return np.take(self.tables.flat[oi], acc, out=out, mode="clip")
+        return self.tables.flat[oi].take(acc, out=out, mode="clip")
 
 
 _CHUNK = 250_000  # argument rows per block of the closure kernel
@@ -365,9 +382,13 @@ def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
     the children whose rows meet [a, b).  Every child holds at least one row,
     so a level handles at most b - a + 2n children.  Counts are clamped at b,
     which keeps them in int64 and still ends every group that runs past b.
-    The array yielded is a view of one buffer that the next block overwrites;
-    the buffer is column-major, so `block.T` gives each argument position
-    contiguously.
+
+    Each block is yielded as its prefix tree `(cols, trail)`: level l of
+    `trail` is a pair (parent, value) of arrays, one entry per kept child,
+    where parent indexes the nodes of level l - 1 (level 0 hangs off one
+    root) and value is the child's entry in argument position cols[l].  The
+    last level has one node per row, in the order of the block, and
+    `_tree_args` reads a row's tuple back by walking its parents.
     """
     if sym:
         total = math.comb(n + r - 1, r) - math.comb(old + r - 1, r)
@@ -380,7 +401,6 @@ def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
     else:
         total = n**r - old**r
         cols = list(range(r))
-    block = np.empty((r, min(chunk, total)), dtype=np.int64)  # yielded transposed
     for a in range(0, total, chunk):
         b = min(a + chunk, total)
         start = 0                           # first row of the first group
@@ -416,12 +436,17 @@ def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
                 fresh = fresh[first:stop]
                 hi = np.full(len(value), n, dtype=np.int64)
                 lo = np.zeros_like(hi)
-        at = np.arange(b - a)
-        for level in range(r - 1, -1, -1):
-            parent, value = trail[level]
-            block[cols[level], : b - a] = value[at]
-            at = parent[at]
-        yield block[:, : b - a].T
+        yield cols, trail
+
+
+def _tree_args(tree, at: np.ndarray) -> np.ndarray:
+    """(len(at), r) argument tuples of the rows `at` of a prefix tree."""
+    cols, trail = tree
+    args = np.empty((len(at), len(cols)), dtype=np.int64)
+    for col, (parent, value) in zip(reversed(cols), reversed(trail)):
+        args[:, col] = value[at]
+        at = parent[at]
+    return args
 
 
 def _closure_work(tables: _Tables, n: int) -> int:
@@ -438,6 +463,11 @@ def _refuse_doomed(tables: _Tables, n: int, work_cap: int) -> None:
                           f"{need} argument tuples, cap {work_cap}", explored=n)
 
 
+def _keys(vecs: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """int64 key of each row: the sum of its entries times their place values."""
+    return np.einsum("ij,j->i", vecs, place, dtype=np.int64, casting="unsafe")
+
+
 def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> Subpower:
     rows: list[np.ndarray] = []
     terms: list[Term] = []
@@ -450,15 +480,13 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> S
             terms.append(Var(j))
     kernel = _Kernel(tables, coord_algs)
     sizes = [gens[ai].size for ai in coord_algs]
-    pack = np.ones(len(sizes), dtype=np.int64)
-    packable = True
-    acc = 1
-    for c in range(len(sizes) - 1, -1, -1):
-        pack[c] = acc
-        acc *= sizes[c]
-        if acc > 1 << 62:
-            packable = False
-            break
+    # a row packs into an int64 key, its digits in the mixed radix of the
+    # sizes, while the coordinate box has at most 2**62 vectors
+    known = None                        # the sorted keys of the rows found
+    if math.prod(sizes) <= 1 << 62:
+        place = np.asarray([math.prod(sizes[c + 1:]) for c in range(len(sizes))],
+                           dtype=np.int64)
+        known = np.unique(_keys(gen_rows, place))
     work = 0
     old = 0
     hit = None if stop is None else stop(np.stack(rows))
@@ -470,30 +498,39 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> S
         stacked = np.stack(rows)
         for oi, r in enumerate(tables.arity):
             weighted = kernel.weigh(oi, stacked)
-            for idx in _arg_blocks(n, old, r, tables.sym[oi], _CHUNK):
-                work += len(idx)
+            for tree in _arg_blocks(n, old, r, tables.sym[oi], _CHUNK):
+                work += len(tree[1][-1][1])
                 if work > work_cap:
-                    raise CapExceeded("subpower work cap exceeded", explored=n)
+                    raise CapExceeded(f"subpower work cap exceeded: {work} argument tuples "
+                                      f"applied, cap {work_cap}", explored=n)
                 if not bounded and work > SHALLOW_WORK:
                     bounded = True
                     _refuse_doomed(tables, len(rows), work_cap)
-                out = kernel.apply(oi, weighted, idx)
-                if packable:
-                    _, first = np.unique(out.astype(np.int64) @ pack, return_index=True)
+                out = kernel.apply(oi, weighted, tree)
+                if known is not None:
+                    keys = _keys(out, place)
+                    at = known.searchsorted(keys)
+                    np.minimum(at, len(known) - 1, out=at)
+                    fresh = np.flatnonzero(known[at] != keys)
+                    if len(fresh):
+                        _, first = np.unique(keys[fresh], return_index=True)
+                        fresh = fresh[np.sort(first)]
+                        known = np.union1d(known, keys[fresh])
                 else:
                     _, first = np.unique(out, axis=0, return_index=True)
-                before = len(rows)
-                for where in np.sort(first):
-                    row = out[where]
-                    key = row.tobytes()
-                    if key not in index:
-                        if len(index) >= ELEMENT_CAP:
-                            raise CapExceeded("subpower element cap", explored=len(index))
-                        index[key] = len(rows)
-                        rows.append(row.copy())
-                        terms.append(App(oi, tuple(terms[i] for i in idx[where])))
-                if len(rows) == before:
+                    fresh = np.asarray([w for w in np.sort(first)
+                                        if out[w].tobytes() not in index], dtype=np.intp)
+                if not len(fresh):
                     continue
+                if len(rows) + len(fresh) > ELEMENT_CAP:
+                    raise CapExceeded(f"subpower element cap: {len(rows) + len(fresh)} "
+                                      f"elements, cap {ELEMENT_CAP}", explored=len(rows))
+                before = len(rows)
+                for where, args in zip(fresh, _tree_args(tree, fresh)):
+                    row = out[where].copy()
+                    index[row.tobytes()] = len(rows)
+                    rows.append(row)
+                    terms.append(App(oi, tuple(terms[i] for i in args)))
                 if stop is not None:
                     hit = stop(np.stack(rows[before:]))
                     if hit is not None:

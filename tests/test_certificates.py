@@ -134,9 +134,47 @@ _INDUCTION_7_3 = (
 )
 
 
+# Canonical certificates as written before the closure kernel evaluated
+# argument blocks along their prefix trees; the order of the tuples, the work
+# count and every provenance term must stay as they were.
+_JONSSON_I5 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["I:5"],"level":3,'
+    '"scheme":"jonsson","stats":{"free_size":38},"terms":["x0",["u","x0","x0","x0",'
+    '"x1","x2"],["i","x2",["i","x1","x0"]],"x2"],"verified":true},'
+    '"parameters":{"expect":3,"fixtures":"I:5","scheme":"jonsson"},"stats":{},'
+    '"tool_version":"0.1.0","verdict":"verified"}'
+)
+_DAY_N24 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["N(2,4)@2"],"level":5,'
+    '"scheme":"day","stats":{"free_size":54},"terms":["x0",["u","x0","x0","x1","x3"],'
+    '["u","x0","x0","x2","x3"],["u","x0","x1","x3","x3"],["u","x0","x2","x3","x3"],'
+    '"x3"],"verified":true},"parameters":{"expect":5,"fixtures":"N:2:4",'
+    '"scheme":"day"},"stats":{},"tool_version":"0.1.0","verdict":"verified"}'
+)
+_NU4_IF5 = (
+    '{"claim":"search","evidence":{"complete":true,"found":false,'
+    '"generators":["If:5"],"params":{"arity":4},"scheme":"nu","term":null,'
+    '"verified":false},"parameters":{"arity":4,"expect":"absent","fixtures":"If:5",'
+    '"m":0,"scheme":"nu"},"stats":{"engine":"closure","size":47},'
+    '"tool_version":"0.1.0","verdict":"verified"}'
+)
+_NU5_I5 = (
+    '{"claim":"search","evidence":{"complete":true,"found":true,"generators":["I:5"],'
+    '"params":{"arity":5},"scheme":"nu","term":["u","x0","x1","x2","x3","x4"],'
+    '"verified":true},"parameters":{"arity":5,"expect":"found","fixtures":"I:5",'
+    '"m":0,"scheme":"nu"},"stats":{"engine":"closure","size":39},'
+    '"tool_version":"0.1.0","verdict":"verified"}'
+)
+
+
 @pytest.mark.parametrize("build, golden", [
     (lambda: sharpness_certificate(9, 2), _SHARPNESS_9_2),
     (lambda: induction_certificate(7, 3), _INDUCTION_7_3),
-], ids=["sharpness-9-2", "induction-7-3"])
+    (lambda: level_certificate("jonsson", "I:5", expect=3), _JONSSON_I5),
+    (lambda: level_certificate("day", "N:2:4", expect=5), _DAY_N24),
+    (lambda: search_certificate("nu", "If:5", arity=4, expect="absent"), _NU4_IF5),
+    (lambda: search_certificate("nu", "I:5", arity=5, expect="found"), _NU5_I5),
+], ids=["sharpness-9-2", "induction-7-3", "level-jonsson-I5", "level-day-N24",
+        "search-nu4-If5", "search-nu5-I5"])
 def test_certificates_match_their_golden_bytes(build, golden):
     assert dumps_canonical(build()) == golden + "\n"

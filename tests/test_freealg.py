@@ -24,6 +24,7 @@ from finalg.freealg import (
     _closure_work,
     _local_closure_for,
     _prepare_tables,
+    _tree_args,
     build_free_algebra,
     generate_subpower,
     shared_nu_op,
@@ -31,6 +32,8 @@ from finalg.freealg import (
 from finalg.maltsev import absorption_search, nu_scheme
 from finalg.terms import App, Var, term_to_obj
 from finalg.witnesses import implication_expansion, modular_sum_algebra, nu_family_generators
+
+from tree_oracle import rows_tree, tree_rows
 
 
 def free_generators(gens, g):
@@ -175,9 +178,14 @@ def oracle_blocks(n, old, r, sym, chunk=_CHUNK):
         yield np.asarray(block, dtype=np.int64).reshape(len(block), r)
 
 
+def oracle_trees(n, old, r, sym, chunk=_CHUNK):
+    """The oracle's blocks as trees, one chain of nodes per tuple."""
+    return map(rows_tree, oracle_blocks(n, old, r, sym, chunk))
+
+
 def assert_same_blocks(n, old, r, sym, chunk=_CHUNK):
     want = list(oracle_blocks(n, old, r, sym, chunk))
-    got = [block.copy() for block in _arg_blocks(n, old, r, sym, chunk)]
+    got = [tree_rows(tree) for tree in _arg_blocks(n, old, r, sym, chunk)]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -207,7 +215,14 @@ def test_arg_blocks_match_oracle_at_block_edges(n, old, r, sym):
 def test_arg_blocks_exact_block_multiple():
     # C(11, 2) - C(6, 2) = 40 pairs: two full blocks of 20, no remainder
     assert_same_blocks(10, 5, 2, True, 20)
-    assert [len(b) for b in _arg_blocks(10, 5, 2, True, 20)] == [20, 20]
+    assert [len(tree_rows(t)) for t in _arg_blocks(10, 5, 2, True, 20)] == [20, 20]
+
+
+@pytest.mark.parametrize("n, old, r, sym", [(34, 30, 5, True), (70, 40, 3, False)])
+def test_provenance_decoder_matches_oracle_at_every_position(n, old, r, sym):
+    for tree, want in zip(_arg_blocks(n, old, r, sym, _CHUNK),
+                          oracle_blocks(n, old, r, sym), strict=True):
+        assert np.array_equal(_tree_args(tree, np.arange(len(want))), want)
 
 
 def test_partial_run_matches_oracle_loop(monkeypatch):
@@ -215,7 +230,7 @@ def test_partial_run_matches_oracle_loop(monkeypatch):
     # in rounds of several blocks; complete, and stopped on its 30th row
     gens = load_fixtures("I:5")
     runs = [closure(gens, 3), closure(gens, 3, stop=stop_after(30))]
-    monkeypatch.setattr(freealg, "_arg_blocks", oracle_blocks)
+    monkeypatch.setattr(freealg, "_arg_blocks", oracle_trees)
     oracle_runs = [closure(gens, 3), closure(gens, 3, stop=stop_after(30))]
     assert [run.size for run in runs] == [38, 30]
     for fast, slow in zip(runs, oracle_runs):
@@ -271,11 +286,14 @@ def test_kernel_matches_per_coordinate_loop(r):
                        axis=1).astype(np.int16)
     kernel = freealg._Kernel(freealg._prepare_tables(gens), coord_algs)
     weighted = kernel.weigh(oi, stacked)
-    blocks = [block.copy() for block in _arg_blocks(n, 0, r, False, _CHUNK)]
+    trees = list(_arg_blocks(n, 0, r, False, _CHUNK))
+    blocks = [tree_rows(tree) for tree in trees]
     assert [len(b) for b in blocks] == [_CHUNK, n**r - _CHUNK]
-    for idx in blocks:
+    for tree, idx in zip(trees, blocks):
         want = oracle_apply_vec(gens, coord_algs, oi, np.take(stacked, idx.T, axis=0))
-        assert np.array_equal(kernel.apply(oi, weighted, idx), want)
+        assert np.array_equal(kernel.apply(oi, weighted, tree), want)
+        # the same rows as a tree without shared prefixes
+        assert np.array_equal(kernel.apply(oi, weighted, rows_tree(idx[::997])), want[::997])
 
 
 def test_kernel_matches_loop_on_chain_reducts_of_two_sizes():
@@ -388,9 +406,9 @@ def count_applied(monkeypatch):
     calls = []
     apply, build = freealg._Kernel.apply, freealg._build_closure
 
-    def counted_apply(self, oi, weighted, idx):
-        calls[-1][2] += len(idx)
-        return apply(self, oi, weighted, idx)
+    def counted_apply(self, oi, weighted, tree):
+        calls[-1][2] += len(tree[1][-1][1])            # the rows: last-level nodes
+        return apply(self, oi, weighted, tree)
 
     def recorded_build(*args):
         calls.append([len(args) > 5 and args[5] is not None, args[4], 0, None])
@@ -465,6 +483,24 @@ def test_refusal_message_names_elements_bound_and_cap():
     assert str(info.value) == ("subpower work cap exceeded: 10 elements need at least "
                                "715 argument tuples, cap 600")
     assert info.value.explored == 10
+
+
+def test_work_cap_message_names_work_and_cap():
+    # with a stop, the work bound waits for SHALLOW_WORK, so the cap itself
+    # bites: the first round is the C(6, 4) = 15 multisets of 3 generators
+    gens = load_fixtures("N:2:4,N:3:4")
+    with pytest.raises(CapExceeded) as info:
+        closure(gens, 3, work_cap=10, stop=lambda rows: None)
+    assert str(info.value) == ("subpower work cap exceeded: 15 argument tuples applied, "
+                               "cap 10")
+
+
+def test_element_cap_message_names_elements_and_cap(monkeypatch):
+    # the first block over N:2:4,N:3:4 on 3 generators takes 3 elements to 9
+    monkeypatch.setattr(freealg, "ELEMENT_CAP", 5)
+    with pytest.raises(CapExceeded) as info:
+        closure(load_fixtures("N:2:4,N:3:4"), 3)
+    assert str(info.value) == "subpower element cap: 9 elements, cap 5"
 
 
 def test_refusal_before_the_first_round(monkeypatch):

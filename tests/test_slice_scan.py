@@ -23,6 +23,7 @@ from finalg.witnesses import build_sharpness_witness, good_boxes
 import scalar_oracle
 import slice_route_oracle
 from good_set_oracle import minus_point
+from tree_oracle import tree_rows
 
 _LARGE_CAP = 10_000_000
 #: the good sets also checked as id lists, up to B(6,2)'s 90 elements; the
@@ -38,7 +39,8 @@ def test_arg_blocks_yield_all_multisets_or_tuples(sym):
                           else itertools.product(range(n), repeat=r))
             for chunk in (1, 3, 7, 250_000):
                 got = [tuple(int(v) for v in row)
-                       for block in _arg_blocks(n, 0, r, sym, chunk) for row in block]
+                       for tree in _arg_blocks(n, 0, r, sym, chunk)
+                       for row in tree_rows(tree)]
                 assert sorted(got) == want, (n, r, chunk)
 
 
