@@ -51,8 +51,11 @@ engines sit on it, tried in this order:
 * local engine - when some basic operation is near-unanimity on every
   generator, the generated subpower is determined by its projections onto
   (arity-1)-sized coordinate sets, each closed by the same kernel under the
-  same caps; elements are enumerated by filtering the coordinate box through
-  the local closures, and provenance terms are reconstructed on demand by
+  same caps and kept as a closed Subpower of its own.  These small closures
+  run through few distinct round shapes, so they share one memo of the
+  argument prefix trees of their rounds (`_TreeMemo`).  Elements are
+  enumerated by filtering the coordinate box through the local closures, one
+  key lookup per subset, and provenance terms are reconstructed on demand by
   the interpolation recursion behind that decomposition.
 * membership engine - the local closures alone, for containment queries
   over coordinate boxes too big to enumerate.
@@ -106,6 +109,8 @@ class Subpower:
 
     def contains_bulk(self, vecs: np.ndarray) -> np.ndarray:
         """Membership mask for many candidate vectors (membership engine)."""
+        if self._local is None:
+            raise AlgebraError("membership queries need the local engine")
         vecs = np.asarray(vecs, dtype=np.int16)
         mask = np.ones(len(vecs), dtype=bool)
         width = min(self._local.width, self.ncoords)
@@ -390,8 +395,8 @@ def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
     last level has one node per row, in the order of the block, and
     `_tree_args` reads a row's tuple back by walking its parents.
     """
+    total = _round_size(n, old, r, sym)
     if sym:
-        total = math.comb(n + r - 1, r) - math.comb(old + r - 1, r)
         cols = [r - 1, *range(r - 1)]      # t first, then left to right
         # multisets[k][d]: number of k-multisets over d values (float, exact
         # below 2**53; larger counts are clamped anyway)
@@ -399,7 +404,6 @@ def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
         for _ in range(r - 1):
             multisets.append(np.concatenate(([0.0], np.cumsum(multisets[-1][1:]))))
     else:
-        total = n**r - old**r
         cols = list(range(r))
     for a in range(0, total, chunk):
         b = min(a + chunk, total)
@@ -449,10 +453,50 @@ def _tree_args(tree, at: np.ndarray) -> np.ndarray:
     return args
 
 
+def _round_size(n: int, old: int, r: int, sym: bool) -> int:
+    """Argument tuples over range(n) that touch an index >= old."""
+    if sym:
+        return math.comb(n + r - 1, r) - math.comb(old + r - 1, r)
+    return n**r - old**r
+
+
+@dataclass
+class _TreeMemo:
+    """Prefix trees of whole rounds, shared by the closures of a local engine.
+
+    Its closures are small and run through the same few round shapes, so a
+    round that fits in one block is unranked once per (n, old, r, sym) and
+    its tree kept, read-only, while the trees kept hold at most `_CHUNK`
+    rows in all.  The memo lives as long as its engine's subpower.
+    """
+    rounds: dict = field(default_factory=dict)  # (n, old, r, sym) -> [tree] or []
+    rows: int = 0                               # rows of the trees kept
+
+
+def _round_trees(n: int, old: int, r: int, sym: bool, memo: Optional[_TreeMemo]):
+    """The blocks of one round: `_arg_blocks`, or the trees kept in `memo`."""
+    if memo is None:
+        return _arg_blocks(n, old, r, sym, _CHUNK)
+    key = (n, old, r, sym)
+    kept = memo.rounds.get(key)
+    if kept is not None:
+        return kept
+    rows = _round_size(n, old, r, sym)
+    if memo.rows + rows > _CHUNK:
+        return _arg_blocks(n, old, r, sym, _CHUNK)
+    kept = list(_arg_blocks(n, old, r, sym, _CHUNK))
+    for _, trail in kept:
+        for level in trail:
+            for array in level:
+                array.flags.writeable = False
+    memo.rounds[key] = kept
+    memo.rows += rows
+    return kept
+
+
 def _closure_work(tables: _Tables, n: int) -> int:
     """Argument tuples a completed closure over n elements applies."""
-    return sum(math.comb(n + r - 1, r) if sym else n**r
-               for r, sym in zip(tables.arity, tables.sym))
+    return sum(_round_size(n, 0, r, sym) for r, sym in zip(tables.arity, tables.sym))
 
 
 def _refuse_doomed(tables: _Tables, n: int, work_cap: int) -> None:
@@ -463,12 +507,19 @@ def _refuse_doomed(tables: _Tables, n: int, work_cap: int) -> None:
                           f"{need} argument tuples, cap {work_cap}", explored=n)
 
 
+def _place(sizes) -> np.ndarray:
+    """int64 place values of the mixed radix of `sizes`, last digit lowest."""
+    return np.asarray([math.prod(sizes[c + 1:]) for c in range(len(sizes))],
+                      dtype=np.int64)
+
+
 def _keys(vecs: np.ndarray, place: np.ndarray) -> np.ndarray:
     """int64 key of each row: the sum of its entries times their place values."""
     return np.einsum("ij,j->i", vecs, place, dtype=np.int64, casting="unsafe")
 
 
-def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> Subpower:
+def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
+                   trees: Optional[_TreeMemo] = None) -> Subpower:
     rows: list[np.ndarray] = []
     terms: list[Term] = []
     index: dict[bytes, int] = {}
@@ -484,8 +535,7 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> S
     # sizes, while the coordinate box has at most 2**62 vectors
     known = None                        # the sorted keys of the rows found
     if math.prod(sizes) <= 1 << 62:
-        place = np.asarray([math.prod(sizes[c + 1:]) for c in range(len(sizes))],
-                           dtype=np.int64)
+        place = _place(sizes)
         known = np.unique(_keys(gen_rows, place))
     work = 0
     old = 0
@@ -498,7 +548,7 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> S
         stacked = np.stack(rows)
         for oi, r in enumerate(tables.arity):
             weighted = kernel.weigh(oi, stacked)
-            for tree in _arg_blocks(n, old, r, tables.sym[oi], _CHUNK):
+            for tree in _round_trees(n, old, r, tables.sym[oi], trees):
                 work += len(tree[1][-1][1])
                 if work > work_cap:
                     raise CapExceeded(f"subpower work cap exceeded: {work} argument tuples "
@@ -561,8 +611,9 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> S
 class _LocalData:
     nu_op: int
     width: int
-    local_closures: dict                     # ordered coord tuple -> {proj: Term}
+    local_closures: dict                     # ordered coord tuple -> its closed Subpower
     work_cap: int                            # of each local closure
+    trees: _TreeMemo = field(default_factory=_TreeMemo)  # shared by the local closures
 
 
 def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
@@ -606,30 +657,26 @@ def _build_local(tables, gens, coord_algs, gen_rows, work_cap, enumerate_all) ->
     return sub
 
 
-def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> dict:
+def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> Subpower:
     """Generated subalgebra of the projection onto `subset`, with terms."""
     local = sub._local
-    table = local.local_closures.get(subset)
-    if table is not None:
-        return table
-    closed = _build_closure(sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
-                            sub.gen_rows[:, list(subset)], local.work_cap)
-    table = {tuple(int(v) for v in row): term
-             for row, term in zip(closed.vectors, closed.terms)}
-    local.local_closures[subset] = table
-    return table
+    closed = local.local_closures.get(subset)
+    if closed is None:
+        closed = _build_closure(sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
+                                sub.gen_rows[:, list(subset)], local.work_cap,
+                                trees=local.trees)
+        local.local_closures[subset] = closed
+    return closed
 
 
 def _local_mask(sub: Subpower, subset: tuple[int, ...], vecs: np.ndarray) -> np.ndarray:
     """Rows of vecs whose projection onto `subset` lies in its local closure."""
+    closed = _local_closure_for(sub, subset)
     sizes = [sub.gens[sub.coord_algs[k]].size for k in subset]
-    weights = np.ones(len(subset), dtype=np.int64)
-    for i in range(len(subset) - 2, -1, -1):
-        weights[i] = weights[i + 1] * sizes[i + 1]
-    allowed = np.zeros(int(weights[0]) * sizes[0], dtype=bool)
-    for proj in _local_closure_for(sub, subset):
-        allowed[int(np.asarray(proj, dtype=np.int64) @ weights)] = True
-    return allowed[vecs[:, subset].astype(np.int64) @ weights]
+    place = _place(sizes)
+    allowed = np.zeros(math.prod(sizes), dtype=bool)
+    allowed[_keys(closed.vectors, place)] = True
+    return allowed[_keys(vecs[:, subset], place)]
 
 
 def _interpolate_term(sub: Subpower, target: np.ndarray) -> Term:
@@ -651,11 +698,11 @@ def _interpolate_term(sub: Subpower, target: np.ndarray) -> Term:
             return got
         ordered = tuple(sorted(subset))
         if len(ordered) <= width:
-            table = _local_closure_for(sub, ordered)
-            proj = tuple(int(target[k]) for k in ordered)
-            term = table.get(proj)
-            if term is None:
+            closed = _local_closure_for(sub, ordered)
+            i = closed.index_of(target[list(ordered)])
+            if i is None:
                 raise AlgebraError("target vector is not in the generated subpower")
+            term = closed.terms[i]
         else:
             arity = sub.gens[0].ops[local.nu_op].arity
             assert len(ordered) >= arity  # width = arity - 1, base case is <= width

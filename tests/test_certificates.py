@@ -167,6 +167,16 @@ _NU5_I5 = (
 )
 
 
+# Written before the local engine kept its closures as subpowers and shared
+# argument trees between them: its verdict and stats must stay as they were.
+_NU4_I5 = (
+    '{"claim":"search","evidence":{"complete":true,"found":false,"generators":["I:5"],'
+    '"params":{"arity":4},"scheme":"nu","term":null,"verified":false},'
+    '"parameters":{"arity":4,"expect":"absent","fixtures":"I:5","m":0,"scheme":"nu"},'
+    '"stats":{"engine":"local","size":94},"tool_version":"0.1.0","verdict":"verified"}'
+)
+
+
 @pytest.mark.parametrize("build, golden", [
     (lambda: sharpness_certificate(9, 2), _SHARPNESS_9_2),
     (lambda: induction_certificate(7, 3), _INDUCTION_7_3),
@@ -174,7 +184,8 @@ _NU5_I5 = (
     (lambda: level_certificate("day", "N:2:4", expect=5), _DAY_N24),
     (lambda: search_certificate("nu", "If:5", arity=4, expect="absent"), _NU4_IF5),
     (lambda: search_certificate("nu", "I:5", arity=5, expect="found"), _NU5_I5),
+    (lambda: search_certificate("nu", "I:5", arity=4, expect="absent"), _NU4_I5),
 ], ids=["sharpness-9-2", "induction-7-3", "level-jonsson-I5", "level-day-N24",
-        "search-nu4-If5", "search-nu5-I5"])
+        "search-nu4-If5", "search-nu5-I5", "search-nu4-I5-local"])
 def test_certificates_match_their_golden_bytes(build, golden):
     assert dumps_canonical(build()) == golden + "\n"

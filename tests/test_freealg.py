@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from finalg.freealg import (
     _closure_work,
     _local_closure_for,
     _prepare_tables,
+    _round_trees,
     _tree_args,
     build_free_algebra,
     generate_subpower,
@@ -109,6 +113,27 @@ def test_local_engine_terms_reevaluate():
         assert np.array_equal(sub.eval_term(term), sub.vectors[i])
 
 
+# sha256 of the term_to_obj JSON (7 to 18 KB each) of the interpolated terms,
+# written before the local closures were kept as subpowers: the recursion
+# must read the same local terms and nest them the same way
+INTERPOLATED_DIGESTS = {
+    "00000111": "d1fcdb38bba6be9eda5e0df8e9895f24025d77a63b9316557d25daf8cb4f547b",
+    "00001111": "6315661bd0a9081bf086dee1792da5cdb1c8fbe923a9833700128f3253f94481",
+    "00010010": "c6eba80ef0aaa38305abd9d8cd62dae59682e80099a3b449abad7e256bef7cb3",
+    "00110011": "609f49b09939ef586f3a829f8edce5bea022bf9ed4dda845cb691418ff022c77",
+    "01010101": "6d94c4dd6718741067e43ccdc951dee5c42021a9ac87b2b071c43118a0f1bd42",
+}
+
+
+def test_local_engine_terms_match_their_golden_digests():
+    sub = local([implication_expansion(4)], 3)
+    names = [op.name for op in sub.gens[0].ops]
+    for digits, digest in INTERPOLATED_DIGESTS.items():
+        term = sub.term_for_vector(np.asarray([int(d) for d in digits], dtype=np.int16))
+        text = json.dumps(term_to_obj(term, names), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, digits
+
+
 def test_local_engine_needs_nu():
     assert shared_nu_op([modular_sum_algebra(3, 4)]) is None
     with pytest.raises(CapExceeded):
@@ -131,6 +156,13 @@ def test_membership_engine():
     bad = np.zeros(len(coord_algs), dtype=np.int16)
     bad[0] = 1  # value 1 on the all-zero assignment
     assert not member.contains_bulk(bad[None, :]).any()
+
+
+def test_membership_queries_need_the_local_engine():
+    sub = closure([make_ujm_reduct(2, 2, 3)], 3)
+    assert sub.engine == "closure"
+    with pytest.raises(AlgebraError, match="need the local engine"):
+        sub.contains_bulk(sub.vectors)
 
 
 def test_subpower_dedup_classes():
@@ -243,6 +275,65 @@ def test_local_closure_respects_work_cap():
     member = local(load_fixtures("I:4"), 3, enumerate_all=False, work_cap=10)
     with pytest.raises(CapExceeded):
         _local_closure_for(member, (0, 1, 2))
+
+
+def test_shared_trees_build_the_same_local_closures(monkeypatch):
+    # every local closure of the nu(4) search over I:5, built on the trees
+    # its engine shares, against a fresh closure that unranks its own
+    built = []
+    build_local = freealg._build_local
+
+    def recorded_local(*args, **kwargs):
+        built.append(build_local(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(freealg, "_build_local", recorded_local)
+    assert not absorption_search(load_fixtures("I:5"), nu_scheme(4)).found
+    sub = built[-1]
+    local = sub._local
+    assert sub.engine == "local"
+    assert len(local.local_closures) == math.comb(sub.ncoords, local.width) == 210
+    assert local.trees.rounds
+    capped = set()
+    for subset, shared in local.local_closures.items():
+        args = (sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
+                sub.gen_rows[:, list(subset)])
+        fresh = _build_closure(*args, local.work_cap)
+        assert np.array_equal(shared.vectors, fresh.vectors)
+        assert shared.terms == fresh.terms
+        assert shared.stats == fresh.stats
+        # under a small cap, both stop at the same point with the same message
+        outcomes = []
+        for trees in (local.trees, None):
+            try:
+                outcomes.append(_build_closure(*args, 2_000, trees=trees).stats)
+            except CapExceeded as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        capped.add(type(outcomes[0]))
+    assert capped == {str, dict}                    # the cap bit in some, not all
+
+
+def test_tree_memo_keeps_one_block_rounds_up_to_chunk_rows():
+    memo = freealg._TreeMemo()
+    # 260,130 multisets: two blocks, never kept
+    assert len(list(_round_trees(115, 0, 3, True, memo))) == 2
+    assert memo.rounds == {} and memo.rows == 0
+    # one-block rounds are kept, read-only, and handed out again
+    for n, old, r, sym in [(62, 0, 3, False), (10, 4, 3, True)]:
+        trees = _round_trees(n, old, r, sym, memo)
+        assert _round_trees(n, old, r, sym, memo) is trees
+        for got, want in zip(trees, _arg_blocks(n, old, r, sym, _CHUNK), strict=True):
+            assert np.array_equal(tree_rows(got), tree_rows(want))
+        for _, trail in trees:
+            for parent, value in trail:
+                for array in (parent, value):
+                    with pytest.raises(ValueError):
+                        array[0] = 0
+    assert memo.rows == 62**3 + math.comb(12, 3) - math.comb(6, 3) == 238_528
+    # 24**3 = 13,824 more rows would pass _CHUNK: that round is not kept
+    assert len(list(_round_trees(24, 0, 3, False, memo))) == 1
+    assert len(memo.rounds) == 2 and memo.rows == 238_528 <= _CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +501,10 @@ def count_applied(monkeypatch):
         calls[-1][2] += len(tree[1][-1][1])            # the rows: last-level nodes
         return apply(self, oi, weighted, tree)
 
-    def recorded_build(*args):
+    def recorded_build(*args, **kwargs):
         calls.append([len(args) > 5 and args[5] is not None, args[4], 0, None])
         try:
-            return build(*args)
+            return build(*args, **kwargs)
         except CapExceeded as exc:
             calls[-1][3] = str(exc)
             raise
