@@ -3,8 +3,15 @@
 Each identity family builds a left and right relation expression from the
 triple; an instance is checked either in full (every pair) or for a
 designated pair (which also handles universes far too large for all pairs).
-Both modes, and the shortest alternating-chain search, run on one evaluator:
-the image of a set under a partition is the union of the blocks it meets.
+Both modes run on one evaluator: the image of a set under a partition is the
+union of the blocks it meets.
+
+One lex-least shortest-path search runs through relations given as key
+pairs, x -> y iff left[x] == right[y], so that a partition is the pair
+(block_id, block_id): `shortest_length` finds the fewest steps, and
+`least_path` the lex-least path of that many.  It finds the left-side chain
+of a failing pair, the shortest alternating chain between two partitions,
+and the chain levels of `maltsev`.
 
 Families (parameters in brackets):
 
@@ -26,7 +33,7 @@ Families (parameters in brackets):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -172,28 +179,6 @@ def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
     raise AlgebraError(f"bad expression node {expr!r}")
 
 
-def _staged_path(a: int, d: int, steps: list) -> Optional[list[int]]:
-    """Lex-least element path a .. d whose i-th step stays in a block of steps[i].
-
-    Returns None when there is no such path.
-    """
-    n = steps[0].size
-    back = np.zeros((1, n), dtype=bool)
-    back[0, d] = True
-    stages = [back]
-    for part in reversed(steps):
-        stages.append(_block_image(stages[-1], part))  # partitions are symmetric
-    stages.reverse()
-    if not stages[0][0, a]:
-        return None
-    path = [a]
-    for i, part in enumerate(steps[:-1], start=1):
-        ok = (part.block_id == part.block_id[path[-1]]) & stages[i][0]
-        path.append(int(np.flatnonzero(ok)[0]))
-    path.append(d)
-    return path
-
-
 def _comp_chain_witness(expr, ctx: dict, a: int, d: int) -> Optional[list[int]]:
     """Element path a .. d through the factors of a composition expression.
 
@@ -205,7 +190,9 @@ def _comp_chain_witness(expr, ctx: dict, a: int, d: int) -> Optional[list[int]]:
             return None
         return _comp_chain_witness(expr.inner, ctx, a, d)
     assert isinstance(expr, Comp)
-    return _staged_path(a, d, [ctx[item.key] for item in expr.items])
+    rels = [(ctx[item.key].block_id,) * 2 for item in expr.items]
+    ids = np.arange(ctx[ALPHA].size)
+    return least_path(ids == a, ids == d, rels, len(rels))
 
 
 def shortest_alternating_chain(start: int, goal: int, first: Partition, second: Partition,
@@ -224,45 +211,85 @@ def shortest_alternating_chain(start: int, goal: int, first: Partition, second: 
     n = first.size
     if not (0 <= start < n and 0 <= goal < n):
         raise AlgebraError("endpoints out of range")
-    if start == goal:
-        return [start], 0
+    ids = np.arange(n)
+    message = f"no alternating path within {cap} factors"
     best = None
     capped = False
-    for rels in ((first, second), (second, first)):
+    for lead in ((first, second), (second, first)):
+        rels = [(part.block_id,) * 2 for part in lead]
         try:
-            length = _alternating_length(start, goal, *rels, cap)
+            length = shortest_length(ids == start, ids == goal, rels, cap, message)
         except CapExceeded:
             capped = True
             continue
         if length is None:
             continue
-        found = _staged_path(start, goal, [rels[i % 2] for i in range(length)])
+        found = least_path(ids == start, ids == goal, rels, length)
         if best is None or (len(found), found) < (len(best), best):
             best = found
     if best is None:
         if capped:
-            raise CapExceeded(f"no alternating path within {cap} factors")
+            raise CapExceeded(message)
         return None
     return best, len(best) - 1
 
 
-def _alternating_length(start, goal, lead: Partition, other: Partition, cap: int):
-    """Fewest factors lead . other . lead ... taking start to goal.
+# ---------------------------------------------------------------------------
+# lex-least shortest paths; step i goes through rels[i % len(rels)], so two
+# relations alternate with the parity of the depth
 
-    Returns None once the images repeat without reaching goal, and raises
-    CapExceeded when `cap` factors are used up while they still grow.
+
+def _image(left: np.ndarray, right: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """The elements y with left[x] == right[y] for some x in the mask src."""
+    hit = np.zeros(max(left.max(), right.max()) + 1, dtype=bool)
+    hit[left[src]] = True
+    return hit[right]
+
+
+def shortest_length(starts: np.ndarray, goals: np.ndarray, rels: Sequence, cap: int,
+                    message: str, eligible: np.ndarray | bool = True) -> Optional[int]:
+    """Fewest steps from a start to a goal through eligible elements.
+
+    starts and goals are element masks inside the mask eligible (True: all
+    elements).  A depth keeps only the elements not reached yet at a depth
+    of its residue mod len(rels): from there the same steps were open
+    before, on a shorter path.  Returns None once a depth reaches nothing
+    new, and raises CapExceeded(message) when `cap` steps are used up while
+    one still does.
     """
-    reach = np.zeros((1, lead.size), dtype=bool)
-    reach[0, start] = True
-    images = [reach]
-    while True:
-        if len(images) - 1 >= cap:
-            raise CapExceeded("alternating-path cap reached")
-        images.append(_block_image(images[-1], (lead, other)[(len(images) - 1) % 2]))
-        if images[-1][0, goal]:
-            return len(images) - 1
-        if len(images) > 2 and np.array_equal(images[-1], images[-3]):
+    seen = [starts.copy(), *(np.zeros_like(starts) for _ in rels[1:])]
+    front, depth = starts, 0
+    while not (front & goals).any():
+        if not front.any():
             return None
+        if depth >= cap:
+            raise CapExceeded(message)
+        front = _image(*rels[depth % len(rels)], front) & eligible
+        depth += 1
+        front &= ~seen[depth % len(rels)]
+        seen[depth % len(rels)] |= front
+    return depth
+
+
+def least_path(starts: np.ndarray, goals: np.ndarray, rels: Sequence, length: int,
+               eligible: np.ndarray | bool = True) -> Optional[list[int]]:
+    """The lex-least path of `length` steps from a start to a goal, or None.
+
+    The preimages back from the goals mark, per depth, the elements that
+    still reach a goal; the forward walk then takes the least such element
+    at every step.
+    """
+    back = [goals]
+    for depth in reversed(range(length)):
+        left, right = rels[depth % len(rels)]
+        back.insert(0, _image(right, left, back[0]) & eligible)
+    if not (starts & back[0]).any():
+        return None
+    path = [int(np.argmax(starts & back[0]))]
+    for depth in range(length):
+        left, right = rels[depth % len(rels)]
+        path.append(int(np.argmax(back[depth + 1] & (right == left[path[-1]]))))
+    return path
 
 
 @dataclass

@@ -29,15 +29,16 @@ from .algebras import (
 from .congruences import Partition, induced_product_congruence
 from .identities import FULL_PAIR_CAP, IdentityInstance, check_identity
 from .witnesses import (
+    AlphaMeets,
     SharpnessParams,
     filtered_subproduct,
-    lhs_chain_relations,
+    lhs_chain_break,
     staircase_partitions,
 )
 
 
 @dataclass
-class InductionState:
+class InductionState(AlphaMeets):
     j: int
     algebra3: FiniteAlgebra          # A3^j
     pair_product: FiniteAlgebra      # A3^j x N(2,m)
@@ -67,17 +68,16 @@ def _stage_identity(state_args, m, q, j) -> IdentityInstance:
     return inst
 
 
-def _verify_stage(st: InductionState, m: int, q: int) -> None:
+def _verify_stage(st: InductionState) -> None:
     """Invariants (b) and (c); (a) is checked when the stage is built."""
     n2 = st.pair_product.factors[1].size
     assert n2 == 2
     # (b): the chain elements carry final coordinate 0 and sit in F^j
     chain_pairs = [st.pair_product.indexing.encode((c3, 0)) for c3 in st.chain3]
     chain = [st.pair[0], *st.f_union.rank(chain_pairs).tolist(), st.pair[1]]
-    rels = lhs_chain_relations(st.alpha, st.beta, st.gamma, q)
-    for i, rel in enumerate(rels):
-        if not rel.related(chain[i], chain[i + 1]):
-            raise AlgebraError(f"stage j={st.j}: witness chain breaks at step {i}")
+    step = lhs_chain_break(st, chain)
+    if step is not None:
+        raise AlgebraError(f"stage j={st.j}: witness chain breaks at step {step}")
     # (c): alpha is exactly the final-coordinate congruence
     want = Partition(st.pair_product.indexing.digits(st.f_union.ids())[:, 1])
     if want != st.alpha:
@@ -106,7 +106,7 @@ def _base_stage_odd(m: int, q: int) -> InductionState:
         ell, a3_alg, pairalg, f_union, alpha, beta, gamma, q, 0, chain3,
         pair, inst,
     )
-    _verify_stage(st, m, q)
+    _verify_stage(st)
     return st
 
 
@@ -186,7 +186,7 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
         level, algebra3, pairalg, built.union, alpha, beta, gamma,
         a3_new, d3_new, chain3, pair, inst,
     )
-    _verify_stage(st, m, q)
+    _verify_stage(st)
     return st
 
 

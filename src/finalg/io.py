@@ -1,8 +1,10 @@
-"""JSON interchange for algebras and partitions.
+"""JSON interchange for algebras, and the canonical dump of every document.
 
 Algebra documents are bit-exact: the table order (row-major, first argument
 most significant) is normative, and serialisation is canonical (sorted keys,
-fixed separators), so save/load round-trips are byte-identical.
+fixed separators), so save/load round-trips are byte-identical.  Partitions
+serialise through `Partition.to_obj` and `Partition.from_obj` in
+`congruences`.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ Each condition is written down once, as a record, and everything else reads
 it: the search for terms, the equations a found term is re-verified against
 (`equations`), and the recheck of a stored certificate.
 
-A `ChainScheme` is searched breadth-first over the free algebra on `arity`
-generators.  An element takes part when its value vector satisfies the
-`every` equation; starts satisfy `first`, ends `last`; and an element at
-depth i links to one at depth i + 1 when their vectors agree on the
-coordinates of the parity's link patterns.
+A `ChainScheme` is searched over the free algebra on `arity` generators.
+An element takes part when its value vector satisfies the `every` equation;
+starts satisfy `first`, ends `last`; and an element at depth i links to one
+at depth i + 1 when their vectors agree on the coordinates of the parity's
+link patterns.  The chain is the lex-least shortest path through those
+links, found by the path search of `identities`.
 
 An `AbsorptionScheme` is searched in the subalgebra of the product over
 (generating algebra, constraint row, valuation) coordinates generated by the
@@ -29,6 +30,7 @@ import numpy as np
 
 from .algebras import AlgebraError, CapExceeded, FiniteAlgebra
 from .freealg import FreeAlgebra, Subpower, build_free_algebra, generate_subpower
+from .identities import least_path, shortest_length
 from .terms import App, Term, Var, subst, term_to_obj, verify_equations
 
 Args = tuple[int, ...]            # variable per argument position: x=0, y=1, z=2, u=3
@@ -202,59 +204,13 @@ def _chain(free: FreeAlgebra, scheme: ChainScheme, max_level: int):
     """The lex-least minimal chain of element indices, or None."""
     eligible = (_value_mask(free, scheme.every) if scheme.every is not None
                 else np.ones(free.size, dtype=bool))
-    starts = [int(s) for s in np.flatnonzero(eligible & _value_mask(free, scheme.first))]
-    accept = eligible & _value_mask(free, scheme.last)
-    hits = [s for s in starts if accept[s]]
-    if hits:
-        return [min(hits)]
-    groups = {link: _link_groups(free, link) for link in scheme.links}
-    return _bfs_levels(eligible, starts, lambda e: bool(accept[e]),
-                       lambda depth: groups[scheme.links[depth % 2]], max_level,
-                       parity_matters=scheme.links[0] != scheme.links[1])
-
-
-def _bfs_levels(eligible, starts, is_goal, edges, max_level, parity_matters):
-    """Layered search; returns the lex-least minimal chain of element indices.
-
-    edges(depth) yields (left, right) group arrays: element e at `depth` is
-    linked to e' at depth+1 iff left[e] == right[e'].  A minimal chain never
-    revisits an element at the same depth parity, so visited flags are kept
-    per parity when the edge relations alternate.
-    """
-    nparities = 2 if parity_matters else 1
-    seen = [set() for _ in range(nparities)]
-    level_sets = [sorted(set(starts))]
-    seen[0].update(level_sets[0])
-    goal_level = None
-    elig = [int(e) for e in np.flatnonzero(eligible)]
-    while goal_level is None:
-        depth = len(level_sets) - 1
-        current = level_sets[-1]
-        if not current:
-            return None
-        if depth >= max_level:
-            raise CapExceeded(f"chain search exceeded {max_level} levels")
-        left, right = edges(depth)
-        cur_groups = set(int(left[e]) for e in current)
-        par = (depth + 1) % nparities
-        nxt = [e for e in elig if int(right[e]) in cur_groups and e not in seen[par]]
-        seen[par].update(nxt)
-        level_sets.append(sorted(nxt))
-        if any(is_goal(e) for e in nxt):
-            goal_level = depth + 1
-    # restrict each layer to elements on some shortest goal path, then take
-    # the forward greedy walk, which is the lex-least chain
-    chain_sets = [set(e for e in level_sets[goal_level] if is_goal(e))]
-    for depth in range(goal_level, 0, -1):
-        left, right = edges(depth - 1)
-        want = set(int(right[e]) for e in chain_sets[0])
-        chain_sets.insert(0, {e for e in level_sets[depth - 1] if int(left[e]) in want})
-    path = [min(chain_sets[0])]
-    for depth in range(goal_level):
-        left, right = edges(depth)
-        g = int(left[path[-1]])
-        path.append(min(e for e in chain_sets[depth + 1] if int(right[e]) == g))
-    return path
+    starts = eligible & _value_mask(free, scheme.first)
+    goals = eligible & _value_mask(free, scheme.last)
+    # equal links make one relation, so one visited set serves every depth
+    rels = [_link_groups(free, link) for link in dict.fromkeys(scheme.links)]
+    length = shortest_length(starts, goals, rels, max_level,
+                             f"chain search exceeded {max_level} levels", eligible)
+    return None if length is None else least_path(starts, goals, rels, length, eligible)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,6 @@ def filtered_subproduct(
     a: int,
     d: int,
     f_pairs: Sequence[int] | BoxUnion,
-    *,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> FilteredSubproduct:
     """Subalgebra of A1 x A2 x A3 x A4 cut out by the four templates.
 
@@ -173,7 +171,7 @@ def filtered_subproduct(
 
     prod34 = direct_product([a3, a4], label="A3 x A4")
     f_union = f_pairs if isinstance(f_pairs, BoxUnion) else BoxUnion.points(prod34, f_pairs)
-    ok, witness = is_subuniverse(prod34, f_union, tuple_cap=tuple_cap)
+    ok, witness = is_subuniverse(prod34, f_union)
     if not ok:
         raise HypothesisError("f-subuniverse", f"violated at {witness}")
 
@@ -192,7 +190,7 @@ def filtered_subproduct(
             boxes.append(whole1 + whole2 + b3 + pt4)
         boxes.append(pt1 + pt2 + b3 + b4)
     union = BoxUnion(coordinate_sizes(ambient), _maximal(boxes))
-    ok, witness = is_subuniverse(ambient, union, tuple_cap=tuple_cap)
+    ok, witness = is_subuniverse(ambient, union)
     if not ok:
         raise AlgebraError(f"template subproduct failed to close at {witness}")
     return FilteredSubproduct(ambient, union, h, k, a, d, (zero1, zero2, zero4))
@@ -299,8 +297,21 @@ def dissent_pair_fixture() -> FiniteAlgebra:
 # the explicit sharpness witness
 
 
+class AlphaMeets:
+    """The meets of alpha with beta and gamma, each built once, for a record
+    whose fields include the congruence triple alpha, beta, gamma."""
+
+    @cached_property
+    def alpha_beta(self) -> Partition:
+        return partition_meet(self.alpha, self.beta)
+
+    @cached_property
+    def alpha_gamma(self) -> Partition:
+        return partition_meet(self.alpha, self.gamma)
+
+
 @dataclass
-class SharpnessWitness:
+class SharpnessWitness(AlphaMeets):
     params: SharpnessParams
     product: FiniteAlgebra
     factor_roles: list[dict]
@@ -374,9 +385,7 @@ def good_boxes(roles: Sequence[dict], q: int) -> list[list[tuple[int, ...]]]:
     return boxes
 
 
-def build_sharpness_witness(
-    m: int, q: int, *, verify_closure: bool = True, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> SharpnessWitness:
+def build_sharpness_witness(m: int, q: int, *, verify_closure: bool = True) -> SharpnessWitness:
     """The product of chain reducts with its good subuniverse and congruences.
 
     Factor congruence pattern: pairs carry (first, second) staircase partitions
@@ -394,7 +403,7 @@ def build_sharpness_witness(
     product = direct_product(factors, label=f"P({m},{q})")
     union = BoxUnion(product.indexing.sizes, good_boxes(roles, q))
     if verify_closure:
-        ok, witness = is_subuniverse(product, union, tuple_cap=tuple_cap)
+        ok, witness = is_subuniverse(product, union)
         if not ok:
             raise AlgebraError(f"good set failed to close at {witness}")
 
@@ -457,13 +466,18 @@ def build_sharpness_witness(
     return witness
 
 
-def lhs_chain_relations(alpha: Partition, beta: Partition, gamma: Partition,
-                        q: int) -> list[Partition]:
-    """The relations that consecutive elements of a left-side chain of length
-    q must lie in: beta, then the meets of alpha with gamma and beta in
-    turn, then the trailing relation (gamma for even q, beta for odd q)."""
-    meets = [partition_meet(alpha, gamma if i % 2 == 0 else beta) for i in range(q - 2)]
-    return [beta, *meets, gamma if q % 2 == 0 else beta]
+def lhs_chain_break(triple: AlphaMeets, chain: Sequence[int]) -> Optional[int]:
+    """The first step of a left-side chain a, c_1, .., c_{q-1}, d that leaves
+    its relation, or None.  The steps lie in beta, then in the meets of alpha
+    with gamma and beta in turn, then in the trailing relation (gamma for
+    even q, beta for odd q)."""
+    q = len(chain) - 1
+    middle = (triple.alpha_gamma if i % 2 == 0 else triple.alpha_beta for i in range(q - 2))
+    rels = [triple.beta, *middle, triple.gamma if q % 2 == 0 else triple.beta]
+    for i, rel in enumerate(rels):
+        if not rel.related(chain[i], chain[i + 1]):
+            return i
+    return None
 
 
 def _check_lhs_chain(w: SharpnessWitness) -> None:
@@ -471,10 +485,9 @@ def _check_lhs_chain(w: SharpnessWitness) -> None:
     alpha on the endpoints, then beta, alternating meets, trailing swap."""
     if not w.alpha.related(w.a, w.d):
         raise AlgebraError("endpoints are not alpha-related")
-    rels = lhs_chain_relations(w.alpha, w.beta, w.gamma, w.params.q)
-    for i, rel in enumerate(rels):
-        if not rel.related(w.lhs_chain[i], w.lhs_chain[i + 1]):
-            raise AlgebraError(f"left-side chain breaks at step {i}")
+    step = lhs_chain_break(w, w.lhs_chain)
+    if step is not None:
+        raise AlgebraError(f"left-side chain breaks at step {step}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +522,8 @@ def canonical_witness_chain(w: SharpnessWitness) -> list[int]:
     path = [w.a, *w.union.rank(path_ids).tolist()]
     if path[-1] != w.d:
         raise AlgebraError("canonical chain did not land on d")
-    ab = partition_meet(w.alpha, w.beta)
-    ag = partition_meet(w.alpha, w.gamma)
     for s in range(len(path) - 1):
-        rel = ab if s % 2 == 0 else ag
+        rel = w.alpha_beta if s % 2 == 0 else w.alpha_gamma
         if not rel.related(path[s], path[s + 1]):
             raise AlgebraError(f"canonical chain breaks alternation at step {s}")
     return path
@@ -522,9 +533,9 @@ def canonical_witness_chain(w: SharpnessWitness) -> list[int]:
 # bundled verification used by the CLI and the acceptance suite
 
 
-def sharpness_report(m: int, q: int, *, tuple_cap: int = DEFAULT_TUPLE_CAP) -> dict:
+def sharpness_report(m: int, q: int) -> dict:
     """Build the witness and collect every checkable claim about it."""
-    w = build_sharpness_witness(m, q, tuple_cap=tuple_cap)
+    w = build_sharpness_witness(m, q)
     ident = check_identity(
         "wedge-power", w.alpha, w.beta, w.gamma, m=m, q=q, pair=(w.a, w.d)
     )
@@ -539,11 +550,9 @@ def sharpness_report(m: int, q: int, *, tuple_cap: int = DEFAULT_TUPLE_CAP) -> d
         "lhs_chain": w.lhs_chain,
         "identity": ident.to_obj(),
     }
-    ab = partition_meet(w.alpha, w.beta)
-    ag = partition_meet(w.alpha, w.gamma)
     if q == 2:
         canonical = canonical_witness_chain(w)
-        found = shortest_alternating_chain(w.a, w.d, ab, ag, cap=4 * m)
+        found = shortest_alternating_chain(w.a, w.d, w.alpha_beta, w.alpha_gamma, cap=4 * m)
         path, factors = found if found else (None, None)
         report["chains"] = {
             "canonical_chain": canonical,

@@ -177,6 +177,69 @@ _NU4_I5 = (
 )
 
 
+# Level certificates of the schemes with unequal link patterns, or with
+# links that differ by parity, written before the chain search and the
+# alternating-path search became one routine: the lex-least minimal chain,
+# and so every term, must stay as it was.
+_ALVIN_N24 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["N(2,4)@2"],"level":5,'
+    '"scheme":"alvin","stats":{"free_size":10},"terms":["x0","x0",["u","x0","x0",'
+    '"x1","x2"],["u","x0","x0","x2","x2"],["u","x0","x1","x2","x2"],"x2"],'
+    '"verified":true},"parameters":{"expect":5,"fixtures":"N:2:4","scheme":"alvin"},'
+    '"stats":{},"tool_version":"0.1.0","verdict":"verified"}'
+)
+_ALVIN_I4 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["I:4"],"level":3,'
+    '"scheme":"alvin","stats":{"free_size":38},"terms":["x0",["i","x0",["i","x1",'
+    '"x2"]],["u","x0","x1","x2","x2"],"x2"],"verified":true},'
+    '"parameters":{"expect":3,"fixtures":"I:4","scheme":"alvin"},"stats":{},'
+    '"tool_version":"0.1.0","verdict":"verified"}'
+)
+_HAGEMANN_MITSCHKE_I4 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["I:4"],"level":3,'
+    '"scheme":"hagemann-mitschke","stats":{"free_size":38},"terms":["x0",["i","x0",'
+    '["i","x1","x2"]],["i","x2",["i","x1","x0"]],"x2"],"verified":true},'
+    '"parameters":{"expect":3,"fixtures":"I:4","scheme":"hagemann-mitschke"},'
+    '"stats":{},"tool_version":"0.1.0","verdict":"verified"}'
+)
+_HAGEMANN_MITSCHKE_N24 = (
+    '{"claim":"level","evidence":{"found":false,"generators":["N(2,4)@2"],'
+    '"level":null,"scheme":"hagemann-mitschke","stats":{"free_size":10},"terms":null,'
+    '"verified":true},"parameters":{"expect":null,"fixtures":"N:2:4",'
+    '"scheme":"hagemann-mitschke"},"stats":{},"tool_version":"0.1.0",'
+    '"verdict":"verified"}'
+)
+_DIRECTED_JONSSON_N24 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["N(2,4)@2"],"level":2,'
+    '"scheme":"directed-jonsson","stats":{"free_size":10},"terms":[["u","x0","x0",'
+    '"x1","x2"],["u","x0","x1","x2","x2"]],"verified":true},"parameters":{"expect":2,'
+    '"fixtures":"N:2:4","scheme":"directed-jonsson"},"stats":{},'
+    '"tool_version":"0.1.0","verdict":"verified"}'
+)
+_DIRECTED_JONSSON_I4 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["I:4"],"level":2,'
+    '"scheme":"directed-jonsson","stats":{"free_size":38},"terms":[["u","x0","x0",'
+    '"x1","x2"],["u","x0","x1","x2","x2"]],"verified":true},"parameters":{"expect":2,'
+    '"fixtures":"I:4","scheme":"directed-jonsson"},"stats":{},"tool_version":"0.1.0",'
+    '"verdict":"verified"}'
+)
+_DIRECTED_MINORITY_SUM34 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["sum:3:4"],"level":2,'
+    '"scheme":"directed-minority","stats":{"free_size":9},"terms":[["s","x0","x0",'
+    '"x1","x2"],["s","x0","x1","x2","x2"]],"verified":true},"parameters":{"expect":2,'
+    '"fixtures":"sum:3:4","scheme":"directed-minority"},"stats":{},'
+    '"tool_version":"0.1.0","verdict":"verified"}'
+)
+_DIRECTED_MINORITY_SUM33 = (
+    '{"claim":"level","evidence":{"found":true,"generators":["sum:3:3"],"level":2,'
+    '"scheme":"directed-minority","stats":{"free_size":27},"terms":[["s","x2",["s",'
+    '"x0","x0","x0"],["s","x0","x0","x1"]],["s","x1",["s","x0","x0","x2"],["s","x0",'
+    '"x0","x2"]]],"verified":true},"parameters":{"expect":2,"fixtures":"sum:3:3",'
+    '"scheme":"directed-minority"},"stats":{},"tool_version":"0.1.0",'
+    '"verdict":"verified"}'
+)
+
+
 @pytest.mark.parametrize("build, golden", [
     (lambda: sharpness_certificate(9, 2), _SHARPNESS_9_2),
     (lambda: induction_certificate(7, 3), _INDUCTION_7_3),
@@ -189,3 +252,17 @@ _NU4_I5 = (
         "search-nu4-If5", "search-nu5-I5", "search-nu4-I5-local"])
 def test_certificates_match_their_golden_bytes(build, golden):
     assert dumps_canonical(build()) == golden + "\n"
+
+
+@pytest.mark.parametrize("scheme, fixtures, level, golden", [
+    ("alvin", "N:2:4", 5, _ALVIN_N24),
+    ("alvin", "I:4", 3, _ALVIN_I4),
+    ("hagemann-mitschke", "I:4", 3, _HAGEMANN_MITSCHKE_I4),
+    ("hagemann-mitschke", "N:2:4", None, _HAGEMANN_MITSCHKE_N24),
+    ("directed-jonsson", "N:2:4", 2, _DIRECTED_JONSSON_N24),
+    ("directed-jonsson", "I:4", 2, _DIRECTED_JONSSON_I4),
+    ("directed-minority", "sum:3:4", 2, _DIRECTED_MINORITY_SUM34),
+    ("directed-minority", "sum:3:3", 2, _DIRECTED_MINORITY_SUM33),
+])
+def test_level_certificates_match_their_golden_bytes(scheme, fixtures, level, golden):
+    assert dumps_canonical(level_certificate(scheme, fixtures, expect=level)) == golden + "\n"

@@ -108,6 +108,13 @@ def test_cli_exit_codes_cover_cap(capsys):
         assert "resource cap: absorption check on u needs a table" in capsys.readouterr().err
 
 
+def test_cli_level_cap(capsys):
+    argv = ["level", "--scheme", "jonsson", "--fixture", "N:2:4", "--expect", "4"]
+    assert main([*argv, "--cap", "3"]) == 2
+    assert "resource cap: chain search exceeded 3 levels" in capsys.readouterr().err
+    assert main([*argv, "--cap", "4"]) == 0
+
+
 def test_cli_verify_induction_on_template_boxes(tmp_path):
     # the last stage's subproduct has 65,561 elements on 9 boxes
     cert = tmp_path / "induction.json"

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from finalg.algebras import AlgebraError, make_ujm_reduct
+from finalg.algebras import AlgebraError, CapExceeded, make_ujm_reduct
 from finalg.freealg import build_free_algebra
 from finalg.maltsev import (
     absorption_search,
@@ -95,6 +95,14 @@ def test_level_with_prebuilt_free_algebra():
     free = build_free_algebra([N24], 3)
     assert chain_level([N24], "jonsson", free=free).level == 4
     assert chain_level([N24], "alvin", free=free).level == 5
+
+
+@pytest.mark.parametrize("scheme, level", [("jonsson", 4), ("alvin", 5)])
+def test_level_cap_refuses_below_the_level(scheme, level):
+    # the cap counts links, which is the level for chains from t_0
+    with pytest.raises(CapExceeded, match=f"^chain search exceeded {level - 1} levels$"):
+        chain_level([N24], scheme, max_level=level - 1)
+    assert chain_level([N24], scheme, max_level=level).level == level
 
 
 # ---------------------------------------------------------------------------

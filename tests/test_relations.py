@@ -21,7 +21,9 @@ from finalg.identities import (
     check_identity,
     expr_image,
     family_exprs,
+    least_path,
     shortest_alternating_chain,
+    shortest_length,
 )
 from relation_oracle import bool_product, expr_matrix, matrix_context, relation
 
@@ -214,3 +216,74 @@ def test_shortest_alternating_trivial_and_missing():
     s = Partition.zero(3)
     assert shortest_alternating_chain(1, 1, f, s) == ([1], 0)
     assert shortest_alternating_chain(0, 2, f, s, cap=6) is None
+
+
+# ---------------------------------------------------------------------------
+# lex-least shortest paths on key relations, against a brute-force oracle
+
+
+def oracle_shortest(starts, goals, rels, eligible):
+    """Fewest steps from a start to a goal, by breadth-first search over
+    (element, depth mod len(rels)) states; None when no goal is reachable."""
+    n, period = len(starts), len(rels)
+    dist = {(x, 0): 0 for x in range(n) if starts[x]}
+    queue = list(dist)
+    for x, r in queue:
+        left, right = rels[r]
+        for y in range(n):
+            state = (y, (r + 1) % period)
+            if eligible[y] and left[x] == right[y] and state not in dist:
+                dist[state] = dist[(x, r)] + 1
+                queue.append(state)
+    found = [d for (x, _), d in dist.items() if goals[x]]
+    return min(found) if found else None
+
+
+def oracle_least_path(starts, goals, rels, length, eligible):
+    """The lex-least path of `length` steps from a start to a goal: the
+    least walk reaching each element at each depth, extended a step at a time."""
+    n = len(starts)
+    best = {x: [x] for x in range(n) if starts[x]}
+    for depth in range(length):
+        left, right = rels[depth % len(rels)]
+        nxt = {}
+        for x, walk in best.items():
+            for y in range(n):
+                if eligible[y] and left[x] == right[y] and (y not in nxt or walk + [y] < nxt[y]):
+                    nxt[y] = walk + [y]
+        best = nxt
+    ends = [walk for y, walk in best.items() if goals[y]]
+    return min(ends) if ends else None
+
+
+def test_paths_on_key_relations_match_the_oracle():
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randrange(1, 8)
+        keys = rng.randrange(1, n + 2)
+        rels = [tuple(np.array([rng.randrange(keys) for _ in range(n)]) for _ in "lr")
+                for _ in range(rng.choice((1, 2)))]
+        eligible = np.array([rng.random() < 0.8 for _ in range(n)])
+        starts = eligible & np.array([rng.random() < 0.3 for _ in range(n)])
+        goals = eligible & np.array([rng.random() < 0.3 for _ in range(n)])
+        cap = rng.randrange(0, 6)
+        want = oracle_shortest(starts, goals, rels, eligible)
+        try:
+            got = shortest_length(starts, goals, rels, cap, "over cap", eligible)
+        except CapExceeded as exc:
+            assert str(exc) == "over cap"
+            got = "capped"
+        if want is None:
+            assert got in (None, "capped")  # capped while new elements were still reached
+        else:
+            assert got == (want if want <= cap else "capped")
+        outcomes.add({None: "none", "capped": "capped"}.get(got, "found"))
+        if want is None:
+            # a search with room for every (element, residue) state ends
+            assert shortest_length(starts, goals, rels, n * len(rels), "", eligible) is None
+        for length in {want or 0, rng.randrange(0, 6)}:
+            expected = oracle_least_path(starts, goals, rels, length, eligible)
+            assert least_path(starts, goals, rels, length, eligible) == expected
+            outcomes.add("no path" if expected is None else "path")
+    assert outcomes == {"capped", "none", "found", "no path", "path"}
