@@ -31,20 +31,31 @@ once its work would pass `SHALLOW_WORK`.
 An operation is evaluated at every coordinate by one gather (`_Kernel`).
 Once per generate_subpower call, each operation's flat tables over the
 generating algebras are concatenated into one int16 array (`_Tables`,
-checked against `DEFAULT_TABLE_CAP` per table and int32 indexing in all);
-coordinate k then has a base offset (where its algebra's table starts) and
-a radix (its algebra's size).  Once per round, the element matrix is scaled
-into r int32 copies, copy j by radix**(r-1-j), the base folded into copy 0.
-Per argument block, the kernel walks the block's prefix tree one level (one
-argument position) at a time: a node's partial sum is its parent's plus the
-scaled row of its value, one gather-add per level into reused buffers, and
-the sums of the last level index the concatenated table.  The output rows
-are packed into int64 keys where the coordinate sizes allow, and only the
-keys missing from the sorted keys of the elements found so far are
-deduplicated; an argument tuple is decoded from the tree only for a row
-that yields a new element, for its provenance term.  Term evaluation
-(`Subpower.eval_term`) runs on the same kernel, with one-row trees.  Three
-engines sit on it, tried in this order:
+checked against `DEFAULT_TABLE_CAP` per table and int32 indexing in all).  A
+closure runs on super-coordinates (`_packing`): consecutive coordinates are
+grouped into one coordinate over the direct product of their algebras, its
+value the mixed-radix code of theirs, while that product's universe fits
+int16 and its largest operation table has at most `_GROUP_TABLE` entries; a
+coordinate that fits with no neighbour is a group of one.  The product
+tables are built once per group kind (tuple of algebras) from the factors'
+tables, and the grouping once per coordinate tuple, both kept on the
+`_Tables`.  Packing is a bijection on rows that keeps each row's int64 key
+below, so the argument tuples, their order, the first tuple that yields each
+element, the work count and every provenance term are those of the ungrouped
+closure, at 2.5-4x fewer columns where the algebras are small; rows are
+unpacked only for `stop` and for the result.  Super-coordinate k has a base
+offset (where its product's table starts) and a radix (its product's size).
+Once per round, the element matrix is scaled into r int32 copies, copy j by
+radix**(r-1-j), the base folded into copy 0.  Per argument block, the kernel
+walks the block's prefix tree one level (one argument position) at a time: a
+node's partial sum is its parent's plus the scaled row of its value, one
+gather-add per level into reused buffers, and the sums of the last level
+index the concatenated table.  The output rows get int64 keys where the
+coordinate sizes allow, and only the keys missing from the sorted keys of
+the elements found so far are deduplicated; an argument tuple is decoded
+from the tree only for a row that yields a new element, for its provenance
+term.  Term evaluation (`Subpower.eval_term`) runs on the same kernel, with
+one-row trees.  Three engines sit on it, tried in this order:
 
 * closure engine - the kernel over all coordinates, with a provenance term
   for every element.
@@ -66,7 +77,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,7 +103,7 @@ class Subpower:
     engine: str
     stats: dict = field(default_factory=dict)
     class_of: Optional[np.ndarray] = None   # original coord -> coord here
-    _index: dict = field(default_factory=dict, repr=False)
+    _rows: Optional[dict] = field(default=None, repr=False)  # see _index
     _local: Optional["_LocalData"] = field(default=None, repr=False)
     _tables: Optional["_Tables"] = field(default=None, repr=False)  # the kernel tables
 
@@ -103,6 +114,13 @@ class Subpower:
     @property
     def ncoords(self) -> int:
         return len(self.coord_algs)
+
+    @property
+    def _index(self) -> dict:
+        """Row bytes -> element index, built on first use."""
+        if self._rows is None:
+            self._rows = {row.tobytes(): i for i, row in enumerate(self.vectors)}
+        return self._rows
 
     def index_of(self, vec) -> Optional[int]:
         return self._index.get(np.asarray(vec, dtype=np.int16).tobytes())
@@ -188,6 +206,8 @@ def generate_subpower(
     tables = _prepare_tables(gens)
     if gen_rows.ndim != 2 or gen_rows.shape[1] != len(coord_algs):
         raise AlgebraError("generator rows must have one entry per coordinate")
+    if not len(gen_rows):
+        raise AlgebraError("need at least one generator row")
     if ((gen_rows < 0) | (gen_rows >= tables.sizes[coord_algs])).any():
         raise AlgebraError("generator entry outside its coordinate's algebra")
 
@@ -289,6 +309,8 @@ class _Tables:
     sizes: np.ndarray                       # algebra -> universe size (int32)
     arity: list[int]
     sym: list[bool]                         # op -> symmetric on every algebra
+    plans: dict = field(default_factory=dict, repr=False)     # coord_algs -> _Packing
+    products: dict = field(default_factory=dict, repr=False)  # algebra tuple -> tables
 
 
 def _prepare_tables(gens) -> _Tables:
@@ -308,6 +330,108 @@ def _prepare_tables(gens) -> _Tables:
     base = [(np.cumsum(count) - count).astype(np.int32) for count in counts]
     sym = [all(_op_symmetrical(a.ops[oi]) for a in gens) for oi in range(len(arity))]
     return _Tables(flat, base, sizes, arity, sym)
+
+
+_GROUP_TABLE = 1 << 16  # entries of a super-coordinate's largest operation table
+
+
+class _Packing(NamedTuple):
+    """Consecutive coordinates grouped into super-coordinates.
+
+    A group's value is the mixed-radix code of its coordinates' values, the
+    first coordinate highest; `tables` holds one product algebra per group
+    kind.
+    """
+    tables: _Tables
+    kinds: np.ndarray                       # group -> its product algebra in tables
+    group: np.ndarray                       # coordinate -> its group
+    inner: np.ndarray                       # coordinate -> its place value in the code
+    radix: np.ndarray                       # coordinate -> its algebra's size
+    weights: np.ndarray                     # (coordinate, group) -> inner or 0, int16
+    place: Optional[np.ndarray]             # group -> int64 place value of its code in
+                                            # a row's key; None past 2**62 vectors
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        return (rows @ self.weights).astype(np.int16, copy=False)  # sums fit int16
+
+    def unpack(self, codes: np.ndarray) -> np.ndarray:
+        return (codes.take(self.group, axis=1) // self.inner % self.radix).astype(np.int16)
+
+
+def _packing(tables: _Tables, coord_algs) -> _Packing:
+    """The super-coordinates of `coord_algs`, planned once per coordinate
+    tuple and kept on `tables`.
+
+    A group takes the next coordinate while its product's universe stays
+    within 2**15 and the product's largest operation table within
+    `_GROUP_TABLE` entries.  Where no two coordinates group, or the product
+    tables together would pass int32 indexing, every coordinate is a group
+    of one, read through its algebra's table in `tables` itself.
+    """
+    key = tuple(coord_algs)
+    plan = tables.plans.get(key)
+    if plan is not None:
+        return plan
+    sizes = tables.sizes[list(key)].tolist()
+    top = max(tables.arity, default=1)
+    starts: list[int] = []
+    width = 0                               # universe of the open group
+    for k, size in enumerate(sizes):
+        width *= size
+        if not starts or width > 1 << 15 or width**top > _GROUP_TABLE:
+            starts.append(k)
+            width = size
+    bounds = [*starts, len(key)]
+    kinds = [key[a:b] for a, b in zip(bounds, bounds[1:])]
+    ids = {kind: i for i, kind in enumerate(dict.fromkeys(kinds))}
+    universe = [math.prod(tables.sizes[list(kind)].tolist()) for kind in ids]
+    counts = [[u**r for u in universe] for r in tables.arity]
+    if len(kinds) < len(key) and max(map(sum, counts), default=0) < _INDEX_LIMIT:
+        flat = [np.concatenate([_product_tables(tables, kind)[oi] for kind in ids])
+                for oi in range(len(tables.arity))]
+        base = [(np.cumsum(c) - c).astype(np.int32) for c in counts]
+        grouped = _Tables(flat, base, np.asarray(universe, dtype=np.int32),
+                          tables.arity, tables.sym)
+        kinds = [ids[kind] for kind in kinds]
+        inner = np.concatenate([_place(sizes[a:b]) for a, b in zip(bounds, bounds[1:])])
+    else:                                   # groups of one
+        bounds = list(range(len(key) + 1))
+        grouped, kinds, inner = tables, list(key), np.ones(len(key), dtype=np.int64)
+    # a row's int64 key has its codes as digits in the mixed radix of the
+    # group sizes: its coordinates' values as digits in theirs
+    place = _place(grouped.sizes[kinds].tolist()) if math.prod(sizes) <= 1 << 62 else None
+    group = np.repeat(np.arange(len(kinds)), np.diff(bounds))
+    weights = np.zeros((len(key), len(kinds)), dtype=np.int16)
+    weights[np.arange(len(key)), group] = inner
+    plan = _Packing(grouped, np.asarray(kinds, dtype=np.intp), group, inner.astype(np.int32),
+                    np.asarray(sizes, dtype=np.int32), weights, place)
+    tables.plans[key] = plan
+    return plan
+
+
+def _product_tables(tables: _Tables, kind: tuple) -> list[np.ndarray]:
+    """Each operation's flat int16 table over the direct product of the
+    algebras `kind`, kept on `tables`: the sum over the factors of the
+    factor's table, scaled to its digit and read at every argument's digit
+    of that factor."""
+    got = tables.products.get(kind)
+    if got is None:
+        sizes = tables.sizes[list(kind)].tolist()
+        codes = np.arange(math.prod(sizes))
+        got = []
+        for oi, r in enumerate(tables.arity):
+            out = np.zeros((len(codes),) * r, dtype=np.int16)
+            for ai, size, step in zip(kind, sizes, _place(sizes)):
+                start = tables.base[oi][ai]
+                part = tables.flat[oi][start:start + size**r].reshape((size,) * r)
+                part = part * np.int16(step)
+                digit = codes // step % size
+                for axis in reversed(range(r)):     # the last first: long runs to copy
+                    part = part.take(digit, axis=axis)
+                out += part
+            got.append(out.reshape(-1))
+        tables.products[kind] = got
+    return got
 
 
 class _Kernel:
@@ -520,32 +644,30 @@ def _keys(vecs: np.ndarray, place: np.ndarray) -> np.ndarray:
 
 def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
                    trees: Optional[_TreeMemo] = None) -> Subpower:
+    # the rounds run on super-coordinates: rows here are packed
+    plan = _packing(tables, coord_algs)
+    codes = plan.pack(gen_rows)
     rows: list[np.ndarray] = []
     terms: list[Term] = []
-    index: dict[bytes, int] = {}
-    for j in range(len(gen_rows)):
-        key = gen_rows[j].tobytes()
-        if key not in index:
-            index[key] = len(rows)
-            rows.append(gen_rows[j])
+    seen: set[bytes] = set()            # the generators; every row where rows have no key
+    for j in range(len(codes)):
+        key = codes[j].tobytes()
+        if key not in seen:
+            seen.add(key)
+            rows.append(codes[j])
             terms.append(Var(j))
-    kernel = _Kernel(tables, coord_algs)
-    sizes = [gens[ai].size for ai in coord_algs]
-    # a row packs into an int64 key, its digits in the mixed radix of the
-    # sizes, while the coordinate box has at most 2**62 vectors
-    known = None                        # the sorted keys of the rows found
-    if math.prod(sizes) <= 1 << 62:
-        place = _place(sizes)
-        known = np.unique(_keys(gen_rows, place))
+    kernel = _Kernel(plan.tables, plan.kinds)
+    place = plan.place
+    known = None if place is None else np.unique(_keys(codes, place))  # sorted row keys
     work = 0
     old = 0
-    hit = None if stop is None else stop(np.stack(rows))
+    hit = None if stop is None else stop(plan.unpack(np.array(rows)))
     bounded = stop is None              # the work bound applies
     if bounded:
         _refuse_doomed(tables, len(rows), work_cap)
     while hit is None:
         n = len(rows)
-        stacked = np.stack(rows)
+        stacked = np.array(rows)
         for oi, r in enumerate(tables.arity):
             weighted = kernel.weigh(oi, stacked)
             for tree in _round_trees(n, old, r, tables.sym[oi], trees):
@@ -569,20 +691,21 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
                 else:
                     _, first = np.unique(out, axis=0, return_index=True)
                     fresh = np.asarray([w for w in np.sort(first)
-                                        if out[w].tobytes() not in index], dtype=np.intp)
+                                        if out[w].tobytes() not in seen], dtype=np.intp)
                 if not len(fresh):
                     continue
                 if len(rows) + len(fresh) > ELEMENT_CAP:
                     raise CapExceeded(f"subpower element cap: {len(rows) + len(fresh)} "
                                       f"elements, cap {ELEMENT_CAP}", explored=len(rows))
                 before = len(rows)
-                for where, args in zip(fresh, _tree_args(tree, fresh)):
-                    row = out[where].copy()
-                    index[row.tobytes()] = len(rows)
-                    rows.append(row)
-                    terms.append(App(oi, tuple(terms[i] for i in args)))
+                new = out[fresh]            # copied out of the kernel's buffer
+                rows.extend(new)
+                terms += [App(oi, tuple(terms[i] for i in args))
+                          for args in _tree_args(tree, fresh)]
+                if known is None:
+                    seen.update(row.tobytes() for row in new)
                 if stop is not None:
-                    hit = stop(np.stack(rows[before:]))
+                    hit = stop(plan.unpack(new))
                     if hit is not None:
                         hit += before
                         break
@@ -594,13 +717,9 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
             break
         old = n
     if hit is not None:                 # end on the row that met `stop`
-        for row in rows[hit + 1:]:
-            del index[row.tobytes()]
         del rows[hit + 1:], terms[hit + 1:]
-    sub = Subpower(gens, coord_algs, gen_rows, np.stack(rows), terms, "closure",
-                   {"work": work}, _tables=tables)
-    sub._index = index
-    return sub
+    return Subpower(gens, coord_algs, gen_rows, plan.unpack(np.array(rows)), terms,
+                    "closure", {"work": work}, _tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +772,6 @@ def _build_local(tables, gens, coord_algs, gen_rows, work_cap, enumerate_all) ->
     sub.vectors = vectors
     sub.engine = "local"
     sub.stats["space"] = space
-    sub._index = {row.tobytes(): i for i, row in enumerate(vectors)}
     return sub
 
 

@@ -208,8 +208,12 @@ def _chain(free: FreeAlgebra, scheme: ChainScheme, max_level: int):
     goals = eligible & _value_mask(free, scheme.last)
     # equal links make one relation, so one visited set serves every depth
     rels = [_link_groups(free, link) for link in dict.fromkeys(scheme.links)]
-    length = shortest_length(starts, goals, rels, max_level,
-                             f"chain search exceeded {max_level} levels", eligible)
+    # a level counts the links from t_0: a chain from t_1 has one link fewer
+    links = max_level - scheme.first_index
+    message = f"chain search exceeded {max_level} levels"
+    length = shortest_length(starts, goals, rels, max(links, 0), message, eligible)
+    if length is not None and length > links:
+        raise CapExceeded(message)
     return None if length is None else least_path(starts, goals, rels, length, eligible)
 
 

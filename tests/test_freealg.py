@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from finalg import freealg
+from finalg import certificates, freealg
 from finalg.algebras import (
     DEFAULT_TABLE_CAP,
     AlgebraError,
@@ -14,6 +14,8 @@ from finalg.algebras import (
     FiniteAlgebra,
     Operation,
     TableOp,
+    _op_symmetrical,
+    direct_product,
     make_ujm_reduct,
     one_element_algebra,
 )
@@ -448,6 +450,11 @@ def test_generator_entries_must_fit_their_algebra():
         generate_subpower(gens, [0, 1], [[0, 2], [2, 1]])
 
 
+def test_generator_rows_must_not_be_empty():
+    with pytest.raises(AlgebraError, match="at least one generator row"):
+        generate_subpower(load_fixtures("I:4"), [0, 0], np.zeros((0, 2), dtype=np.int16))
+
+
 # ---------------------------------------------------------------------------
 # the work lower bound: a completed closure applies exactly _closure_work
 # tuples, so a closure whose elements already force more is refused at once
@@ -616,3 +623,220 @@ def test_membership_fallback_records_why():
         build_free_algebra(gens, 5)
     assert str(info.value) == ("free algebra too large to enumerate; closure: "
                                f"{sub.stats['closure']}; local: {sub.stats['local']}")
+
+
+# ---------------------------------------------------------------------------
+# super-coordinates: the closure on product-algebra codes against the closure
+# on groups of one, and the product tables against the lazy product
+
+
+@pytest.mark.parametrize("fixture", ["N:2:5,Nq:2:5:3,triv:5", "I:5", "LD2"])
+def test_product_tables_match_the_direct_product(fixture):
+    # every kind a closure grouped, and every ordering of the algebras
+    gens = tuple(load_fixtures(fixture))
+    tables = closure(gens, 3, stop=stop_after(5))._tables
+    grouped = [kind for kind in tables.products if len(kind) > 1]
+    assert grouped
+    if len(gens) > 1:                                 # a size-1 algebra grouped
+        assert any(2 in kind for kind in grouped)
+    for kind in [*grouped, *itertools.permutations(range(len(gens)))]:
+        product = direct_product([gens[ai] for ai in kind])
+        for oi, op in enumerate(product.ops):
+            got = freealg._product_tables(tables, kind)[oi]
+            assert got.dtype == np.int16
+            assert np.array_equal(got, op.table_array())
+            # the argument order of the closure assumes what the flag says
+            if tables.sym[oi]:
+                assert _op_symmetrical(TableOp(op.name, op.arity, op.size, got))
+    for plan in tables.plans.values():
+        assert plan.tables.sym == tables.sym and plan.tables.arity == tables.arity
+    assert set(tables.sym) == ({True, False} if fixture == "I:5" else {True})
+
+
+def test_grouping_bounds():
+    big = random_algebra(17, (4,), 5)         # 17**4 = 83,521 entries
+    small = random_algebra(2, (4,), 6)
+    one = random_algebra(1, (4,), 7)
+    ternary = random_algebra(2, (3,), 8)      # 32**3 <= 2**16 < 64**3
+    unary = random_algebra(2, (1,), 9)        # the universe bound binds first
+    assert big.size**4 > freealg._GROUP_TABLE >= small.size**4
+    cases = [((big, small, one), [1, 1, 0, 2, 1, 1, 1, 1, 1, 0, 0, 1], [2, 1, 5, 1, 1, 1, 1]),
+             ((ternary,), [0] * 12, [5, 5, 2]),
+             ((unary,), [0] * 40, [15, 15, 10])]
+    for gens, coord_algs, lengths in cases:
+        tables = _prepare_tables(gens)
+        plan = freealg._packing(tables, coord_algs)
+        assert freealg._packing(tables, coord_algs) is plan          # kept
+        groups = [np.flatnonzero(plan.group == g) for g in range(len(plan.kinds))]
+        assert [len(g) for g in groups] == lengths
+        kinds = [tuple(coord_algs[k] for k in g) for g in groups]
+        for kind, size in zip(kinds, plan.tables.sizes[plan.kinds].tolist()):
+            assert size == math.prod(gens[ai].size for ai in kind) <= 1 << 15
+            if len(kind) > 1:
+                assert max(size**r for r in tables.arity) <= freealg._GROUP_TABLE
+        if gens[0] is big:          # over its own table's bound: a group of one
+            assert all(kind == (0,) for kind in kinds if 0 in kind)
+
+
+def test_grouping_gives_way_to_int32_indexing(monkeypatch):
+    tables = _prepare_tables(tuple(load_fixtures("I:5")))
+    monkeypatch.setattr(freealg, "_INDEX_LIMIT", 4096)
+    plan = freealg._packing(tables, [0] * 8)
+    assert plan.tables is tables and plan.kinds.tolist() == [0] * 8
+    assert np.array_equal(plan.pack(np.eye(8, dtype=np.int16)), np.eye(8))
+
+
+def outcome(run):
+    """What a closure run shows: its rows, terms and work, or its refusal."""
+    try:
+        sub = run()
+    except CapExceeded as exc:
+        return str(exc)
+    names = [op.name for op in sub.gens[0].ops]
+    return (sub.vectors.tobytes(), sub.vectors.shape, sub.stats,
+            [term_to_obj(t, names) for t in sub.terms],
+            sorted(sub._index.items(), key=lambda item: item[1]))
+
+
+def grouped_and_ungrouped(monkeypatch, observe):
+    """observe() on super-coordinates, then on groups of one."""
+    grouped = observe()
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "_GROUP_TABLE", 0)
+        ungrouped = observe()
+    return grouped, ungrouped
+
+
+def random_closure_args(gens, coord_algs, g, seed):
+    rng = np.random.default_rng(seed)
+    gen_rows = np.stack([rng.integers(0, gens[ai].size, g) for ai in coord_algs], axis=1)
+    return _prepare_tables(gens), gens, coord_algs, gen_rows.astype(np.int16)
+
+
+def assert_runs_agree(monkeypatch, args):
+    """One closure, complete, stopped on its 7th row, refused by the work
+    bound, capped under a stop and capped at once: the same outcomes, and
+    the same rows and hits seen by `stop`, on super-coordinates and on
+    groups of one.  Returns the outcomes."""
+    full = _build_closure(*args(), 80_000_000)
+    seen = []
+
+    def stop_on_7th():
+        count = stop_after(7)
+
+        def stop(rows):
+            seen.append((rows.tobytes(), count(rows)))
+            return seen[-1][1]
+        return stop
+
+    runs = [
+        lambda: _build_closure(*args(), 80_000_000),
+        lambda: _build_closure(*args(), 80_000_000, stop_on_7th()),
+        lambda: _build_closure(*args(), full.stats["work"] // 3),
+        lambda: _build_closure(*args(), full.stats["work"] // 3, lambda rows: None),
+        lambda: _build_closure(*args(), 10, lambda rows: None),
+    ]
+    outcomes = []
+    for run in runs:
+        seen.clear()
+        grouped, ungrouped = grouped_and_ungrouped(monkeypatch, lambda: outcome(run))
+        assert grouped == ungrouped
+        assert seen[:len(seen) // 2] == seen[len(seen) // 2:]
+        outcomes.append(grouped)
+    assert outcomes[0][1] == full.vectors.shape and outcomes[1][1][0] == 7
+    assert "need at least" in outcomes[2] and "applied" in outcomes[4]
+    monkeypatch.setattr(freealg, "ELEMENT_CAP", full.size - 1)
+    grouped, ungrouped = grouped_and_ungrouped(monkeypatch, lambda: outcome(runs[0]))
+    assert grouped == ungrouped and grouped.startswith("subpower element cap")
+    return outcomes
+
+
+@pytest.mark.parametrize("fixture", ["I:5", "If:5", "N:2:4", "N:2:5,N:3:5"])
+def test_grouped_free_algebra_matches_groups_of_one(monkeypatch, fixture):
+    gens = tuple(load_fixtures(fixture))
+    full = closure(gens, 3)
+    assert len(full._tables.plans[tuple(full.coord_algs)].kinds) < full.ncoords
+    assert_runs_agree(monkeypatch, lambda: free_generators(gens, 3))
+
+
+def test_grouped_closure_matches_groups_of_one_past_int64_keys(monkeypatch):
+    # 64 two-element coordinates: a box of 2**64 vectors, rows not keyed
+    gens = tuple(load_fixtures("If:5"))
+    args = lambda: random_closure_args(gens, [0] * 64, 3, 8)
+    assert math.prod([2] * 64) > 1 << 62
+    outcomes = assert_runs_agree(monkeypatch, args)
+    assert outcomes[0][1] == (19, 64)
+
+
+def test_grouped_closure_matches_groups_of_one_on_15_bit_codes(monkeypatch):
+    # unary operations: groups of 15 two-element coordinates, codes up to 2**15 - 1
+    gens = (random_algebra(2, (1, 1), 9),)
+    args = lambda: random_closure_args(gens, [0] * 40, 4, 10)
+    grouped, ungrouped = grouped_and_ungrouped(
+        monkeypatch, lambda: outcome(lambda: _build_closure(*args(), 80_000_000)))
+    assert grouped == ungrouped
+
+
+def test_grouped_closure_matches_groups_of_one_past_64_one_element_coordinates(
+        monkeypatch):
+    # 80 one-element coordinates and three two-element ones make one group
+    gens = tuple(load_fixtures("triv:5,N:2:5"))
+    gen_rows = np.zeros((2, 83), dtype=np.int16)
+    gen_rows[:, 80:] = [[0, 1, 1], [1, 0, 1]]
+    args = lambda: (_prepare_tables(gens), gens, [0] * 80 + [1] * 3, gen_rows)
+    grouped, ungrouped = grouped_and_ungrouped(
+        monkeypatch, lambda: outcome(lambda: _build_closure(*args(), 80_000_000)))
+    assert grouped == ungrouped and grouped[1] == (3, 83)
+    tables = args()[0]
+    assert len(freealg._packing(tables, [0] * 80 + [1] * 3).kinds) == 1
+
+
+@pytest.mark.parametrize("fixture, arity", [("I:5", 4), ("If:5", 4), ("I:5", 5)])
+def test_grouped_search_matches_groups_of_one(monkeypatch, fixture, arity):
+    def search():
+        built = []
+        build_local = freealg._build_local
+
+        def recorded_local(*args, **kwargs):
+            built.append(build_local(*args, **kwargs))
+            return built[-1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(freealg, "_build_local", recorded_local)
+            cert = absorption_search(load_fixtures(fixture), nu_scheme(arity))
+        names = [op.name for op in load_fixtures(fixture)[0].ops]
+        closures = {subset: outcome(lambda sub=sub: sub)
+                    for b in built for subset, sub in b._local.local_closures.items()}
+        return (cert.found, cert.stats, cert.term and term_to_obj(cert.term, names),
+                closures)
+
+    grouped, ungrouped = grouped_and_ungrouped(monkeypatch, search)
+    assert grouped == ungrouped
+    assert (arity == 4 and fixture == "I:5") == bool(grouped[3])   # the local engine ran
+
+
+def count_closure_work(monkeypatch):
+    works = []
+    build = freealg._build_closure
+
+    def recorded(*args, **kwargs):
+        sub = build(*args, **kwargs)
+        works.append(sub.stats["work"])
+        return sub
+
+    monkeypatch.setattr(freealg, "_build_closure", recorded)
+    return works
+
+
+@pytest.mark.parametrize("verdict, work", [
+    (lambda: certificates.search_certificate("nu", "If:5", arity=4, expect="absent"),
+     2_452_883),
+    (lambda: certificates.level_certificate("day", "N:2:4", expect=5), 395_010),
+    (lambda: certificates.level_certificate("jonsson", "I:5"), 852_112),
+    (lambda: certificates.level_certificate("hagemann-mitschke", "I:5"), 852_112),
+], ids=["search nu(4) If:5", "level day N:2:4", "level jonsson I:5",
+        "level hagemann-mitschke I:5"])
+def test_largest_benchmark_closures_keep_their_work(monkeypatch, verdict, work):
+    works = count_closure_work(monkeypatch)
+    verdict()
+    assert max(works) == work

@@ -115,6 +115,15 @@ def test_cli_level_cap(capsys):
     assert main([*argv, "--cap", "4"]) == 0
 
 
+def test_cli_level_cap_counts_levels_of_directed_chains(capsys):
+    # the chain t_1, t_2 has one link and level 2
+    argv = ["level", "--scheme", "directed-jonsson", "--fixture", "N:2:4"]
+    assert main([*argv, "--cap", "1"]) == 2
+    assert "resource cap: chain search exceeded 1 levels" in capsys.readouterr().err
+    assert main([*argv, "--cap", "2"]) == 0
+    assert "directed-jonsson level of V(N:2:4) = 2" in capsys.readouterr().out
+
+
 def test_cli_verify_induction_on_template_boxes(tmp_path):
     # the last stage's subproduct has 65,561 elements on 9 boxes
     cert = tmp_path / "induction.json"

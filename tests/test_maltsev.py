@@ -97,9 +97,10 @@ def test_level_with_prebuilt_free_algebra():
     assert chain_level([N24], "alvin", free=free).level == 5
 
 
-@pytest.mark.parametrize("scheme, level", [("jonsson", 4), ("alvin", 5)])
+@pytest.mark.parametrize("scheme, level", [("jonsson", 4), ("alvin", 5),
+                                           ("directed-jonsson", 2)])
 def test_level_cap_refuses_below_the_level(scheme, level):
-    # the cap counts links, which is the level for chains from t_0
+    # the cap counts levels, also for the directed chains, which start at t_1
     with pytest.raises(CapExceeded, match=f"^chain search exceeded {level - 1} levels$"):
         chain_level([N24], scheme, max_level=level - 1)
     assert chain_level([N24], scheme, max_level=level).level == level
