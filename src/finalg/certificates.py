@@ -12,7 +12,7 @@ import json
 from typing import Callable
 
 from . import __version__
-from .algebras import AlgebraError
+from .algebras import AlgebraError, CapExceeded
 from .fixtures import load_fixtures
 from .identities import FULL_PAIR_CAP, check_identity
 from .induction import run_level_induction
@@ -101,6 +101,12 @@ def identity_certificate(family: str, m: int, q: int, *, j: int = 0, n: int = 0,
     else:
         inst = check_identity(family, w.alpha, w.beta, w.gamma, **kwargs,
                               pair=(w.a, w.d))
+        # a pair that is no counterexample neither refutes nor proves anything
+        if expect and inst.verdict == "pair-not-counterexample":
+            raise CapExceeded(
+                f"{expect!r} undecided: B({m},{q}) has {w.size} elements, so a full "
+                f"check needs {w.size * w.size} pairs, past FULL_PAIR_CAP = "
+                f"{FULL_PAIR_CAP}, and the pair ({w.a}, {w.d}) is no counterexample")
     verdict = "verified"
     if expect and inst.verdict != expect:
         verdict = "refuted"

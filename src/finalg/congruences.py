@@ -3,7 +3,8 @@
 A partition is a read-only int64 array of block ids, numbered in order of
 first occurrence, so two equal set-partitions hold equal arrays.  Its block
 view (`order`, `starts`) is computed once and cached, and every relation
-image in `identities` reads it directly.
+image in `identities` reads it directly.  So are its meets: `partition_meet`
+keeps each one on its left partition.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class Partition:
         """Where each block begins in `order`."""
         counts = np.bincount(self.block_id, minlength=self.n_blocks)
         return np.cumsum(counts) - counts
+
+    @cached_property
+    def _meets(self) -> dict:
+        """partition_meet(self, q) by q."""
+        return {}
 
     @staticmethod
     def zero(size: int) -> "Partition":
@@ -153,6 +159,10 @@ def induced_product_congruence(
 
 
 def partition_meet(p: Partition, q: Partition) -> Partition:
+    """The meet of p and q, built once and then kept on p, keyed by q."""
     if p.size != q.size:
         raise AlgebraError("partition sizes differ")
-    return Partition(p.block_id * q.n_blocks + q.block_id)
+    meet = p._meets.get(q)
+    if meet is None:
+        meet = p._meets[q] = Partition(p.block_id * q.n_blocks + q.block_id)
+    return meet

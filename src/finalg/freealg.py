@@ -54,22 +54,27 @@ index the concatenated table.  The output rows get int64 keys where the
 coordinate sizes allow, and only the keys missing from the sorted keys of
 the elements found so far are deduplicated; an argument tuple is decoded
 from the tree only for a row that yields a new element, for its provenance
-term.  Term evaluation (`Subpower.eval_term`) runs on the same kernel, with
-one-row trees.  Three engines sit on it, tried in this order:
+term.  Three engines sit on the kernel, tried in this order:
 
 * closure engine - the kernel over all coordinates, with a provenance term
   for every element.
 * local engine - when some basic operation is near-unanimity on every
   generator, the generated subpower is determined by its projections onto
-  (arity-1)-sized coordinate sets, each closed by the same kernel under the
-  same caps and kept as a closed Subpower of its own.  These small closures
-  run through few distinct round shapes, so they share one memo of the
-  argument prefix trees of their rounds (`_TreeMemo`).  Elements are
-  enumerated by filtering the coordinate box through the local closures, one
-  key lookup per subset, and provenance terms are reconstructed on demand by
-  the interpolation recursion behind that decomposition.
-* membership engine - the local closures alone, for containment queries
-  over coordinate boxes too big to enumerate.
+  (arity-1)-sized coordinate sets (Baker-Pixley), each closed by the same
+  kernel under the same caps and kept as a closed Subpower of its own.
+  These small closures run through few distinct round shapes, so they share
+  one memo of the argument prefix trees of their rounds (`_TreeMemo`).  One
+  function, `members`, decides membership from them: it filters a box of
+  candidate vectors (some coordinates pinned, some held equal in groups,
+  the rest free) through the local closures, one key lookup per subset.
+  Enumeration is `members` over the whole coordinate box, and provenance
+  terms are reconstructed on demand by the interpolation recursion behind
+  that decomposition.
+* membership engine - the same subpower when its coordinate box is too big
+  to enumerate: callers ask `members` about smaller boxes.
+
+`Subpower.eval_term` evaluates a term with `terms.term_eval_cols`, once per
+generating algebra on that algebra's generator columns.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ from .algebras import (
     is_near_unanimity,
     similar,
 )
-from .terms import App, Term, Var
+from .terms import App, Term, Var, term_eval_cols
 
 
 @dataclass
@@ -125,19 +130,6 @@ class Subpower:
     def index_of(self, vec) -> Optional[int]:
         return self._index.get(np.asarray(vec, dtype=np.int16).tobytes())
 
-    def contains_bulk(self, vecs: np.ndarray) -> np.ndarray:
-        """Membership mask for many candidate vectors (membership engine)."""
-        if self._local is None:
-            raise AlgebraError("membership queries need the local engine")
-        vecs = np.asarray(vecs, dtype=np.int16)
-        mask = np.ones(len(vecs), dtype=bool)
-        width = min(self._local.width, self.ncoords)
-        for subset in itertools.combinations(range(self.ncoords), width):
-            if not mask.any():
-                break
-            mask &= _local_mask(self, subset, vecs)
-        return mask
-
     def term_for_vector(self, vec) -> Term:
         vec = np.asarray(vec, dtype=np.int16)
         i = self.index_of(vec)
@@ -148,29 +140,15 @@ class Subpower:
         return _interpolate_term(self, vec)
 
     def eval_term(self, term: Term) -> np.ndarray:
-        """Value vector of a term across all coordinates."""
-        kernel = _Kernel(self._tables, self.coord_algs)
-        memo: dict[int, np.ndarray] = {}
-
-        def walk(t: Term) -> np.ndarray:
-            key = id(t)
-            if key in memo:
-                return memo[key]
-            if isinstance(t, Var):
-                out = self.gen_rows[t.index]
-            else:
-                r = self._tables.arity[t.op_index]
-                if len(t.args) != r:
-                    raise AlgebraError(f"operation {t.op_index} expects {r} arguments")
-                args = np.stack([walk(a) for a in t.args])      # (r, ncoords)
-                weighted = kernel.weigh(t.op_index, args)
-                row = (range(r), [(np.zeros(1, dtype=np.intp), np.full(1, j))
-                                  for j in range(r)])          # the tuple (0, ..., r-1)
-                out = kernel.apply(t.op_index, weighted, row)[0].copy()
-            memo[key] = out
-            return out
-
-        return walk(term)
+        """Value vector of a term across all coordinates: each generating
+        algebra evaluates it on its coordinates' generator columns."""
+        out = np.empty(self.ncoords, dtype=np.int16)
+        coord_algs = np.asarray(self.coord_algs)
+        for ai, alg in enumerate(self.gens):
+            at = np.flatnonzero(coord_algs == ai)
+            if len(at):
+                out[at] = term_eval_cols(term, alg, self.gen_rows[:, at])
+        return out
 
 
 ELEMENT_CAP = 1 << 20      # elements of a closure, vectors of a local engine's box
@@ -243,13 +221,14 @@ def _generate(tables, gens, coord_algs, gen_rows, work_cap, stop):
         return _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop)
     except CapExceeded as exc:
         closure_reason = str(exc)
+    sub = _build_local(tables, gens, coord_algs, gen_rows, work_cap)
     try:
-        return _build_local(tables, gens, coord_algs, gen_rows, work_cap,
-                            enumerate_all=True)
+        sub.vectors = members(sub, {}, [])
     except CapExceeded as exc:
-        local_reason = str(exc)
-    sub = _build_local(tables, gens, coord_algs, gen_rows, work_cap, enumerate_all=False)
-    sub.stats.update(closure=closure_reason, local=local_reason)
+        sub.stats.update(closure=closure_reason, local=str(exc))
+        return sub
+    sub.engine = "local"
+    sub.stats["space"] = math.prod(gens[ai].size for ai in coord_algs)
     return sub
 
 
@@ -743,35 +722,19 @@ def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
     return None
 
 
-def _build_local(tables, gens, coord_algs, gen_rows, work_cap, enumerate_all) -> Subpower:
+def _build_local(tables, gens, coord_algs, gen_rows, work_cap) -> Subpower:
+    """The subpower as a membership engine: no elements yet, and local
+    closures built as `members` needs them."""
     nu = shared_nu_op(gens)
     if nu is None:
         raise CapExceeded("no shared near-unanimity operation; local engine unavailable")
     width = gens[0].ops[nu].arity - 1
-    ncoords = len(coord_algs)
-    sizes = [gens[ai].size for ai in coord_algs]
-    local = _LocalData(nu, width, {}, work_cap)
     sub = Subpower(
         gens, coord_algs, gen_rows,
-        np.empty((0, ncoords), dtype=np.int16), None,
+        np.empty((0, len(coord_algs)), dtype=np.int16), None,
         "membership", {"width": width}, _tables=tables,
     )
-    sub._local = local
-    if not enumerate_all:
-        return sub
-
-    space = math.prod(sizes)
-    if space > ELEMENT_CAP:
-        raise CapExceeded(f"coordinate box of {space} vectors exceeds the element cap "
-                          f"{ELEMENT_CAP}")
-    grids = np.indices(sizes, dtype=np.int16).reshape(len(sizes), -1).T
-    keep = np.ones(space, dtype=bool)
-    for subset in itertools.combinations(range(ncoords), min(width, ncoords)):
-        keep &= _local_mask(sub, subset, grids)
-    vectors = grids[keep]
-    sub.vectors = vectors
-    sub.engine = "local"
-    sub.stats["space"] = space
+    sub._local = _LocalData(nu, width, {}, work_cap)
     return sub
 
 
@@ -787,14 +750,55 @@ def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> Subpower:
     return closed
 
 
-def _local_mask(sub: Subpower, subset: tuple[int, ...], vecs: np.ndarray) -> np.ndarray:
-    """Rows of vecs whose projection onto `subset` lies in its local closure."""
-    closed = _local_closure_for(sub, subset)
-    sizes = [sub.gens[sub.coord_algs[k]].size for k in subset]
-    place = _place(sizes)
-    allowed = np.zeros(math.prod(sizes), dtype=bool)
-    allowed[_keys(closed.vectors, place)] = True
-    return allowed[_keys(vecs[:, subset], place)]
+def members(sub: Subpower, pinned: dict[int, int],
+            groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """The vectors of a local engine's subpower that read `pinned[k]` at each
+    pinned coordinate k and one value across each group of coordinates.
+
+    A coordinate neither pinned nor grouped is free: a group of its own,
+    after the given groups.  Candidates run through the group values in
+    lexicographic order, the first group slowest (with no pins and no
+    groups, the order of `np.indices` over the coordinate box), and the
+    members keep that order.  A candidate is a member when its projection
+    onto every (arity-1)-set of coordinates lies in that set's local closure
+    (Baker-Pixley); each pass filters only the candidates that survived the
+    previous ones.  Raises CapExceeded before building any candidate when
+    there are more than ELEMENT_CAP of them.
+    """
+    ncoords = sub.ncoords
+    sizes = [sub.gens[ai].size for ai in sub.coord_algs]
+    grouped = {int(k) for g in groups for k in g}
+    groups = [[int(k) for k in g] for g in groups]
+    groups += [[k] for k in range(ncoords) if k not in pinned and k not in grouped]
+    lengths = [min(sizes[k] for k in g) for g in groups]   # the values a group can take
+    count = math.prod(lengths)
+    if count > ELEMENT_CAP:
+        raise CapExceeded(f"coordinate box of {count} vectors exceeds the element cap "
+                          f"{ELEMENT_CAP}")
+    values = np.indices(lengths, dtype=np.int16).reshape(len(groups), count)
+    first = {}                              # unpinned coordinate -> its first group
+    keep = np.ones(count, dtype=bool)       # pins and groups that share a coordinate agree
+    for gi, g in enumerate(groups):
+        for k in g:
+            if k in pinned:
+                keep &= values[gi] == pinned[k]
+            elif first.setdefault(k, gi) != gi:
+                keep &= values[first[k]] == values[gi]
+    cols = [values[first[k]] if k in first else np.broadcast_to(np.int16(pinned[k]), count)
+            for k in range(ncoords)]
+    # the surviving candidates: all of them as a slice, so that the first
+    # pass reads views and makes a mask, then their indices
+    rows = slice(None) if keep.all() else np.flatnonzero(keep)
+    for subset in itertools.combinations(range(ncoords), min(sub._local.width, ncoords)):
+        if not keep.any():
+            break
+        closed = _local_closure_for(sub, subset)
+        place = _place([sizes[k] for k in subset])
+        allowed = np.zeros(math.prod(sizes[k] for k in subset), dtype=bool)
+        allowed[_keys(closed.vectors, place)] = True
+        keep = allowed[sum(cols[k][rows] * step for k, step in zip(subset, place))]
+        rows = np.flatnonzero(keep) if isinstance(rows, slice) else rows[keep]
+    return np.stack([col[rows] for col in cols], axis=1)
 
 
 def _interpolate_term(sub: Subpower, target: np.ndarray) -> Term:

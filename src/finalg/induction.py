@@ -29,7 +29,6 @@ from .algebras import (
 from .congruences import Partition, induced_product_congruence
 from .identities import FULL_PAIR_CAP, IdentityInstance, check_identity
 from .witnesses import (
-    AlphaMeets,
     SharpnessParams,
     filtered_subproduct,
     lhs_chain_break,
@@ -38,7 +37,7 @@ from .witnesses import (
 
 
 @dataclass
-class InductionState(AlphaMeets):
+class InductionState:
     j: int
     algebra3: FiniteAlgebra          # A3^j
     pair_product: FiniteAlgebra      # A3^j x N(2,m)

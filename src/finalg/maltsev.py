@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebras import AlgebraError, CapExceeded, FiniteAlgebra
-from .freealg import FreeAlgebra, Subpower, build_free_algebra, generate_subpower
+from .freealg import FreeAlgebra, build_free_algebra, generate_subpower, members
 from .identities import least_path, shortest_length
 from .terms import App, Term, Var, subst, term_to_obj, verify_equations
 
@@ -405,7 +405,9 @@ def absorption_search(
                             stop=first_hit)
     col = own if sub.class_of is None else sub.class_of
     if sub.engine == "membership":
-        vec = _scan_membership(sub, col, pins, want, links, gens)
+        pinned = dict(zip(col[pins].tolist(), want.tolist()))
+        found = members(sub, pinned, [col[ks] for _, ks in sorted(links.items())])
+        vec = found[0] if len(found) else None
         stats = {"engine": sub.engine}
     else:
         hit = first_hit(sub.vectors, col)
@@ -420,41 +422,6 @@ def absorption_search(
         raise AlgebraError(f"found term failed re-verification at {violation}")
     return SearchCertificate(scheme.name, scheme.params, labels, True, term, True, True,
                              {"engine": sub.engine, "size": sub.size})
-
-
-def _scan_membership(sub: Subpower, col, pins, want, links, gens):
-    """Pin requirements, enumerate link completions, query local membership."""
-    base = np.full(sub.ncoords, -1, dtype=np.int16)
-    base[col[pins]] = want
-    free_groups = sorted(links.items())
-    sizes = [gens[ai].size for (ai, _, _), _ in free_groups]
-    group_classes = [col[ks] for _, ks in free_groups]
-    leftover = [k for k in range(sub.ncoords) if base[k] < 0]
-    covered = set(int(c) for classes in group_classes for c in classes)
-    if any(k not in covered for k in leftover):
-        raise CapExceeded("membership search needs every coordinate pinned or linked")
-    if len(free_groups) > 20:
-        raise CapExceeded("too many link completions to enumerate")
-    candidates = []
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        vec = base.copy()
-        for value, classes in zip(combo, group_classes):
-            consistent = True
-            for c in classes:
-                if vec[c] >= 0 and vec[c] != value:
-                    consistent = False
-                    break
-                vec[c] = value
-            if not consistent:
-                break
-        else:
-            if (vec >= 0).all():
-                candidates.append(vec)
-    if not candidates:
-        return None
-    mask = sub.contains_bulk(np.stack(candidates))
-    hits = np.flatnonzero(mask)
-    return candidates[int(hits[0])] if len(hits) else None
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,11 @@ def term_size(term: Term) -> int:
 
 
 def term_eval_cols(term: Term, alg: FiniteAlgebra, env_cols: np.ndarray) -> np.ndarray:
-    """Evaluate over many assignments at once; env_cols is (nvars, n)."""
+    """Evaluate over many assignments at once; env_cols is (nvars, n).
+
+    Raises AlgebraError at an operation applied to the wrong number of
+    arguments.
+    """
     memo: dict[int, np.ndarray] = {}
 
     def walk(t):
@@ -55,7 +59,11 @@ def term_eval_cols(term: Term, alg: FiniteAlgebra, env_cols: np.ndarray) -> np.n
         if isinstance(t, Var):
             out = env_cols[t.index]
         else:
-            out = alg.op(t.op_index).apply_cols(np.stack([walk(a) for a in t.args]))
+            op = alg.op(t.op_index)
+            if len(t.args) != op.arity:
+                raise AlgebraError(f"operation {op.name} takes {op.arity} arguments, "
+                                   f"not {len(t.args)}")
+            out = op.apply_cols(np.stack([walk(a) for a in t.args]))
         memo[key] = out
         return out
 

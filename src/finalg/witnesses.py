@@ -297,21 +297,8 @@ def dissent_pair_fixture() -> FiniteAlgebra:
 # the explicit sharpness witness
 
 
-class AlphaMeets:
-    """The meets of alpha with beta and gamma, each built once, for a record
-    whose fields include the congruence triple alpha, beta, gamma."""
-
-    @cached_property
-    def alpha_beta(self) -> Partition:
-        return partition_meet(self.alpha, self.beta)
-
-    @cached_property
-    def alpha_gamma(self) -> Partition:
-        return partition_meet(self.alpha, self.gamma)
-
-
 @dataclass
-class SharpnessWitness(AlphaMeets):
+class SharpnessWitness:
     params: SharpnessParams
     product: FiniteAlgebra
     factor_roles: list[dict]
@@ -466,14 +453,16 @@ def build_sharpness_witness(m: int, q: int, *, verify_closure: bool = True) -> S
     return witness
 
 
-def lhs_chain_break(triple: AlphaMeets, chain: Sequence[int]) -> Optional[int]:
+def lhs_chain_break(triple, chain: Sequence[int]) -> Optional[int]:
     """The first step of a left-side chain a, c_1, .., c_{q-1}, d that leaves
-    its relation, or None.  The steps lie in beta, then in the meets of alpha
-    with gamma and beta in turn, then in the trailing relation (gamma for
-    even q, beta for odd q)."""
+    its relation, or None.  `triple` has the congruences alpha, beta and
+    gamma.  The steps lie in beta, then in the meets of alpha with gamma and
+    beta in turn, then in the trailing relation (gamma for even q, beta for
+    odd q)."""
     q = len(chain) - 1
-    middle = (triple.alpha_gamma if i % 2 == 0 else triple.alpha_beta for i in range(q - 2))
-    rels = [triple.beta, *middle, triple.gamma if q % 2 == 0 else triple.beta]
+    alpha, beta, gamma = triple.alpha, triple.beta, triple.gamma
+    middle = (partition_meet(alpha, gamma if i % 2 == 0 else beta) for i in range(q - 2))
+    rels = [beta, *middle, gamma if q % 2 == 0 else beta]
     for i, rel in enumerate(rels):
         if not rel.related(chain[i], chain[i + 1]):
             return i
@@ -523,7 +512,7 @@ def canonical_witness_chain(w: SharpnessWitness) -> list[int]:
     if path[-1] != w.d:
         raise AlgebraError("canonical chain did not land on d")
     for s in range(len(path) - 1):
-        rel = w.alpha_beta if s % 2 == 0 else w.alpha_gamma
+        rel = partition_meet(w.alpha, w.beta if s % 2 == 0 else w.gamma)
         if not rel.related(path[s], path[s + 1]):
             raise AlgebraError(f"canonical chain breaks alternation at step {s}")
     return path
@@ -552,7 +541,8 @@ def sharpness_report(m: int, q: int) -> dict:
     }
     if q == 2:
         canonical = canonical_witness_chain(w)
-        found = shortest_alternating_chain(w.a, w.d, w.alpha_beta, w.alpha_gamma, cap=4 * m)
+        found = shortest_alternating_chain(w.a, w.d, partition_meet(w.alpha, w.beta),
+                                           partition_meet(w.alpha, w.gamma), cap=4 * m)
         path, factors = found if found else (None, None)
         report["chains"] = {
             "canonical_chain": canonical,

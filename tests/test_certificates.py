@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from finalg.algebras import CapExceeded
 from finalg.certificates import (
     identity_certificate,
     induction_certificate,
@@ -54,6 +55,28 @@ def test_refuted_certificate_with_its_true_verdict_rechecks():
     assert cert["verdict"] == "refuted"
     ok, detail = recheck(cert)
     assert ok, detail
+
+
+@pytest.mark.parametrize("term", [["u", "x0", "x1", "x2", "x3", "x1"], ["u", "x0", "x1", "x2"]],
+                         ids=["extra argument", "missing argument"])
+def test_stored_term_with_the_wrong_argument_count_is_rejected(term):
+    cert = search_certificate("nu", "I:4", arity=4, expect="found")
+    assert cert["evidence"]["term"][0] == "u"
+    bad = copy.deepcopy(cert)
+    bad["evidence"]["term"] = term
+    ok, detail = recheck(bad)
+    assert not ok
+    assert f"operation u takes 4 arguments, not {len(term) - 1}" in detail
+
+
+def test_undecided_identity_is_a_cap_not_a_refutation():
+    # past FULL_PAIR_CAP (B(9,2) has 2,202 elements) only pair mode runs, at
+    # (a, d); a pair that is no counterexample decides neither expectation
+    with pytest.raises(CapExceeded, match=r"'holds' undecided: B\(9,2\) has 2202 elements"):
+        identity_certificate("zigzag-even", 9, 2, expect="holds")
+    assert identity_certificate("zigzag-even", 8, 2, expect="holds")["verdict"] == "verified"
+    fails = identity_certificate("dist", 9, 2, n=13, expect="fails")
+    assert fails["verdict"] == "verified" and fails["evidence"]["stats"]["mode"] == "pair"
 
 
 def altered(value):
@@ -177,6 +200,25 @@ _NU4_I5 = (
 )
 
 
+# Written before one candidate filter served both the enumeration of the
+# local engine and the membership search: the box order, and so the verdict
+# and the stats, must stay as they were.
+_DISSENT_UNANIMITY3_N24 = (
+    '{"claim":"search","evidence":{"complete":true,"found":false,'
+    '"generators":["N(2,4)@2"],"params":{"m":3},"scheme":"dissent-unanimity",'
+    '"term":null,"verified":false},"parameters":{"arity":0,"expect":"absent",'
+    '"fixtures":"N:2:4","m":3,"scheme":"dissent-unanimity"},'
+    '"stats":{"engine":"local","size":250},"tool_version":"0.1.0","verdict":"verified"}'
+)
+_LONE_DISSENT5_I5 = (
+    '{"claim":"search","evidence":{"complete":true,"found":false,"generators":["I:5"],'
+    '"params":{"arity":5},"scheme":"lone-dissent","term":null,"verified":false},'
+    '"parameters":{"arity":5,"expect":"absent","fixtures":"I:5","m":0,'
+    '"scheme":"lone-dissent"},"stats":{"engine":"local","size":224},'
+    '"tool_version":"0.1.0","verdict":"verified"}'
+)
+
+
 # Level certificates of the schemes with unequal link patterns, or with
 # links that differ by parity, written before the chain search and the
 # alternating-path search became one routine: the lex-least minimal chain,
@@ -248,8 +290,13 @@ _DIRECTED_MINORITY_SUM33 = (
     (lambda: search_certificate("nu", "If:5", arity=4, expect="absent"), _NU4_IF5),
     (lambda: search_certificate("nu", "I:5", arity=5, expect="found"), _NU5_I5),
     (lambda: search_certificate("nu", "I:5", arity=4, expect="absent"), _NU4_I5),
+    (lambda: search_certificate("dissent-unanimity", "N:2:4", m=3, expect="absent"),
+     _DISSENT_UNANIMITY3_N24),
+    (lambda: search_certificate("lone-dissent", "I:5", arity=5, expect="absent"),
+     _LONE_DISSENT5_I5),
 ], ids=["sharpness-9-2", "induction-7-3", "level-jonsson-I5", "level-day-N24",
-        "search-nu4-If5", "search-nu5-I5", "search-nu4-I5-local"])
+        "search-nu4-If5", "search-nu5-I5", "search-nu4-I5-local",
+        "search-dissent-unanimity3-N24-local", "search-lone-dissent5-I5-local"])
 def test_certificates_match_their_golden_bytes(build, golden):
     assert dumps_canonical(build()) == golden + "\n"
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from finalg.freealg import (
     _tree_args,
     build_free_algebra,
     generate_subpower,
+    members,
     shared_nu_op,
 )
 from finalg.maltsev import absorption_search, nu_scheme
@@ -56,8 +58,17 @@ def closure(gens, g, work_cap=80_000_000, stop=None):
     return _build_closure(*free_generators(gens, g), work_cap, stop)
 
 
-def local(gens, g, enumerate_all=True, work_cap=80_000_000):
-    return _build_local(*free_generators(gens, g), work_cap, enumerate_all)
+def membership(gens, g, work_cap=80_000_000):
+    """The local engine's subpower of the free algebra on g generators,
+    before enumeration."""
+    return _build_local(*free_generators(gens, g), work_cap)
+
+
+def local(gens, g, work_cap=80_000_000):
+    """The same, enumerated."""
+    sub = membership(gens, g, work_cap)
+    sub.vectors = members(sub, {}, [])
+    return sub
 
 
 def stop_after(k):
@@ -109,7 +120,6 @@ def test_engines_agree_on_enumeration():
 
 def test_local_engine_terms_reevaluate():
     sub = local([implication_expansion(4)], 3)
-    assert sub.engine == "local"
     for i in range(0, sub.size, 5):
         term = sub.term_for_vector(sub.vectors[i])
         assert np.array_equal(sub.eval_term(term), sub.vectors[i])
@@ -149,22 +159,18 @@ def test_shared_nu_detection():
 
 def test_membership_engine():
     gens = [implication_expansion(4)]
-    sub_full = local(gens, 3)
-    coord_algs = sub_full.coord_algs
-    member = local(gens, 3, enumerate_all=False)
-    assert member.engine == "membership"
-    assert member.contains_bulk(sub_full.vectors[:: max(1, len(sub_full.vectors) // 15)]).all()
-    # a vector violating idempotence can never be generated
-    bad = np.zeros(len(coord_algs), dtype=np.int16)
-    bad[0] = 1  # value 1 on the all-zero assignment
-    assert not member.contains_bulk(bad[None, :]).any()
-
-
-def test_membership_queries_need_the_local_engine():
-    sub = closure([make_ujm_reduct(2, 2, 3)], 3)
-    assert sub.engine == "closure"
-    with pytest.raises(AlgebraError, match="need the local engine"):
-        sub.contains_bulk(sub.vectors)
+    full = closure(gens, 3)
+    member = membership(gens, 3)
+    assert member.engine == "membership" and member.size == 0
+    # every element, pinned at every coordinate, is found as itself
+    for vec in full.vectors[:: max(1, full.size // 15)]:
+        pinned = dict(enumerate(vec.tolist()))
+        assert members(member, pinned, []).tolist() == [vec.tolist()]
+    # a vector violating idempotence can never be generated: value 1 on the
+    # all-zero assignment
+    assert members(member, {0: 1}, []).shape == (0, full.ncoords)
+    # with no pins and no groups, the whole box is filtered
+    assert sorted(members(member, {}, []).tolist()) == sorted(full.vectors.tolist())
 
 
 def test_subpower_dedup_classes():
@@ -274,9 +280,79 @@ def test_partial_run_matches_oracle_loop(monkeypatch):
 
 
 def test_local_closure_respects_work_cap():
-    member = local(load_fixtures("I:4"), 3, enumerate_all=False, work_cap=10)
-    with pytest.raises(CapExceeded):
-        _local_closure_for(member, (0, 1, 2))
+    member = membership(load_fixtures("I:4"), 3, work_cap=10)
+    with pytest.raises(CapExceeded, match="cap 10"):
+        members(member, {}, [])
+
+
+def members_oracle(sub, pinned, groups):
+    """`members` by brute force: every candidate in order, tested against
+    every local closure."""
+    sizes = [sub.gens[ai].size for ai in sub.coord_algs]
+    width = min(sub._local.width, sub.ncoords)
+    closed = {subset: {tuple(v) for v in _local_closure_for(sub, subset).vectors.tolist()}
+              for subset in itertools.combinations(range(sub.ncoords), width)}
+    grouped = {k for g in groups for k in g}
+    order = [list(g) for g in groups] + [[k] for k in range(sub.ncoords)
+                                         if k not in pinned and k not in grouped]
+    found = []
+    for values in itertools.product(*(range(min(sizes[k] for k in g)) for g in order)):
+        vec = [pinned.get(k) for k in range(sub.ncoords)]
+        consistent = True
+        for g, value in zip(order, values):
+            for k in g:
+                consistent &= vec[k] in (None, value)
+                vec[k] = value
+        if consistent and all(tuple(vec[k] for k in subset) in rows
+                              for subset, rows in closed.items()):
+            found.append(vec)
+    return found
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_members_match_the_brute_force_oracle(seed):
+    # a subpower on 7 of the 13 free-algebra coordinates over a 2- and a
+    # 3-element algebra; the queries name 10 caller coordinates, collapsed
+    # onto the subpower's through class_of as the term search does
+    rng = np.random.default_rng(seed)
+    tables, gens, coord_algs, gen_rows = free_generators(load_fixtures("N:2:4,Nq:2:4:3"), 2)
+    keep = np.sort(rng.choice(len(coord_algs), 7, replace=False))
+    sub = _build_local(tables, gens, [coord_algs[k] for k in keep], gen_rows[:, keep],
+                       80_000_000)
+    everything = members(sub, {}, [])
+    assert everything.tolist() == members_oracle(sub, {}, [])
+    full = _build_closure(tables, gens, sub.coord_algs, sub.gen_rows, 80_000_000)
+    assert sorted(everything.tolist()) == sorted(full.vectors.tolist())
+    class_of = rng.integers(0, 7, 10)
+    vec = everything[rng.integers(len(everything))]
+    for query in range(4):
+        callers = rng.permutation(10)
+        if query % 2:       # neighbours mostly agree on vec: groups it satisfies
+            callers = callers[np.argsort(vec[class_of[callers]], kind="stable")]
+        # two pins read off that member, the second in a group that may contradict it
+        pinned = {int(class_of[k]): int(vec[class_of[k]]) for k in callers[:2]}
+        # two groups sharing a caller coordinate, and a group of one
+        groups = [class_of[callers[1:4]], class_of[callers[3:6]], class_of[callers[6:7]]]
+        got = members(sub, pinned, groups)
+        assert got.dtype == np.int16 and got.shape[1] == 7
+        assert got.tolist() == members_oracle(sub, pinned, [g.tolist() for g in groups])
+
+
+def test_members_refuse_a_large_box_before_building_it():
+    # 21 two-element groups: 2**21 candidates, one past the element cap
+    sub = _build_local(*random_closure_args(tuple(load_fixtures("I:4")), [0] * 42, 3, 11),
+                       80_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as info:
+            members(sub, {}, [[k, k + 21] for k in range(21)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (f"coordinate box of {2**21} vectors exceeds the element cap "
+                               f"{freealg.ELEMENT_CAP}")
+    assert peak < 1 << 16                      # a column of the box takes 4 MB
+    assert not sub._local.local_closures
 
 
 def test_shared_trees_build_the_same_local_closures(monkeypatch):

@@ -108,6 +108,15 @@ def test_cli_exit_codes_cover_cap(capsys):
         assert "resource cap: absorption check on u needs a table" in capsys.readouterr().err
 
 
+def test_cli_undecided_identity_exits_2(capsys):
+    argv = ["check", "identity", "--family", "zigzag-even", "--q", "2", "--expect", "holds"]
+    assert main([*argv, "--m", "9"]) == 2
+    assert "FULL_PAIR_CAP" in capsys.readouterr().err
+    assert main([*argv, "--m", "8"]) == 0
+    assert main(["check", "identity", "--family", "dist", "--n", "13", "--m", "9", "--q", "2",
+                 "--expect", "fails"]) == 0
+
+
 def test_cli_level_cap(capsys):
     argv = ["level", "--scheme", "jonsson", "--fixture", "N:2:4", "--expect", "4"]
     assert main([*argv, "--cap", "3"]) == 2

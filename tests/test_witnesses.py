@@ -14,7 +14,9 @@ from finalg.algebras import (
     make_ujm_reduct,
     one_element_algebra,
 )
+from finalg import congruences, witnesses
 from finalg.congruences import Partition, partition_meet
+from finalg.identities import check_identity
 from finalg.witnesses import (
     HypothesisError,
     SharpnessParams,
@@ -354,3 +356,28 @@ def test_subuniverse_fast_path_detects_violations():
     oi, args, result = wit_fast
     assert apply(w.product.ops[oi], args) == result
     assert result not in set(broken) and all(a in set(broken) for a in args)
+
+
+def test_each_alpha_meet_is_built_once(monkeypatch):
+    # every partition goes through _canonical once; after the witness is
+    # built, the report builds only the meets of alpha with beta and gamma
+    made = []
+    canonical = congruences._canonical
+    monkeypatch.setattr(congruences, "_canonical",
+                        lambda keys: made.append(len(keys)) or canonical(keys))
+    build = witnesses.build_sharpness_witness
+    built = []
+
+    def recorded_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        made.clear()
+        return built[-1]
+
+    monkeypatch.setattr(witnesses, "build_sharpness_witness", recorded_build)
+    witnesses.sharpness_report(9, 2)
+    w = built[0]
+    assert made == [w.size, w.size]
+    made.clear()
+    check_identity("dist", w.alpha, w.beta, w.gamma, n=13, pair=(w.a, w.d))
+    assert made == []
+    assert partition_meet(w.alpha, w.beta) is partition_meet(w.alpha, w.beta)
