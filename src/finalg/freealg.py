@@ -50,11 +50,22 @@ radix**(r-1-j), the base folded into copy 0.  Per argument block, the kernel
 walks the block's prefix tree one level (one argument position) at a time: a
 node's partial sum is its parent's plus the scaled row of its value, one
 gather-add per level into reused buffers, and the sums of the last level
-index the concatenated table.  The output rows get int64 keys where the
-coordinate sizes allow, and only the keys missing from the sorted keys of
-the elements found so far are deduplicated; an argument tuple is decoded
-from the tree only for a row that yields a new element, for its provenance
-term.  Three engines sit on the kernel, tried in this order:
+index the concatenated table.
+
+The block of `_CHUNK` rows is the unit of all bookkeeping: the work count
+and the work cap, `SHALLOW_WORK` and the work bound, the element cap and its
+message, `stop`, and the trees kept by `_TreeMemo`.  The tile of `_TILE`
+rows is the unit of evaluation: the levels above the last are small (one
+node per prefix) and are summed once per block, and the last level, one node
+per row and kept by `_arg_blocks` by slicing, is gathered, looked up in the
+table, keyed and checked against the elements found before the block in
+tiles, so that a block's working set stays in cache.  The output rows get
+int64 keys where the coordinate sizes allow; a tile's rows whose keys are
+missing from the sorted keys of the elements known at the block's start are
+its candidates, and the block keeps each new row at its first occurrence in
+the block.  An argument tuple is decoded from the tree only for a row that
+yields a new element, for its provenance term.  Three engines sit on the
+kernel, tried in this order:
 
 * closure engine - the kernel over all coordinates, with a provenance term
   for every element.
@@ -421,7 +432,10 @@ class _Kernel:
     base_k starts the table of coordinate k's algebra and radix_k is that
     algebra's size.  `weigh` scales the element matrix once per round;
     `apply` then sums those scaled rows along a block's prefix tree, one
-    gather-add per level, in buffers it keeps from call to call.
+    gather-add per level, the levels above the last once per block and the
+    last level in tiles of `_TILE` rows, in two buffers it keeps from call
+    to call, each as long as the level above the last (no level of a tree
+    has fewer nodes than the one above it) plus one tile.
     """
 
     def __init__(self, tables: _Tables, coord_algs):
@@ -434,45 +448,61 @@ class _Kernel:
     def weigh(self, oi: int, stacked: np.ndarray) -> np.ndarray:
         """(r, n, ncoords) int32: copy j is stacked * radix**(r-1-j), plus base in copy 0."""
         r = self.tables.arity[oi]
-        weighted = np.empty((r, *stacked.shape), dtype=np.int32)
-        scale = np.ones_like(self.radix)
-        for j in range(r - 1, -1, -1):
-            np.multiply(stacked, scale, out=weighted[j])
-            scale *= self.radix
+        scale = self.radix ** np.arange(r - 1, -1, -1, dtype=np.int32)[:, None, None]
+        weighted = np.multiply(stacked, scale, dtype=np.int32)
         weighted[0] += self.base[oi]
         return weighted
 
-    def apply(self, oi: int, weighted: np.ndarray, tree) -> np.ndarray:
-        """(rows, ncoords) values on the rows of a prefix tree `(cols, trail)`
-        (see `_arg_blocks`), one row per node of its last level.
+    def apply(self, oi: int, weighted: np.ndarray, tree):
+        """Values on the rows of a prefix tree `(cols, trail)` (see
+        `_arg_blocks`), one row per node of its last level, in tiles of
+        `_TILE` rows: yields (first row, (rows, ncoords) int16 values) per tile.
 
-        Returns a view of a buffer that the next call overwrites.
+        The levels above the last are summed once; each tile then gathers
+        its rows' parents and values.  A tile is a view of a buffer that the
+        next tile overwrites.
         """
         cols, trail = tree
+        above = len(trail[-2][1]) if len(trail) > 1 else 0   # nodes above the last level
         rows = len(trail[-1][1])
-        if self._buf is None or len(self._buf[0]) < rows:
-            shape = (rows, len(self.radix))
+        need = above + min(rows, _TILE)
+        if self._buf is None or len(self._buf[0]) < need:
+            shape = (need, len(self.radix))
             self._buf = (np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32))
-        acc, part = (b[:rows] for b in self._buf)
+        acc, part = self._buf
         # every level sums into the head of acc, where the level above left
         # its sums: they are gathered into part before the values overwrite
         # them.  Indices are in range by construction, and 'clip' lets numpy
         # skip the bounds-checked copy it makes for out= under the default mode
-        above = 0                               # nodes of the level above
-        for col, (parent, value) in zip(cols, trail):
+        nodes = 0                               # of the level above
+        for col, (parent, value) in zip(cols[:-1], trail[:-1]):
             k = len(value)
-            if above:
-                acc[:above].take(parent, axis=0, out=part[:k], mode="clip")
+            if nodes:
+                acc[:nodes].take(parent, axis=0, out=part[:k], mode="clip")
             weighted[col].take(value, axis=0, out=acc[:k], mode="clip")
-            if above:
+            if nodes:
                 acc[:k] += part[:k]
-            above = k
-        # the values go into the first half of `part`, which is free by now
-        out = part.reshape(-1).view(np.int16)[: acc.size].reshape(acc.shape)
-        return self.tables.flat[oi].take(acc, out=out, mode="clip")
+            nodes = k
+        # the upper sums stay at the head of acc; a tile sums after them and
+        # gathers its parents' sums into part
+        upper, sums = acc[:above], acc[above:]
+        parent, value = trail[-1]
+        last = weighted[cols[-1]]
+        flat = self.tables.flat[oi]
+        for start in range(0, rows, _TILE):
+            stop = min(start + _TILE, rows)
+            s, g = sums[:stop - start], part[:stop - start]
+            last.take(value[start:stop], axis=0, out=s, mode="clip")
+            if above:
+                upper.take(parent[start:stop], axis=0, out=g, mode="clip")
+                s += g
+            # the values go into the first half of `g`, which is free by now
+            out = g.reshape(-1).view(np.int16)[: s.size].reshape(s.shape)
+            yield start, flat.take(s, out=out, mode="clip")
 
 
 _CHUNK = 250_000  # argument rows per block of the closure kernel
+_TILE = 1 << 15    # rows per tile of a block's last level, evaluated together
 
 
 def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
@@ -490,6 +520,10 @@ def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
     the children whose rows meet [a, b).  Every child holds at least one row,
     so a level handles at most b - a + 2n children.  Counts are clamped at b,
     which keeps them in int64 and still ends every group that runs past b.
+    The last level, the largest, has one row per child for symmetric and
+    asymmetric operations alike, so its children [a - start, b - start),
+    where `start` is the first row of the level's first group, are kept by
+    slicing, with no counts.
 
     Each block is yielded as its prefix tree `(cols, trail)`: level l of
     `trail` is a pair (parent, value) of arrays, one entry per kept child,
@@ -523,6 +557,9 @@ def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
             offset = np.cumsum(width) - width
             parent = np.repeat(np.arange(len(width)), width)
             value = np.arange(len(parent)) - np.repeat(offset - lo, width)
+            if left == 0:                   # one row per child: rows a..b by slicing
+                trail.append((parent[a - start:b - start], value[a - start:b - start]))
+                break
             if sym:
                 d = value + 1 if level == 0 else hi[parent] - value
                 count = np.minimum(multisets[left][d], b).astype(np.int64)
@@ -621,6 +658,13 @@ def _keys(vecs: np.ndarray, place: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", vecs, place, dtype=np.int64, casting="unsafe")
 
 
+def _firsts(ids: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct id (entry, or row
+    of a 2-D array), in order."""
+    _, first = np.unique(ids, axis=0 if ids.ndim > 1 else None, return_index=True)
+    return np.sort(first)
+
+
 def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
                    trees: Optional[_TreeMemo] = None) -> Subpower:
     # the rounds run on super-coordinates: rows here are packed
@@ -657,27 +701,39 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
                 if not bounded and work > SHALLOW_WORK:
                     bounded = True
                     _refuse_doomed(tables, len(rows), work_cap)
-                out = kernel.apply(oi, weighted, tree)
-                if known is not None:
-                    keys = _keys(out, place)
-                    at = known.searchsorted(keys)
-                    np.minimum(at, len(known) - 1, out=at)
-                    fresh = np.flatnonzero(known[at] != keys)
-                    if len(fresh):
-                        _, first = np.unique(keys[fresh], return_index=True)
-                        fresh = fresh[np.sort(first)]
-                        known = np.union1d(known, keys[fresh])
-                else:
-                    _, first = np.unique(out, axis=0, return_index=True)
-                    fresh = np.asarray([w for w in np.sort(first)
-                                        if out[w].tobytes() not in seen], dtype=np.intp)
-                if not len(fresh):
+                # each tile's rows new as of the block's start, at their first
+                # occurrence in the tile: positions, rows and ids (keys, or the
+                # rows themselves where rows have no key)
+                found = []
+                for at, out in kernel.apply(oi, weighted, tree):
+                    if known is not None:
+                        ids = _keys(out, place)
+                        pos = known.searchsorted(ids)
+                        np.minimum(pos, len(known) - 1, out=pos)
+                        fresh = np.flatnonzero(known[pos] != ids)
+                        if len(fresh):
+                            fresh = fresh[_firsts(ids[fresh])]
+                            found.append((fresh + at if at else fresh, out[fresh],
+                                          ids[fresh]))
+                    else:
+                        fresh = np.asarray([w for w in _firsts(out)
+                                            if out[w].tobytes() not in seen], dtype=np.intp)
+                        if len(fresh):
+                            new = out[fresh]
+                            found.append((fresh + at if at else fresh, new, new))
+                if not found:
                     continue
+                fresh, new, ids = found[0]
+                if len(found) > 1:          # a row new to several tiles counts at its first
+                    fresh, new, ids = (np.concatenate(part) for part in zip(*found))
+                    first = _firsts(ids)
+                    fresh, new, ids = fresh[first], new[first], ids[first]
+                if known is not None:
+                    known = np.union1d(known, ids)
                 if len(rows) + len(fresh) > ELEMENT_CAP:
                     raise CapExceeded(f"subpower element cap: {len(rows) + len(fresh)} "
                                       f"elements, cap {ELEMENT_CAP}", explored=len(rows))
                 before = len(rows)
-                new = out[fresh]            # copied out of the kernel's buffer
                 rows.extend(new)
                 terms += [App(oi, tuple(terms[i] for i in args))
                           for args in _tree_args(tree, fresh)]

@@ -444,6 +444,14 @@ ARITIES = (1, 2, 3, 4, 5)
 EDGE_N = {1: _CHUNK + 1, 2: 501, 3: 64, 4: 23, 5: 13}
 
 
+def applied(kernel, oi, weighted, tree):
+    """`_Kernel.apply`'s values on all rows of `tree`: its tiles, which must
+    be consecutive, joined."""
+    tiles = [(at, out.copy()) for at, out in kernel.apply(oi, weighted, tree)]
+    assert [at for at, _ in tiles] == list(range(0, len(tree[1][-1][1]), freealg._TILE))
+    return np.concatenate([out for _, out in tiles])
+
+
 @pytest.mark.parametrize("r", ARITIES)
 def test_kernel_matches_per_coordinate_loop(r):
     gens = (random_algebra(2, ARITIES, 1), random_algebra(3, ARITIES, 2))
@@ -460,9 +468,10 @@ def test_kernel_matches_per_coordinate_loop(r):
     assert [len(b) for b in blocks] == [_CHUNK, n**r - _CHUNK]
     for tree, idx in zip(trees, blocks):
         want = oracle_apply_vec(gens, coord_algs, oi, np.take(stacked, idx.T, axis=0))
-        assert np.array_equal(kernel.apply(oi, weighted, tree), want)
+        assert np.array_equal(applied(kernel, oi, weighted, tree), want)
         # the same rows as a tree without shared prefixes
-        assert np.array_equal(kernel.apply(oi, weighted, rows_tree(idx[::997])), want[::997])
+        assert np.array_equal(applied(kernel, oi, weighted, rows_tree(idx[::997])),
+                              want[::997])
 
 
 def test_kernel_matches_loop_on_chain_reducts_of_two_sizes():
@@ -670,11 +679,62 @@ def test_work_cap_message_names_work_and_cap():
 
 
 def test_element_cap_message_names_elements_and_cap(monkeypatch):
-    # the first block over N:2:4,N:3:4 on 3 generators takes 3 elements to 9
+    # the first block over N:2:4,N:3:4 on 3 generators takes 3 elements to 9;
+    # in tiles of 7 rows (2 new in the first) or of 1 row the cap is crossed
+    # inside that block, and the message still counts the whole block
     monkeypatch.setattr(freealg, "ELEMENT_CAP", 5)
-    with pytest.raises(CapExceeded) as info:
-        closure(load_fixtures("N:2:4,N:3:4"), 3)
-    assert str(info.value) == "subpower element cap: 9 elements, cap 5"
+    for tile in (freealg._TILE, 7, 1):
+        monkeypatch.setattr(freealg, "_TILE", tile)
+        with pytest.raises(CapExceeded) as info:
+            closure(load_fixtures("N:2:4,N:3:4"), 3)
+        assert str(info.value) == "subpower element cap: 9 elements, cap 5"
+
+
+def record_tiles(monkeypatch):
+    """Each `_Kernel.apply` call's tiles, each a list of its rows' bytes."""
+    blocks = []
+    apply = freealg._Kernel.apply
+
+    def recorded(self, oi, weighted, tree):
+        blocks.append([])
+        for at, out in apply(self, oi, weighted, tree):
+            blocks[-1].append([row.tobytes() for row in out])
+            yield at, out
+
+    monkeypatch.setattr(freealg._Kernel, "apply", recorded)
+    return blocks
+
+
+def test_tiles_of_one_block_keep_its_first_occurrences(monkeypatch):
+    # in tiles of 7 rows, the free algebra over N:2:5,N:3:5 on 3 generators
+    # has a row new to a block in two tiles of it, and blocks whose new rows
+    # first occur in two tiles: a stop on the last new row of such a block
+    # hits in a later tile
+    args = lambda: free_generators(load_fixtures("N:2:5,N:3:5"), 3)
+    tables, _, coord_algs, gen_rows = args()
+    known = {row.tobytes() for row in freealg._packing(tables, coord_algs).pack(gen_rows)}
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "_TILE", 7)
+        blocks = record_tiles(patched)
+        size = _build_closure(*args(), 80_000_000).size
+    twice = 0                   # rows new to a block in two tiles of it
+    ends = []                   # sizes after the blocks whose new rows first
+                                # occur in two tiles
+    for tiles in blocks:
+        where: dict = {}        # each row new to the block -> the tiles it is in
+        for t, rows in enumerate(tiles):
+            for row in rows:
+                if row not in known:
+                    where.setdefault(row, set()).add(t)
+        twice += sum(len(ts) > 1 for ts in where.values())
+        known.update(where)     # every output row is an element
+        if len({min(ts) for ts in where.values()}) > 1:
+            ends.append(len(known))
+    assert len(known) == size and twice and ends
+    for end in ends[:3]:
+        got = layouts(monkeypatch, lambda: outcome(
+            lambda: _build_closure(*args(), 80_000_000, stop_after(end))), (7,))
+        assert all(other == got[0] for other in got) and got[0][1][0] == end
 
 
 def test_refusal_before_the_first_round(monkeypatch):
@@ -774,13 +834,15 @@ def outcome(run):
             sorted(sub._index.items(), key=lambda item: item[1]))
 
 
-def grouped_and_ungrouped(monkeypatch, observe):
-    """observe() on super-coordinates, then on groups of one."""
-    grouped = observe()
-    with monkeypatch.context() as patched:
-        patched.setattr(freealg, "_GROUP_TABLE", 0)
-        ungrouped = observe()
-    return grouped, ungrouped
+def layouts(monkeypatch, observe, tiles=()):
+    """observe() on super-coordinates, then on groups of one, then in tiles
+    of each size in `tiles`."""
+    outcomes = [observe()]
+    for name, value in [("_GROUP_TABLE", 0), *(("_TILE", tile) for tile in tiles)]:
+        with monkeypatch.context() as patched:
+            patched.setattr(freealg, name, value)
+            outcomes.append(observe())
+    return outcomes
 
 
 def random_closure_args(gens, coord_algs, g, seed):
@@ -789,11 +851,11 @@ def random_closure_args(gens, coord_algs, g, seed):
     return _prepare_tables(gens), gens, coord_algs, gen_rows.astype(np.int16)
 
 
-def assert_runs_agree(monkeypatch, args):
+def assert_runs_agree(monkeypatch, args, tiles=(1, 7)):
     """One closure, complete, stopped on its 7th row, refused by the work
     bound, capped under a stop and capped at once: the same outcomes, and
-    the same rows and hits seen by `stop`, on super-coordinates and on
-    groups of one.  Returns the outcomes."""
+    the same rows and hits seen by `stop`, on super-coordinates, on groups
+    of one and in tiles of each size in `tiles`.  Returns the outcomes."""
     full = _build_closure(*args(), 80_000_000)
     seen = []
 
@@ -815,15 +877,15 @@ def assert_runs_agree(monkeypatch, args):
     outcomes = []
     for run in runs:
         seen.clear()
-        grouped, ungrouped = grouped_and_ungrouped(monkeypatch, lambda: outcome(run))
-        assert grouped == ungrouped
-        assert seen[:len(seen) // 2] == seen[len(seen) // 2:]
-        outcomes.append(grouped)
+        got = layouts(monkeypatch, lambda: outcome(run), tiles)
+        assert all(other == got[0] for other in got)
+        assert seen == seen[:len(seen) // len(got)] * len(got)
+        outcomes.append(got[0])
     assert outcomes[0][1] == full.vectors.shape and outcomes[1][1][0] == 7
     assert "need at least" in outcomes[2] and "applied" in outcomes[4]
     monkeypatch.setattr(freealg, "ELEMENT_CAP", full.size - 1)
-    grouped, ungrouped = grouped_and_ungrouped(monkeypatch, lambda: outcome(runs[0]))
-    assert grouped == ungrouped and grouped.startswith("subpower element cap")
+    got = layouts(monkeypatch, lambda: outcome(runs[0]), tiles)
+    assert all(other == got[0] for other in got) and got[0].startswith("subpower element cap")
     return outcomes
 
 
@@ -832,7 +894,10 @@ def test_grouped_free_algebra_matches_groups_of_one(monkeypatch, fixture):
     gens = tuple(load_fixtures(fixture))
     full = closure(gens, 3)
     assert len(full._tables.plans[tuple(full.coord_algs)].kinds) < full.ncoords
-    assert_runs_agree(monkeypatch, lambda: free_generators(gens, 3))
+    # I:5's last rounds already run in blocks of up to 8 default tiles; its
+    # 852,112 tuples in tiles of a few rows would take half a minute
+    assert_runs_agree(monkeypatch, lambda: free_generators(gens, 3),
+                      () if fixture == "I:5" else (1, 7))
 
 
 def test_grouped_closure_matches_groups_of_one_past_int64_keys(monkeypatch):
@@ -848,7 +913,7 @@ def test_grouped_closure_matches_groups_of_one_on_15_bit_codes(monkeypatch):
     # unary operations: groups of 15 two-element coordinates, codes up to 2**15 - 1
     gens = (random_algebra(2, (1, 1), 9),)
     args = lambda: random_closure_args(gens, [0] * 40, 4, 10)
-    grouped, ungrouped = grouped_and_ungrouped(
+    grouped, ungrouped = layouts(
         monkeypatch, lambda: outcome(lambda: _build_closure(*args(), 80_000_000)))
     assert grouped == ungrouped
 
@@ -860,7 +925,7 @@ def test_grouped_closure_matches_groups_of_one_past_64_one_element_coordinates(
     gen_rows = np.zeros((2, 83), dtype=np.int16)
     gen_rows[:, 80:] = [[0, 1, 1], [1, 0, 1]]
     args = lambda: (_prepare_tables(gens), gens, [0] * 80 + [1] * 3, gen_rows)
-    grouped, ungrouped = grouped_and_ungrouped(
+    grouped, ungrouped = layouts(
         monkeypatch, lambda: outcome(lambda: _build_closure(*args(), 80_000_000)))
     assert grouped == ungrouped and grouped[1] == (3, 83)
     tables = args()[0]
@@ -886,7 +951,7 @@ def test_grouped_search_matches_groups_of_one(monkeypatch, fixture, arity):
         return (cert.found, cert.stats, cert.term and term_to_obj(cert.term, names),
                 closures)
 
-    grouped, ungrouped = grouped_and_ungrouped(monkeypatch, search)
+    grouped, ungrouped = layouts(monkeypatch, search)
     assert grouped == ungrouped
     assert (arity == 4 and fixture == "I:5") == bool(grouped[3])   # the local engine ran
 
@@ -916,3 +981,19 @@ def test_largest_benchmark_closures_keep_their_work(monkeypatch, verdict, work):
     works = count_closure_work(monkeypatch)
     verdict()
     assert max(works) == work
+
+
+def test_largest_benchmark_closure_evaluates_its_blocks_in_tiles():
+    # the closure behind nu(4) over If:5 applies 2,452,883 tuples in blocks
+    # of 250,000 rows; each block's last level is evaluated in tiles, so its
+    # sums, values and keys are never as long as the block.  At whole-block
+    # length they took the peak to 31.5 MiB
+    search = lambda: certificates.search_certificate("nu", "If:5", arity=4, expect="absent")
+    search()                                    # warm: fixtures and tables
+    tracemalloc.start()
+    try:
+        search()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
