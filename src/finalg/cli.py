@@ -77,10 +77,14 @@ def _cmd_build(args) -> int:
         algs = load_fixtures(args.fixture)
         if len(algs) != 4:
             raise AlgebraError("the filtered build needs exactly four fixtures")
-        f_pairs = (
-            [int(x) for x in args.f.split(",")] if args.f
-            else BoxUnion.whole(direct_product(algs[2:]))
-        )
+        if not args.f:
+            f_pairs = BoxUnion.whole(direct_product(algs[2:]))
+        else:
+            try:
+                f_pairs = [int(x) for x in args.f.split(",")]
+            except ValueError:
+                raise AlgebraError(f"--f takes comma-separated pair indices, "
+                                   f"not {args.f!r}") from None
         built = filtered_subproduct(
             algs[0], algs[1], algs[2], algs[3], 0, 0, 0,
             args.h, args.k, args.a, args.d, f_pairs,

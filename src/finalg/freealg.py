@@ -39,8 +39,8 @@ int16 and its largest operation table has at most `_GROUP_TABLE` entries; a
 coordinate that fits with no neighbour is a group of one.  The product
 tables are built once per group kind (tuple of algebras) from the factors'
 tables, and the grouping once per coordinate tuple, both kept on the
-`_Tables`.  Packing is a bijection on rows that keeps each row's int64 key
-below, so the argument tuples, their order, the first tuple that yields each
+`_Tables`.  Packing is a bijection on rows that keeps each row's key below,
+so the argument tuples, their order, the first tuple that yields each
 element, the work count and every provenance term are those of the ungrouped
 closure, at 2.5-4x fewer columns where the algebras are small; rows are
 unpacked only for `stop` and for the result.  Super-coordinate k has a base
@@ -59,13 +59,15 @@ rows is the unit of evaluation: the levels above the last are small (one
 node per prefix) and are summed once per block, and the last level, one node
 per row and kept by `_arg_blocks` by slicing, is gathered, looked up in the
 table, keyed and checked against the elements found before the block in
-tiles, so that a block's working set stays in cache.  The output rows get
-int64 keys where the coordinate sizes allow; a tile's rows whose keys are
-missing from the sorted keys of the elements known at the block's start are
-its candidates, and the block keeps each new row at its first occurrence in
-the block.  An argument tuple is decoded from the tree only for a row that
-yields a new element, for its provenance term.  Three engines sit on the
-kernel, tried in this order:
+tiles, so that a block's working set stays in cache.  A row's key is its
+values as digits in the mixed radix of the coordinate sizes: one int64 up
+to 2**62 vectors, past that a record of int64 words, each over a run of
+super-coordinates whose radix fits 2**62, sorted and compared field by
+field.  A tile's rows whose keys are missing from the sorted keys of the
+elements known at the block's start are its candidates, and the block keeps
+each new row at its first occurrence in the block.  An argument tuple is
+decoded from the tree only for a row that yields a new element, for its
+provenance term.  Three engines sit on the kernel, tried in this order:
 
 * closure engine - the kernel over all coordinates, with a provenance term
   for every element.
@@ -209,13 +211,8 @@ def generate_subpower(
         class_of[k] = classes.setdefault(sig, len(classes))
     collapsed = len(classes) < len(coord_algs)
     if collapsed:
-        firsts = np.zeros(len(classes), dtype=np.int64)
-        seen = set()
-        for k in range(len(coord_algs)):
-            c = int(class_of[k])
-            if c not in seen:
-                seen.add(c)
-                firsts[c] = k
+        # classes are numbered by first occurrence: their firsts come in class order
+        firsts = np.unique(class_of, return_index=True)[1]
         coord_algs = [coord_algs[int(k)] for k in firsts]
         gen_rows = gen_rows[:, firsts]
         if stop is not None:
@@ -338,8 +335,8 @@ class _Packing(NamedTuple):
     inner: np.ndarray                       # coordinate -> its place value in the code
     radix: np.ndarray                       # coordinate -> its algebra's size
     weights: np.ndarray                     # (coordinate, group) -> inner or 0, int16
-    place: Optional[np.ndarray]             # group -> int64 place value of its code in
-                                            # a row's key; None past 2**62 vectors
+    place: np.ndarray                       # group -> int64 place value of its code in
+                                            # a row's key, (group, word) past 2**62 vectors
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
         return (rows @ self.weights).astype(np.int16, copy=False)  # sums fit int16
@@ -364,14 +361,7 @@ def _packing(tables: _Tables, coord_algs) -> _Packing:
         return plan
     sizes = tables.sizes[list(key)].tolist()
     top = max(tables.arity, default=1)
-    starts: list[int] = []
-    width = 0                               # universe of the open group
-    for k, size in enumerate(sizes):
-        width *= size
-        if not starts or width > 1 << 15 or width**top > _GROUP_TABLE:
-            starts.append(k)
-            width = size
-    bounds = [*starts, len(key)]
+    bounds = _runs(sizes, lambda width: width <= 1 << 15 and width**top <= _GROUP_TABLE)
     kinds = [key[a:b] for a, b in zip(bounds, bounds[1:])]
     ids = {kind: i for i, kind in enumerate(dict.fromkeys(kinds))}
     universe = [math.prod(tables.sizes[list(kind)].tolist()) for kind in ids]
@@ -387,16 +377,35 @@ def _packing(tables: _Tables, coord_algs) -> _Packing:
     else:                                   # groups of one
         bounds = list(range(len(key) + 1))
         grouped, kinds, inner = tables, list(key), np.ones(len(key), dtype=np.int64)
-    # a row's int64 key has its codes as digits in the mixed radix of the
-    # group sizes: its coordinates' values as digits in theirs
-    place = _place(grouped.sizes[kinds].tolist()) if math.prod(sizes) <= 1 << 62 else None
+    # a row's key has its codes as digits in the mixed radix of the group
+    # sizes (its coordinates' values as digits in theirs), in int64 words of
+    # consecutive groups whose radix fits 2**62: one word up to 2**62 vectors
+    radix = grouped.sizes[kinds].tolist()
+    words = _runs(radix, lambda width: width <= 1 << 62)
+    place = np.zeros((len(radix), len(words) - 1), dtype=np.int64)
+    for w, (a, b) in enumerate(zip(words, words[1:])):
+        place[a:b, w] = _place(radix[a:b])
     group = np.repeat(np.arange(len(kinds)), np.diff(bounds))
     weights = np.zeros((len(key), len(kinds)), dtype=np.int16)
     weights[np.arange(len(key)), group] = inner
     plan = _Packing(grouped, np.asarray(kinds, dtype=np.intp), group, inner.astype(np.int32),
-                    np.asarray(sizes, dtype=np.int32), weights, place)
+                    np.asarray(sizes, dtype=np.int32), weights,
+                    place[:, 0] if len(words) == 2 else place)
     tables.plans[key] = plan
     return plan
+
+
+def _runs(sizes, fits) -> list[int]:
+    """Bounds of the runs that split `sizes` from the left: each run one size
+    long, or as long as the product of its sizes `fits`.  Empty `sizes` make
+    one empty run."""
+    bounds, width = [0], 1
+    for k, size in enumerate(sizes):
+        width *= size
+        if k and not fits(width):
+            bounds.append(k)
+            width = size
+    return [*bounds, len(sizes)]
 
 
 def _product_tables(tables: _Tables, kind: tuple) -> list[np.ndarray]:
@@ -654,14 +663,21 @@ def _place(sizes) -> np.ndarray:
 
 
 def _keys(vecs: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """int64 key of each row: the sum of its entries times their place values."""
-    return np.einsum("ij,j->i", vecs, place, dtype=np.int64, casting="unsafe")
+    """Key of each row: the sum of its entries times their place values.
+
+    A 1-D `place` gives int64 keys.  A (column, word) `place` gives one int64
+    per word, as a record with one field per word, which numpy's sort,
+    search and comparisons take field by field.
+    """
+    if place.ndim == 1:
+        return np.einsum("ij,j->i", vecs, place, dtype=np.int64, casting="unsafe")
+    record = [(f"w{w}", np.int64) for w in range(place.shape[1])]
+    return (vecs @ place).view(record)[:, 0]
 
 
 def _firsts(ids: np.ndarray) -> np.ndarray:
-    """Positions of the first occurrence of each distinct id (entry, or row
-    of a 2-D array), in order."""
-    _, first = np.unique(ids, axis=0 if ids.ndim > 1 else None, return_index=True)
+    """Positions of the first occurrence of each distinct id, in order."""
+    _, first = np.unique(ids, return_index=True)
     return np.sort(first)
 
 
@@ -670,18 +686,13 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
     # the rounds run on super-coordinates: rows here are packed
     plan = _packing(tables, coord_algs)
     codes = plan.pack(gen_rows)
-    rows: list[np.ndarray] = []
-    terms: list[Term] = []
-    seen: set[bytes] = set()            # the generators; every row where rows have no key
-    for j in range(len(codes)):
-        key = codes[j].tobytes()
-        if key not in seen:
-            seen.add(key)
-            rows.append(codes[j])
-            terms.append(Var(j))
-    kernel = _Kernel(plan.tables, plan.kinds)
     place = plan.place
-    known = None if place is None else np.unique(_keys(codes, place))  # sorted row keys
+    keys = _keys(codes, place)
+    first = _firsts(keys)               # the generators, each at its first occurrence
+    rows: list[np.ndarray] = list(codes[first])
+    terms: list[Term] = [Var(int(j)) for j in first]
+    known = np.unique(keys)             # sorted row keys
+    kernel = _Kernel(plan.tables, plan.kinds)
     work = 0
     old = 0
     hit = None if stop is None else stop(plan.unpack(np.array(rows)))
@@ -702,25 +713,16 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
                     bounded = True
                     _refuse_doomed(tables, len(rows), work_cap)
                 # each tile's rows new as of the block's start, at their first
-                # occurrence in the tile: positions, rows and ids (keys, or the
-                # rows themselves where rows have no key)
+                # occurrence in the tile: positions, rows and keys
                 found = []
                 for at, out in kernel.apply(oi, weighted, tree):
-                    if known is not None:
-                        ids = _keys(out, place)
-                        pos = known.searchsorted(ids)
-                        np.minimum(pos, len(known) - 1, out=pos)
-                        fresh = np.flatnonzero(known[pos] != ids)
-                        if len(fresh):
-                            fresh = fresh[_firsts(ids[fresh])]
-                            found.append((fresh + at if at else fresh, out[fresh],
-                                          ids[fresh]))
-                    else:
-                        fresh = np.asarray([w for w in _firsts(out)
-                                            if out[w].tobytes() not in seen], dtype=np.intp)
-                        if len(fresh):
-                            new = out[fresh]
-                            found.append((fresh + at if at else fresh, new, new))
+                    ids = _keys(out, place)
+                    pos = known.searchsorted(ids)
+                    np.minimum(pos, len(known) - 1, out=pos)
+                    fresh = np.flatnonzero(known[pos] != ids)
+                    if len(fresh):
+                        fresh = fresh[_firsts(ids[fresh])]
+                        found.append((fresh + at if at else fresh, out[fresh], ids[fresh]))
                 if not found:
                     continue
                 fresh, new, ids = found[0]
@@ -728,8 +730,7 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
                     fresh, new, ids = (np.concatenate(part) for part in zip(*found))
                     first = _firsts(ids)
                     fresh, new, ids = fresh[first], new[first], ids[first]
-                if known is not None:
-                    known = np.union1d(known, ids)
+                known = np.union1d(known, ids)
                 if len(rows) + len(fresh) > ELEMENT_CAP:
                     raise CapExceeded(f"subpower element cap: {len(rows) + len(fresh)} "
                                       f"elements, cap {ELEMENT_CAP}", explored=len(rows))
@@ -737,8 +738,6 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
                 rows.extend(new)
                 terms += [App(oi, tuple(terms[i] for i in args))
                           for args in _tree_args(tree, fresh)]
-                if known is None:
-                    seen.update(row.tobytes() for row in new)
                 if stop is not None:
                     hit = stop(plan.unpack(new))
                     if hit is not None:

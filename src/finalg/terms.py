@@ -7,6 +7,7 @@ computation memoise on node identity so sharing stays cheap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,8 +134,10 @@ def term_to_obj(term: Term, op_names: Sequence[str], size_cap: int = 1_000_000):
 
 
 def term_from_obj(obj, op_names: Sequence[str]) -> Term:
+    """The term of a nested-array form; a variable is "x" and its index in
+    canonical decimal ("x0", "x12"), the only spelling `term_to_obj` writes."""
     if isinstance(obj, str):
-        if not obj.startswith("x"):
+        if not re.fullmatch("x(0|[1-9][0-9]*)", obj):
             raise AlgebraError(f"bad variable {obj!r}")
         return Var(int(obj[1:]))
     if not isinstance(obj, list) or not obj:

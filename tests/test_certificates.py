@@ -69,6 +69,19 @@ def test_stored_term_with_the_wrong_argument_count_is_rejected(term):
     assert f"operation u takes 4 arguments, not {len(term) - 1}" in detail
 
 
+@pytest.mark.parametrize("var", ["x-3", "x01"])
+def test_stored_term_with_a_noncanonical_variable_is_rejected(var):
+    # read as Var(-3) or Var(1), either would pass: subst indexes its
+    # mapping from the end, and x01 is x1
+    cert = search_certificate("nu", "I:4", arity=4, expect="found")
+    respell = lambda t: var if t == "x1" else [respell(a) for a in t] if isinstance(t, list) else t
+    bad = copy.deepcopy(cert)
+    bad["evidence"]["term"] = respell(cert["evidence"]["term"])
+    assert bad["evidence"]["term"] != cert["evidence"]["term"]
+    ok, detail = recheck(bad)
+    assert not ok and f"bad variable {var!r}" in detail
+
+
 def test_undecided_identity_is_a_cap_not_a_refutation():
     # past FULL_PAIR_CAP (B(9,2) has 2,202 elements) only pair mode runs, at
     # (a, d); a pair that is no counterexample decides neither expectation

@@ -37,6 +37,7 @@ from finalg.freealg import (
     members,
     shared_nu_op,
 )
+from finalg.io import dumps_canonical
 from finalg.maltsev import absorption_search, nu_scheme
 from finalg.terms import App, Var, term_to_obj
 from finalg.witnesses import implication_expansion, modular_sum_algebra, nu_family_generators
@@ -907,6 +908,21 @@ def test_grouped_closure_matches_groups_of_one_past_int64_keys(monkeypatch):
     assert math.prod([2] * 64) > 1 << 62
     outcomes = assert_runs_agree(monkeypatch, args)
     assert outcomes[0][1] == (19, 64)
+
+
+def test_closure_past_int64_keys_keeps_its_certificate(monkeypatch):
+    # nu(4) over the 3-element chain reducts closes a free algebra on 54
+    # three-element coordinates, 3**54 vectors: its rows are keyed by records
+    # of two int64 words.  The digest is that of the certificate built when
+    # such rows were deduplicated by their bytes
+    words = []
+    keys = freealg._keys
+    monkeypatch.setattr(freealg, "_keys",
+                        lambda vecs, place: words.append(place.ndim) or keys(vecs, place))
+    cert = certificates.search_certificate("nu", "Nq:2:5:3,Nq:3:5:3", arity=4, expect="absent")
+    assert 2 in words and cert["stats"] == {"engine": "closure", "size": 51}
+    assert (hashlib.sha256(dumps_canonical(cert).encode()).hexdigest()
+            == "cd8e26e5404fcf144f077924dc15783862a414f79bf5fa0c7df0c9fcf85a8c2c")
 
 
 def test_grouped_closure_matches_groups_of_one_on_15_bit_codes(monkeypatch):

@@ -167,6 +167,15 @@ def test_cli_build_filtered_matches_the_element_filter(tmp_path, f):
     assert doc["templates"] == {str(e): list(t) for e, t in tags.items()}
 
 
+def test_cli_build_filtered_refuses_a_malformed_f(tmp_path, capsys):
+    argv = ["build", "filtered", "--fixture", "N:2:4,N:2:4,N:2:4,N:2:4", "--f", "1,a",
+            "--out", str(tmp_path / "filtered.json")]
+    assert main(argv) == 3
+    assert "invalid input: --f takes comma-separated pair indices, not '1,a'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "filtered.json").exists()
+
+
 def test_cli_verify_sharpness_past_the_element_routes(tmp_path):
     # B(11,2) needs 34.6M element multisets; its 10 boxes need 167,960
     cert = tmp_path / "sharp.json"
@@ -187,6 +196,17 @@ def test_cli_refuses_a_free_algebra_past_the_work_cap(scheme, fixture, capsys):
     err = capsys.readouterr().err
     assert "free algebra too large to enumerate; closure: subpower work cap exceeded: " in err
     assert "cap 80000000; local: coordinate box of " in err
+
+
+def test_cli_search_past_int64_keys_exits_on_the_element_cap(capsys):
+    # nu-half(4) over the 3-element chain reducts of N(2,6) and N(3,6): the
+    # closure over 90 three-element coordinates (rows keyed by three int64
+    # words) is refused by the work bound at 403 elements, then the local
+    # engine's box of 3**18 vectors by the element cap
+    argv = ["search", "--scheme", "nu-half", "--m", "4", "--fixture", "Nq:2:6:3,Nq:3:6:3"]
+    assert main(argv) == 2
+    assert ("coordinate box of 387420489 vectors exceeds the element cap"
+            in capsys.readouterr().err)
 
 
 def test_cli_entrypoint_subprocess():
