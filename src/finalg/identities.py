@@ -6,6 +6,21 @@ designated pair (which also handles universes far too large for all pairs).
 Both modes run on one evaluator: the image of a set under a partition is the
 union of the blocks it meets.
 
+Two rules keep the evaluator at the fixpoint of its work, and both are
+exact.  (1) Full mode evaluates each side on one source per block of
+alpha ^ L, where L is the side's lead relation (the first `Prim` reached
+through `MeetAlpha`, `Comp` and `Power`), and gives every element the image
+of its block's source.  The image of {x} depends only on x's L-block, which
+the first step reaches, and on x's alpha-block, the home of every enclosing
+`MeetAlpha`; both are shared across a block of alpha ^ L, so the size x size
+violation matrix, and with it the lex-least counterexample, is unchanged.
+(2) Evaluation stops once the images are closed.  Every relation is an
+equivalence and every node's image contains its source (partitions are
+reflexive, and a `MeetAlpha` source lies in its home block), so images only
+grow and an equal count means an equal set: a `Comp` skips a `Prim` its rows
+are already closed under, which ends it once every remaining item is such a
+`Prim`, and a `Power` returns once an iteration adds nothing.
+
 One lex-least shortest-path search runs through relations given as key
 pairs, x -> y iff left[x] == right[y], so that a partition is the pair
 (block_id, block_id): `shortest_length` finds the fewest steps, and
@@ -43,8 +58,10 @@ from .congruences import Partition, partition_meet
 ALPHA, BETA, GAMMA = "alpha", "beta", "gamma"
 ALPHA_BETA, ALPHA_GAMMA = "alpha_beta", "alpha_gamma"
 
-#: full mode evaluates size x size images; above this many pairs it is
-#: refused and callers ask about their designated pair instead
+#: full mode builds a size x size violation matrix; above this many pairs it
+#: is refused and callers ask about their designated pair instead.  It still
+#: bounds size^2, not the (blocks of alpha ^ L) x size images evaluated, so
+#: which mode runs, and so every certificate, stays as it was
 FULL_PAIR_CAP = 2_000_000
 
 FAMILIES = (
@@ -155,16 +172,29 @@ def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
     """Images of source sets under the expression, one per row.
 
     `rows` is a (k, n) boolean matrix; row i of the result is the image of
-    row i.  The identity rows give the whole relation, one row a single
+    row i.  The identity rows would give the whole relation (full mode
+    passes one row per block instead, `_full_image`), one row a single
     pair's query.  MeetAlpha nodes require each incoming row to sit inside
     one alpha block; that holds along every expression of the catalogue when
-    each source is a single element, and is asserted here.
+    each source is a single element, and is asserted here.  Every image
+    contains its source, so a step that keeps the count of True entries
+    changed nothing: a `Comp` skips a `Prim` its rows are closed under and a
+    `Power` stops at its fixpoint (see the module docstring).
     """
     if isinstance(expr, Prim):
         return _block_image(rows, ctx[expr.key])
     if isinstance(expr, Comp):
+        closed, count = set(), np.count_nonzero(rows)
         for item in expr.items:
+            if isinstance(item, Prim) and item.key in closed:
+                continue
             rows = expr_image(item, ctx, rows)
+            grown = np.count_nonzero(rows)
+            if grown != count:
+                closed.clear()
+                count = grown
+            if isinstance(item, Prim):
+                closed.add(item.key)
         return rows
     if isinstance(expr, MeetAlpha):
         ids = ctx[ALPHA].block_id
@@ -173,10 +203,30 @@ def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
             raise AlgebraError("image through a meet needs a single alpha block")
         return expr_image(expr.inner, ctx, rows) & home
     if isinstance(expr, Power):
+        count = np.count_nonzero(rows)
         for _ in range(expr.k):
             rows = expr_image(expr.inner, ctx, rows)
+            grown = np.count_nonzero(rows)
+            if grown == count:
+                break
+            count = grown
         return rows
     raise AlgebraError(f"bad expression node {expr!r}")
+
+
+def _full_image(expr, ctx: dict) -> np.ndarray:
+    """The expression as a size x size matrix: row x is the image of {x}.
+
+    Evaluated on the least element of each block of alpha ^ L, L the lead
+    relation, whose image every element of the block shares.
+    """
+    lead = expr
+    while not isinstance(lead, Prim):
+        lead = lead.items[0] if isinstance(lead, Comp) else lead.inner
+    blocks = partition_meet(ctx[ALPHA], ctx[lead.key])
+    rows = np.zeros((blocks.n_blocks, blocks.size), dtype=bool)
+    rows[np.arange(blocks.n_blocks), blocks.order[blocks.starts]] = True
+    return expr_image(expr, ctx, rows)[blocks.block_id]
 
 
 def _comp_chain_witness(expr, ctx: dict, a: int, d: int) -> Optional[list[int]]:
@@ -327,8 +377,13 @@ def check_identity(
     """Evaluate one identity instance.
 
     Without `pair`: full verdict over all pairs (needs size^2 <= FULL_PAIR_CAP).
+    Each side is evaluated on one source per block of alpha ^ L, L its lead
+    relation, at a cost of (blocks) x size rather than size^2; exact because
+    the image of {x} depends only on x's L-block and alpha-block.
     With `pair`: decides whether that pair is a counterexample from its
     images alone; scales to universes where all pairs are hopeless.
+    Both modes stop each `Comp` and `Power` at its fixpoint, exact because
+    images only grow, so an equal count of elements is an equal set.
     """
     if alpha.size != beta.size or alpha.size != gamma.size:
         raise AlgebraError("partition sizes differ")
@@ -357,8 +412,7 @@ def check_identity(
             {"mode": "pair", "in_lhs": in_lhs, "in_rhs": in_rhs, "size": size},
         )
 
-    rows = np.eye(size, dtype=bool)
-    viol = expr_image(lhs, ctx, rows) & ~expr_image(rhs, ctx, rows)
+    viol = _full_image(lhs, ctx) & ~_full_image(rhs, ctx)
     if not viol.any():
         return IdentityInstance(family, params, "holds", stats={"mode": "full", "size": size})
     flat = int(np.argmax(viol.reshape(-1)))

@@ -5,8 +5,18 @@ import pytest
 
 from finalg.algebras import AlgebraError
 from finalg.congruences import Partition, partition_meet
+from finalg import identities
 from finalg.identities import (
+    ALPHA,
+    ALPHA_BETA,
+    ALPHA_GAMMA,
+    BETA,
     FAMILIES,
+    GAMMA,
+    Comp,
+    MeetAlpha,
+    Power,
+    Prim,
     check_identity,
     expr_image,
     family_exprs,
@@ -174,6 +184,90 @@ def test_expr_image_matches_matrix_rows():
                     src = np.zeros((1, n), dtype=bool)
                     src[0, a] = True
                     assert np.array_equal(expr_image(expr, ctx, src)[0], mat[a])
+            viol = np.argwhere(expr_matrix(lhs, rels) & ~expr_matrix(rhs, rels))
+            want = ("fails", tuple(int(v) for v in viol[0])) if len(viol) else ("holds", None)
+            full = check_identity(family, alpha, beta, gamma, **kwargs)
+            assert (full.verdict, full.counterexample) == want, (family, kwargs)
+
+
+AB, AG = Prim(ALPHA_BETA), Prim(ALPHA_GAMMA)
+B, G = Prim(BETA), Prim(GAMMA)
+
+#: expressions that repeat a relation back to back and run powers well past
+#: their fixpoint, so that both early stops of `expr_image` are taken; every
+#: MeetAlpha sees rows inside one alpha block when each source row is
+FIXPOINT_EXPRS = [
+    Comp((AB, AB, AG, AG, AB, AG, AB, AG)),
+    MeetAlpha(Comp((B, B, G, G, B))),
+    Power(MeetAlpha(Comp((G, B, B))), 12),
+    Power(Comp((AB, AG, AG)), 15),
+    Comp((AG, Power(Comp((MeetAlpha(Comp((B, AG, AG))), AG)), 10), AB, AB)),
+    Comp((B, Prim(ALPHA), Prim(ALPHA), G, G)),
+]
+
+
+def test_expr_image_of_set_sources_matches_the_oracle():
+    """Multi-row sources, each a random nonempty subset of one alpha block:
+    the image of a set is the union of its elements' matrix rows."""
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randrange(2, 9)
+        alpha, beta, gamma = random_triple(rng, n)
+        ctx = _context(alpha, beta, gamma)
+        rels = matrix_context(alpha, beta, gamma)
+        src = np.zeros((6, n), dtype=bool)
+        for row in src:
+            block = np.flatnonzero(alpha.block_id == rng.randrange(alpha.n_blocks))
+            row[rng.sample(block.tolist(), rng.randrange(1, len(block) + 1))] = True
+        for expr in FIXPOINT_EXPRS:
+            want = bool_product(src, expr_matrix(expr, rels))
+            assert np.array_equal(expr_image(expr, ctx, src), want), expr
+
+
+def test_meet_alpha_refuses_a_source_across_alpha_blocks():
+    alpha = Partition([0, 0, 0, 1, 1, 1])
+    beta = Partition([0, 1, 2, 0, 1, 2])   # the block {0, 3} meets both alpha blocks
+    gamma = Partition([0, 0, 1, 1, 2, 2])
+    ctx = _context(alpha, beta, gamma)
+    across = np.zeros((1, 6), dtype=bool)
+    across[0, [0, 3]] = True               # closed under beta already
+    single = np.zeros((1, 6), dtype=bool)
+    single[0, 0] = True
+    message = "image through a meet needs a single alpha block"
+    cases = [
+        (MeetAlpha(B), across),
+        (Power(MeetAlpha(B), 9), across),             # a fixpoint from the first step on
+        (Power(Comp((B, MeetAlpha(AB))), 9), single),
+        (Comp((B, B, MeetAlpha(G))), single),         # the second beta step is skipped
+        (Comp((B, B, B, MeetAlpha(B))), across),
+    ]
+    for expr, src in cases:
+        with pytest.raises(AlgebraError, match=message):
+            expr_image(expr, ctx, src)
+
+
+def test_full_and_pair_mode_stop_at_the_fixpoint(witness_cache, monkeypatch):
+    """Counts of the work removed: full mode evaluates one source row per
+    block of alpha ^ L (B(7,2) has 38 blocks of alpha ^ beta where the
+    identity rows were its 254 elements), and a chain past its closure stops
+    (17 block images at (a, d) on B(9,2) where it ran all 22)."""
+    calls = []
+    block_image = identities._block_image
+
+    def counted(rows, part):
+        calls.append(len(rows))
+        return block_image(rows, part)
+
+    monkeypatch.setattr(identities, "_block_image", counted)
+    w = witness_cache(7, 2)
+    assert check_identity("dist", w.alpha, w.beta, w.gamma, n=10).verdict == "holds"
+    assert max(calls) == 38 < w.size == 254
+
+    w = witness_cache(9, 2)
+    calls.clear()
+    inst = check_identity("dist", w.alpha, w.beta, w.gamma, n=20, pair=(w.a, w.d))
+    assert inst.verdict == "pair-not-counterexample"
+    assert len(calls) == 17  # 2 on the left, then 15 of the 20 on the right
 
 
 def test_expr_matrix_vs_raw_relation_composition(witness_cache):
