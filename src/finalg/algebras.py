@@ -12,6 +12,7 @@ elements is physically impossible); the `table_array` of such a lazy
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -502,7 +503,10 @@ def _count_multisets(n: int, r: int) -> int:
 # box route
 
 
-_IMAGE_ROWS = 1 << 20  # argument rows enumerated for one coordinate image
+# argument rows one coordinate image may need: a refusal bound, as the images
+# come from one reach pass, but `_box_witness` enumerates the rows of one;
+# also the least bound of a coordinate's reach array
+_IMAGE_ROWS = 1 << 20
 
 
 def _box_union_check(alg, union, tuple_cap):
@@ -522,25 +526,28 @@ def _box_union_check(alg, union, tuple_cap):
     if not boxes:
         return True, None
     frozen = [tuple(map(frozenset, box)) for box in boxes]
+    lattices: dict = {}  # (n, r, sym) -> list lattice, shared by every op and coordinate
     for oi, op in enumerate(alg.ops):
         sym, leaves = _op_symmetrical(op), _leaf_ops(op)
-        for cube, args in _box_images(op, leaves, boxes, sym, tuple_cap):
+        for cube, args in _box_images(op, leaves, boxes, sym, tuple_cap, lattices):
             point = _uncovered_point(cube, frozen)
             if point is not None:
                 return False, _box_witness(oi, leaves, [boxes[b] for b in args], point, sym)
     return True, None
 
 
-def _box_images(op, leaves, boxes, sym, cap):
+def _box_images(op, leaves, boxes, sym, cap, lattices):
     """Every image box of r of the boxes, once each, with the indices of
     argument boxes that give it.
 
     The boxes are added one argument at a time to joint states, one residual
     class per coordinate (`_residual_classes`, shared by coordinates with one
-    leaf and one list of value sets).  Argument lists in one joint state give
-    the same image box under every completion, so the states are deduplicated
-    after each step, and a back-pointer per state rebuilds its arguments.  The
-    candidates of a step, states times boxes, are checked against `cap` first.
+    leaf and one list of value sets, over the list lattices in `lattices`).
+    Argument lists in one joint state give the same image box under every
+    completion, so the states are deduplicated after each step, keeping the
+    first candidate of each, and a back-pointer per state rebuilds its
+    arguments.  The candidates of a step, states times boxes, are checked
+    against `cap` first.
     """
     r, nbox = op.arity, len(boxes)
     classes: dict = {}  # (leaf, value sets of the coordinate) -> transitions, images
@@ -549,7 +556,7 @@ def _box_images(op, leaves, boxes, sym, cap):
         box_sets = [box[c] for box in boxes]
         sets = tuple(sorted(set(box_sets)))
         if (leaf, sets) not in classes:
-            classes[leaf, sets] = _residual_classes(leaf, sets, r, sym, cap)
+            classes[leaf, sets] = _residual_classes(leaf, sets, r, sym, cap, lattices)
         set_of_box = np.asarray([sets.index(s) for s in box_sets], dtype=np.int64)
         coords.append((set_of_box, *classes[leaf, sets]))
     states = np.zeros((1, len(coords)), dtype=np.int64)  # one class per coordinate
@@ -594,16 +601,73 @@ def _mixed_radix_keys(count, digits):
     return key
 
 
-def _residual_classes(leaf, sets, r, sym, cap):
+@dataclass(frozen=True)
+class _ListLattice:
+    """The lists of at most r entries from 0..n-1, multisets (sorted tuples)
+    or sequences, one level per length t, each level in lex order."""
+
+    parent: list  # parent[t]: (N_t,), each list's index at t - 1, less its last entry
+    last: list    # last[t]: (N_t,), its last entry (0 for the empty list)
+    child: list   # child[t]: (N_t, n), the index at t + 1 of the list plus entry k
+    fold: list    # fold[t]: the rows of child[t - 1], flat, by the list they make,
+                  # and the first of each list
+    full: np.ndarray  # (N_r, r), the lists of length r
+
+
+def _list_lattice(n, r, sym):
+    """The lattice of lists of at most r entries from 0..n-1, multisets if `sym`.
+
+    Level t + 1 holds each list of level t followed by each entry k, in lex
+    order, keeping only k >= its last entry for a multiset.  A multiset plus
+    a smaller k sorts to its parent plus k (a child at level t) followed by
+    its last entry.
+    """
+    parent, last, child, fold = [None], [np.zeros(1, np.int64)], [], [None]
+    entries = np.arange(n)
+    for t in range(r):
+        low = last[t]
+        if sym:
+            grows = entries >= low[:, None]  # the children, by entries from the last one up
+            par, k = np.nonzero(grows)
+            base = np.cumsum(n - low) - n  # child k of a list is at base + k
+            ch = base[:, None] + entries
+            if t:
+                ch = np.where(grows, ch, base[child[t - 1][parent[t]]] + low[:, None])
+        else:
+            par, k = np.divmod(np.arange(len(low) * n), n)
+            ch = np.arange(len(low) * n).reshape(len(low), n)
+        order = np.argsort(ch, axis=None, kind="stable")
+        parent.append(par)
+        last.append(k)
+        child.append(ch)
+        fold.append((order, np.searchsorted(ch.ravel()[order], np.arange(len(k)))))
+    full = np.empty((len(last[r]), r), dtype=np.int64)
+    at = np.arange(len(full))
+    for t in range(r, 0, -1):
+        full[:, t - 1] = last[t][at]
+        at = parent[t][at]
+    return _ListLattice(parent, last, child, fold, full)
+
+
+def _lattice(lattices, n, r, sym):
+    if (n, r, sym) not in lattices:
+        lattices[n, r, sym] = _list_lattice(n, r, sym)
+    return lattices[n, r, sym]
+
+
+def _residual_classes(leaf, sets, r, sym, cap, lattices):
     """The residual classes of partial argument lists of `leaf` drawn from `sets`.
 
     A list of t value sets (a multiset for a symmetric op, a sequence
     otherwise) is classed by the images of its completions to r arguments: at
-    t = r by its image, at t < r by the classes reached by adding each value
-    set.  Returns the transitions (trans[t][class at t, index in sets] =
-    class at t + 1) and the image value set of each class at r.  The table's
-    entries, one per partial list, are checked against `cap` before any is
-    formed.
+    t = r by its image (`_image_classes`), at t < r by the classes reached by
+    adding each value set, read off the lattice's child map.  Returns the
+    transitions (trans[t][class at t, index in sets] = class at t + 1) and
+    the image value set of each class at r.  The table's entries, one per
+    partial list, are checked against `cap` before any is formed, and the
+    argument rows of each image against `_IMAGE_ROWS` or a smaller `cap`.
+    `lattices` holds the list lattices (`_list_lattice`) that the caller's
+    operations and coordinates share.
     """
     d = len(sets)
     # the multisets of at most r of the d sets, or the sequences
@@ -613,25 +677,91 @@ def _residual_classes(leaf, sets, r, sym, cap):
             f"box route on {leaf.name} needs {entries} class-table entries at one "
             f"coordinate against the cap {cap}"
         )
-    levels = [list(itertools.combinations_with_replacement(range(d), t) if sym
-                   else itertools.product(range(d), repeat=t)) for t in range(r + 1)]
-    image_id: dict = {}  # image value set -> class at r
-    cls = []
-    for full in levels[r]:
-        choices = _arg_choices(leaf, tuple(sets[k] for k in full), sym, min(cap, _IMAGE_ROWS))
-        image = frozenset(np.unique(leaf.apply_cols(choices.T)).tolist())
-        cls.append(image_id.setdefault(image, len(image_id)))
-    cls, nclass = np.asarray(cls, dtype=np.int64), len(image_id)
+    lat = _lattice(lattices, d, r, sym)
+    _check_image_rows(leaf, sets, lat.full, sym, min(cap, _IMAGE_ROWS))
+    cls, images = _image_classes(leaf, sets, lat, sym, cap, lattices)
+    nclass = len(images)
     trans = [None] * r
     for t in range(r - 1, -1, -1):
-        rank = {part: i for i, part in enumerate(levels[t + 1])}
-        nxt = np.asarray([[rank[tuple(sorted(part + (s,))) if sym else part + (s,)]
-                           for s in range(d)] for part in levels[t]], dtype=np.int64)
-        rows = cls[nxt]
+        rows = cls[lat.child[t]]
         key = _mixed_radix_keys(len(rows), ((col, nclass) for col in rows.T))
         _, first, cls = np.unique(key, return_index=True, return_inverse=True)
         trans[t], cls, nclass = rows[first], cls.ravel(), len(first)
-    return trans, list(image_id)
+    return trans, images
+
+
+def _check_image_rows(leaf, sets, full, sym, cap):
+    """Refuse at the first full list whose image would need more than `cap`
+    argument rows, as `_arg_choices` forms them.
+
+    No list needs more rows than the largest set size to the power r.  Else
+    the counts are float products of at most r factors, close enough to be
+    rounded exactly where they can meet the cap, and the refused count is
+    recomputed exactly.
+    """
+    if max(map(len, sets)) ** full.shape[1] <= cap:
+        return
+    c = np.ones(full.shape)  # for a multiset, each entry's place in its run of equal sets
+    if sym:
+        pos = np.arange(full.shape[1])
+        head = np.where(np.diff(full, axis=1, prepend=-1) != 0, pos, 0)
+        c = pos - np.maximum.accumulate(head, axis=1) + 1
+    sizes = np.asarray([len(vals) for vals in sets], dtype=np.float64)
+    over = np.flatnonzero(np.rint(np.prod((sizes[full] + c - 1) / c, axis=1)) > cap)
+    if len(over):
+        row = full[over[0]].tolist()
+        runs = collections.Counter(row).items() if sym else [(k, 1) for k in row]
+        count = math.prod(_count_multisets(len(sets[k]), times) for k, times in runs)
+        raise CapExceeded(
+            f"image of {leaf.name} on the box route needs {count} argument rows "
+            f"against the cap {cap}"
+        )
+
+
+def _image_classes(leaf, sets, lat, sym, cap, lattices):
+    """The class of each full list of `lat` by its image, numbered by first
+    occurrence in lex order, and the image value set of each class.
+
+    One reach pass over lists of the values the sets hold: reach[value list,
+    set list] at length t holds when the value list can be drawn from the
+    set list.  It is an OR over the draws at t, each a value list at t - 1
+    reached by the set list's parent plus one value its last set holds,
+    grouped by the value list they make (the value lattice's `fold`).  At r
+    the draws are grouped by the leaf value of the list they make instead,
+    all from one `apply_cols` call, which gives each full list's image.  The
+    draws at r, the largest array, are counted before any is formed and
+    checked against `cap` or `_IMAGE_ROWS` if larger: a small cap bounds the
+    class tables and joint states, not this array.
+    """
+    r = lat.full.shape[1]
+    # only the values the sets hold can be drawn: member[set, value]
+    values, at = np.unique(np.concatenate(sets), return_inverse=True)
+    member = np.zeros((len(sets), len(values)), dtype=bool)
+    member[np.repeat(np.arange(len(sets)), [len(vals) for vals in sets]), at] = True
+    s = len(values)
+    size = (_count_multisets(s, r - 1) if sym else s**(r - 1)) * s * len(lat.full)
+    if size > max(cap, _IMAGE_ROWS):
+        raise CapExceeded(
+            f"image of {leaf.name} on the box route needs {size} reach entries "
+            f"against the cap {max(cap, _IMAGE_ROWS)}"
+        )
+    vlat = _lattice(lattices, s, r, sym)
+    made = leaf.apply_cols(values[vlat.full].T)[vlat.child[r - 1]].ravel()  # by draw
+    order = np.argsort(made, kind="stable")
+    made = made[order]
+    head = np.flatnonzero(np.concatenate(([True], made[1:] != made[:-1])))
+    reach = np.ones((1, 1), dtype=bool)
+    for t in range(1, r + 1):
+        prior, hold = reach[:, lat.parent[t]], member.T[:, lat.last[t]]
+        draws = (prior[:, None, :] & hold).reshape(-1, prior.shape[1])
+        by, first = vlat.fold[t] if t < r else (order, head)
+        reach = np.logical_or.reduceat(draws[by], first, axis=0)
+    # reach[image value, full list]
+    key = _mixed_radix_keys(len(lat.full), ((row, 256) for row in np.packbits(reach, axis=0)))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    seen = np.argsort(first)  # the classes in order of first occurrence
+    images = [frozenset(made[head][reach[:, first[c]]].tolist()) for c in seen]
+    return np.argsort(seen)[inverse.ravel()], images
 
 
 def _arg_choices(leaf, arg_sets, sym, cap):

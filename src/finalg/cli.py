@@ -2,7 +2,7 @@
 
 Exit codes: 0 the claim verified as expected, 1 the claim was refuted (a
 certificate with the counterevidence is still written), 2 a resource cap was
-hit, 3 invalid input.
+hit, 3 invalid input, usage errors included.
 """
 
 from __future__ import annotations
@@ -228,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which here is a cap
+        return EXIT_INVALID if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -184,6 +184,8 @@ def chain_level(
     scheme = CHAIN_SCHEMES.get(scheme_name)
     if scheme is None:
         raise AlgebraError(f"unknown chain scheme {scheme_name!r}")
+    if max_level < 0:
+        raise AlgebraError(f"max_level must be at least 0, not {max_level}")
     gens = list(gens)
     if free is None:
         free = build_free_algebra(gens, scheme.arity)

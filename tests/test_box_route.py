@@ -2,7 +2,9 @@
 direct enumeration (`scalar_oracle.closed`) and the absorbing-slice route
 (`slice_route_oracle`), neither of which shares code with the box route."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -23,6 +25,7 @@ from finalg.algebras import (
 )
 from finalg.witnesses import build_sharpness_witness, cube_minus_top, good_boxes
 
+import residual_class_oracle
 import scalar_oracle
 import slice_route_oracle
 
@@ -35,6 +38,12 @@ def _assert_escape(alg, ids, witness):
     assert all(a in members for a in args)
     assert scalar_oracle.apply(alg.ops[oi], args) == result
     assert result not in members
+
+
+def _digest(witnesses):
+    """sha256 of a list of `(op_index, args, result)` witnesses, as JSON."""
+    rows = [[oi, list(args), result] for oi, args, result in witnesses]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def _minus_top(power):
@@ -88,12 +97,14 @@ def test_box_route_agrees_with_the_element_route_on_broken_good_sets():
     cube = direct_product([n23] * 3)
     cases.append((cube, _minus_top(cube)))  # the majority of the one-zero tuples is the top
     agreed = refused = skipped = 0
+    witnesses = []
     element_verdicts = {}  # the two decompositions' variants share many element sets
     for alg, union in cases:
         ok, witness = is_subuniverse(alg, union)
         ids = union.ids().tolist()
         if not ok:
             refused += 1
+            witnesses.append(witness)
             _assert_escape(alg, ids, witness)
         else:
             assert witness is None
@@ -110,6 +121,9 @@ def test_box_route_agrees_with_the_element_route_on_broken_good_sets():
         agreed += 1
     # overlapping boxes: 68 variants, 16 refuse, 1 skipped; disjoint: 78, 18, 1
     assert (len(cases), agreed, refused, skipped) == (147, 145, 35, 2)
+    # the witnesses depend on the numbering of classes and joint states
+    assert _digest(witnesses) == (
+        "eb0cee0bdbfb53951a87da63d733a7451e00d7ef208ab81c729e50659427f0a0")
 
 
 def _random_factor(rng, size, arities, sym):
@@ -137,7 +151,7 @@ def test_box_route_agrees_with_direct_enumeration_on_random_products(monkeypatch
         return point
     monkeypatch.setattr(algebras, "_uncovered_point", recorded)
     rng = random.Random(20261018)
-    verdicts = []
+    verdicts, witnesses = [], []
     for trial in range(600):
         sym = trial % 2 == 0
         arities = rng.choice([[2], [3], [2, 3]])
@@ -161,8 +175,11 @@ def test_box_route_agrees_with_direct_enumeration_on_random_products(monkeypatch
         if not ok:
             _assert_escape(alg, ids, witness)
             _assert_escape(alg, ids, points_witness)
+            witnesses += [witness, points_witness]
         verdicts.append(ok)
     assert 120 < sum(verdicts) < 480
+    assert _digest(witnesses) == (
+        "1356f486bf643863e8851c2247158f65bda8fb74f3ef8150aaebc34c9ea276d9")
     assert True in splits and False in splits  # the split both covers and escapes
 
 
@@ -174,17 +191,17 @@ def test_a_restricted_factor_is_one_coordinate():
     ok, witness = is_subuniverse(prod, union)
     assert not ok and not scalar_oracle.closed(prod, union.ids())
     _assert_escape(prod, union.ids(), witness)  # the median of (0,0), (0,2), (1,1)
-    assert witness[2] == prod.indexing.encode((0, 1))
+    assert witness == (0, (2, 0, 4), 1)
 
 
 def test_box_route_caps_name_their_counts(monkeypatch):
     # N(2,6)^5 minus its top: each of the five coordinates has the value sets
     # {0} and {0, 1}, so its class table holds the C(8, 6) multisets of at
-    # most six of them, and none is formed past the cap
+    # most six of them, and the reach pass forms no image past the cap
     def no_images(*args):
         raise AssertionError("an image was formed despite the cap")
     with monkeypatch.context() as patch:
-        patch.setattr(algebras, "_arg_choices", no_images)
+        patch.setattr(algebras, "_image_classes", no_images)
         with pytest.raises(CapExceeded, match=f"needs {math.comb(8, 6)} class-table entries"):
             cube_minus_top(6, tuple_cap=math.comb(8, 6) - 1)
     # its five boxes reach 15 joint states in two arguments, times five boxes
@@ -194,10 +211,77 @@ def test_box_route_caps_name_their_counts(monkeypatch):
     w = build_sharpness_witness(5, 2, verify_closure=False)
     sizes = w.product.indexing.sizes
     whole = BoxUnion(sizes, [[range(s) for s in sizes]])
-    # five arguments drawn from a chain of three: C(7, 5) multisets
-    with pytest.raises(CapExceeded, match=f"needs {math.comb(7, 5)} argument rows"):
-        is_subuniverse(w.product, whole, tuple_cap=10)
+    # five arguments drawn from a chain of three: C(7, 5) multisets, refused
+    # before the reach pass
+    with monkeypatch.context() as patch:
+        patch.setattr(algebras, "_image_classes", no_images)
+        with pytest.raises(CapExceeded, match=f"needs {math.comb(7, 5)} argument rows"):
+            is_subuniverse(w.product, whole, tuple_cap=10)
     assert is_subuniverse(w.product, whole, tuple_cap=21) == (True, None)
+
+
+def test_residual_classes_match_the_per_entry_enumeration(monkeypatch):
+    """The reach pass gives exactly the class tables of the per-entry
+    enumeration (`residual_class_oracle`), from one `apply_cols` call, and
+    under a smaller cap refuses the first full list with too many argument
+    rows, naming its count."""
+    real, calls = TableOp.apply_cols, []
+
+    def counted(self, cols):
+        calls.append(cols.shape)
+        return real(self, cols)
+    monkeypatch.setattr(TableOp, "apply_cols", counted)
+    rng = random.Random(20261020)
+    cases = [(make_ujm_reduct(3, 2, 3).ops[0], ((0,), (0, 1, 2), (2,)), True),
+             (make_ujm_reduct(2, 2, 4).ops[0], ((0, 1),), False)]  # one set
+    for trial in range(240):
+        sym = trial % 2 == 0
+        size, r = rng.randint(1, 4), rng.randint(1, 4)
+        leaf = _random_factor(rng, size, [r], sym).ops[0]
+        # distinct sets, sorted, as `_box_images` passes them: singletons and overlaps
+        sets = tuple(sorted({tuple(sorted(rng.sample(range(size), rng.randint(1, size))))
+                             for _ in range(rng.randint(1, 4))}))
+        cases += [(leaf, sets, as_sym) for as_sym in ((True, False) if sym else (False,))]
+    shapes, refusals = set(), 0
+    for leaf, sets, sym in cases:
+        calls.clear()
+        trans, images = algebras._residual_classes(leaf, sets, leaf.arity, sym,
+                                                   DEFAULT_TUPLE_CAP, {})
+        assert len(calls) == 1
+        want_trans, want_images = residual_class_oracle.residual_classes(
+            leaf, sets, leaf.arity, sym)
+        assert images == want_images
+        assert len(trans) == len(want_trans) == leaf.arity
+        for got, want in zip(trans, want_trans):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        shapes.add((len(sets) == 1, leaf.arity == 1, sym))
+        rows = residual_class_oracle.image_rows(sets, leaf.arity, sym)
+        cap = max(residual_class_oracle.table_entries(len(sets), leaf.arity, sym),
+                  rng.randrange(1, max(rows) + 1))
+        refused = [count for count in rows if count > cap]
+        if refused:
+            refusals += 1
+            with pytest.raises(CapExceeded, match=f"image of {leaf.name} on the box route "
+                                                  f"needs {refused[0]} argument rows against "
+                                                  f"the cap {cap}$"):
+                algebras._residual_classes(leaf, sets, leaf.arity, sym, cap, {})
+    assert len(shapes) == 8  # d = 1 and r = 1, each with multisets and sequences
+    assert refusals > 20
+
+
+def test_reach_entries_are_refused_before_the_pass():
+    # 18 point boxes of a symmetric ternary operation: one coordinate with 18
+    # singleton sets; the draws at r pair the C(19, 2) multisets of two
+    # values and the 18 values with the C(20, 3) multisets of three sets,
+    # more than the cap of 10,000 or the least bound of 2^20
+    size = 18
+    table = [sorted(args)[1] for args in itertools.product(range(size), repeat=3)]
+    alg = FiniteAlgebra(size, [TableOp("median", 3, size, table)])
+    draws = math.comb(19, 2) * size * math.comb(20, 3)
+    with pytest.raises(CapExceeded, match=f"image of median on the box route needs {draws} "
+                                          f"reach entries against the cap {2**20}"):
+        is_subuniverse(alg, range(size), tuple_cap=10_000)
+    assert is_subuniverse(alg, range(size), tuple_cap=draws) == (True, None)
 
 
 def test_b92_is_decided_under_a_small_cap():
@@ -235,7 +319,7 @@ def _assert_fold_reaches_every_image(alg, union, sym):
                  for args in (itertools.combinations_with_replacement(boxes, op.arity) if sym
                               else itertools.product(boxes, repeat=op.arity))}
         reached = list(algebras._box_images(op, algebras._leaf_ops(op), boxes,
-                                            algebras._op_symmetrical(op), DEFAULT_TUPLE_CAP))
+                                            algebras._op_symmetrical(op), DEFAULT_TUPLE_CAP, {}))
         cubes = [cube for cube, _ in reached]
         assert len(set(cubes)) == len(cubes)
         assert set(cubes) == brute
@@ -276,7 +360,8 @@ def test_joint_state_keys_over_many_coordinates_do_not_wrap():
         ok, witness = is_subuniverse(power, union)
         assert ok == closed
         if not ok:
-            assert power.indexing.decode(witness[2]) == high
+            assert witness == (0, tuple(map(power.indexing.encode, boxes)),
+                               power.indexing.encode(high))
     # 44 coordinates of random three-element factors
     rng = random.Random(44)
     for sym in (True, False):

@@ -124,6 +124,24 @@ def test_cli_level_cap(capsys):
     assert main([*argv, "--cap", "4"]) == 0
 
 
+def test_cli_usage_errors_exit_invalid(capsys):
+    # argparse's own exit code 2 would read as a resource cap
+    for argv in (["check", "identity", "--family", "nope", "--m", "3", "--q", "2"],
+                 ["level", "--scheme", "jonsson", "--fixture", "N:2:3", "--cap", "x"],
+                 ["verify", "sharpness", "--m", "3"], ["nope"]):
+        assert main(argv) == 3, argv
+        assert "usage: finalg" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+
+
+def test_cli_level_refuses_a_negative_cap(capsys):
+    argv = ["level", "--scheme", "jonsson", "--fixture", "N:2:3", "--cap"]
+    assert main([*argv, "-3"]) == 3
+    assert "invalid input: max_level must be at least 0, not -3" in capsys.readouterr().err
+    assert main([*argv, "0"]) == 2  # level 2 is past a cap of 0
+    assert "chain search exceeded 0 levels" in capsys.readouterr().err
+
+
 def test_cli_level_cap_counts_levels_of_directed_chains(capsys):
     # the chain t_1, t_2 has one link and level 2
     argv = ["level", "--scheme", "directed-jonsson", "--fixture", "N:2:4"]

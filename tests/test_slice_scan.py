@@ -63,18 +63,19 @@ def test_slice_scan_matches_scalar_oracle(m, q):
         assert slice_route_oracle.closed(w.product, w.good_ids)
 
 
-def _check_broken(w, gone):
+def _check_broken(w, gone, pinned):
     """The good set less one element: the box route, on its boxes and on the
     id list, direct enumeration and the slice-route oracle all refuse it,
-    and each witness of the box route is a real escape."""
+    and each witness of the box route is a real escape, the pinned one."""
     point = [(v,) for v in w.product.indexing.decode(gone)]
     union = _union(w, [part for box in good_boxes(w.factor_roles, w.params.q)
                        for part in minus_point(box, point)])
     broken = [e for e in w.good_ids if e != gone]
     assert union.ids().tolist() == broken
-    for subset in (union, broken):
+    for subset, pin in zip((union, broken), pinned):
         ok, witness = is_subuniverse(w.product, subset)
         assert not ok
+        assert witness == pin
         oi, args, result = witness
         assert all(a in set(broken) for a in args)
         assert result not in set(broken)
@@ -87,25 +88,27 @@ def test_violation_only_in_wildcard_dependent_rows():
     """B(5,2) less (0,1,0,1): the slice scan met this escape only in rows
     whose value depends on the wildcard argument."""
     w = build_sharpness_witness(5, 2, verify_closure=False)
-    _check_broken(w, w.product.indexing.encode((0, 1, 0, 1)))
+    _check_broken(w, w.product.indexing.encode((0, 1, 0, 1)),
+                  [(0, (1, 13, 6, 13, 13), 7), (0, (1, 6, 13, 13, 13), 7)])
 
 
 def test_violation_in_a_plain_row():
     """B(4,3) less (0,0,1): the escape lies among arguments off the slice."""
     w = build_sharpness_witness(4, 3, verify_closure=False)
-    _check_broken(w, w.product.indexing.encode((0, 0, 1)))
+    _check_broken(w, w.product.indexing.encode((0, 0, 1)), 
+                  [(0, (3, 3, 9, 9), 1), (0, (0, 3, 9, 3), 1)])
 
 
 def test_slice_cap_raises_before_scanning(monkeypatch):
     """An id list is refused under a small cap by the box route's own count,
-    before any image is formed: the 34 good points of B(5,2) give each
-    coordinate its values as singletons, so the first coordinate, a chain of
-    three, needs the C(3 + 5, 5) multisets of at most five of them."""
+    before the reach pass forms any image: the 34 good points of B(5,2) give
+    each coordinate its values as singletons, so the first coordinate, a
+    chain of three, needs the C(3 + 5, 5) multisets of at most five of them."""
     w = build_sharpness_witness(5, 2, verify_closure=False)
 
     def no_images(*args):
         raise AssertionError("an image was formed despite the cap")
-    monkeypatch.setattr(algebras, "_arg_choices", no_images)
+    monkeypatch.setattr(algebras, "_image_classes", no_images)
     with pytest.raises(CapExceeded, match=f"needs {math.comb(8, 5)} class-table entries "
                                           f"at one coordinate against the cap 10"):
         is_subuniverse(w.product, w.good_ids, tuple_cap=10)
