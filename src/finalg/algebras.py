@@ -42,6 +42,17 @@ def _env_cap(name: str, default: int) -> int:
 DEFAULT_PRODUCT_CAP = _env_cap("FINALG_CAP", 1 << 20)
 DEFAULT_TUPLE_CAP = 16_000_000
 DEFAULT_TABLE_CAP = 1 << 22
+#: the most entries a constructor fills in one stored table, refused before
+#: allocation: at least the 4^12 of the 12-ary reducts on four elements, and
+#: FINALG_CAP when that is raised to admit larger witness products
+STORED_TABLE_CAP = max(1 << 24, DEFAULT_PRODUCT_CAP)
+
+
+def check_table_entries(name: str, count: int) -> None:
+    """Refuse a table of `count` entries past STORED_TABLE_CAP."""
+    if count > STORED_TABLE_CAP:
+        raise CapExceeded(f"table of {name} would need {count} entries, "
+                          f"past the stored-table cap {STORED_TABLE_CAP}", explored=0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +249,10 @@ def make_chain_lattice(size: int) -> FiniteAlgebra:
     """Chain 0 < 1 < ... < size-1 with join (max) and meet (min)."""
     if size < 2:
         raise AlgebraError("a chain lattice needs at least 2 elements")
-    pairs = [(x, y) for x in range(size) for y in range(size)]
-    join = TableOp("join", 2, size, [max(p) for p in pairs])
-    meet = TableOp("meet", 2, size, [min(p) for p in pairs])
+    check_table_entries(f"C{size}", size * size)
+    x = np.arange(size)
+    join = TableOp("join", 2, size, np.maximum.outer(x, x).ravel())
+    meet = TableOp("meet", 2, size, np.minimum.outer(x, x).ravel())
     return FiniteAlgebra(size, [join, meet], label=f"C{size}")
 
 
@@ -254,6 +266,7 @@ def order_statistic_table(chain_size: int, j: int, m: int) -> np.ndarray:
     subsets of the join of the chosen arguments'; the subset form is kept in
     the test suite as an independent oracle.
     """
+    check_table_entries(f"N({j},{m})@{chain_size}", chain_size**m)
     # the j-th smallest argument is the number of values v below which fewer
     # than j arguments lie (at or below v)
     table = np.zeros(chain_size**m, dtype=np.min_scalar_type(chain_size - 1))

@@ -24,8 +24,8 @@ from .maltsev import (
     chain_level,
     coprime_dissent_pipeline,
 )
-from .terms import term_from_obj, verify_equations
-from .witnesses import sharpness_report
+from .terms import term_from_obj, term_to_obj, verify_equations
+from .witnesses import build_sharpness_witness, sharpness_report
 
 
 def make_certificate(claim: str, parameters: dict, verdict: str, evidence: dict,
@@ -92,8 +92,6 @@ def induction_certificate(m: int, q: int) -> dict:
 def identity_certificate(family: str, m: int, q: int, *, j: int = 0, n: int = 0,
                          expect: str = "") -> dict:
     """Identity instance on the sharpness witness B(m, q) with its triple."""
-    from .witnesses import build_sharpness_witness
-
     w = build_sharpness_witness(m, q)
     kwargs = dict(m=m, q=q, j=j, n=n)
     if w.size * w.size <= FULL_PAIR_CAP:
@@ -169,8 +167,6 @@ def toolkit_certificate(fixture_names: str, d_index: int = 0, e_index: int = 1) 
         raise AlgebraError("the toolkit works on a single algebra")
     alg = gens[0]
     out = coprime_dissent_pipeline(alg, d_index, e_index)
-    from .terms import term_to_obj
-
     op_names = [op.name for op in alg.ops]
     evidence = {
         "k": out["k"],

@@ -4,7 +4,8 @@ A partition is a read-only int64 array of block ids, numbered in order of
 first occurrence, so two equal set-partitions hold equal arrays.  Its block
 view (`order`, `starts`) is computed once and cached, and every relation
 image in `identities` reads it directly.  So are its meets: `partition_meet`
-keeps each one on its left partition.
+keeps each one on its left partition, keyed by the right one's identity (a
+partition is read-only, so it need not be hashed by content).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebras import AlgebraError, FactorIndexing, sorted_distinct
+from .algebras import AlgebraError
 
 
 class Partition:
@@ -36,9 +37,6 @@ class Partition:
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and np.array_equal(self.block_id, other.block_id)
 
-    def __hash__(self) -> int:
-        return hash(self.block_id.tobytes())
-
     def __repr__(self) -> str:
         return f"Partition({self.block_id.tolist()})"
 
@@ -55,7 +53,7 @@ class Partition:
 
     @cached_property
     def _meets(self) -> dict:
-        """partition_meet(self, q) by q."""
+        """id(q): (q, partition_meet(self, q)); holding q keeps its id unique."""
         return {}
 
     @staticmethod
@@ -134,35 +132,41 @@ def _canonical(keys: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def induced_product_congruence(
-    indexing: FactorIndexing,
-    factor_parts: Sequence[Partition],
-    subuniverse: Sequence[int] | np.ndarray,
+    cols: Sequence[np.ndarray], parts: Sequence[Partition]
 ) -> Partition:
-    """Restriction of a product congruence to a subuniverse.
+    """The congruence a product congruence induces on a subset of the product.
 
-    Output is re-indexed over the subuniverse's sorted order: position i of
-    the result corresponds to the i-th smallest subuniverse element.
+    Column i lists, for each element of the subset in order, its value in
+    the universe of `parts[i]`: a factor coordinate, or any index into that
+    universe, such as the element's position in a subuniverse of a group of
+    factors.  Two elements are related when every column's values lie in one
+    block of its partition.  Position i of the result is the subset's i-th
+    element.
     """
-    if len(factor_parts) != len(indexing.sizes):
-        raise AlgebraError("one partition per factor required")
-    for p, s in zip(factor_parts, indexing.sizes):
-        if p.size != s:
-            raise AlgebraError(f"partition sized {p.size}, factor sized {s}")
-    sub = sorted_distinct(np.asarray(subuniverse, dtype=np.int64).ravel())
-    if not len(sub):
-        raise AlgebraError("empty subuniverse")
-    dec = indexing.digits(sub)
-    keys = np.zeros(len(sub), dtype=np.int64)
-    for i, p in enumerate(factor_parts):
-        keys = keys * p.n_blocks + p.block_id[dec[:, i]]
+    if len(cols) != len(parts) or not parts:
+        raise AlgebraError("one partition per column required")
+    n = len(cols[0])
+    if not n:
+        raise AlgebraError("empty subset")
+    keys, span = np.zeros(n, dtype=np.int64), 1
+    for col, p in zip(cols, parts):
+        col = np.asarray(col)
+        if len(col) != n:
+            raise AlgebraError("columns differ in length")
+        if col.min() < 0 or col.max() >= p.size:
+            raise AlgebraError(f"column value out of range 0..{p.size - 1}")
+        if span * p.n_blocks > 1 << 62:  # renumber before the keys could wrap
+            keys, span = _canonical(keys)
+        keys = keys * p.n_blocks + p.block_id[col]
+        span *= p.n_blocks
     return Partition(keys)
 
 
 def partition_meet(p: Partition, q: Partition) -> Partition:
-    """The meet of p and q, built once and then kept on p, keyed by q."""
+    """The meet of p and q, built once and then kept on p, keyed by q's identity."""
     if p.size != q.size:
         raise AlgebraError("partition sizes differ")
-    meet = p._meets.get(q)
-    if meet is None:
-        meet = p._meets[q] = Partition(p.block_id * q.n_blocks + q.block_id)
-    return meet
+    kept = p._meets.get(id(q))
+    if kept is None:
+        kept = p._meets[id(q)] = (q, Partition(p.block_id * q.n_blocks + q.block_id))
+    return kept[1]

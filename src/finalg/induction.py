@@ -26,13 +26,14 @@ from .algebras import (
     make_ujm_reduct,
     one_element_algebra,
 )
-from .congruences import Partition, induced_product_congruence
+from .congruences import Partition
 from .identities import FULL_PAIR_CAP, IdentityInstance, check_identity
 from .witnesses import (
     SharpnessParams,
     filtered_subproduct,
+    induced_triple,
     lhs_chain_break,
-    staircase_partitions,
+    role_partitions,
 )
 
 
@@ -91,13 +92,10 @@ def _base_stage_odd(m: int, q: int) -> InductionState:
     pairalg = direct_product([a3_alg, n2m], label=f"F^{ell}({m},{q})")
     f_union = BoxUnion.whole(pairalg)
     f_ids = f_union.ids()
-    beta_star, gamma_star = staircase_partitions(q)
-    one2, zero2 = Partition.one(2), Partition.zero(2)
-    onec = Partition.one(q + 1)
+    parts = role_partitions(q)
+    alpha, beta, gamma = induced_triple(pairalg.indexing.digits(f_ids).T,
+                                        [parts["half"], parts["last"]])
     enc = pairalg.indexing.encode
-    alpha = induced_product_congruence(pairalg.indexing, [onec, zero2], f_ids)
-    beta = induced_product_congruence(pairalg.indexing, [beta_star, one2], f_ids)
-    gamma = induced_product_congruence(pairalg.indexing, [gamma_star, one2], f_ids)
     pair = tuple(f_union.rank([enc((q, 1)), enc((0, 1))]).tolist())
     chain3 = list(range(q - 1, 0, -1))
     inst = _stage_identity((alpha, beta, gamma, pair, len(f_ids)), m, q, ell)
@@ -119,29 +117,28 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
     that regrouping.
     """
     ell = SharpnessParams(m, q).ell
-    beta_star, gamma_star = staircase_partitions(q)
+    parts = role_partitions(q)
     n2m = make_ujm_reduct(2, 2, m)
     if prev is None:
         level = ell
         h = k = ell
-        a1 = a2 = make_ujm_reduct(q + 1, ell, m)
         a3 = one_element_algebra(m)
         f_pairs = BoxUnion.whole(direct_product([a3, n2m]))  # F = A3 x A4, all of it
+        f_triple = parts["last"]
         anchor_a = anchor_d = 0
-        prev_beta = prev_gamma = None
         prev_chain3 = [0] * (q - 1)
     else:
         level = prev.j - 1
         h, k = level, m - level
         if not (1 <= h <= k and h + k <= m):
             raise AlgebraError(f"descent bounds broke at j={level}")
-        a1 = a2 = make_ujm_reduct(q + 1, level, m)
         a3 = prev.algebra3
         # F^j lives in A3^j x N(2,m); its flat pair indices transfer directly
         f_pairs = prev.f_union
+        f_triple = (prev.alpha, prev.beta, prev.gamma)
         anchor_a, anchor_d = prev.a3, prev.d3
-        prev_beta, prev_gamma = prev.beta, prev.gamma
         prev_chain3 = prev.chain3
+    a1 = a2 = make_ujm_reduct(q + 1, level, m)
 
     built = filtered_subproduct(
         a1, a2, a3, n2m, 0, 0, 0, h, k, anchor_a, anchor_d, f_pairs
@@ -155,22 +152,11 @@ def _lifted_stage(m: int, q: int, prev: InductionState | None) -> InductionState
     f_ids = built.union.ids()
     x1, x2, x3, x4 = amb.indexing.digits(f_ids).T
 
-    # congruences on B: pairs of staircases on A1, A2 (swapped for even q),
-    # the previous stage's triple on the F part, final coordinate glued/split
-    bsecond = gamma_star if q % 2 == 0 else beta_star
-    gsecond = beta_star if q % 2 == 0 else gamma_star
-    if prev is not None:
-        f_pos = prev.f_union.rank(x3 * 2 + x4)  # (x3, x4)'s index in F
-
-    def assemble(first: Partition, second: Partition, fpart: Partition | None) -> Partition:
-        key = first.as_array()[x1] * second.n_blocks + second.as_array()[x2]
-        if fpart is not None:
-            key = key * fpart.n_blocks + fpart.as_array()[f_pos]
-        return Partition(key)
-
-    beta = assemble(beta_star, bsecond, prev_beta)
-    gamma = assemble(gamma_star, gsecond, prev_gamma)
-    alpha = Partition(x4)
+    # congruences on B: the pair roles on A1 and A2, and the triple F carries
+    # on the (x3, x4) pair, given by its position in F
+    f_pos = f_pairs.rank(x3 * 2 + x4)
+    alpha, beta, gamma = induced_triple([x1, x2, f_pos],
+                                        [parts["pair-first"], parts["pair-second"], f_triple])
 
     enc = amb.indexing.encode
     a3_new = algebra3.indexing.encode((q, 0, anchor_a))

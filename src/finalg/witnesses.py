@@ -25,6 +25,7 @@ from .algebras import (
     AlgebraError,
     BoxUnion,
     FiniteAlgebra,
+    check_table_entries,
     coordinate_sizes,
     direct_product,
     is_k_absorbing,
@@ -80,6 +81,32 @@ def staircase_partitions(q: int) -> tuple[Partition, Partition]:
         raise AlgebraError("q must be >= 1")
     down = q - np.arange(q + 1)  # distance from the top
     return Partition(down // 2), Partition((down + 1) // 2)
+
+
+def role_partitions(q: int) -> dict[str, tuple[Partition, Partition, Partition]]:
+    """The (alpha, beta, gamma) factor partitions of each factor role.
+
+    The chain factors carry the full partition in alpha and the two
+    staircases in beta and gamma; the second factor of a pair swaps them when
+    q is even.  The two-element factor ("last") is split by alpha and glued
+    by beta and gamma.
+    """
+    first, second = staircase_partitions(q)
+    whole, glued = Partition.one(q + 1), Partition.one(2)
+    return {
+        "pair-first": (whole, first, second),
+        "pair-second": (whole, second, first) if q % 2 == 0 else (whole, first, second),
+        "half": (whole, first, second),
+        "last": (Partition.zero(2), glued, glued),
+    }
+
+
+def induced_triple(
+    cols: Sequence[np.ndarray], triples: Sequence[tuple[Partition, Partition, Partition]]
+) -> tuple[Partition, Partition, Partition]:
+    """alpha, beta and gamma on a subset, induced column by column from one
+    (alpha, beta, gamma) triple of partitions per column."""
+    return tuple(induced_product_congruence(cols, [t[k] for t in triples]) for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +296,7 @@ def modular_sum_algebra(n: int, arity: int) -> FiniteAlgebra:
     if n < 2 or arity < 2:
         raise AlgebraError("need n >= 2 and arity >= 2")
     count = n**arity
+    check_table_entries(f"sum:{n}:{arity}", count)
     idx = np.arange(count, dtype=np.int64)
     total = np.zeros(count, dtype=np.int64)
     for _ in range(arity):
@@ -375,18 +403,13 @@ def good_boxes(roles: Sequence[dict], q: int) -> list[list[tuple[int, ...]]]:
 def build_sharpness_witness(m: int, q: int, *, verify_closure: bool = True) -> SharpnessWitness:
     """The product of chain reducts with its good subuniverse and congruences.
 
-    Factor congruence pattern: pairs carry (first, second) staircase partitions
-    swapped between the two congruences when q is even, and repeated when q is
-    odd; the half carries one staircase each; the final factor is glued by the
-    full congruence.  The distinguishing congruence relates elements agreeing
-    in the final coordinate.
+    Each factor carries the congruences of its role (`role_partitions`), so
+    the distinguishing congruence alpha relates elements agreeing in the
+    final coordinate.
     """
     params = SharpnessParams(m, q)
     roles = _factor_plan(params)
-    factors = [
-        make_ujm_reduct(r["chain"], r["j"], m) if r["role"] != "last" else make_ujm_reduct(2, 2, m)
-        for r in roles
-    ]
+    factors = [make_ujm_reduct(r["chain"], r["j"], m) for r in roles]
     product = direct_product(factors, label=f"P({m},{q})")
     union = BoxUnion(product.indexing.sizes, good_boxes(roles, q))
     if verify_closure:
@@ -394,53 +417,17 @@ def build_sharpness_witness(m: int, q: int, *, verify_closure: bool = True) -> S
         if not ok:
             raise AlgebraError(f"good set failed to close at {witness}")
 
-    beta_star, gamma_star = staircase_partitions(q)
-    one2 = Partition.one(2)
-    zero2 = Partition.zero(2)
-    onec = Partition.one(q + 1)
-    beta_parts: list[Partition] = []
-    gamma_parts: list[Partition] = []
-    alpha_parts: list[Partition] = []
-    for r in roles:
-        if r["role"] == "pair-first":
-            beta_parts.append(beta_star)
-            gamma_parts.append(gamma_star)
-            alpha_parts.append(onec)
-        elif r["role"] == "pair-second":
-            beta_parts.append(gamma_star if q % 2 == 0 else beta_star)
-            gamma_parts.append(beta_star if q % 2 == 0 else gamma_star)
-            alpha_parts.append(onec)
-        elif r["role"] == "half":
-            beta_parts.append(beta_star)
-            gamma_parts.append(gamma_star)
-            alpha_parts.append(onec)
-        else:
-            beta_parts.append(one2)
-            gamma_parts.append(one2)
-            alpha_parts.append(zero2)
-    alpha = induced_product_congruence(product.indexing, alpha_parts, union.ids())
-    beta = induced_product_congruence(product.indexing, beta_parts, union.ids())
-    gamma = induced_product_congruence(product.indexing, gamma_parts, union.ids())
+    parts = role_partitions(q)
+    alpha, beta, gamma = induced_triple(product.indexing.digits(union.ids()).T,
+                                        [parts[r["role"]] for r in roles])
 
-    def encode_units(pair_val, half_val, last_val):
-        coords = []
-        for r in roles:
-            if r["role"] == "pair-first":
-                coords.append(pair_val[0])
-            elif r["role"] == "pair-second":
-                coords.append(pair_val[1])
-            elif r["role"] == "half":
-                coords.append(half_val)
-            else:
-                coords.append(last_val)
-        return product.indexing.encode(coords)
+    def encode(first, second, last):
+        """The element with `first` on each pair's first factor and on the
+        half, `second` on each pair's second factor and `last` on the last."""
+        value = {"pair-first": first, "half": first, "pair-second": second, "last": last}
+        return product.indexing.encode([value[r["role"]] for r in roles])
 
-    a_id = encode_units((q, 0), q, 1)
-    d_id = encode_units((0, q), 0, 1)
-    chain_ids = [a_id]
-    for i in range(1, q):
-        chain_ids.append(encode_units((q - i, i), q - i, 0))
-    chain_ids.append(d_id)
+    chain_ids = [encode(q, 0, 1), *(encode(q - i, i, 0) for i in range(1, q)), encode(0, q, 1)]
     lhs_chain = union.rank(chain_ids).tolist()
     a_loc, d_loc = lhs_chain[0], lhs_chain[-1]
     c_loc = lhs_chain[1] if q == 2 else None

@@ -8,6 +8,7 @@ from finalg.algebras import (
     AlgebraError,
     BoxUnion,
     DEFAULT_TABLE_CAP,
+    STORED_TABLE_CAP,
     CapExceeded,
     FactorIndexing,
     FiniteAlgebra,
@@ -23,6 +24,7 @@ from finalg.algebras import (
     one_element_algebra,
     order_statistic_table,
 )
+from finalg.witnesses import modular_sum_algebra
 
 from conftest import product_subpower, subset_formula_table
 from scalar_oracle import apply, term_value
@@ -47,6 +49,9 @@ def test_chain_lattice():
     assert apply(c3.ops[1], (1, 2)) == 1  # meet
     c2 = make_chain_lattice(2)
     assert c2.size == 2 and c2.signature() == (2, 2)
+    c4 = make_chain_lattice(4)
+    for x, y in itertools.product(range(4), repeat=2):
+        assert apply(c4.ops[0], (x, y)) == max(x, y) and apply(c4.ops[1], (x, y)) == min(x, y)
     with pytest.raises(AlgebraError):
         make_chain_lattice(1)
 
@@ -95,6 +100,23 @@ def test_order_statistic_table_matches_sorted_digits():
                 table = order_statistic_table(chain_size, j, m)
                 assert table.dtype == np.uint8 and not table.flags.writeable
                 assert np.array_equal(table, _sorted_digit_table(chain_size, j, m))
+
+
+def test_oversized_tables_are_refused_before_allocation(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise MemoryError("allocated")
+
+    monkeypatch.setattr(np, "zeros", allocate)
+    with pytest.raises(CapExceeded, match=rf"table of N\(2,30\)@3 would need 205891132094649 "
+                                          f"entries, past the stored-table cap {STORED_TABLE_CAP}"):
+        order_statistic_table(3, 2, 30)
+    with pytest.raises(MemoryError):  # 4^12 entries, the 12-ary reducts on four elements
+        order_statistic_table(4, 2, 12)
+    monkeypatch.setattr(np, "arange", allocate)
+    with pytest.raises(CapExceeded, match="table of C5000 would need 25000000 entries"):
+        make_chain_lattice(5000)
+    with pytest.raises(CapExceeded, match="table of sum:2:30 would need 1073741824 entries"):
+        modular_sum_algebra(2, 30)
 
 
 def test_ujm_majority_reduct_is_median():

@@ -57,7 +57,7 @@ def test_partition_array_is_read_only():
         p.as_array()[0] = 1
     with pytest.raises(AttributeError):
         p.block_id = np.array([0, 0, 0])
-    assert {p, Partition((0, 1, 0))} == {p} and p.order.tolist() == [0, 2, 1]
+    assert p == Partition((0, 1, 0)) and p.order.tolist() == [0, 2, 1]
     keys = np.array([4, 4, 0])
     q = Partition(keys)
     keys[0] = 0
@@ -154,21 +154,36 @@ def test_meet_is_the_relabelling_of_zipped_keys(drawn):
 
 def test_induced_product_congruence():
     prod = direct_product([make_ujm_reduct(3, 2, 4), make_ujm_reduct(2, 2, 4)])
-    bs, gs = staircase_partitions(2)
-    sub = list(range(prod.size))
-    alpha = induced_product_congruence(prod.indexing, [Partition.one(3), Partition.zero(2)], sub)
-    # related iff the second coordinates agree
     dec = prod.indexing.digits(np.arange(prod.size))
-    for x, y in itertools.combinations(range(len(sub)), 2):
+    alpha = induced_product_congruence(dec.T, [Partition.one(3), Partition.zero(2)])
+    # related iff the second coordinates agree
+    for x, y in itertools.combinations(range(prod.size), 2):
         assert alpha.related(x, y) == (dec[x][1] == dec[y][1])
-    with pytest.raises(AlgebraError):
-        induced_product_congruence(prod.indexing, [Partition.one(3)], sub)
-    with pytest.raises(AlgebraError):
-        induced_product_congruence(prod.indexing, [Partition.one(3), Partition.zero(2)], [])
-    with pytest.raises(AlgebraError, match="out of range"):  # id 6 would join id 0's block
-        induced_product_congruence(direct_product([make_ujm_reduct(2, 2, 3),
-                                                   make_ujm_reduct(3, 2, 3)]).indexing,
-                                   [Partition.one(2), Partition.zero(3)], [0, 6])
+    with pytest.raises(AlgebraError, match="one partition per column"):
+        induced_product_congruence(dec.T, [Partition.one(3)])
+    with pytest.raises(AlgebraError, match="empty subset"):
+        induced_product_congruence(dec[:0].T, [Partition.one(3), Partition.zero(2)])
+    # a value past its partition would read another column's block ids
+    with pytest.raises(AlgebraError, match="out of range"):
+        induced_product_congruence([[0, 1], [0, 2]], [Partition.one(2), Partition.zero(2)])
+
+
+def test_induced_product_congruence_takes_any_index_column():
+    # a column may index a subset of other factors, here the pairs
+    # {(0, 0), (1, 1), (2, 0)} of a 3 x 2 product, carrying its own partition
+    pairs = Partition((0, 0, 1))
+    cols = [[0, 0, 1, 1], [0, 2, 0, 1]]
+    got = induced_product_congruence(cols, [Partition.zero(2), pairs])
+    assert got.blocks() == [[0], [1], [2, 3]]
+
+
+def test_induced_product_congruence_renumbers_before_keys_wrap():
+    # 70 columns of two blocks each would need keys up to 2^70, and the
+    # first column's bit would be shifted out of an int64 key
+    cols = np.zeros((70, 3), dtype=np.int64)
+    cols[0, 1] = cols[69, 2] = 1
+    got = induced_product_congruence(cols, [Partition.zero(2)] * 70)
+    assert got == Partition.zero(3)
 
 
 def test_induced_restriction_is_congruence_on_subalgebra():
@@ -181,6 +196,6 @@ def test_induced_restriction_is_congruence_on_subalgebra():
              for args in itertools.product(range(len(subset)), repeat=m)]
     sub = FiniteAlgebra(len(subset), [TableOp("u", m, len(subset), table)])
     parts = [Partition.one(2), Partition.zero(2), Partition.one(2)]
-    induced = induced_product_congruence(power.indexing, parts, subset)
+    induced = induced_product_congruence(power.indexing.digits(subset).T, parts)
     assert is_congruence(sub, induced)[0]
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from finalg import induction
@@ -7,6 +8,7 @@ from finalg.induction import run_level_induction
 from finalg.witnesses import ell_of
 
 from template_oracle import template_filter
+from triple_oracle import product_relation, relation, role_relations
 
 
 @pytest.mark.parametrize("m,q", [(3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (6, 2)])
@@ -101,3 +103,31 @@ def test_template_boxes_match_the_element_filter(monkeypatch, m, q):
         b_ids, tags = template_filter(out.ambient, f_union.ids(), out.zeros, out.a, out.d)
         assert out.b_ids == b_ids
         assert out.tags == tags
+
+
+@pytest.mark.parametrize("m,q", [(5, 2), (6, 2), (5, 3)])
+def test_stage_triples_match_the_pairwise_oracle(m, q):
+    # each stage's triple, pair by pair: the staircase roles on the new chain
+    # factors, the previous stage's triple on the F part, and alpha the
+    # final-coordinate kernel
+    prev = None
+    for st in run_level_induction(m, q):
+        dec = st.pair_product.indexing.digits(st.f_union.ids())
+        final = dec[:, 1]
+        if st.algebra3.indexing is None:  # the odd base: the whole chain pair
+            coords, rels = dec, [role_relations("half", q), role_relations("last", q)]
+        else:
+            x1, x2, x3 = st.algebra3.indexing.digits(dec[:, 0]).T
+            if prev is None:  # the even base: F = triv x N(2,m) with the last triple
+                f_pos, f_rels = final, role_relations("last", q)
+            else:
+                index = {pid: i for i, pid in enumerate(prev.f_union.ids().tolist())}
+                f_pos = np.array([index[x * 2 + y] for x, y in zip(x3.tolist(), final.tolist())])
+                f_rels = [relation(p) for p in (prev.alpha, prev.beta, prev.gamma)]
+            coords = np.stack([x1, x2, f_pos], axis=1)
+            rels = [role_relations("pair-first", q), role_relations("pair-second", q), f_rels]
+        want = [product_relation(coords, [r[k] for r in rels]) for k in range(3)]
+        assert (want[0] == (final[:, None] == final[None, :])).all()
+        for k, part in enumerate((st.alpha, st.beta, st.gamma)):
+            assert (relation(part) == want[k]).all(), (st.j, ("alpha", "beta", "gamma")[k])
+        prev = st

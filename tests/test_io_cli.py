@@ -108,6 +108,19 @@ def test_cli_exit_codes_cover_cap(capsys):
         assert "resource cap: absorption check on u needs a table" in capsys.readouterr().err
 
 
+def test_cli_oversized_tables_exit_on_the_table_cap(capsys, tmp_path):
+    # 3^30, 2^30 and 2^60 entries: refused before the table is allocated
+    for argv, count in ((["verify", "sharpness", "--m", "30", "--q", "2"], 3**30),
+                        (["verify", "induction", "--m", "30", "--q", "2"], 2**30),
+                        (["build", "nu-reduct", "--m", "60", "--out", str(tmp_path / "x.json")],
+                         2**60),
+                        (["level", "--scheme", "jonsson", "--fixture", "N:2:60"], 2**60)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: table of N(") and f" {count} entries" in err, argv
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_undecided_identity_exits_2(capsys):
     argv = ["check", "identity", "--family", "zigzag-even", "--q", "2", "--expect", "holds"]
     assert main([*argv, "--m", "9"]) == 2

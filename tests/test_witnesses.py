@@ -34,6 +34,7 @@ from finalg.witnesses import (
 )
 from good_set_oracle import good_coords, minus_point
 from scalar_oracle import apply, is_congruence
+from triple_oracle import product_relation, relation, role_relations
 import scalar_oracle
 
 
@@ -258,6 +259,15 @@ def test_factor_shapes():
         w = build_sharpness_witness(m, q, verify_closure=False)
         assert [f.label for f in w.product.factors] == labels
         assert len(w.product.factors) == m - 1
+
+
+@pytest.mark.parametrize("m,q", [(m, q) for m in range(3, 7) for q in (2, 3)])
+def test_triple_matches_the_pairwise_role_oracle(witness_cache, m, q):
+    w = witness_cache(m, q)
+    coords = w.product.indexing.digits(w.good_ids)
+    for k, part in enumerate((w.alpha, w.beta, w.gamma)):
+        want = product_relation(coords, [role_relations(r["role"], q)[k] for r in w.factor_roles])
+        assert (relation(part) == want).all(), ("alpha", "beta", "gamma")[k]
 
 
 def test_witness_m3_is_everything(witness_cache):
