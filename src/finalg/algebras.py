@@ -55,6 +55,18 @@ def check_table_entries(name: str, count: int) -> None:
                           f"past the stored-table cap {STORED_TABLE_CAP}", explored=0)
 
 
+def check_product_size(size: int, cap: int = DEFAULT_PRODUCT_CAP) -> None:
+    """Refuse a direct product of `size` elements past `cap`."""
+    if size > cap:
+        raise CapExceeded(f"product size {size} exceeds cap {cap}")
+
+
+def check_order_statistic(chain_size: int, j: int, m: int) -> None:
+    """Refuse the table of `order_statistic_table(chain_size, j, m)` past
+    STORED_TABLE_CAP, before it is built."""
+    check_table_entries(f"N({j},{m})@{chain_size}", chain_size**m)
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -266,7 +278,7 @@ def order_statistic_table(chain_size: int, j: int, m: int) -> np.ndarray:
     subsets of the join of the chosen arguments'; the subset form is kept in
     the test suite as an independent oracle.
     """
-    check_table_entries(f"N({j},{m})@{chain_size}", chain_size**m)
+    check_order_statistic(chain_size, j, m)
     # the j-th smallest argument is the number of values v below which fewer
     # than j arguments lie (at or below v)
     table = np.zeros(chain_size**m, dtype=np.min_scalar_type(chain_size - 1))
@@ -310,8 +322,7 @@ def direct_product(
                 f"{f.label!r} {f.signature()}"
             )
     indexing = FactorIndexing(tuple(f.size for f in factors))
-    if indexing.size > cap:
-        raise CapExceeded(f"product size {indexing.size} exceeds cap {cap}")
+    check_product_size(indexing.size, cap)
     ops = [
         ProductOp(first.ops[i].name, [f.ops[i] for f in factors], indexing)
         for i in range(len(first.ops))

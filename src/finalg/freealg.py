@@ -5,13 +5,15 @@ coordinate = one algebra index) generated by explicit vectors.  The free
 algebra on g generators is the special case with one coordinate per
 (algebra, assignment of the generators) and the projections as generators.
 
-One closure kernel, `_build_closure`, runs in frontier rounds: each round
-applies every operation to the argument-index tuples that touch an element
-found in the previous round, and records a provenance term for each new
-element.  `_arg_blocks` unranks those tuples in numpy, in blocks of
-`_CHUNK` tuples, each block as its prefix tree, in a fixed order (multisets
-for symmetric operations), so the work count, the point where the work cap
-bites and every provenance term are deterministic.
+One closure kernel, `_build_closures`, closes a batch of independent
+closures in lockstep, in frontier rounds: each round applies every
+operation to the argument-index tuples that touch an element found in the
+previous round, and records a provenance term for each new element.  A
+closure of its own (`_build_closure`) is a batch of one.  `_arg_blocks`
+unranks those tuples in numpy, in blocks of `_CHUNK` tuples, each block as
+its prefix tree, in a fixed order (multisets for symmetric operations), so
+the work count, the point where the work cap bites and every provenance
+term are deterministic.
 
 Each argument tuple is applied once, in the round after its newest element
 was found, so a completed closure over N elements does exactly
@@ -21,12 +23,12 @@ once the elements found so far put it over the work cap the closure cannot
 finish under the cap, and it raises `CapExceeded` then, before the first
 round or after the block that pushed it over, not when the cap bites.
 
-A closure may be given a `stop` predicate: it sees the generators and then
-each block of new elements, and the closure returns as soon as one of them
-meets it, ending on that element.  Witnesses of small depth appear within a
-few hundred tuples, often past the point where the work bound would already
-refuse the whole closure, so a closure with `stop` applies the bound only
-once its work would pass `SHALLOW_WORK`.
+A batch of one may be given a `stop` predicate: it sees the generators and
+then each block of new elements, and the closure returns as soon as one of
+them meets it, ending on that element.  Witnesses of small depth appear
+within a few hundred tuples, often past the point where the work bound
+would already refuse the whole closure, so a closure with `stop` applies
+the bound only once its work would pass `SHALLOW_WORK`.
 
 An operation is evaluated at every coordinate by one gather (`_Kernel`).
 Once per generate_subpower call, each operation's flat tables over the
@@ -54,32 +56,55 @@ index the concatenated table.
 
 The block of `_CHUNK` rows is the unit of all bookkeeping: the work count
 and the work cap, `SHALLOW_WORK` and the work bound, the element cap and its
-message, `stop`, and the trees kept by `_TreeMemo`.  The tile of `_TILE`
-rows is the unit of evaluation: the levels above the last are small (one
-node per prefix) and are summed once per block, and the last level, one node
-per row and kept by `_arg_blocks` by slicing, is gathered, looked up in the
-table, keyed and checked against the elements found before the block in
-tiles, so that a block's working set stays in cache.  A row's key is its
-values as digits in the mixed radix of the coordinate sizes: one int64 up
-to 2**62 vectors, past that a record of int64 words, each over a run of
-super-coordinates whose radix fits 2**62, sorted and compared field by
-field.  A tile's rows whose keys are missing from the sorted keys of the
-elements known at the block's start are its candidates, and the block keeps
-each new row at its first occurrence in the block.  An argument tuple is
-decoded from the tree only for a row that yields a new element, for its
-provenance term.  Three engines sit on the kernel, tried in this order:
+message, `stop`, and the trees kept by `_TreeMemo`.  The tile is the unit
+of evaluation: the levels above the last are small (one node per prefix)
+and are summed once per block, and the last level, one node per row and
+kept by `_arg_blocks` by slicing, is gathered, looked up in the table,
+keyed and checked against the elements found before the block in tiles of
+`_TILE` rows per closure, so that a block's working set stays in cache.  A
+row's key is its values as digits in the mixed radix of the coordinate
+sizes: one int64 up to 2**62 vectors, past that a record of int64 words,
+each over a run of super-coordinates whose radix fits 2**62, sorted and
+compared field by field.  A tile's rows whose keys are missing from the
+sorted keys of the elements known at the block's start are its candidates,
+and the block keeps each new row at its first occurrence in the block.  An
+argument tuple is decoded from the tree only for a row that yields a new
+element, for its provenance term.
+
+A batch runs its closures (lanes) side by side.  Each round groups the
+running lanes by their shape `(n, old)`, so that they share the trees of
+their round's blocks, and by their number of super-coordinates.  A group
+runs in chunks of lanes with at most `_TILE` rows of its largest block in
+all, so that a wide batch allocates no more than one closure does alone.
+A chunk's element matrices are stacked column by column, and one `weigh`
+and one `apply` per operation and block evaluate all of them, reading one
+concatenation of the distinct packed tables of the batch; each block's tree
+is unranked once for all the chunks of its group.  Each lane's keys are
+offset by the key spaces of the lanes before it, so one membership test and
+one `np.unique` serve a whole chunk, and the block's bookkeeping is done per
+lane: every lane applies the same tuples as it would alone (the work after
+round (n, old) is `_closure_work(tables, n)`), and comes out with the same
+rows, terms, work and refusal at the same block.  A closure keyed by
+records runs in a part of the batch of its own.  Three engines sit on the
+kernel, tried in this order:
 
 * closure engine - the kernel over all coordinates, with a provenance term
   for every element.
 * local engine - when some basic operation is near-unanimity on every
   generator, the generated subpower is determined by its projections onto
   (arity-1)-sized coordinate sets (Baker-Pixley), each closed by the same
-  kernel under the same caps and kept as a closed Subpower of its own.
-  These small closures run through few distinct round shapes, so they share
-  one memo of the argument prefix trees of their rounds (`_TreeMemo`).  One
-  function, `members`, decides membership from them: it filters a box of
-  candidate vectors (some coordinates pinned, some held equal in groups,
-  the rest free) through the local closures, one key lookup per subset.
+  kernel under the same caps and kept as a closed Subpower of its own, or
+  as the CapExceeded that refused it.  One function, `members`, decides
+  membership from them: it filters a box of candidate vectors (some
+  coordinates pinned, some held equal in groups, the rest free) through the
+  local closures, one key lookup per subset.  It closes the pending subsets
+  it walks in lockstep batches, in windows of 1, 2, 4, ... of them, so that
+  a query whose candidates run out early builds at most twice the closures
+  a one-by-one walk would, and an enumeration takes a logarithmic number of
+  batches.  A refusal is raised only when the walk reaches its subset.
+  These small closures run through few distinct round shapes, so the
+  batches share one memo of the argument prefix trees of their rounds
+  (`_TreeMemo`).
   Enumeration is `members` over the whole coordinate box, and provenance
   terms are reconstructed on demand by the interpolation recursion behind
   that decomposition.
@@ -337,6 +362,7 @@ class _Packing(NamedTuple):
     weights: np.ndarray                     # (coordinate, group) -> inner or 0, int16
     place: np.ndarray                       # group -> int64 place value of its code in
                                             # a row's key, (group, word) past 2**62 vectors
+    space: int                              # vectors in the box: the keys it may take
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
         return (rows @ self.weights).astype(np.int16, copy=False)  # sums fit int16
@@ -390,7 +416,7 @@ def _packing(tables: _Tables, coord_algs) -> _Packing:
     weights[np.arange(len(key)), group] = inner
     plan = _Packing(grouped, np.asarray(kinds, dtype=np.intp), group, inner.astype(np.int32),
                     np.asarray(sizes, dtype=np.int32), weights,
-                    place[:, 0] if len(words) == 2 else place)
+                    place[:, 0] if len(words) == 2 else place, math.prod(sizes))
     tables.plans[key] = plan
     return plan
 
@@ -434,38 +460,39 @@ def _product_tables(tables: _Tables, kind: tuple) -> list[np.ndarray]:
 
 
 class _Kernel:
-    """Evaluates one operation at every coordinate with one table gather.
+    """Evaluates one operation at every column of a chunk of lanes with one
+    table gather.
 
-    Coordinate k of an argument row (x_0, ..., x_{r-1}) reads entry
+    Column k of an argument row (x_0, ..., x_{r-1}) reads entry
     base_k + sum_j x_j * radix_k**(r-1-j) of the concatenated table, where
-    base_k starts the table of coordinate k's algebra and radix_k is that
-    algebra's size.  `weigh` scales the element matrix once per round;
-    `apply` then sums those scaled rows along a block's prefix tree, one
-    gather-add per level, the levels above the last once per block and the
-    last level in tiles of `_TILE` rows, in two buffers it keeps from call
-    to call, each as long as the level above the last (no level of a tree
-    has fewer nodes than the one above it) plus one tile.
+    base_k starts the table of column k's algebra (`kinds[k]` in `tables`)
+    and radix_k is that algebra's size.  `weigh` scales a chunk's element
+    matrix once per round; `apply` then sums those scaled rows along a
+    block's prefix tree, one gather-add per level, the levels above the last
+    once per block and the last level in tiles of `_TILE // closures` rows
+    (so a tile of a chunk of `closures` lanes holds no more cells than one
+    lane's tile of `_TILE` rows).  It sums into two buffers that it keeps
+    from call to call, for every chunk it serves, each as long as the level
+    above the last (no level of a tree has fewer nodes than the one above
+    it) plus one tile.
     """
 
-    def __init__(self, tables: _Tables, coord_algs):
-        coord_algs = np.asarray(coord_algs, dtype=np.intp)
+    def __init__(self, tables: _Tables):
         self.tables = tables
-        self.radix = tables.sizes[coord_algs]
-        self.base = [b[coord_algs] for b in tables.base]
         self._buf: Optional[tuple] = None
 
-    def weigh(self, oi: int, stacked: np.ndarray) -> np.ndarray:
-        """(r, n, ncoords) int32: copy j is stacked * radix**(r-1-j), plus base in copy 0."""
+    def weigh(self, oi: int, stacked: np.ndarray, kinds: np.ndarray) -> np.ndarray:
+        """(r, n, columns) int32: copy j is stacked * radix**(r-1-j), plus base in copy 0."""
         r = self.tables.arity[oi]
-        scale = self.radix ** np.arange(r - 1, -1, -1, dtype=np.int32)[:, None, None]
+        scale = self.tables.sizes[kinds] ** np.arange(r - 1, -1, -1, dtype=np.int32)[:, None, None]
         weighted = np.multiply(stacked, scale, dtype=np.int32)
-        weighted[0] += self.base[oi]
+        weighted[0] += self.tables.base[oi][kinds]
         return weighted
 
-    def apply(self, oi: int, weighted: np.ndarray, tree):
+    def apply(self, oi: int, weighted: np.ndarray, tree, closures: int = 1):
         """Values on the rows of a prefix tree `(cols, trail)` (see
-        `_arg_blocks`), one row per node of its last level, in tiles of
-        `_TILE` rows: yields (first row, (rows, ncoords) int16 values) per tile.
+        `_arg_blocks`), one row per node of its last level, in tiles: yields
+        (first row, (rows, columns) int16 values) per tile.
 
         The levels above the last are summed once; each tile then gathers
         its rows' parents and values.  A tile is a view of a buffer that the
@@ -474,11 +501,13 @@ class _Kernel:
         cols, trail = tree
         above = len(trail[-2][1]) if len(trail) > 1 else 0   # nodes above the last level
         rows = len(trail[-1][1])
-        need = above + min(rows, _TILE)
-        if self._buf is None or len(self._buf[0]) < need:
-            shape = (need, len(self.radix))
-            self._buf = (np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32))
-        acc, part = self._buf
+        tile = max(1, _TILE // closures)
+        need = above + min(rows, tile)
+        width = weighted.shape[2]
+        if self._buf is None or len(self._buf[0]) < need * width:
+            self._buf = (np.empty(need * width, dtype=np.int32),
+                         np.empty(need * width, dtype=np.int32))
+        acc, part = (buf[:need * width].reshape(need, width) for buf in self._buf)
         # every level sums into the head of acc, where the level above left
         # its sums: they are gathered into part before the values overwrite
         # them.  Indices are in range by construction, and 'clip' lets numpy
@@ -498,8 +527,8 @@ class _Kernel:
         parent, value = trail[-1]
         last = weighted[cols[-1]]
         flat = self.tables.flat[oi]
-        for start in range(0, rows, _TILE):
-            stop = min(start + _TILE, rows)
+        for start in range(0, rows, tile):
+            stop = min(start + tile, rows)
             s, g = sums[:stop - start], part[:stop - start]
             last.take(value[start:stop], axis=0, out=s, mode="clip")
             if above:
@@ -511,7 +540,7 @@ class _Kernel:
 
 
 _CHUNK = 250_000  # argument rows per block of the closure kernel
-_TILE = 1 << 15    # rows per tile of a block's last level, evaluated together
+_TILE = 1 << 15    # rows per lane of a tile of a block's last level, evaluated together
 
 
 def _arg_blocks(n: int, old: int, r: int, sym: bool, chunk: int):
@@ -611,12 +640,15 @@ def _round_size(n: int, old: int, r: int, sym: bool) -> int:
 
 @dataclass
 class _TreeMemo:
-    """Prefix trees of whole rounds, shared by the closures of a local engine.
+    """Prefix trees of whole rounds, shared by the batches of a local engine.
 
     Its closures are small and run through the same few round shapes, so a
     round that fits in one block is unranked once per (n, old, r, sym) and
     its tree kept, read-only, while the trees kept hold at most `_CHUNK`
-    rows in all.  The memo lives as long as its engine's subpower.
+    rows in all.  Within a batch, the lanes of one shape read one tree per
+    block; the batches of `members`'s doubling windows reuse the trees of the
+    shapes their predecessors met.  The memo lives as long as its engine's
+    subpower.
     """
     rounds: dict = field(default_factory=dict)  # (n, old, r, sym) -> [tree] or []
     rows: int = 0                               # rows of the trees kept
@@ -648,12 +680,13 @@ def _closure_work(tables: _Tables, n: int) -> int:
     return sum(_round_size(n, 0, r, sym) for r, sym in zip(tables.arity, tables.sym))
 
 
-def _refuse_doomed(tables: _Tables, n: int, work_cap: int) -> None:
-    """Raise once n elements already force more work than the cap allows."""
+def _doomed(tables: _Tables, n: int, work_cap: int) -> Optional[CapExceeded]:
+    """The refusal once n elements already force more work than the cap allows."""
     need = _closure_work(tables, n)
-    if need > work_cap:
-        raise CapExceeded(f"subpower work cap exceeded: {n} elements need at least "
-                          f"{need} argument tuples, cap {work_cap}", explored=n)
+    if need <= work_cap:
+        return None
+    return CapExceeded(f"subpower work cap exceeded: {n} elements need at least "
+                       f"{need} argument tuples, cap {work_cap}", explored=n)
 
 
 def _place(sizes) -> np.ndarray:
@@ -670,7 +703,14 @@ def _keys(vecs: np.ndarray, place: np.ndarray) -> np.ndarray:
     search and comparisons take field by field.
     """
     if place.ndim == 1:
-        return np.einsum("ij,j->i", vecs, place, dtype=np.int64, casting="unsafe")
+        # einsum is the faster on wide rows and on a few rows, a pass per
+        # column on many narrow ones
+        if len(place) > 8 or len(vecs) < 1024:
+            return np.einsum("ij,j->i", vecs, place, dtype=np.int64, casting="unsafe")
+        ids = np.multiply(vecs[:, 0], place[0], dtype=np.int64)
+        for c in range(1, len(place)):
+            ids += vecs[:, c] * place[c]
+        return ids
     record = [(f"w{w}", np.int64) for w in range(place.shape[1])]
     return (vecs @ place).view(record)[:, 0]
 
@@ -681,79 +721,383 @@ def _firsts(ids: np.ndarray) -> np.ndarray:
     return np.sort(first)
 
 
+_KEY_SPACE = 1 << 62    # the keys of one part of a batch, offsets included
+
+
+class _Lane:
+    """One closure of a batch, on its super-coordinates: its rows (in blocks,
+    joined at the start of each round), terms and sorted row keys.
+
+    A lane's keys are offset by the key spaces of the lanes before it in its
+    part, so the keys of several lanes never meet and the known keys of a
+    part's lanes, joined in batch order, stay sorted.
+    """
+    __slots__ = ("coord_algs", "gen_rows", "plan", "part", "kinds", "offset", "blocks",
+                 "count", "old", "terms", "known", "work", "outcome")
+
+    def __init__(self, coord_algs, gen_rows, plan: _Packing, part: int, kinds, offset: int):
+        self.coord_algs, self.gen_rows, self.plan = coord_algs, gen_rows, plan
+        self.part, self.kinds, self.offset = part, kinds, offset
+        self.old = self.work = 0
+        self.outcome = None         # its Subpower or CapExceeded, once it ends
+
+    def rows(self) -> np.ndarray:
+        if len(self.blocks) > 1:
+            self.blocks = [np.concatenate(self.blocks)]
+        return self.blocks[0]
+
+    def closed(self, gens, tables: _Tables, vectors: np.ndarray, hit=None) -> Subpower:
+        """The lane's Subpower on its unpacked rows, ending on row `hit`
+        when `stop` met it."""
+        terms = self.terms if hit is None else self.terms[:hit + 1]
+        return Subpower(gens, self.coord_algs, self.gen_rows, vectors, terms,
+                        "closure", {"work": self.work}, _tables=tables)
+
+
+def _lanes(tables: _Tables, batch) -> tuple[list[_Lane], list[_Tables]]:
+    """The lanes of `batch`, in parts, and each part's tables.
+
+    A part is a run of consecutive closures whose key spaces fit
+    `_KEY_SPACE` together and whose distinct packed tables fit int32
+    indexing together; a closure keyed by records is a part of its own.  A
+    part's tables are its closures' packed tables, each distinct one once,
+    one after another, and a lane's `kinds` index them.
+    """
+    lanes: list[_Lane] = []
+    parts: list[list[_Tables]] = []
+    first: dict = {}                    # id of a packed table -> its first kind in the part
+    kinds: dict = {}                    # id of a packing -> its kinds in the part
+    space = entries = 0
+    for coord_algs, gen_rows in batch:
+        plan = _packing(tables, coord_algs)
+        more = 0 if id(plan.tables) in first else max(map(len, plan.tables.flat), default=0)
+        if (not parts or plan.place.ndim == 2 or lanes[-1].plan.place.ndim == 2
+                or space + plan.space > _KEY_SPACE or entries + more >= _INDEX_LIMIT):
+            parts.append([])
+            first.clear()
+            kinds.clear()
+            space = entries = 0
+            more = max(map(len, plan.tables.flat), default=0)
+        if id(plan.tables) not in first:
+            first[id(plan.tables)] = sum(len(t.sizes) for t in parts[-1])
+            parts[-1].append(plan.tables)
+            entries += more
+        if id(plan) not in kinds:
+            kinds[id(plan)] = plan.kinds + first[id(plan.tables)]
+        lanes.append(_Lane(coord_algs, gen_rows, plan, len(parts) - 1, kinds[id(plan)], space))
+        space += plan.space
+    return lanes, [_joined(part) for part in parts]
+
+
+def _joined(parts: list[_Tables]) -> _Tables:
+    """Several packed tables as one: each operation's tables one after another."""
+    if len(parts) == 1:
+        return parts[0]
+    flat, base = [], []
+    for oi in range(len(parts[0].arity)):
+        flat.append(np.concatenate([t.flat[oi] for t in parts]))
+        starts = np.cumsum([0] + [len(t.flat[oi]) for t in parts[:-1]])
+        base.append(np.concatenate([t.base[oi] + int(at) for t, at in zip(parts, starts)])
+                    .astype(np.int32))
+    return _Tables(flat, base, np.concatenate([t.sizes for t in parts]), parts[0].arity,
+                   parts[0].sym)
+
+
+def _by_plan(lanes: list[_Lane]) -> list[list[_Lane]]:
+    """`lanes` in runs of one packing each, in order of first appearance."""
+    runs: dict = {}
+    for lane in lanes:
+        runs.setdefault(id(lane.plan), []).append(lane)
+    return list(runs.values())
+
+
+def _start(lanes: list[_Lane]) -> None:
+    """Each lane of one part at its generators, each at its first
+    occurrence: rows, terms and sorted keys, from one `np.unique` over the
+    keys of all of them."""
+    count = len(lanes[0].gen_rows)      # generator rows, the same for every lane
+    keys = codes = None
+    at = {id(lane): i for i, lane in enumerate(lanes)}
+    for run in _by_plan(lanes):
+        plan = run[0].plan
+        packed = plan.pack(np.concatenate([lane.gen_rows for lane in run]))
+        got = _keys(packed, plan.place).reshape(len(run), count)
+        if keys is None:
+            keys = np.empty((len(lanes), count), dtype=got.dtype)
+            codes = [None] * len(lanes)
+        where = [at[id(lane)] for lane in run]
+        keys[where] = got
+        if plan.place.ndim == 1:
+            keys[where] += np.asarray([lane.offset for lane in run], dtype=np.int64)[:, None]
+        for i, block in zip(where, packed.reshape(len(run), count, -1)):
+            codes[i] = block
+    known, first = np.unique(keys.reshape(-1), return_index=True)
+    first.sort()
+    lane_of, row = np.divmod(first, count)
+    ends = np.cumsum(np.bincount(lane_of, minlength=len(lanes))).tolist()
+    gens = [Var(j) for j in range(count)]
+    a = 0
+    for i, (lane, b) in enumerate(zip(lanes, ends)):
+        rows = row[a:b]
+        lane.blocks, lane.count = [codes[i][rows]], b - a
+        lane.terms = [gens[j] for j in rows.tolist()]
+        lane.known = known[a:b]
+        a = b
+
+
+def _finish(gens, tables: _Tables, lanes: list[_Lane]) -> None:
+    """The Subpower of each lane, all with as many rows, each unpacked
+    together with those of the lanes of its packing."""
+    for run in _by_plan(lanes):
+        vectors = run[0].plan.unpack(np.concatenate([b for lane in run for b in lane.blocks]))
+        for lane, part in zip(run, vectors.reshape(len(run), run[0].count, -1)):
+            lane.outcome = lane.closed(gens, tables, part)
+
+
+def _work_limit(tables: _Tables, work_cap: int) -> int:
+    """The most elements whose completed closure stays within `work_cap`,
+    or ELEMENT_CAP + 1 when that is more."""
+    lo, hi = 0, ELEMENT_CAP + 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _closure_work(tables, mid) <= work_cap:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
                    trees: Optional[_TreeMemo] = None) -> Subpower:
-    # the rounds run on super-coordinates: rows here are packed
-    plan = _packing(tables, coord_algs)
-    codes = plan.pack(gen_rows)
-    place = plan.place
-    keys = _keys(codes, place)
-    first = _firsts(keys)               # the generators, each at its first occurrence
-    rows: list[np.ndarray] = list(codes[first])
-    terms: list[Term] = [Var(int(j)) for j in first]
-    known = np.unique(keys)             # sorted row keys
-    kernel = _Kernel(plan.tables, plan.kinds)
-    work = 0
-    old = 0
-    hit = None if stop is None else stop(plan.unpack(np.array(rows)))
+    """One closure: `_build_closures` on a batch of one, its refusal raised."""
+    got, = _build_closures(tables, gens, [(coord_algs, gen_rows)], work_cap, stop, trees)
+    if isinstance(got, CapExceeded):
+        raise got
+    return got
+
+
+class _Batch(NamedTuple):
+    """What every round of a batch reads."""
+    tables: _Tables
+    gens: tuple
+    work_cap: int
+    stop: Optional[Callable]
+    limit: int                          # the most elements the work bound admits
+    trees: Optional[_TreeMemo]
+
+
+def _build_closures(tables, gens, batch, work_cap, stop=None,
+                    trees: Optional[_TreeMemo] = None) -> list:
+    """Close each `(coord_algs, gen_rows)` of `batch`, all in lockstep.
+
+    Returns, per closure, its closed Subpower or the CapExceeded that refused
+    it, each exactly as the closure would come out alone.  Each round groups
+    the running closures by part, shape `(n, old)` and width, and runs each
+    group through one kernel call per chunk, operation and block (`_round`).
+    Only a batch of one may have a `stop`.
+    """
+    if stop is not None and len(batch) != 1:
+        raise AlgebraError("only a closure of its own may have a stop")
+    lanes, joined = _lanes(tables, batch)
+    for _, part in itertools.groupby(lanes, key=lambda lane: lane.part):
+        _start(list(part))
+    run = _Batch(tables, gens, work_cap, stop, _work_limit(tables, work_cap), trees)
+    kernels = [_Kernel(part) for part in joined]
     bounded = stop is None              # the work bound applies
-    if bounded:
-        _refuse_doomed(tables, len(rows), work_cap)
-    while hit is None:
-        n = len(rows)
-        stacked = np.array(rows)
-        for oi, r in enumerate(tables.arity):
-            weighted = kernel.weigh(oi, stacked)
-            for tree in _round_trees(n, old, r, tables.sym[oi], trees):
-                work += len(tree[1][-1][1])
-                if work > work_cap:
-                    raise CapExceeded(f"subpower work cap exceeded: {work} argument tuples "
-                                      f"applied, cap {work_cap}", explored=n)
-                if not bounded and work > SHALLOW_WORK:
-                    bounded = True
-                    _refuse_doomed(tables, len(rows), work_cap)
-                # each tile's rows new as of the block's start, at their first
-                # occurrence in the tile: positions, rows and keys
-                found = []
-                for at, out in kernel.apply(oi, weighted, tree):
-                    ids = _keys(out, place)
-                    pos = known.searchsorted(ids)
-                    np.minimum(pos, len(known) - 1, out=pos)
-                    fresh = np.flatnonzero(known[pos] != ids)
-                    if len(fresh):
-                        fresh = fresh[_firsts(ids[fresh])]
-                        found.append((fresh + at if at else fresh, out[fresh], ids[fresh]))
-                if not found:
-                    continue
-                fresh, new, ids = found[0]
-                if len(found) > 1:          # a row new to several tiles counts at its first
-                    fresh, new, ids = (np.concatenate(part) for part in zip(*found))
-                    first = _firsts(ids)
-                    fresh, new, ids = fresh[first], new[first], ids[first]
-                known = np.union1d(known, ids)
-                if len(rows) + len(fresh) > ELEMENT_CAP:
-                    raise CapExceeded(f"subpower element cap: {len(rows) + len(fresh)} "
-                                      f"elements, cap {ELEMENT_CAP}", explored=len(rows))
-                before = len(rows)
-                rows.extend(new)
-                terms += [App(oi, tuple(terms[i] for i in args))
-                          for args in _tree_args(tree, fresh)]
-                if stop is not None:
-                    hit = stop(plan.unpack(new))
-                    if hit is not None:
-                        hit += before
-                        break
-                if bounded:
-                    _refuse_doomed(tables, len(rows), work_cap)
-            if hit is not None:
-                break
-        if len(rows) == n:
-            break
-        old = n
-    if hit is not None:                 # end on the row that met `stop`
-        del rows[hit + 1:], terms[hit + 1:]
-    return Subpower(gens, coord_algs, gen_rows, plan.unpack(np.array(rows)), terms,
-                    "closure", {"work": work}, _tables=tables)
+    if stop is not None:
+        lane = lanes[0]
+        hit = stop(lane.plan.unpack(lane.blocks[0]))
+        if hit is not None:
+            lane.outcome = lane.closed(gens, tables, lane.plan.unpack(lane.rows()[:hit + 1]),
+                                       hit)
+    else:
+        for lane in lanes:
+            if lane.count > run.limit:
+                lane.outcome = _doomed(tables, lane.count, work_cap)
+    live = [lane for lane in lanes if lane.outcome is None]
+    while live:
+        groups: dict[tuple, list[_Lane]] = {}
+        for lane in live:
+            groups.setdefault((lane.part, lane.count, lane.old, len(lane.kinds)), []).append(lane)
+        for (part, n, old, _), group in groups.items():
+            bounded = _round(run, kernels[part], group, n, old, bounded)
+            done = []
+            for lane in group:
+                if lane.outcome is None and lane.count == n:
+                    done.append(lane)
+                lane.old = n
+            if done:
+                _finish(gens, tables, done)
+        live = [lane for lane in live if lane.outcome is None]
+    return [lane.outcome for lane in lanes]
+
+
+def _round(run: _Batch, kernel: _Kernel, group: list[_Lane], n: int, old: int,
+           bounded: bool) -> bool:
+    """One round of the lanes `group`, each at n elements, `old` of them
+    known before the last round, in chunks of at most `_TILE` rows of the
+    round's largest block in all.  The chunks share the round's trees: each
+    block is unranked once and applied to every chunk.  Sets the `outcome`
+    of each lane that ends, and returns whether the work bound applies.
+    """
+    tables = run.tables
+    rows = max((min(_round_size(n, old, r, sym), _CHUNK)
+                for r, sym in zip(tables.arity, tables.sym)), default=1)
+    size = max(1, _TILE // rows)
+    chunks = [_Chunk(group[at:at + size]) for at in range(0, len(group), size)]
+    work = _closure_work(tables, old)   # every lane has applied the same tuples so far
+    for oi, r in enumerate(tables.arity):
+        weighted = [kernel.weigh(oi, chunk.stacked, chunk.kinds) for chunk in chunks]
+        for tree in _round_trees(n, old, r, tables.sym[oi], run.trees):
+            work += len(tree[1][-1][1])
+            if work > run.work_cap:
+                for lane in group:
+                    if lane.outcome is None:
+                        lane.outcome = CapExceeded(
+                            f"subpower work cap exceeded: {work} argument tuples applied, "
+                            f"cap {run.work_cap}", explored=n)
+                return bounded
+            if not bounded and work > SHALLOW_WORK:
+                bounded = True
+                for chunk in chunks:
+                    for j in np.flatnonzero(chunk.running).tolist():
+                        if chunk.lanes[j].count > run.limit:
+                            chunk.end(j, _doomed(tables, chunk.lanes[j].count, run.work_cap))
+            for chunk, scaled in zip(chunks, weighted):
+                if chunk.running.any() and chunk.block(run, kernel, oi, scaled, tree, work,
+                                                       bounded):
+                    return bounded      # `stop` met a row
+            if not any(chunk.running.any() for chunk in chunks):
+                return bounded          # every lane has ended
+    for chunk in chunks:
+        chunk.close(work)
+    return bounded
+
+
+class _Chunk:
+    """Lanes of one group evaluated side by side: their stacked rows, kinds,
+    place values and key offsets, and their joined known keys.  Keys here
+    are relative to the first lane's offset.
+
+    A block's rows are keyed per lane from the lanes' place values, offset
+    per lane, tested against the joined known keys at once, and kept at
+    their first occurrence per lane by one `np.unique`.  The test looks the
+    keys up in a table over the lanes' key span where that span is at most
+    four keys per row and lane, and otherwise takes one `searchsorted` in
+    the sorted known keys.
+    """
+
+    def __init__(self, lanes: list[_Lane]):
+        self.lanes = lanes
+        self.width = len(lanes[0].kinds)
+        self.lo = lo = lanes[0].offset
+        self.span = lanes[-1].offset + lanes[-1].plan.space - lo
+        self.offset = np.zeros(1, dtype=np.int64)
+        if len(lanes) == 1:
+            self.kinds, self.stacked = lanes[0].kinds, lanes[0].rows()
+            self.place, known = lanes[0].plan.place, lanes[0].known
+        else:
+            self.kinds = np.concatenate([lane.kinds for lane in lanes])
+            self.stacked = np.concatenate([lane.rows() for lane in lanes], axis=1)
+            self.place = np.stack([lane.plan.place for lane in lanes])
+            self.offset = np.asarray([lane.offset - lo for lane in lanes], dtype=np.int64)
+            known = np.concatenate([lane.known for lane in lanes])
+        self.known = known - lo if lo else known
+        self.running = np.ones(len(lanes), dtype=bool)
+
+    def end(self, j: int, outcome) -> None:
+        self.lanes[j].outcome = outcome
+        self.running[j] = False
+
+    def keys(self, out: np.ndarray) -> np.ndarray:
+        """The keys of a tile's values, one per row and lane, row-major."""
+        k = len(self.lanes)
+        if k == 1:
+            return _keys(out, self.place)
+        # a pass per column, as a lane's columns are a handful; the last
+        # column's place value is 1
+        view = out.reshape(len(out), k, self.width)
+        ids = np.add(view[:, :, -1], self.offset, dtype=np.int64)
+        for c in range(self.width - 1):
+            ids += view[:, :, c] * self.place[:, c]
+        return ids.reshape(-1)
+
+    def block(self, run: _Batch, kernel: _Kernel, oi: int, weighted, tree, work: int,
+              bounded: bool) -> bool:
+        """Apply operation `oi` on the rows of one block; returns whether
+        `stop` met one of them."""
+        k = len(self.lanes)
+        known = self.known
+        unknown = None                  # key -> not known, over the span
+        if self.span <= 4 * len(tree[1][-1][1]) * k:
+            unknown = np.ones(self.span, dtype=bool)
+            unknown[known] = False
+        # each tile's rows new to their lane as of the block's start, at their
+        # first occurrence in the tile: positions (row * k + lane), rows, keys
+        found = []
+        for at, out in kernel.apply(oi, weighted, tree, k):
+            ids = self.keys(out)
+            if unknown is not None:
+                fresh = np.flatnonzero(unknown.take(ids, mode="clip"))
+            else:
+                pos = known.searchsorted(ids)
+                np.minimum(pos, len(known) - 1, out=pos)
+                fresh = np.flatnonzero(known[pos] != ids)
+            if len(fresh):
+                fresh = fresh[_firsts(ids[fresh])]
+                found.append((fresh + at * k if at else fresh,
+                              out.reshape(-1, self.width)[fresh], ids[fresh]))
+        if not found:
+            return False
+        fresh, new, ids = found[0]
+        if len(found) > 1:              # a row new to several tiles counts at its first
+            fresh, new, ids = (np.concatenate(part) for part in zip(*found))
+            first = _firsts(ids)
+            fresh, new, ids = fresh[first], new[first], ids[first]
+        if k == 1:
+            counts = np.asarray([len(fresh)])
+        else:                           # each lane's new rows together, in block order
+            lane_of = fresh % k
+            if not self.running.all():
+                keep = self.running[lane_of]
+                fresh, new, ids, lane_of = fresh[keep], new[keep], ids[keep], lane_of[keep]
+            order = np.argsort(lane_of, kind="stable")
+            fresh, new = fresh[order] // k, new[order]
+            counts = np.bincount(lane_of, minlength=k)
+        self.known = np.union1d(known, ids)
+        args = _tree_args(tree, fresh).tolist()
+        ends = np.cumsum(counts).tolist()
+        sizes = counts.tolist()
+        for j in np.flatnonzero(counts).tolist():
+            lane, b = self.lanes[j], ends[j]
+            a = b - sizes[j]
+            if lane.count + sizes[j] > ELEMENT_CAP:
+                self.end(j, CapExceeded(f"subpower element cap: {lane.count + sizes[j]} "
+                                        f"elements, cap {ELEMENT_CAP}", explored=lane.count))
+                continue
+            before = lane.count
+            lane.blocks.append(new[a:b])
+            lane.count += sizes[j]
+            terms = lane.terms
+            terms += [App(oi, tuple(terms[i] for i in row)) for row in args[a:b]]
+            if run.stop is not None:
+                hit = run.stop(lane.plan.unpack(new[a:b]))
+                if hit is not None:
+                    lane.work = work
+                    hit += before
+                    self.end(j, lane.closed(run.gens, run.tables,
+                                            lane.plan.unpack(lane.rows()[:hit + 1]), hit))
+                    return True
+            if bounded and lane.count > run.limit:
+                self.end(j, _doomed(run.tables, lane.count, run.work_cap))
+        return False
+
+    def close(self, work: int) -> None:
+        """Hand each lane its work and its known keys at the round's end."""
+        known = self.known + self.lo if self.lo else self.known
+        cuts = [0, *known.searchsorted(self.offset[1:] + self.lo).tolist(), len(known)]
+        for lane, a, b in zip(self.lanes, cuts, cuts[1:]):
+            lane.known, lane.work = known[a:b], work
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +1108,8 @@ def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
 class _LocalData:
     nu_op: int
     width: int
-    local_closures: dict                     # ordered coord tuple -> its closed Subpower
+    local_closures: dict                     # ordered coord tuple -> its closed
+                                             # Subpower or the CapExceeded refusing it
     work_cap: int                            # of each local closure
     trees: _TreeMemo = field(default_factory=_TreeMemo)  # shared by the local closures
 
@@ -793,15 +1138,26 @@ def _build_local(tables, gens, coord_algs, gen_rows, work_cap) -> Subpower:
     return sub
 
 
-def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> Subpower:
-    """Generated subalgebra of the projection onto `subset`, with terms."""
+def _build_local_closures(sub: Subpower, subsets: list[tuple[int, ...]]) -> None:
+    """Close the projections onto `subsets` in one batch, each kept with
+    its Subpower or the CapExceeded that refused it."""
     local = sub._local
-    closed = local.local_closures.get(subset)
-    if closed is None:
-        closed = _build_closure(sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
-                                sub.gen_rows[:, list(subset)], local.work_cap,
-                                trees=local.trees)
-        local.local_closures[subset] = closed
+    picked = np.asarray(subsets, dtype=np.intp)
+    batch = list(zip(np.asarray(sub.coord_algs)[picked].tolist(),
+                     sub.gen_rows[:, picked].transpose(1, 0, 2)))
+    got = _build_closures(sub._tables, sub.gens, batch, local.work_cap, trees=local.trees)
+    local.local_closures.update(zip(subsets, got))
+
+
+def _local_closure_for(sub: Subpower, subset: tuple[int, ...]) -> Subpower:
+    """Generated subalgebra of the projection onto `subset`, with terms;
+    raises the CapExceeded that refused it."""
+    local = sub._local
+    if subset not in local.local_closures:
+        _build_local_closures(sub, [subset])
+    closed = local.local_closures[subset]
+    if isinstance(closed, CapExceeded):
+        raise closed
     return closed
 
 
@@ -844,9 +1200,18 @@ def members(sub: Subpower, pinned: dict[int, int],
     # the surviving candidates: all of them as a slice, so that the first
     # pass reads views and makes a mask, then their indices
     rows = slice(None) if keep.all() else np.flatnonzero(keep)
-    for subset in itertools.combinations(range(ncoords), min(sub._local.width, ncoords)):
-        if not keep.any():
+    built = sub._local.local_closures
+    walk = itertools.combinations(range(ncoords), min(sub._local.width, ncoords))
+    window = 1                              # subsets the next batch closes
+    while keep.any():
+        subset = next(walk, None)
+        if subset is None:
             break
+        if subset not in built:             # close it with the next pending ones
+            walk, ahead = itertools.tee(walk)
+            pending = (later for later in ahead if later not in built)
+            _build_local_closures(sub, [subset, *itertools.islice(pending, window - 1)])
+            window *= 2
         closed = _local_closure_for(sub, subset)
         place = _place([sizes[k] for k in subset])
         allowed = np.zeros(math.prod(sizes[k] for k in subset), dtype=bool)

@@ -14,6 +14,7 @@ Three constructions live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -25,6 +26,8 @@ from .algebras import (
     AlgebraError,
     BoxUnion,
     FiniteAlgebra,
+    check_order_statistic,
+    check_product_size,
     check_table_entries,
     coordinate_sizes,
     direct_product,
@@ -409,7 +412,14 @@ def build_sharpness_witness(m: int, q: int, *, verify_closure: bool = True) -> S
     """
     params = SharpnessParams(m, q)
     roles = _factor_plan(params)
-    factors = [make_ujm_reduct(r["chain"], r["j"], m) for r in roles]
+    # every cap is checked before any factor table is built: the tables,
+    # then the product's size; each distinct factor is built once
+    kinds = dict.fromkeys((r["chain"], r["j"]) for r in roles)
+    for chain, j in kinds:
+        check_order_statistic(chain, j, m)
+    check_product_size(math.prod(r["chain"] for r in roles))
+    made = {(chain, j): make_ujm_reduct(chain, j, m) for chain, j in kinds}
+    factors = [made[r["chain"], r["j"]] for r in roles]
     product = direct_product(factors, label=f"P({m},{q})")
     union = BoxUnion(product.indexing.sizes, good_boxes(roles, q))
     if verify_closure:

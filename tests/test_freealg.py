@@ -26,6 +26,7 @@ from finalg.freealg import (
     SHALLOW_WORK,
     _arg_blocks,
     _build_closure,
+    _build_closures,
     _build_local,
     _closure_work,
     _local_closure_for,
@@ -356,9 +357,9 @@ def test_members_refuse_a_large_box_before_building_it():
     assert not sub._local.local_closures
 
 
-def test_shared_trees_build_the_same_local_closures(monkeypatch):
-    # every local closure of the nu(4) search over I:5, built on the trees
-    # its engine shares, against a fresh closure that unranks its own
+def nu4_over_i5(monkeypatch):
+    """The local engine's subpower behind the nu(4) search over I:5, with
+    the local closures that search built."""
     built = []
     build_local = freealg._build_local
 
@@ -366,31 +367,157 @@ def test_shared_trees_build_the_same_local_closures(monkeypatch):
         built.append(build_local(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(freealg, "_build_local", recorded_local)
-    assert not absorption_search(load_fixtures("I:5"), nu_scheme(4)).found
-    sub = built[-1]
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "_build_local", recorded_local)
+        assert not absorption_search(load_fixtures("I:5"), nu_scheme(4)).found
+    assert built[-1].engine == "local"
+    return built[-1]
+
+
+def local_batch(sub):
+    """(coord_algs, gen_rows) of every local closure of `sub`, in the order
+    `members` walks them."""
+    width = min(sub._local.width, sub.ncoords)
+    return [([sub.coord_algs[k] for k in subset], sub.gen_rows[:, list(subset)])
+            for subset in itertools.combinations(range(sub.ncoords), width)]
+
+
+def assert_batch_runs_alone(sub, work_cap):
+    """Every local closure of `sub`, closed in one batch on the trees its
+    engine shares, against the same closure as a batch of one on trees of
+    its own: the same vectors, terms and stats, or the same refusal.
+    Returns the outcomes seen, 'closed' or 'capped'."""
+    batch = local_batch(sub)
+    together = _build_closures(sub._tables, sub.gens, batch, work_cap, trees=sub._local.trees)
+    seen = set()
+    for spec, got in zip(batch, together, strict=True):
+        try:
+            alone = _build_closure(sub._tables, sub.gens, *spec, work_cap)
+        except CapExceeded as exc:
+            assert isinstance(got, CapExceeded)
+            assert (str(got), got.explored) == (str(exc), exc.explored)
+            seen.add("capped")
+            continue
+        assert np.array_equal(got.vectors, alone.vectors)
+        assert got.terms == alone.terms
+        assert got.stats == alone.stats
+        seen.add("closed")
+    return seen
+
+
+def test_shared_trees_build_the_same_local_closures(monkeypatch):
+    # every local closure of the nu(4) search over I:5, built in the
+    # search's windows on the trees its engine shares, against a fresh
+    # closure that unranks its own; then all of them in one batch
+    sub = nu4_over_i5(monkeypatch)
     local = sub._local
-    assert sub.engine == "local"
     assert len(local.local_closures) == math.comb(sub.ncoords, local.width) == 210
     assert local.trees.rounds
-    capped = set()
     for subset, shared in local.local_closures.items():
-        args = (sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
-                sub.gen_rows[:, list(subset)])
-        fresh = _build_closure(*args, local.work_cap)
+        fresh = _build_closure(sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
+                               sub.gen_rows[:, list(subset)], local.work_cap)
         assert np.array_equal(shared.vectors, fresh.vectors)
         assert shared.terms == fresh.terms
         assert shared.stats == fresh.stats
-        # under a small cap, both stop at the same point with the same message
-        outcomes = []
-        for trees in (local.trees, None):
-            try:
-                outcomes.append(_build_closure(*args, 2_000, trees=trees).stats)
-            except CapExceeded as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        capped.add(type(outcomes[0]))
-    assert capped == {str, dict}                    # the cap bit in some, not all
+    assert assert_batch_runs_alone(sub, local.work_cap) == {"closed"}
+    # under a small cap, one batch holds closures that finish and closures
+    # the work bound refuses, each as it finishes or is refused alone
+    assert assert_batch_runs_alone(sub, 2_000) == {"closed", "capped"}
+
+
+def test_a_batch_of_several_packings_runs_as_its_closures_alone(monkeypatch):
+    # 4 of the 8 two-element and 10 of the 27 three-element coordinates of
+    # the free algebra on 3 generators over N:2:4 and Nq:2:4:3: 364 local
+    # closures over four packings, whose product tables one batch reads
+    # from one concatenation
+    rng = np.random.default_rng(4)
+    tables, gens, coord_algs, gen_rows = free_generators(load_fixtures("N:2:4,Nq:2:4:3"), 3)
+    assert coord_algs == [0] * 8 + [1] * 27
+    keep = np.sort(np.concatenate([rng.choice(8, 4, replace=False),
+                                   8 + rng.choice(27, 10, replace=False)]))
+    sub = _build_local(tables, gens, [coord_algs[k] for k in keep], gen_rows[:, keep],
+                       80_000_000)
+    lanes, joined = freealg._lanes(tables, local_batch(sub))
+    assert len(lanes) == 364 and len(joined) == 1
+    assert len({id(lane.plan) for lane in lanes}) == 4
+    assert len({id(lane.plan.tables) for lane in lanes}) > 1
+    assert assert_batch_runs_alone(sub, 80_000_000) == {"closed"}
+    # the work bound, then the element cap, refuse some lanes of the batch
+    assert assert_batch_runs_alone(sub, 15) == {"closed", "capped"}
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "ELEMENT_CAP", 3)
+        assert assert_batch_runs_alone(sub, 80_000_000) == {"closed", "capped"}
+    # key spaces of at most 64 keys per part: the batch runs in many parts
+    monkeypatch.setattr(freealg, "_KEY_SPACE", 64)
+    lanes, joined = freealg._lanes(tables, local_batch(sub))
+    assert len(joined) > 50 and max(lane.offset + lane.plan.space for lane in lanes) <= 64
+    assert assert_batch_runs_alone(sub, 15) == {"closed", "capped"}
+
+
+def test_refusals_surface_where_the_walk_reaches_them(monkeypatch):
+    # nu(4) over I:5's subpower with its coordinates reordered: under a work
+    # cap of 4,512 the first local closure the work bound refuses is the
+    # 29th the walk reaches.  A vector outside the subpower whose projection
+    # fails one of the 16th to 28th closures ends a pinned query before
+    # that, in the window of 16 that closes the 29th too
+    base = nu4_over_i5(monkeypatch)
+    order = [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]
+    args = (base._tables, base.gens, [base.coord_algs[k] for k in order],
+            base.gen_rows[:, order])
+    whole = _build_local(*args, base._local.work_cap)
+    assert len(members(whole, {}, [])) == 94
+    closed = whole._local.local_closures
+    subsets = list(closed)                            # in the order of the walk
+    cap = 4_512
+    refused = {i for i, subset in enumerate(subsets) if closed[subset].stats["work"] > cap}
+    assert min(refused) == 28
+    failing = subsets[28]
+    with pytest.raises(CapExceeded) as alone:
+        _build_closure(*args[:2], [args[2][k] for k in failing], args[3][:, list(failing)],
+                       cap)
+
+    def first_rejection(vec):
+        return next((i for i, subset in enumerate(subsets)
+                     if closed[subset].index_of(vec[list(subset)]) is None), len(subsets))
+
+    box = np.indices([2] * base.ncoords).reshape(base.ncoords, -1).T.astype(np.int16)
+    outside = [vec for vec in box if 15 <= first_rejection(vec) < 28]
+    assert outside
+    for vec in outside[:3]:
+        walked = first_rejection(vec) + 1     # the closures a one-by-one walk builds
+        sub = _build_local(*args, cap)
+        got = members(sub, {k: int(v) for k, v in enumerate(vec)}, [])
+        assert got.shape == (0, base.ncoords)
+        built = sub._local.local_closures
+        assert len(built) == 31 <= 2 * walked          # windows of 1, 2, 4, 8 and 16
+        assert list(built) == subsets[:31]
+        assert {i for i, subset in enumerate(subsets[:31])
+                if isinstance(built[subset], CapExceeded)} == refused & set(range(31))
+        assert str(built[failing]) == str(alone.value)
+        with pytest.raises(CapExceeded) as info:
+            members(sub, {}, [])
+        assert str(info.value) == str(alone.value)
+
+
+def test_local_engine_applies_once_per_round_shape_and_batch(monkeypatch):
+    # the kernel calls of nu(4) over I:5's local engine: one per chunk,
+    # operation and block of each batch's round shapes, where closing its
+    # 210 closures one by one took 988
+    calls = [0]
+    apply = freealg._Kernel.apply
+
+    def counted(self, oi, weighted, tree, closures=1):
+        calls[0] += 1
+        return apply(self, oi, weighted, tree, closures)
+
+    sub = nu4_over_i5(monkeypatch)
+    sub._local.local_closures.clear()
+    sub._local.trees = freealg._TreeMemo()
+    monkeypatch.setattr(freealg._Kernel, "apply", counted)
+    assert len(members(sub, {}, [])) == 94
+    shapes = len(sub._local.trees.rounds)     # (n, old) per operation
+    assert shapes == 50
+    assert shapes <= calls[0] <= 4 * shapes
 
 
 def test_tree_memo_keeps_one_block_rounds_up_to_chunk_rows():
@@ -462,8 +589,8 @@ def test_kernel_matches_per_coordinate_loop(r):
     rng = np.random.default_rng(r)
     stacked = np.stack([rng.integers(0, gens[ai].size, n) for ai in coord_algs],
                        axis=1).astype(np.int16)
-    kernel = freealg._Kernel(freealg._prepare_tables(gens), coord_algs)
-    weighted = kernel.weigh(oi, stacked)
+    kernel = freealg._Kernel(freealg._prepare_tables(gens))
+    weighted = kernel.weigh(oi, stacked, np.asarray(coord_algs))
     trees = list(_arg_blocks(n, 0, r, False, _CHUNK))
     blocks = [tree_rows(tree) for tree in trees]
     assert [len(b) for b in blocks] == [_CHUNK, n**r - _CHUNK]
@@ -585,25 +712,25 @@ def test_completed_closure_work_is_exactly_the_bound(fixture, g, partial):
 
 
 def count_applied(monkeypatch):
-    """One entry [has stop, work cap, rows applied, message raised] per
-    closure; closures never nest, so rows go to the latest one."""
+    """One entry [has stop, work cap, tuples applied, messages raised] per
+    batch of closures; batches never nest, so tuples go to the latest one.
+    A kernel call over several closures applies its rows to each of them."""
     calls = []
-    apply, build = freealg._Kernel.apply, freealg._build_closure
+    apply, build = freealg._Kernel.apply, freealg._build_closures
 
-    def counted_apply(self, oi, weighted, tree):
-        calls[-1][2] += len(tree[1][-1][1])            # the rows: last-level nodes
-        return apply(self, oi, weighted, tree)
+    def counted_apply(self, oi, weighted, tree, closures=1):
+        calls[-1][2] += len(tree[1][-1][1]) * closures         # last-level nodes
+        return apply(self, oi, weighted, tree, closures)
 
-    def recorded_build(*args, **kwargs):
-        calls.append([len(args) > 5 and args[5] is not None, args[4], 0, None])
-        try:
-            return build(*args, **kwargs)
-        except CapExceeded as exc:
-            calls[-1][3] = str(exc)
-            raise
+    def recorded_build(tables, gens, batch, work_cap, stop=None, trees=None):
+        calls.append([stop is not None, work_cap, 0, None])
+        got = build(tables, gens, batch, work_cap, stop, trees)
+        refused = [str(sub) for sub in got if isinstance(sub, CapExceeded)]
+        calls[-1][3] = refused[0] if len(refused) == 1 else refused or None
+        return got
 
     monkeypatch.setattr(freealg._Kernel, "apply", counted_apply)
-    monkeypatch.setattr(freealg, "_build_closure", recorded_build)
+    monkeypatch.setattr(freealg, "_build_closures", recorded_build)
     return calls
 
 
@@ -612,6 +739,15 @@ def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch):
     # a 4M cap.  With a stop it runs until its work would pass SHALLOW_WORK,
     # then the work bound refuses it and the local engine decides
     calls = count_applied(monkeypatch)
+    unranked = []                       # (batch, rows) per block unranked
+    blocks = freealg._arg_blocks
+
+    def counted_blocks(*args):
+        for tree in blocks(*args):
+            unranked.append((len(calls), len(tree[1][-1][1])))
+            yield tree
+
+    monkeypatch.setattr(freealg, "_arg_blocks", counted_blocks)
     cert = absorption_search(load_fixtures("I:5"), nu_scheme(4))
     assert not cert.found
     assert cert.stats == {"engine": "local", "size": 94}
@@ -622,6 +758,10 @@ def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch):
     assert applied <= SHALLOW_WORK
     assert "elements need at least" in message
     assert sum(c[2] for c in calls) <= 828_912       # the two-pass search applied this
+    # no block past the one whose work met the bound is unranked
+    batch = calls.index(refused[0]) + 1
+    last = [rows for at, rows in unranked if at == batch]
+    assert sum(last[:-1]) <= SHALLOW_WORK < sum(last)
 
 
 # the found searches of the benchmark's varieties workload and the toolkit's
@@ -696,9 +836,9 @@ def record_tiles(monkeypatch):
     blocks = []
     apply = freealg._Kernel.apply
 
-    def recorded(self, oi, weighted, tree):
+    def recorded(self, oi, weighted, tree, closures=1):
         blocks.append([])
-        for at, out in apply(self, oi, weighted, tree):
+        for at, out in apply(self, oi, weighted, tree, closures):
             blocks[-1].append([row.tobytes() for row in out])
             yield at, out
 
@@ -974,14 +1114,14 @@ def test_grouped_search_matches_groups_of_one(monkeypatch, fixture, arity):
 
 def count_closure_work(monkeypatch):
     works = []
-    build = freealg._build_closure
+    build = freealg._build_closures
 
     def recorded(*args, **kwargs):
-        sub = build(*args, **kwargs)
-        works.append(sub.stats["work"])
-        return sub
+        got = build(*args, **kwargs)
+        works.extend(sub.stats["work"] for sub in got if isinstance(sub, freealg.Subpower))
+        return got
 
-    monkeypatch.setattr(freealg, "_build_closure", recorded)
+    monkeypatch.setattr(freealg, "_build_closures", recorded)
     return works
 
 

@@ -261,6 +261,37 @@ def test_factor_shapes():
         assert len(w.product.factors) == m - 1
 
 
+def test_each_distinct_factor_is_built_once(monkeypatch):
+    # (9, 2) has three pairs, a half and the last factor: N(2,9), N(3,9)
+    # and N(4,9) on the 3-element chain, and N(2,9) on the 2-element one
+    made = []
+    build = witnesses.make_ujm_reduct
+    monkeypatch.setattr(witnesses, "make_ujm_reduct",
+                        lambda chain, j, m: made.append((chain, j)) or build(chain, j, m))
+    w = build_sharpness_witness(9, 2, verify_closure=False)
+    assert made == [(3, 2), (3, 3), (3, 4), (3, 5), (2, 2)]
+    assert [f.label for f in w.product.factors] == [
+        "N(2,9)@3", "N(2,9)@3", "N(3,9)@3", "N(3,9)@3", "N(4,9)@3", "N(4,9)@3",
+        "N(5,9)@3", "N(2,9)@2"]
+    assert w.product.factors[0] is w.product.factors[1]
+
+
+def test_product_cap_is_checked_before_any_factor_table(monkeypatch):
+    # 2 * 3**13 and 2 * 3**12 elements, each past the default cap of 2**20:
+    # refused with the product's message before a table is built
+    def unbuilt(chain, j, m):
+        raise AssertionError("a factor table was built")
+
+    monkeypatch.setattr(witnesses, "make_ujm_reduct", unbuilt)
+    for m, size in ((15, 2 * 3**13), (14, 2 * 3**12)):
+        with pytest.raises(CapExceeded) as info:
+            build_sharpness_witness(m, 2)
+        assert str(info.value) == f"product size {size} exceeds cap {1 << 20}"
+    # a table past its own cap is still named first, as at m = 30
+    with pytest.raises(CapExceeded, match=r"^table of N\(2,30\)@3 would need "):
+        build_sharpness_witness(30, 2)
+
+
 @pytest.mark.parametrize("m,q", [(m, q) for m in range(3, 7) for q in (2, 3)])
 def test_triple_matches_the_pairwise_role_oracle(witness_cache, m, q):
     w = witness_cache(m, q)
