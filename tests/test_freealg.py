@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finalg import certificates, freealg
+from finalg import certificates, freealg, kernel
 from finalg.algebras import (
     DEFAULT_TABLE_CAP,
     AlgebraError,
@@ -22,22 +22,18 @@ from finalg.algebras import (
 )
 from finalg.fixtures import load_fixtures
 from finalg.freealg import (
-    _CHUNK,
     SHALLOW_WORK,
-    _arg_blocks,
     _build_closure,
     _build_closures,
     _build_local,
     _closure_work,
     _local_closure_for,
-    _prepare_tables,
-    _round_trees,
-    _tree_args,
     build_free_algebra,
     generate_subpower,
     members,
     shared_nu_op,
 )
+from finalg.kernel import _CHUNK, _arg_blocks, _prepare_tables, _round_trees, _tree_args
 from finalg.io import dumps_canonical
 from finalg.maltsev import absorption_search, nu_scheme
 from finalg.terms import App, Var, term_to_obj
@@ -272,7 +268,7 @@ def test_partial_run_matches_oracle_loop(monkeypatch):
     # in rounds of several blocks; complete, and stopped on its 30th row
     gens = load_fixtures("I:5")
     runs = [closure(gens, 3), closure(gens, 3, stop=stop_after(30))]
-    monkeypatch.setattr(freealg, "_arg_blocks", oracle_trees)
+    monkeypatch.setattr(kernel, "_arg_blocks", oracle_trees)
     oracle_runs = [closure(gens, 3), closure(gens, 3, stop=stop_after(30))]
     assert [run.size for run in runs] == [38, 30]
     for fast, slow in zip(runs, oracle_runs):
@@ -504,7 +500,7 @@ def test_local_engine_applies_once_per_round_shape_and_batch(monkeypatch):
     # operation and block of each batch's round shapes, where closing its
     # 210 closures one by one took 988
     calls = [0]
-    apply = freealg._Kernel.apply
+    apply = kernel._Kernel.apply
 
     def counted(self, oi, weighted, tree, closures=1):
         calls[0] += 1
@@ -512,8 +508,8 @@ def test_local_engine_applies_once_per_round_shape_and_batch(monkeypatch):
 
     sub = nu4_over_i5(monkeypatch)
     sub._local.local_closures.clear()
-    sub._local.trees = freealg._TreeMemo()
-    monkeypatch.setattr(freealg._Kernel, "apply", counted)
+    sub._local.trees = kernel._TreeMemo()
+    monkeypatch.setattr(kernel._Kernel, "apply", counted)
     assert len(members(sub, {}, [])) == 94
     shapes = len(sub._local.trees.rounds)     # (n, old) per operation
     assert shapes == 50
@@ -521,7 +517,7 @@ def test_local_engine_applies_once_per_round_shape_and_batch(monkeypatch):
 
 
 def test_tree_memo_keeps_one_block_rounds_up_to_chunk_rows():
-    memo = freealg._TreeMemo()
+    memo = kernel._TreeMemo()
     # 260,130 multisets: two blocks, never kept
     assert len(list(_round_trees(115, 0, 3, True, memo))) == 2
     assert memo.rounds == {} and memo.rows == 0
@@ -572,11 +568,11 @@ ARITIES = (1, 2, 3, 4, 5)
 EDGE_N = {1: _CHUNK + 1, 2: 501, 3: 64, 4: 23, 5: 13}
 
 
-def applied(kernel, oi, weighted, tree):
+def applied(gather, oi, weighted, tree):
     """`_Kernel.apply`'s values on all rows of `tree`: its tiles, which must
     be consecutive, joined."""
-    tiles = [(at, out.copy()) for at, out in kernel.apply(oi, weighted, tree)]
-    assert [at for at, _ in tiles] == list(range(0, len(tree[1][-1][1]), freealg._TILE))
+    tiles = [(at, out.copy()) for at, out in gather.apply(oi, weighted, tree)]
+    assert [at for at, _ in tiles] == list(range(0, len(tree[1][-1][1]), kernel._TILE))
     return np.concatenate([out for _, out in tiles])
 
 
@@ -589,16 +585,16 @@ def test_kernel_matches_per_coordinate_loop(r):
     rng = np.random.default_rng(r)
     stacked = np.stack([rng.integers(0, gens[ai].size, n) for ai in coord_algs],
                        axis=1).astype(np.int16)
-    kernel = freealg._Kernel(freealg._prepare_tables(gens))
-    weighted = kernel.weigh(oi, stacked, np.asarray(coord_algs))
+    gather = kernel._Kernel(_prepare_tables(gens))
+    weighted = gather.weigh(oi, stacked, np.asarray(coord_algs))
     trees = list(_arg_blocks(n, 0, r, False, _CHUNK))
     blocks = [tree_rows(tree) for tree in trees]
     assert [len(b) for b in blocks] == [_CHUNK, n**r - _CHUNK]
     for tree, idx in zip(trees, blocks):
         want = oracle_apply_vec(gens, coord_algs, oi, np.take(stacked, idx.T, axis=0))
-        assert np.array_equal(applied(kernel, oi, weighted, tree), want)
+        assert np.array_equal(applied(gather, oi, weighted, tree), want)
         # the same rows as a tree without shared prefixes
-        assert np.array_equal(applied(kernel, oi, weighted, rows_tree(idx[::997])),
+        assert np.array_equal(applied(gather, oi, weighted, rows_tree(idx[::997])),
                               want[::997])
 
 
@@ -641,7 +637,7 @@ def _no_rounds(*args):
 
 
 def test_table_over_cap_raises_before_any_round(monkeypatch):
-    monkeypatch.setattr(freealg, "_arg_blocks", _no_rounds)
+    monkeypatch.setattr(kernel, "_arg_blocks", _no_rounds)
     big = FiniteAlgebra(2049, [Unbuilt(2049)])        # 2049**2 entries: over the cap
     assert big.size**2 > DEFAULT_TABLE_CAP
     with pytest.raises(CapExceeded, match="would need"):
@@ -649,7 +645,7 @@ def test_table_over_cap_raises_before_any_round(monkeypatch):
 
 
 def test_concatenated_tables_of_2_31_entries_raise_before_any_round(monkeypatch):
-    monkeypatch.setattr(freealg, "_arg_blocks", _no_rounds)
+    monkeypatch.setattr(kernel, "_arg_blocks", _no_rounds)
     alg = FiniteAlgebra(2048, [Unbuilt(2048)])        # 2**22 entries: at the cap
     assert alg.size**2 == DEFAULT_TABLE_CAP
     gens = [alg] * 512                                # 2**31 entries together
@@ -685,7 +681,7 @@ EXACT_CASES = [
 def test_exact_cases_cover_symmetric_and_asymmetric_operations():
     sym = set()
     for fixture, _, _ in EXACT_CASES:
-        sym.update(freealg._prepare_tables(tuple(load_fixtures(fixture))).sym)
+        sym.update(kernel._prepare_tables(tuple(load_fixtures(fixture))).sym)
     assert sym == {True, False}
 
 
@@ -716,7 +712,7 @@ def count_applied(monkeypatch):
     batch of closures; batches never nest, so tuples go to the latest one.
     A kernel call over several closures applies its rows to each of them."""
     calls = []
-    apply, build = freealg._Kernel.apply, freealg._build_closures
+    apply, build = kernel._Kernel.apply, freealg._build_closures
 
     def counted_apply(self, oi, weighted, tree, closures=1):
         calls[-1][2] += len(tree[1][-1][1]) * closures         # last-level nodes
@@ -729,7 +725,7 @@ def count_applied(monkeypatch):
         calls[-1][3] = refused[0] if len(refused) == 1 else refused or None
         return got
 
-    monkeypatch.setattr(freealg._Kernel, "apply", counted_apply)
+    monkeypatch.setattr(kernel._Kernel, "apply", counted_apply)
     monkeypatch.setattr(freealg, "_build_closures", recorded_build)
     return calls
 
@@ -740,14 +736,14 @@ def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch):
     # then the work bound refuses it and the local engine decides
     calls = count_applied(monkeypatch)
     unranked = []                       # (batch, rows) per block unranked
-    blocks = freealg._arg_blocks
+    blocks = kernel._arg_blocks
 
     def counted_blocks(*args):
         for tree in blocks(*args):
             unranked.append((len(calls), len(tree[1][-1][1])))
             yield tree
 
-    monkeypatch.setattr(freealg, "_arg_blocks", counted_blocks)
+    monkeypatch.setattr(kernel, "_arg_blocks", counted_blocks)
     cert = absorption_search(load_fixtures("I:5"), nu_scheme(4))
     assert not cert.found
     assert cert.stats == {"engine": "local", "size": 94}
@@ -824,8 +820,8 @@ def test_element_cap_message_names_elements_and_cap(monkeypatch):
     # in tiles of 7 rows (2 new in the first) or of 1 row the cap is crossed
     # inside that block, and the message still counts the whole block
     monkeypatch.setattr(freealg, "ELEMENT_CAP", 5)
-    for tile in (freealg._TILE, 7, 1):
-        monkeypatch.setattr(freealg, "_TILE", tile)
+    for tile in (kernel._TILE, 7, 1):
+        monkeypatch.setattr(kernel, "_TILE", tile)
         with pytest.raises(CapExceeded) as info:
             closure(load_fixtures("N:2:4,N:3:4"), 3)
         assert str(info.value) == "subpower element cap: 9 elements, cap 5"
@@ -834,7 +830,7 @@ def test_element_cap_message_names_elements_and_cap(monkeypatch):
 def record_tiles(monkeypatch):
     """Each `_Kernel.apply` call's tiles, each a list of its rows' bytes."""
     blocks = []
-    apply = freealg._Kernel.apply
+    apply = kernel._Kernel.apply
 
     def recorded(self, oi, weighted, tree, closures=1):
         blocks.append([])
@@ -842,7 +838,7 @@ def record_tiles(monkeypatch):
             blocks[-1].append([row.tobytes() for row in out])
             yield at, out
 
-    monkeypatch.setattr(freealg._Kernel, "apply", recorded)
+    monkeypatch.setattr(kernel._Kernel, "apply", recorded)
     return blocks
 
 
@@ -853,9 +849,9 @@ def test_tiles_of_one_block_keep_its_first_occurrences(monkeypatch):
     # hits in a later tile
     args = lambda: free_generators(load_fixtures("N:2:5,N:3:5"), 3)
     tables, _, coord_algs, gen_rows = args()
-    known = {row.tobytes() for row in freealg._packing(tables, coord_algs).pack(gen_rows)}
+    known = {row.tobytes() for row in kernel._packing(tables, coord_algs).pack(gen_rows)}
     with monkeypatch.context() as patched:
-        patched.setattr(freealg, "_TILE", 7)
+        patched.setattr(kernel, "_TILE", 7)
         blocks = record_tiles(patched)
         size = _build_closure(*args(), 80_000_000).size
     twice = 0                   # rows new to a block in two tiles of it
@@ -879,7 +875,7 @@ def test_tiles_of_one_block_keep_its_first_occurrences(monkeypatch):
 
 
 def test_refusal_before_the_first_round(monkeypatch):
-    monkeypatch.setattr(freealg, "_arg_blocks", _no_rounds)
+    monkeypatch.setattr(kernel, "_arg_blocks", _no_rounds)
     gens = load_fixtures("N:2:3")                     # 3 generators: 10 multisets
     with pytest.raises(CapExceeded, match="3 elements need at least 10 "):
         closure(gens, 3, work_cap=9)
@@ -919,7 +915,7 @@ def test_product_tables_match_the_direct_product(fixture):
     for kind in [*grouped, *itertools.permutations(range(len(gens)))]:
         product = direct_product([gens[ai] for ai in kind])
         for oi, op in enumerate(product.ops):
-            got = freealg._product_tables(tables, kind)[oi]
+            got = kernel._product_tables(tables, kind)[oi]
             assert got.dtype == np.int16
             assert np.array_equal(got, op.table_array())
             # the argument order of the closure assumes what the flag says
@@ -936,29 +932,29 @@ def test_grouping_bounds():
     one = random_algebra(1, (4,), 7)
     ternary = random_algebra(2, (3,), 8)      # 32**3 <= 2**16 < 64**3
     unary = random_algebra(2, (1,), 9)        # the universe bound binds first
-    assert big.size**4 > freealg._GROUP_TABLE >= small.size**4
+    assert big.size**4 > kernel._GROUP_TABLE >= small.size**4
     cases = [((big, small, one), [1, 1, 0, 2, 1, 1, 1, 1, 1, 0, 0, 1], [2, 1, 5, 1, 1, 1, 1]),
              ((ternary,), [0] * 12, [5, 5, 2]),
              ((unary,), [0] * 40, [15, 15, 10])]
     for gens, coord_algs, lengths in cases:
         tables = _prepare_tables(gens)
-        plan = freealg._packing(tables, coord_algs)
-        assert freealg._packing(tables, coord_algs) is plan          # kept
+        plan = kernel._packing(tables, coord_algs)
+        assert kernel._packing(tables, coord_algs) is plan          # kept
         groups = [np.flatnonzero(plan.group == g) for g in range(len(plan.kinds))]
         assert [len(g) for g in groups] == lengths
         kinds = [tuple(coord_algs[k] for k in g) for g in groups]
         for kind, size in zip(kinds, plan.tables.sizes[plan.kinds].tolist()):
             assert size == math.prod(gens[ai].size for ai in kind) <= 1 << 15
             if len(kind) > 1:
-                assert max(size**r for r in tables.arity) <= freealg._GROUP_TABLE
+                assert max(size**r for r in tables.arity) <= kernel._GROUP_TABLE
         if gens[0] is big:          # over its own table's bound: a group of one
             assert all(kind == (0,) for kind in kinds if 0 in kind)
 
 
 def test_grouping_gives_way_to_int32_indexing(monkeypatch):
     tables = _prepare_tables(tuple(load_fixtures("I:5")))
-    monkeypatch.setattr(freealg, "_INDEX_LIMIT", 4096)
-    plan = freealg._packing(tables, [0] * 8)
+    monkeypatch.setattr(kernel, "_INDEX_LIMIT", 4096)
+    plan = kernel._packing(tables, [0] * 8)
     assert plan.tables is tables and plan.kinds.tolist() == [0] * 8
     assert np.array_equal(plan.pack(np.eye(8, dtype=np.int16)), np.eye(8))
 
@@ -981,7 +977,7 @@ def layouts(monkeypatch, observe, tiles=()):
     outcomes = [observe()]
     for name, value in [("_GROUP_TABLE", 0), *(("_TILE", tile) for tile in tiles)]:
         with monkeypatch.context() as patched:
-            patched.setattr(freealg, name, value)
+            patched.setattr(kernel, name, value)
             outcomes.append(observe())
     return outcomes
 
@@ -1085,7 +1081,7 @@ def test_grouped_closure_matches_groups_of_one_past_64_one_element_coordinates(
         monkeypatch, lambda: outcome(lambda: _build_closure(*args(), 80_000_000)))
     assert grouped == ungrouped and grouped[1] == (3, 83)
     tables = args()[0]
-    assert len(freealg._packing(tables, [0] * 80 + [1] * 3).kinds) == 1
+    assert len(kernel._packing(tables, [0] * 80 + [1] * 3).kinds) == 1
 
 
 @pytest.mark.parametrize("fixture, arity", [("I:5", 4), ("If:5", 4), ("I:5", 5)])

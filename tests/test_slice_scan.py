@@ -17,7 +17,7 @@ import pytest
 
 from finalg import algebras
 from finalg.algebras import DEFAULT_TUPLE_CAP, BoxUnion, CapExceeded, is_subuniverse
-from finalg.freealg import _arg_blocks
+from finalg.kernel import _arg_blocks
 from finalg.witnesses import build_sharpness_witness, good_boxes
 
 import scalar_oracle

@@ -1,4 +1,4 @@
-"""Prefix trees of argument tuples, as `freealg._arg_blocks` yields them,
+"""Prefix trees of argument tuples, as `kernel._arg_blocks` yields them,
 turned into plain rows and back.
 
 A tree is `(cols, trail)`: level l of `trail` is a pair (parent, value),
