@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -421,6 +422,47 @@ def test_shared_trees_build_the_same_local_closures(monkeypatch):
     assert assert_batch_runs_alone(sub, 2_000) == {"closed", "capped"}
 
 
+def test_a_round_weighs_one_chunk_of_lanes_at_a_time(monkeypatch):
+    # with chunks of at most 16 rows of a round's largest block, nu(4) over
+    # I:5's 210 local closures run in many chunks per group; each chunk's
+    # weighted copies are dropped before the next chunk is weighed, and
+    # every closure still comes out as it does alone
+    sub = nu4_over_i5(monkeypatch)
+    monkeypatch.setattr(freealg, "_TILE", 16)
+    alive, most = [], [0]
+    weigh = kernel._Kernel.weigh
+
+    def watched(self, oi, stacked, kinds):
+        alive[:] = [ref for ref in alive if ref() is not None]
+        most[0] = max(most[0], len(alive))
+        weighted = weigh(self, oi, stacked, kinds)
+        alive.append(weakref.ref(weighted))
+        return weighted
+
+    monkeypatch.setattr(kernel._Kernel, "weigh", watched)
+    chunks = [0]
+    chunk = freealg._Chunk.__init__
+
+    def counted(self, lanes):
+        chunks[0] += 1
+        chunk(self, lanes)
+
+    monkeypatch.setattr(freealg._Chunk, "__init__", counted)
+    most_chunks = [0]                       # of one round
+    round_ = freealg._round
+
+    def rounded(*args):
+        before = chunks[0]
+        bounded = round_(*args)
+        most_chunks[0] = max(most_chunks[0], chunks[0] - before)
+        return bounded
+
+    monkeypatch.setattr(freealg, "_round", rounded)
+    assert assert_batch_runs_alone(sub, sub._local.work_cap) == {"closed"}
+    assert most_chunks[0] > 10
+    assert most[0] == 1                     # the chunk's own copy for its previous operation
+
+
 def test_a_batch_of_several_packings_runs_as_its_closures_alone(monkeypatch):
     # 4 of the 8 two-element and 10 of the 27 three-element coordinates of
     # the free algebra on 3 generators over N:2:4 and Nq:2:4:3: 364 local
@@ -493,6 +535,12 @@ def test_refusals_surface_where_the_walk_reaches_them(monkeypatch):
         with pytest.raises(CapExceeded) as info:
             members(sub, {}, [])
         assert str(info.value) == str(alone.value)
+        # asked again, the same refusal as a fresh exception: the kept one
+        # is never raised, so it pins no caller's frames
+        with pytest.raises(CapExceeded) as again:
+            members(sub, {}, [])
+        assert again.value is not info.value and str(again.value) == str(alone.value)
+        assert built[failing].__traceback__ is None
 
 
 def test_local_engine_applies_once_per_round_shape_and_batch(monkeypatch):
@@ -1035,6 +1083,12 @@ def test_grouped_free_algebra_matches_groups_of_one(monkeypatch, fixture):
     # 852,112 tuples in tiles of a few rows would take half a minute
     assert_runs_agree(monkeypatch, lambda: free_generators(gens, 3),
                       () if fixture == "I:5" else (1, 7))
+
+
+def test_subpower_of_no_coordinates_is_the_empty_vector():
+    # rows of no columns are keyed like any others: every one reads key 0
+    sub = generate_subpower(load_fixtures("I:4"), [], np.zeros((2, 0), dtype=np.int16))
+    assert sub.engine == "closure" and sub.vectors.shape == (1, 0)
 
 
 def test_grouped_closure_matches_groups_of_one_past_int64_keys(monkeypatch):
