@@ -15,13 +15,33 @@ its prefix tree, in a fixed order (multisets for symmetric operations), so
 the work count, the point where the work cap bites and every provenance
 term are deterministic.
 
-Each argument tuple is applied once, in the round after its newest element
-was found, so a completed closure over N elements does exactly
+Each argument tuple is charged once, in the round after its newest element
+was found, so a completed closure over N elements is charged exactly
 `_closure_work(tables, N)` work: the sum over the operations of
 C(N+r-1, r) (symmetric, arity r) or N**r.  That sum only grows with N, so
 once the elements found so far put it over the work cap the closure cannot
 finish under the cap, and it raises `CapExceeded` then, before the first
-round or after the block that pushed it over, not when the cap bites.
+round or after the block that pushed it over, not when the cap bites.  The
+work is what the caps count; the tuples the kernel evaluates,
+`stats["evaluated"]`, are fewer where a round is predicted.
+
+A round of more than `_WALK_FLOOR` tuples (one block) whose work stays
+within the work cap is predicted first (`_new_rows`).  Every tuple over the
+rows known before the previous round was applied already, so the round's
+new rows are the image of the rows under every operation less the rows.
+The image comes from the box route's walk over residual classes
+(`algebras._joint_step`), each row a box of singletons, abandoned when one
+of its steps would form more than 1/`_WALK_SHARE` of the round's tuples in
+candidates.  A predicted round stops after the tile that holds its last new
+row, or is skipped when it adds none, and the tuples it leaves are charged
+as applied.  They add no row and pass no cap, and where they would start the
+work bound (`SHALLOW_WORK`, below) the bound is checked at the round's end,
+so rows, terms, `stop` calls, refusals and work are the full round's.  On
+the benchmark's largest closures (best of 5, 2-vCPU Xeon) the kernel takes
+20-30 ns a tuple and the walk 35 ns a candidate at 8-10 coordinates, plus
+about 0.3 ms a walk.  So a step at the budget costs at most about a tenth of
+the round it may save, and the walk's fixed cost is a few per cent of a
+round at the floor, which takes 5-7 ms.
 
 A batch of one may be given a `stop` predicate: it sees the generators and
 then each block of new elements, and the closure returns as soon as one of
@@ -85,11 +105,12 @@ concatenation of the distinct packed tables of the batch; each block's tree
 is unranked once for all the chunks of its group.  Each lane's keys are
 offset by the key spaces of the lanes before it, so one membership test and
 one `np.unique` serve a whole chunk, and the block's bookkeeping is done per
-lane: every lane applies the same tuples as it would alone (the work after
-round (n, old) is `_closure_work(tables, n)`), and comes out with the same
-rows, terms, work and refusal at the same block.  A closure keyed by
-records runs in a part of the batch of its own.  Three engines sit on the
-kernel, tried in this order:
+lane: every lane is charged the same tuples as it would be alone (the work
+after round (n, old) is `_closure_work(tables, n)`), and comes out with the
+same rows, terms, work and refusal at the same block.  A predicted chunk
+ends its round once each of its lanes has found its new rows.  A closure
+keyed by records runs in a part of the batch of its own.  Three engines sit
+on the kernel, tried in this order:
 
 * closure engine - the kernel over all coordinates, with a provenance term
   for every element.
@@ -131,6 +152,8 @@ from .algebras import (
     AlgebraError,
     CapExceeded,
     FiniteAlgebra,
+    _joint_step,
+    _residual_classes,
     is_near_unanimity,
     similar,
 )
@@ -327,7 +350,8 @@ def build_free_algebra(gens: Sequence[FiniteAlgebra], g: int) -> FreeAlgebra:
 
 
 def _closure_work(tables: _Tables, n: int) -> int:
-    """Argument tuples a completed closure over n elements applies."""
+    """Argument tuples a completed closure over n elements is charged: each
+    tuple over its elements once, evaluated or left by a predicted round."""
     return sum(_round_size(n, 0, r, sym) for r, sym in zip(tables.arity, tables.sym))
 
 
@@ -388,12 +412,12 @@ class _Lane:
     part's lanes, joined in batch order, stay sorted.
     """
     __slots__ = ("coord_algs", "gen_rows", "plan", "part", "kinds", "offset", "blocks",
-                 "count", "old", "terms", "known", "work", "outcome")
+                 "count", "old", "terms", "known", "work", "evaluated", "outcome")
 
     def __init__(self, coord_algs, gen_rows, plan: _Packing, part: int, kinds, offset: int):
         self.coord_algs, self.gen_rows, self.plan = coord_algs, gen_rows, plan
         self.part, self.kinds, self.offset = part, kinds, offset
-        self.old = self.work = 0
+        self.old = self.work = self.evaluated = 0
         self.outcome = None         # its Subpower or CapExceeded, once it ends
 
     def rows(self) -> np.ndarray:
@@ -406,7 +430,8 @@ class _Lane:
         when `stop` met it."""
         terms = self.terms if hit is None else self.terms[:hit + 1]
         return Subpower(gens, self.coord_algs, self.gen_rows, vectors, terms,
-                        "closure", {"work": self.work}, _tables=tables)
+                        "closure", {"work": self.work, "evaluated": self.evaluated},
+                        _tables=tables)
 
 
 def _lanes(tables: _Tables, batch) -> tuple[list[_Lane], list[_Tables]]:
@@ -624,6 +649,8 @@ class _Chunk:
             known = np.concatenate([lane.known for lane in lanes])
         self.known = known - lo if lo else known
         self.running = np.ones(len(lanes), dtype=bool)
+        self.expect = None              # the rows the round adds, when predicted
+        self.found = self.evaluated = 0     # rows added and rows evaluated so far
 
     def end(self, j: int, outcome) -> None:
         self.lanes[j].outcome = outcome
@@ -641,32 +668,70 @@ class _Chunk:
               bounded: bool) -> bool:
         """The chunk's round: each operation weighed once and applied block
         by block, `trees` the blocks of each operation or None to unrank
-        them here.  Returns whether the work bound applies."""
-        tables = run.tables
-        work = _closure_work(tables, old)   # every lane has applied the same tuples so far
-        for oi, (r, sym) in enumerate(zip(tables.arity, tables.sym)):
-            weighted = kernel.weigh(oi, self.stacked, self.kinds)
-            blocks = _round_trees(n, old, r, sym, run.trees) if trees is None else trees[oi]
-            for tree in blocks:
-                work += len(tree[1][-1][1])
-                if work > run.work_cap:
-                    for j in np.flatnonzero(self.running).tolist():
-                        self.end(j, CapExceeded(
-                            f"subpower work cap exceeded: {work} argument tuples applied, "
-                            f"cap {run.work_cap}", explored=n))
-                    return bounded
-                if not bounded and work > SHALLOW_WORK:
-                    bounded = True
-                    for j in np.flatnonzero(self.running).tolist():
-                        self.end_if_doomed(run, j)
-                    if not self.running.any():
-                        return bounded
-                if self.block(run, kernel, oi, weighted, tree, work, bounded):
-                    return bounded      # `stop` met a row
+        them here, up to the tile that holds the last of the new rows
+        `predict` counts.  Returns whether the work bound applies."""
+        work = _closure_work(run.tables, old)   # every lane has applied the same tuples so far
+        total = _closure_work(run.tables, n)
+        self.expect = self.predict(run, total - work, total)
+        for oi, weighted, tree in self.blocks(run, kernel, n, old, trees):
+            work += len(tree[1][-1][1])
+            if work > run.work_cap:
+                for j in np.flatnonzero(self.running).tolist():
+                    self.end(j, CapExceeded(
+                        f"subpower work cap exceeded: {work} argument tuples applied, "
+                        f"cap {run.work_cap}", explored=n))
+                return bounded
+            if not bounded and work > SHALLOW_WORK:
+                bounded = True
+                for j in np.flatnonzero(self.running).tolist():
+                    self.end_if_doomed(run, j)
                 if not self.running.any():
-                    return bounded      # every lane has ended
-        self.close(work)
+                    return bounded
+            if self.block(run, kernel, oi, weighted, tree, work, bounded):
+                return bounded          # `stop` met a row
+            if not self.running.any():
+                return bounded          # every lane has ended
+            if self.found == self.expect:
+                break                   # the rest of the round adds no row
+        # the tuples left, if any, add no row and stay within the cap
+        # (`predict`): charged as applied, and checked as they would be
+        if not bounded and total > SHALLOW_WORK:
+            bounded = True
+            for j in np.flatnonzero(self.running).tolist():
+                self.end_if_doomed(run, j)
+        self.close(total)
         return bounded
+
+    def blocks(self, run: _Batch, kernel: _Kernel, n: int, old: int, trees):
+        """(operation, weighted rows, tree) per block of the round, each
+        operation weighed as its first block comes; none when the round is
+        predicted to add no row."""
+        if self.expect == 0:
+            return
+        for oi, (r, sym) in enumerate(zip(run.tables.arity, run.tables.sym)):
+            weighted = kernel.weigh(oi, self.stacked, self.kinds)
+            for tree in _round_trees(n, old, r, sym, run.trees) if trees is None else trees[oi]:
+                yield oi, weighted, tree
+
+    def predict(self, run: _Batch, size: int, total: int) -> Optional[int]:
+        """The rows the round of `size` tuples adds to all the lanes, or None.
+
+        A round is predicted when it passes `_WALK_FLOOR` tuples and its
+        work `total` stays within the work cap, so that the tuples it
+        leaves pass no cap: the element cap, the work bound and `stop` act
+        where rows are found, and the work bound that `SHALLOW_WORK` starts
+        is checked at the round's end.  Each step of a lane's walk
+        (`_new_rows`) may form `size / _WALK_SHARE` candidates.
+        """
+        if size <= _WALK_FLOOR or total > run.work_cap:
+            return None
+        expect = 0
+        for lane in self.lanes:
+            got = _new_rows(run, lane, size // _WALK_SHARE)
+            if got is None:
+                return None
+            expect += got
+        return expect
 
     def end_if_doomed(self, run: _Batch, j: int) -> None:
         """End lane j if its elements already force more work than the cap."""
@@ -688,6 +753,7 @@ class _Chunk:
         # first occurrence in the tile: positions (row * k + lane), rows, keys
         found = []
         for at, out in kernel.apply(oi, weighted, tree, k):
+            self.evaluated += len(out)
             ids = self.keys(out)
             if unknown is not None:
                 fresh = np.flatnonzero(unknown.take(ids, mode="clip"))
@@ -699,6 +765,11 @@ class _Chunk:
                 fresh = fresh[_firsts(ids[fresh])]
                 found.append((fresh + at * k if at else fresh,
                               out.reshape(-1, self.width)[fresh], ids[fresh]))
+                # a row new to an ended lane counts too, but only rows not
+                # yet found do: the count meets `expect` at the last new row
+                if self.expect is not None and self.expect == self.found + len(
+                        np.unique(np.concatenate([part[2] for part in found]))):
+                    break
         if not found:
             return False
         fresh, new, ids = found[0]
@@ -717,6 +788,7 @@ class _Chunk:
             fresh, new = fresh[order] // k, new[order]
             counts = np.bincount(lane_of, minlength=k)
         self.known = np.union1d(known, ids)
+        self.found += len(ids)
         args = _tree_args(tree, fresh).tolist()
         ends = np.cumsum(counts).tolist()
         sizes = counts.tolist()
@@ -736,6 +808,7 @@ class _Chunk:
                 hit = run.stop(lane.plan.unpack(new[a:b]))
                 if hit is not None:
                     lane.work = work
+                    lane.evaluated += self.evaluated
                     hit += before
                     self.end(j, lane.closed(run.gens, run.tables,
                                             lane.plan.unpack(lane.rows()[:hit + 1]), hit))
@@ -750,6 +823,82 @@ class _Chunk:
         cuts = [0, *known.searchsorted(self.offset[1:] + self.lo).tolist(), len(known)]
         for lane, a, b in zip(self.lanes, cuts, cuts[1:]):
             lane.known, lane.work = known[a:b], work
+            lane.evaluated += self.evaluated
+
+
+_WALK_FLOOR = _CHUNK    # tuples a round must pass to be predicted
+_WALK_SHARE = 16        # a step of its walk forms at most 1/16 of them in candidates
+
+
+def _new_rows(run: _Batch, lane: _Lane, budget: int) -> Optional[int]:
+    """How many rows the lane's coming round adds, or None when
+    `_image_rows` gives no image.
+
+    The round applies the tuples that touch a row found in the last round;
+    every other tuple was applied in an earlier round, so its value is a row
+    already.  The round's new rows are then the image of the rows under
+    every operation less the rows.
+    """
+    plan = lane.plan
+    image = _image_rows(run.tables, run.gens, lane.coord_algs, plan.unpack(lane.rows()), budget)
+    if image is None:
+        return None
+    keys = np.unique(_keys(plan.pack(image), plan.place))
+    if plan.place.ndim == 1:
+        keys += lane.offset
+    pos = np.minimum(lane.known.searchsorted(keys), len(lane.known) - 1)
+    return int(np.count_nonzero(lane.known[pos] != keys))
+
+
+def _image_rows(tables: _Tables, gens, coord_algs, rows: np.ndarray,
+                budget: int) -> Optional[np.ndarray]:
+    """Every value of every operation on `rows`, each operation's values
+    once, or None when a class table is refused or a step of the walk would
+    form more than `budget` candidates.
+
+    The box route's walk (`_joint_step`) with each row a box of singletons:
+    joint states of one residual class per coordinate (`_singleton_classes`),
+    grown by one argument row at a time and deduplicated after each, so that
+    the states after the last argument are the distinct values.
+    """
+    cols = rows.T.astype(np.intp, order="C")
+    n = len(rows)
+    images = []
+    for oi, r in enumerate(tables.arity):
+        coords = []
+        for ai, col in zip(coord_algs, cols):
+            got = _singleton_classes(tables, gens, ai, oi)
+            if got is None:
+                return None
+            coords.append((col, *got))
+        states = np.zeros((1, len(coords)), dtype=np.int64)
+        for t in range(r):
+            if len(states) * n > budget:
+                return None
+            states = _joint_step(coords, states, n, t)[0]
+        image = np.empty(states.shape, dtype=np.int16)
+        for c, (_, _, value) in enumerate(coords):
+            image[:, c] = value[states[:, c]]
+        images.append(image)
+    return np.concatenate(images)
+
+
+def _singleton_classes(tables: _Tables, gens, ai: int, oi: int):
+    """The residual classes of operation oi of algebra ai over its values,
+    one singleton set each, kept on `tables`: the transitions and the value
+    of each class at full arity, or None when `_residual_classes` refuses
+    them under a cap of `_CHUNK` (class-table entries)."""
+    got = tables.classes.get((ai, oi), False)
+    if got is False:
+        op, size = gens[ai].ops[oi], gens[ai].size
+        try:
+            trans, images = _residual_classes(op, tuple((v,) for v in range(size)), op.arity,
+                                              tables.sym[oi], _CHUNK, {})
+            got = trans, np.asarray([min(image) for image in images], dtype=np.int16)
+        except CapExceeded:
+            got = None
+        tables.classes[ai, oi] = got
+    return got
 
 
 # ---------------------------------------------------------------------------

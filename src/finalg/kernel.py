@@ -32,6 +32,7 @@ class _Tables:
     sym: list[bool]                         # op -> symmetric on every algebra
     plans: dict = field(default_factory=dict, repr=False)     # coord_algs -> _Packing
     products: dict = field(default_factory=dict, repr=False)  # algebra tuple -> tables
+    classes: dict = field(default_factory=dict, repr=False)   # (algebra, op) -> classes
 
 
 def _prepare_tables(gens) -> _Tables:

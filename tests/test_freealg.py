@@ -1008,13 +1008,16 @@ def test_grouping_gives_way_to_int32_indexing(monkeypatch):
 
 
 def outcome(run):
-    """What a closure run shows: its rows, terms and work, or its refusal."""
+    """What a closure run shows: its rows, terms and work, or its refusal.
+    Not the tuples it evaluated: a predicted round ends with the tile that
+    holds its last new row, so that count depends on the tiles."""
     try:
         sub = run()
     except CapExceeded as exc:
         return str(exc)
     names = [op.name for op in sub.gens[0].ops]
-    return (sub.vectors.tobytes(), sub.vectors.shape, sub.stats,
+    stats = {key: value for key, value in sub.stats.items() if key != "evaluated"}
+    return (sub.vectors.tobytes(), sub.vectors.shape, stats,
             [term_to_obj(t, names) for t in sub.terms],
             sorted(sub._index.items(), key=lambda item: item[1]))
 
@@ -1203,3 +1206,184 @@ def test_largest_benchmark_closure_evaluates_its_blocks_in_tiles():
     finally:
         tracemalloc.stop()
     assert peak < 20 << 20
+
+
+# ---------------------------------------------------------------------------
+# predicted rounds: a round over one block is predicted by the walk over the
+# residual classes and ends at its last new row; the closure comes out as if
+# every round ran in full
+
+
+def largest_closure(monkeypatch, verdict):
+    """The closure engine's run with the most work behind `verdict`:
+    ((gens, coord_algs, gen_rows, work_cap, stop), its Subpower)."""
+    runs = []
+    build = freealg._build_closure
+
+    def recorded(tables, gens, coord_algs, gen_rows, work_cap, stop=None, trees=None):
+        got = build(tables, gens, coord_algs, gen_rows, work_cap, stop, trees)
+        runs.append(((gens, coord_algs, gen_rows, work_cap, stop), got))
+        return got
+
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "_build_closure", recorded)
+        verdict()
+    return max(runs, key=lambda run: run[1].stats["work"])
+
+
+def closure_runs(monkeypatch, gens, coord_algs, gen_rows, work_cap, stop=lambda: None):
+    """One closure as given (`stop()` its stop), capped at its work less
+    one, with a stop that never meets a row under a third of its work, and
+    under an element cap one below its size: each run's outcome, and every
+    row each stop saw."""
+    seen = []
+
+    def watched(inner):
+        def watch(rows):
+            seen.append(rows.tobytes())
+            return inner(rows)
+        return watch
+
+    def run(cap, stop):
+        return outcome(lambda: _build_closure(_prepare_tables(gens), gens, coord_algs, gen_rows,
+                                              cap, stop and watched(stop)))
+
+    first = run(work_cap, stop())
+    total = first[2]["work"]
+    runs = [first, run(total - 1, stop()), run(total // 3, lambda rows: None)]
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "ELEMENT_CAP", first[1][0] - 1)
+        runs.append(run(work_cap, stop()))
+    return runs, seen
+
+
+def predicted_and_full(monkeypatch, observe):
+    """observe() with rounds predicted and with every round in full
+    (`_new_rows` made to predict nothing): asserts they agree, and returns
+    what it saw and how many rounds were predicted."""
+    predicted = []
+    new_rows = freealg._new_rows
+
+    def counted(*walk):
+        got = new_rows(*walk)
+        predicted.append(got is not None)
+        return got
+
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "_new_rows", counted)
+        seen = observe()
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "_new_rows", lambda *walk: None)
+        assert observe() == seen
+    return seen, sum(predicted)
+
+
+def predict_every_round(monkeypatch):
+    """Predict every round, however few its tuples and however many
+    candidates its walk forms."""
+    new_rows = freealg._new_rows
+    monkeypatch.setattr(freealg, "_WALK_FLOOR", 0)
+    monkeypatch.setattr(freealg, "_new_rows", lambda run, lane, budget: new_rows(run, lane, 1 << 40))
+
+
+@pytest.mark.parametrize("fixture, g, partial", EXACT_CASES)
+def test_predicted_rounds_of_the_exact_cases_run_as_full_rounds(monkeypatch, fixture, g,
+                                                                 partial):
+    predict_every_round(monkeypatch)
+    _, gens, coord_algs, gen_rows = free_generators(load_fixtures(fixture), g)
+    runs = lambda stop=lambda: None: closure_runs(monkeypatch, gens, coord_algs, gen_rows,
+                                                  80_000_000, stop)
+    (got, seen), predicted = predicted_and_full(monkeypatch, runs)
+    assert predicted and "work cap exceeded" in got[1] and "element cap" in got[3]
+    assert seen                         # the stop under a third of the work saw rows
+    complete = lambda: outcome(lambda: _build_closure(_prepare_tables(gens), gens, coord_algs,
+                                                      gen_rows, 80_000_000))
+    ends = []                           # elements at the start of each round
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "_TILE", 7)     # a round can end inside a block
+        round_ = freealg._round
+        patched.setattr(freealg, "_round", lambda *args: ends.append(args[3]) or round_(*args))
+        assert complete() == got[0]
+    (got, seen), _ = predicted_and_full(monkeypatch, lambda: runs(lambda: stop_after(partial[0])))
+    assert got[0][1][0] == partial[0] and seen
+    # a stop closure whose work bound starts in a round's last block, which
+    # a predicted round may leave, under a cap that the round's rows pass
+    doomed = 0
+    for n in ends:
+        bound = _closure_work(_prepare_tables(gens), n)
+        monkeypatch.setattr(freealg, "SHALLOW_WORK", bound - 1)
+        refused, _ = predicted_and_full(monkeypatch, lambda: outcome(lambda: _build_closure(
+            _prepare_tables(gens), gens, coord_algs, gen_rows, bound, lambda rows: None)))
+        doomed += "need at least" in refused
+    assert doomed
+
+
+LARGEST_CLOSURES = [
+    lambda: certificates.search_certificate("nu", "If:5", arity=4, expect="absent"),
+    lambda: certificates.level_certificate("day", "N:2:4", expect=5),
+    lambda: certificates.level_certificate("jonsson", "I:5"),
+    lambda: certificates.level_certificate("hagemann-mitschke", "I:5"),
+]
+LARGEST_IDS = ["search nu(4) If:5", "level day N:2:4", "level jonsson I:5",
+               "level hagemann-mitschke I:5"]
+
+
+@pytest.mark.parametrize("verdict", LARGEST_CLOSURES, ids=LARGEST_IDS)
+def test_predicted_rounds_of_the_largest_benchmark_closures_run_as_full_rounds(
+        monkeypatch, verdict):
+    (gens, coord_algs, gen_rows, work_cap, stop), sub = largest_closure(monkeypatch, verdict)
+    (runs, seen), predicted = predicted_and_full(monkeypatch, lambda: closure_runs(
+        monkeypatch, gens, coord_algs, gen_rows, work_cap, lambda: stop))
+    assert runs[0][2]["work"] == sub.stats["work"] and seen
+    assert all(isinstance(run, str) for run in runs[1:])
+    assert bool(predicted) == (sub.stats["evaluated"] < sub.stats["work"])
+
+
+@pytest.mark.parametrize("verdict, most", [
+    (LARGEST_CLOSURES[0], 199_999),     # every round in full: 2,452,883
+    (LARGEST_CLOSURES[1], 395_010),     # its walk passes the budget: every round in full
+    (LARGEST_CLOSURES[2], 16_729),      # 852,112
+    (LARGEST_CLOSURES[3], 16_729),
+], ids=LARGEST_IDS)
+def test_largest_benchmark_closures_evaluate_few_tuples(monkeypatch, verdict, most):
+    _, sub = largest_closure(monkeypatch, verdict)
+    assert sub.stats["evaluated"] <= most <= sub.stats["work"]
+    if most == 16_729:
+        assert sub.stats["evaluated"] == most
+
+
+def test_a_refused_walk_leaves_the_round_in_full(monkeypatch):
+    # a class table the walk cannot build: no round is predicted, and the
+    # closure evaluates every tuple it is charged, with the same outcome
+    (gens, coord_algs, gen_rows, work_cap, _), sub = largest_closure(monkeypatch,
+                                                                     LARGEST_CLOSURES[2])
+    assert sub.stats["evaluated"] < sub.stats["work"]
+    runs, seen = closure_runs(monkeypatch, gens, coord_algs, gen_rows, work_cap)
+
+    def refused(*args):
+        raise CapExceeded("refused")
+
+    monkeypatch.setattr(freealg, "_residual_classes", refused)
+    full = _build_closure(_prepare_tables(gens), gens, coord_algs, gen_rows, work_cap)
+    assert full.stats["evaluated"] == full.stats["work"] == sub.stats["work"]
+    assert closure_runs(monkeypatch, gens, coord_algs, gen_rows, work_cap) == (runs, seen)
+
+
+def test_predicted_rounds_of_a_batch_run_as_full_rounds(monkeypatch):
+    # nu(4) over I:5's 210 local closures in one batch, chunks of many lanes
+    # with every round predicted: as with no prediction, at the engine's cap
+    # and under a cap of 2,000 that refuses some lanes in mid-round
+    sub = nu4_over_i5(monkeypatch)
+    predict_every_round(monkeypatch)
+    batch = local_batch(sub)
+
+    def returned(got):
+        if isinstance(got, CapExceeded):
+            raise got
+        return got
+
+    for work_cap in (sub._local.work_cap, 2_000):
+        closed = lambda: [outcome(lambda got=got: returned(got)) for got in _build_closures(
+            _prepare_tables(sub.gens), sub.gens, batch, work_cap)]
+        got, predicted = predicted_and_full(monkeypatch, closed)
+        assert predicted and (work_cap > 2_000) != any(isinstance(g, str) for g in got)

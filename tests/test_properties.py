@@ -1,6 +1,14 @@
-import pytest
+import itertools
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import image_oracle
 import property_suites as ps
+from finalg import freealg
+from finalg.algebras import FiniteAlgebra, TableOp
+from finalg.kernel import _prepare_tables
 from finalg.witnesses import HypothesisError, filtered_subproduct
 
 
@@ -58,3 +66,50 @@ def test_filtered_hypotheses_individually_falsifiable():
     with pytest.raises(HypothesisError, match="h-bounds"):
         filtered_subproduct(algs[0], algs[1], algs[2], algs[3],
                             0, 0, 0, k + 1, k, a, d, f)
+
+
+@st.composite
+def table_of(draw, size, arity, symmetric):
+    """A flat table; a symmetric one reads each tuple at its sorted tuple."""
+    table = draw(st.lists(st.integers(0, size - 1), min_size=size**arity,
+                          max_size=size**arity))
+    if symmetric:
+        tuples = list(itertools.product(range(size), repeat=arity))
+        at = {t: i for i, t in enumerate(tuples)}
+        table = [table[at[tuple(sorted(t))]] for t in tuples]
+    return table
+
+
+@st.composite
+def walk_instances(draw):
+    """One or two similar algebras of 2-3 elements with 1-2 operations of
+    arity 2-4, coordinates over them, and rows: random, a subuniverse, or a
+    subuniverse less one row."""
+    shapes = draw(st.lists(st.tuples(st.integers(2, 4), st.booleans()), min_size=1, max_size=2))
+    gens = [FiniteAlgebra(size, [TableOp(f"o{oi}", r, size, draw(table_of(size, r, sym)))
+                                 for oi, (r, sym) in enumerate(shapes)])
+            for size in draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))]
+    coord_algs = draw(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=3))
+    count = draw(st.integers(1, 4))
+    rows = [[draw(st.integers(0, gens[ai].size - 1)) for ai in coord_algs] for _ in range(count)]
+    kind = draw(st.sampled_from(["random", "closed", "short"]))
+    if kind != "random":
+        rows = image_oracle.closed(gens, coord_algs, rows)
+        if kind == "short":
+            del rows[draw(st.integers(0, len(rows) - 1))]
+    return gens, coord_algs, np.asarray(rows, dtype=np.int16).reshape(-1, len(coord_algs)), kind
+
+
+@settings(deadline=None, max_examples=60)
+@given(walk_instances())
+def test_walk_predicts_the_new_rows_of_every_tuple(instance):
+    """The closure's round prediction: the walk's values less the rows are
+    the values of every r-tuple of rows, by table lookup, less the rows;
+    none for a subuniverse."""
+    gens, coord_algs, rows, kind = instance
+    tables = _prepare_tables(gens)
+    values = freealg._image_rows(tables, gens, coord_algs, rows, budget=1 << 40)
+    predicted = set(map(tuple, values.tolist())) - set(map(tuple, rows.tolist()))
+    assert predicted == image_oracle.new_rows(gens, coord_algs, rows)
+    if kind == "closed":
+        assert not predicted
