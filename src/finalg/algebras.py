@@ -616,29 +616,12 @@ def _joint_step(coords, states, nbox, t):
         (trans[t].take(states[:, c], axis=0).take(set_of_box, axis=1).reshape(count),
          len(trans[t + 1]) if t + 1 < len(trans) else len(images))
         for c, (set_of_box, trans, images) in enumerate(coords)))
-    first = _first_of_each(key)
+    first = np.unique(key, return_index=True)[1]
     parent, box = np.divmod(first, nbox)
     kept = np.empty((len(first), len(coords)), dtype=np.int64)
     for c, (set_of_box, trans, _) in enumerate(coords):
         kept[:, c] = trans[t][states[parent, c], set_of_box[box]]
     return kept, first
-
-
-def _first_of_each(key):
-    """The position of the first occurrence of each distinct non-negative
-    key, in key order, as `np.unique` returns them.  While key * len(key) +
-    position fits int64, one sort of those numbers finds them: 5x faster
-    than the stable argsort of `np.unique` on 70,000 keys."""
-    count = len(key)
-    if not count or key.max() > (np.iinfo(np.int64).max - count) // count:
-        return np.unique(key, return_index=True)[1]
-    both = key * count + np.arange(count)
-    both.sort()
-    both_keys = both // count
-    head = np.empty(count, dtype=bool)
-    head[0] = True
-    np.not_equal(both_keys[1:], both_keys[:-1], out=head[1:])
-    return both[head] % count
 
 
 def _mixed_radix_keys(count, digits):

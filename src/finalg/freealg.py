@@ -31,17 +31,19 @@ rows known before the previous round was applied already, so the round's
 new rows are the image of the rows under every operation less the rows.
 The image comes from the box route's walk over residual classes
 (`algebras._joint_step`), each row a box of singletons, abandoned when one
-of its steps would form more than 1/`_WALK_SHARE` of the round's tuples in
-candidates.  A predicted round stops after the tile that holds its last new
-row, or is skipped when it adds none, and the tuples it leaves are charged
-as applied.  They add no row and pass no cap, and where they would start the
-work bound (`SHALLOW_WORK`, below) the bound is checked at the round's end,
-so rows, terms, `stop` calls, refusals and work are the full round's.  On
-the benchmark's largest closures (best of 5, 2-vCPU Xeon) the kernel takes
-20-30 ns a tuple and the walk 35 ns a candidate at 8-10 coordinates, plus
-about 0.3 ms a walk.  So a step at the budget costs at most about a tenth of
-the round it may save, and the walk's fixed cost is a few per cent of a
-round at the floor, which takes 5-7 ms.
+of its steps would form more than 1/`_WALK_SHARE` of the round's tuples, or
+more than one block's `_CHUNK` rows, in candidates.  A predicted round stops
+after the tile that holds its last new row, or is skipped when it adds
+none, and the tuples it leaves are charged as applied.  They add no row and
+pass no cap, and where they would start the work bound (`SHALLOW_WORK`,
+below) the bound is checked at the round's end, so rows, terms, `stop`
+calls, refusals and work are the full round's.  On
+the benchmark's largest closures (best of 5 rounds and of 20 walks, 2-vCPU
+Xeon) the kernel takes 33-54 ns a tuple and the walk 89 ns a candidate at
+8-10 coordinates, plus about 0.6 ms a walk.  So a step at the budget costs
+at most about a sixth of the round it may save, and the walk's fixed cost
+is a few per cent of a round at the floor, which takes 8-13 ms.  The cap of
+one block per step keeps the walk's arrays as small as a block's.
 
 A batch of one may be given a `stop` predicate: it sees the generators and
 then each block of new elements, and the closure returns as soon as one of
@@ -108,9 +110,11 @@ one `np.unique` serve a whole chunk, and the block's bookkeeping is done per
 lane: every lane is charged the same tuples as it would be alone (the work
 after round (n, old) is `_closure_work(tables, n)`), and comes out with the
 same rows, terms, work and refusal at the same block.  A predicted chunk
-ends its round once each of its lanes has found its new rows.  A closure
-keyed by records runs in a part of the batch of its own.  Three engines sit
-on the kernel, tried in this order:
+ends its round once each of its lanes has found its new rows, so each of
+its lanes is said to have evaluated the tuples of the chunk
+(`stats["evaluated"]`), which may differ from the tuples it evaluates
+alone.  A closure keyed by records runs in a part of the batch of its own.
+Three engines sit on the kernel, tried in this order:
 
 * closure engine - the kernel over all coordinates, with a provenance term
   for every element.
@@ -183,6 +187,8 @@ class Subpower:
     vectors: np.ndarray                     # (N, ncoords) all elements
     terms: Optional[list[Term]]             # provenance, closure engine only
     engine: str
+    # closure engine: "work" charged, and "evaluated", the tuples the kernel
+    # evaluated (in a batch, those of the closure's chunks of lanes)
     stats: dict = field(default_factory=dict)
     class_of: Optional[np.ndarray] = None   # original coord -> coord here
     _rows: Optional[dict] = field(default=None, repr=False)  # see _index
@@ -557,9 +563,12 @@ def _build_closures(tables, gens, batch, work_cap, stop=None,
     """Close each `(coord_algs, gen_rows)` of `batch`, all in lockstep.
 
     Returns, per closure, its closed Subpower or the CapExceeded that refused
-    it, each exactly as the closure would come out alone.  Each round groups
-    the running closures by part, shape `(n, old)` and width, and runs each
-    group through one kernel call per chunk, operation and block (`_round`).
+    it, each exactly as the closure would come out alone, but for
+    `stats["evaluated"]`: a lane's count is that of the tuples its chunks
+    evaluated, and a predicted chunk runs, in tiles its lanes share, up to
+    the last new row of any of its lanes.  Each round groups the running
+    closures by part, shape `(n, old)` and width, and runs each group
+    through one kernel call per chunk, operation and block (`_round`).
     Only a batch of one may have a `stop`.
     """
     if stop is not None and len(batch) != 1:
@@ -721,13 +730,15 @@ class _Chunk:
         leaves pass no cap: the element cap, the work bound and `stop` act
         where rows are found, and the work bound that `SHALLOW_WORK` starts
         is checked at the round's end.  Each step of a lane's walk
-        (`_new_rows`) may form `size / _WALK_SHARE` candidates.
+        (`_new_rows`) may form `size / _WALK_SHARE` candidates, and never
+        more than a block's `_CHUNK` rows, so that its arrays stay within a
+        block's.
         """
         if size <= _WALK_FLOOR or total > run.work_cap:
             return None
         expect = 0
         for lane in self.lanes:
-            got = _new_rows(run, lane, size // _WALK_SHARE)
+            got = _new_rows(run, lane, min(size // _WALK_SHARE, _CHUNK))
             if got is None:
                 return None
             expect += got

@@ -372,17 +372,6 @@ def test_joint_state_keys_over_many_coordinates_do_not_wrap():
                                          BoxUnion(sizes, boxes), sym)
 
 
-def test_first_of_each_key_is_that_of_unique():
-    # the one-sort path below 2^63 // 5,000 and the fallback above it
-    rng = np.random.default_rng(5)
-    for high in (10, 1 << 40, 1 << 62):
-        key = rng.integers(0, high, 5_000)
-        key[::7] = key[3]
-        assert np.array_equal(algebras._first_of_each(key),
-                              np.unique(key, return_index=True)[1])
-    assert len(algebras._first_of_each(np.zeros(0, dtype=np.int64))) == 0
-
-
 def test_box_union_elements_and_validation():
     union = BoxUnion((3, 2), [[(0, 2), (1,)], [(2,), (0, 1)], [(), (0,)]])
     assert union.ids().tolist() == [1, 4, 5] and len(union) == 3

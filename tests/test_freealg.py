@@ -1352,6 +1352,22 @@ def test_largest_benchmark_closures_evaluate_few_tuples(monkeypatch, verdict, mo
         assert sub.stats["evaluated"] == most
 
 
+def test_a_step_of_a_walk_forms_at_most_a_block_of_candidates(monkeypatch):
+    # with the whole round as the share, nu(4) If:5's round of 2,292,801
+    # tuples still gives its walk's steps a block's rows at most
+    budgets = []
+    new_rows = freealg._new_rows
+
+    def recorded(run, lane, budget):
+        budgets.append(budget)
+        return new_rows(run, lane, budget)
+
+    monkeypatch.setattr(freealg, "_WALK_SHARE", 1)
+    monkeypatch.setattr(freealg, "_new_rows", recorded)
+    largest_closure(monkeypatch, LARGEST_CLOSURES[0])
+    assert max(budgets) == _CHUNK
+
+
 def test_a_refused_walk_leaves_the_round_in_full(monkeypatch):
     # a class table the walk cannot build: no round is predicted, and the
     # closure evaluates every tuple it is charged, with the same outcome
@@ -1387,3 +1403,18 @@ def test_predicted_rounds_of_a_batch_run_as_full_rounds(monkeypatch):
             _prepare_tables(sub.gens), sub.gens, batch, work_cap)]
         got, predicted = predicted_and_full(monkeypatch, closed)
         assert predicted and (work_cap > 2_000) != any(isinstance(g, str) for g in got)
+    # a lane is said to have evaluated the tuples of its chunks, which run
+    # to the last new row of any of their lanes: never more than its work,
+    # and all of it when no round is predicted, but not its count alone
+    closures = lambda: _build_closures(_prepare_tables(sub.gens), sub.gens, batch,
+                                       sub._local.work_cap)
+    together = closures()
+    alone = [_build_closure(_prepare_tables(sub.gens), sub.gens, *spec, sub._local.work_cap)
+             for spec in batch]
+    assert all(got.stats["evaluated"] <= got.stats["work"] for got in together)
+    assert sum(got.stats["evaluated"] for got in together) < sum(
+        got.stats["work"] for got in together)
+    assert any(got.stats["evaluated"] != one.stats["evaluated"]
+               for got, one in zip(together, alone, strict=True))
+    monkeypatch.setattr(freealg, "_new_rows", lambda *walk: None)
+    assert all(got.stats["evaluated"] == got.stats["work"] for got in closures())
