@@ -16,7 +16,7 @@ import collections
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -77,6 +77,7 @@ class Operation:
     name: str
     arity: int
     size: int
+    _symmetrical: Optional[bool] = None  # kept by _op_symmetrical
 
     def apply_cols(self, cols: np.ndarray) -> np.ndarray:
         """Vectorised apply; `cols` has shape (arity, n)."""
@@ -393,15 +394,19 @@ def _op_symmetrical(op: Operation) -> bool:
 
     Checked on the adjacent transposition and the full cycle, which generate
     the whole symmetric group; the full-permutation check is kept in the test
-    suite as a cross-check.
+    suite as a cross-check.  An operation's table never changes (a
+    `TableOp`'s is read-only), so its flag is kept on it from the first
+    check; a `ProductOp` reads its factors' flags.
     """
     if op.arity == 1:
         return True
     if isinstance(op, ProductOp):
         return all(_op_symmetrical(f) for f in op.factor_ops)
-    grid = op.table_array(DEFAULT_TABLE_CAP).reshape((op.size,) * op.arity)
-    return all(np.array_equal(grid, grid.transpose(perm))
-               for perm in (_transposition(op.arity), _cycle(op.arity)))
+    if op._symmetrical is None:
+        grid = op.table_array(DEFAULT_TABLE_CAP).reshape((op.size,) * op.arity)
+        op._symmetrical = all(np.array_equal(grid, grid.transpose(perm))
+                              for perm in (_transposition(op.arity), _cycle(op.arity)))
+    return op._symmetrical
 
 
 def _transposition(m: int) -> list[int]:
@@ -550,23 +555,23 @@ def _box_union_check(alg, union, tuple_cap):
     if not boxes:
         return True, None
     frozen = [tuple(map(frozenset, box)) for box in boxes]
-    lattices: dict = {}  # (n, r, sym) -> list lattice, shared by every op and coordinate
     for oi, op in enumerate(alg.ops):
         sym, leaves = _op_symmetrical(op), _leaf_ops(op)
-        for cube, args in _box_images(op, leaves, boxes, sym, tuple_cap, lattices):
+        for cube, args in _box_images(op, leaves, boxes, sym, tuple_cap):
             point = _uncovered_point(cube, frozen)
             if point is not None:
                 return False, _box_witness(oi, leaves, [boxes[b] for b in args], point, sym)
     return True, None
 
 
-def _box_images(op, leaves, boxes, sym, cap, lattices):
+def _box_images(op, leaves, boxes, sym, cap):
     """Every image box of r of the boxes, once each, with the indices of
     argument boxes that give it.
 
     The boxes are added one argument at a time to joint states, one residual
     class per coordinate (`_residual_classes`, shared by coordinates with one
-    leaf and one list of value sets, over the list lattices in `lattices`).
+    leaf and one list of value sets, over the list lattices kept in
+    `_LATTICES`).
     Argument lists in one joint state give the same image box under every
     completion, so the states are deduplicated after each step
     (`_joint_step`), and a back-pointer per state rebuilds its arguments.
@@ -580,7 +585,7 @@ def _box_images(op, leaves, boxes, sym, cap, lattices):
         box_sets = [box[c] for box in boxes]
         sets = tuple(sorted(set(box_sets)))
         if (leaf, sets) not in classes:
-            classes[leaf, sets] = _residual_classes(leaf, sets, r, sym, cap, lattices)
+            classes[leaf, sets] = _residual_classes(leaf, sets, r, sym, cap)
         set_of_box = np.asarray([sets.index(s) for s in box_sets], dtype=np.int64)
         coords.append((set_of_box, *classes[leaf, sets]))
     states = np.zeros((1, len(coords)), dtype=np.int64)  # one class per coordinate
@@ -639,6 +644,41 @@ def _mixed_radix_keys(count, digits):
     return key
 
 
+class _Keeper:
+    """Values that their key fixes, built once per process and kept
+    read-only under a row budget: a value of more than `each` rows, or one
+    that would take the rows kept past `total`, is built on every call and
+    never kept."""
+
+    def __init__(self, each: int = 1 << 12, total: int = 1 << 16):
+        self.each, self.total = each, total
+        self.kept: dict = {}
+        self.rows = 0                   # of the values kept
+
+    def get(self, build, key: tuple, rows: int):
+        """build(*key), kept when its `rows` fit the budget."""
+        got = self.kept.get(key)
+        if got is None:
+            got = build(*key)
+            if rows <= self.each and self.rows + rows <= self.total:
+                _read_only(got)
+                self.kept[key] = got
+                self.rows += rows
+        return got
+
+
+def _read_only(value) -> None:
+    """Every array in `value` (nested lists, tuples and dataclasses) made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _read_only(item)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _read_only(getattr(value, f.name))
+
+
 @dataclass(frozen=True)
 class _ListLattice:
     """The lists of at most r entries from 0..n-1, multisets (sorted tuples)
@@ -687,13 +727,17 @@ def _list_lattice(n, r, sym):
     return _ListLattice(parent, last, child, fold, full)
 
 
-def _lattice(lattices, n, r, sym):
-    if (n, r, sym) not in lattices:
-        lattices[n, r, sym] = _list_lattice(n, r, sym)
-    return lattices[n, r, sym]
+# the list lattices of every call, by (n, r, sym); a lattice's rows are
+# its lists times n, the entries of its child map
+_LATTICES = _Keeper()
 
 
-def _residual_classes(leaf, sets, r, sym, cap, lattices):
+def _lattice_lists(n, r, sym):
+    """The lists of `_list_lattice(n, r, sym)`: of at most r entries from 0..n-1."""
+    return _count_multisets(n + 1, r) if sym else sum(n**t for t in range(r + 1))
+
+
+def _residual_classes(leaf, sets, r, sym, cap):
     """The residual classes of partial argument lists of `leaf` drawn from `sets`.
 
     A list of t value sets (a multiset for a symmetric op, a sequence
@@ -704,20 +748,20 @@ def _residual_classes(leaf, sets, r, sym, cap, lattices):
     the image value set of each class at r.  The table's entries, one per
     partial list, are checked against `cap` before any is formed, and the
     argument rows of each image against `_IMAGE_ROWS` or a smaller `cap`.
-    `lattices` holds the list lattices (`_list_lattice`) that the caller's
-    operations and coordinates share.
+    The list lattices (`_list_lattice`) come from `_LATTICES`, built once
+    per process for every call and coordinate that meets their shape.
     """
     d = len(sets)
     # the multisets of at most r of the d sets, or the sequences
-    entries = _count_multisets(d + 1, r) if sym else sum(d**t for t in range(r + 1))
+    entries = _lattice_lists(d, r, sym)
     if entries > cap:
         raise CapExceeded(
             f"box route on {leaf.name} needs {entries} class-table entries at one "
             f"coordinate against the cap {cap}"
         )
-    lat = _lattice(lattices, d, r, sym)
+    lat = _LATTICES.get(_list_lattice, (d, r, sym), entries * d)
     _check_image_rows(leaf, sets, lat.full, sym, min(cap, _IMAGE_ROWS))
-    cls, images = _image_classes(leaf, sets, lat, sym, cap, lattices)
+    cls, images = _image_classes(leaf, sets, lat, sym, cap)
     nclass = len(images)
     trans = [None] * r
     for t in range(r - 1, -1, -1):
@@ -756,7 +800,7 @@ def _check_image_rows(leaf, sets, full, sym, cap):
         )
 
 
-def _image_classes(leaf, sets, lat, sym, cap, lattices):
+def _image_classes(leaf, sets, lat, sym, cap):
     """The class of each full list of `lat` by its image, numbered by first
     occurrence in lex order, and the image value set of each class.
 
@@ -783,7 +827,7 @@ def _image_classes(leaf, sets, lat, sym, cap, lattices):
             f"image of {leaf.name} on the box route needs {size} reach entries "
             f"against the cap {max(cap, _IMAGE_ROWS)}"
         )
-    vlat = _lattice(lattices, s, r, sym)
+    vlat = _LATTICES.get(_list_lattice, (s, r, sym), _lattice_lists(s, r, sym) * s)
     made = leaf.apply_cols(values[vlat.full].T)[vlat.child[r - 1]].ravel()  # by draw
     order = np.argsort(made, kind="stable")
     made = made[order]

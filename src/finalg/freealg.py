@@ -80,7 +80,7 @@ index the concatenated table.
 
 The block of `_CHUNK` rows is the unit of all bookkeeping: the work count
 and the work cap, `SHALLOW_WORK` and the work bound, the element cap and its
-message, `stop`, and the trees kept by `_TreeMemo`.  The tile is the unit
+message, `stop`, and the trees kept by `_round_trees`.  The tile is the unit
 of evaluation: the levels above the last are small (one node per prefix)
 and are summed once per block, and the last level, one node per row and
 kept by `_arg_blocks` by slicing, is gathered, looked up in the table,
@@ -130,9 +130,9 @@ Three engines sit on the kernel, tried in this order:
   a query whose candidates run out early builds at most twice the closures
   a one-by-one walk would, and an enumeration takes a logarithmic number of
   batches.  A refusal is raised only when the walk reaches its subset.
-  These small closures run through few distinct round shapes, so the
-  batches share one memo of the argument prefix trees of their rounds
-  (`_TreeMemo`).
+  These small closures run through few distinct round shapes, so they
+  read the argument prefix trees of their rounds from the process's keeper
+  of small rounds (`_round_trees`).
   Enumeration is `members` over the whole coordinate box, and provenance
   terms are reconstructed on demand by the interpolation recursion behind
   that decomposition.
@@ -174,7 +174,6 @@ from .kernel import (
     _round_trees,
     _Tables,
     _tree_args,
-    _TreeMemo,
 )
 from .terms import App, Term, Var, term_eval_cols
 
@@ -540,10 +539,9 @@ def _finish(gens, tables: _Tables, lanes: list[_Lane]) -> None:
             lane.outcome = lane.closed(gens, tables, part)
 
 
-def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None,
-                   trees: Optional[_TreeMemo] = None) -> Subpower:
+def _build_closure(tables, gens, coord_algs, gen_rows, work_cap, stop=None) -> Subpower:
     """One closure: `_build_closures` on a batch of one, its refusal raised."""
-    got, = _build_closures(tables, gens, [(coord_algs, gen_rows)], work_cap, stop, trees)
+    got, = _build_closures(tables, gens, [(coord_algs, gen_rows)], work_cap, stop)
     if isinstance(got, CapExceeded):
         raise got
     return got
@@ -555,11 +553,9 @@ class _Batch(NamedTuple):
     gens: tuple
     work_cap: int
     stop: Optional[Callable]
-    trees: Optional[_TreeMemo]
 
 
-def _build_closures(tables, gens, batch, work_cap, stop=None,
-                    trees: Optional[_TreeMemo] = None) -> list:
+def _build_closures(tables, gens, batch, work_cap, stop=None) -> list:
     """Close each `(coord_algs, gen_rows)` of `batch`, all in lockstep.
 
     Returns, per closure, its closed Subpower or the CapExceeded that refused
@@ -576,7 +572,7 @@ def _build_closures(tables, gens, batch, work_cap, stop=None,
     lanes, joined = _lanes(tables, batch)
     for _, part in itertools.groupby(lanes, key=lambda lane: lane.part):
         _start(list(part))
-    run = _Batch(tables, gens, work_cap, stop, trees)
+    run = _Batch(tables, gens, work_cap, stop)
     kernels = [_Kernel(part) for part in joined]
     bounded = stop is None              # the work bound applies
     if stop is not None:
@@ -622,7 +618,7 @@ def _round(run: _Batch, kernel: _Kernel, group: list[_Lane], n: int, old: int,
     size = max(1, _TILE // rows)
     trees = None
     if len(group) > size:
-        trees = [list(_round_trees(n, old, r, sym, run.trees)) for r, sym in shapes]
+        trees = [list(_round_trees(n, old, r, sym)) for r, sym in shapes]
     for at in range(0, len(group), size):
         bounded = _Chunk(group[at:at + size]).round(run, kernel, n, old, trees, bounded)
     return bounded
@@ -719,7 +715,7 @@ class _Chunk:
             return
         for oi, (r, sym) in enumerate(zip(run.tables.arity, run.tables.sym)):
             weighted = kernel.weigh(oi, self.stacked, self.kinds)
-            for tree in _round_trees(n, old, r, sym, run.trees) if trees is None else trees[oi]:
+            for tree in _round_trees(n, old, r, sym) if trees is None else trees[oi]:
                 yield oi, weighted, tree
 
     def predict(self, run: _Batch, size: int, total: int) -> Optional[int]:
@@ -904,7 +900,7 @@ def _singleton_classes(tables: _Tables, gens, ai: int, oi: int):
         op, size = gens[ai].ops[oi], gens[ai].size
         try:
             trans, images = _residual_classes(op, tuple((v,) for v in range(size)), op.arity,
-                                              tables.sym[oi], _CHUNK, {})
+                                              tables.sym[oi], _CHUNK)
             got = trans, np.asarray([min(image) for image in images], dtype=np.int16)
         except CapExceeded:
             got = None
@@ -923,7 +919,6 @@ class _LocalData:
     local_closures: dict                     # ordered coord tuple -> its closed
                                              # Subpower or the CapExceeded refusing it
     work_cap: int                            # of each local closure
-    trees: _TreeMemo = field(default_factory=_TreeMemo)  # shared by the local closures
 
 
 def shared_nu_op(gens: Sequence[FiniteAlgebra]) -> Optional[int]:
@@ -957,7 +952,7 @@ def _build_local_closures(sub: Subpower, subsets: list[tuple[int, ...]]) -> None
     picked = np.asarray(subsets, dtype=np.intp)
     batch = list(zip(np.asarray(sub.coord_algs)[picked].tolist(),
                      sub.gen_rows[:, picked].transpose(1, 0, 2)))
-    got = _build_closures(sub._tables, sub.gens, batch, local.work_cap, trees=local.trees)
+    got = _build_closures(sub._tables, sub.gens, batch, local.work_cap)
     local.local_closures.update(zip(subsets, got))
 
 

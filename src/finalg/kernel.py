@@ -4,8 +4,9 @@
 `_Tables` concatenates each operation's flat tables over the generating
 algebras, `_packing` groups consecutive coordinates into super-coordinates
 over product tables, `_arg_blocks` unranks the argument tuples of a round
-in blocks, each as its prefix tree, `_TreeMemo` keeps the trees of small
-rounds, and `_Kernel` evaluates an operation along a tree by table gathers.
+in blocks, each as its prefix tree, `_round_trees` keeps the trees of small
+rounds once per process, and `_Kernel` evaluates an operation along a tree
+by table gathers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebras import DEFAULT_TABLE_CAP, CapExceeded, _op_symmetrical
+from .algebras import DEFAULT_TABLE_CAP, CapExceeded, _Keeper, _op_symmetrical
 
 
 _INDEX_LIMIT = 1 << 31  # the concatenated tables are indexed in int32
@@ -348,41 +349,26 @@ def _round_size(n: int, old: int, r: int, sym: bool) -> int:
     return n**r - old**r
 
 
-@dataclass
-class _TreeMemo:
-    """Prefix trees of whole rounds, shared by the batches of a local engine.
-
-    Its closures are small and run through the same few round shapes, so a
-    round that fits in one block is unranked once per (n, old, r, sym) and
-    its tree kept, read-only, while the trees kept hold at most `_CHUNK`
-    rows in all.  Within a batch, the lanes of one shape read one tree per
-    block; the batches of `members`'s doubling windows reuse the trees of the
-    shapes their predecessors met.  The memo lives as long as its engine's
-    subpower.
-    """
-    rounds: dict = field(default_factory=dict)  # (n, old, r, sym) -> [tree] or []
-    rows: int = 0                               # rows of the trees kept
+# the trees of every small round, by (n, old, r, sym); a round within the
+# keeper's rows per value is one block, as they are below `_CHUNK`
+_TREES = _Keeper()
 
 
-def _round_trees(n: int, old: int, r: int, sym: bool, memo: Optional[_TreeMemo]):
-    """The blocks of one round: `_arg_blocks`, or the trees kept in `memo`."""
-    if memo is None:
-        return _arg_blocks(n, old, r, sym, _CHUNK)
-    key = (n, old, r, sym)
-    kept = memo.rounds.get(key)
-    if kept is not None:
-        return kept
+def _round_trees(n: int, old: int, r: int, sym: bool):
+    """The blocks of one round, `_arg_blocks`.  A round of at most
+    `_TREES.each` rows is unranked once per process and its tree kept in
+    `_TREES`, read-only, within that keeper's row budget: small closures,
+    such as a local engine's, run through the same few round shapes, and so
+    do the closures of one process's verdicts.  A larger round is unranked
+    block by block as it is read."""
     rows = _round_size(n, old, r, sym)
-    if memo.rows + rows > _CHUNK:
+    if rows > _TREES.each:
         return _arg_blocks(n, old, r, sym, _CHUNK)
-    kept = list(_arg_blocks(n, old, r, sym, _CHUNK))
-    for _, trail in kept:
-        for level in trail:
-            for array in level:
-                array.flags.writeable = False
-    memo.rounds[key] = kept
-    memo.rows += rows
-    return kept
+    return _TREES.get(_one_block, (n, old, r, sym), rows)
+
+
+def _one_block(n: int, old: int, r: int, sym: bool) -> list:
+    return list(_arg_blocks(n, old, r, sym, _CHUNK))
 
 
 def _place(sizes) -> np.ndarray:

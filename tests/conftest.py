@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from finalg import algebras, kernel
 from finalg.freealg import generate_subpower
 from finalg.witnesses import build_sharpness_witness, sharpness_report
 
@@ -20,6 +22,50 @@ def witness_cache():
         return _WITNESSES[(m, q)]
 
     return get
+
+
+@pytest.fixture
+def fresh_keepers(monkeypatch):
+    """Empty keepers of list lattices and round trees, with the process's
+    budgets, for the length of the test: a test that counts builds or
+    kernel calls, or patches a builder, sees the same builds whichever tests
+    ran before, and keeps nothing for the tests after it."""
+    monkeypatch.setattr(algebras, "_LATTICES", algebras._Keeper())
+    monkeypatch.setattr(kernel, "_TREES", algebras._Keeper())
+
+
+def kept_arrays(value):
+    """Every array of a kept value: nested lists, tuples and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from kept_arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from kept_arrays(getattr(value, f.name))
+
+
+def same_arrays(got, want) -> bool:
+    """Equal nested lists, tuples and dataclasses of arrays, dtypes and all."""
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+                and np.array_equal(got, want))
+    if isinstance(want, (list, tuple)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(map(same_arrays, got, want)))
+    if dataclasses.is_dataclass(want):
+        return type(got) is type(want) and all(
+            same_arrays(getattr(got, f.name), getattr(want, f.name))
+            for f in dataclasses.fields(want))
+    return got == want
+
+
+def assert_kept_read_only(value):
+    for array in kept_arrays(value):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 @pytest.fixture(scope="session")

@@ -338,7 +338,11 @@ def test_symmetry_generator_pair_vs_all_permutations():
                             for x, y, z in itertools.product(range(3), repeat=3)]),
     ]
     for op in cases:
-        assert _op_symmetrical(op) == _symmetric_all_permutations(op)
+        want = _symmetric_all_permutations(op)
+        fresh = TableOp(op.name, op.arity, op.size, op.table)     # no flag kept yet
+        assert _op_symmetrical(fresh) == want                    # checked
+        assert _op_symmetrical(fresh) == want                    # kept
+        assert _op_symmetrical(op) == want
 
 
 def _symmetric_all_permutations(op):
@@ -348,6 +352,29 @@ def _symmetric_all_permutations(op):
             if apply(op, [args[p] for p in perm]) != base:
                 return False
     return True
+
+
+def test_is_subuniverse_checks_each_table_for_symmetry_once(monkeypatch):
+    # a symmetric ternary table takes two comparisons with a transposed
+    # grid, a binary projection one; the product's operations read the
+    # flags of its factors' tables
+    checks = [0]
+    equal = np.array_equal
+
+    def counted(*args, **kwargs):
+        checks[0] += 1
+        return equal(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    cube = list(itertools.product(range(3), repeat=3))
+    median = TableOp("median", 3, 3, [sorted(args)[1] for args in cube])
+    first = TableOp("first", 2, 3, [x for x, _ in itertools.product(range(3), repeat=2)])
+    alg = FiniteAlgebra(3, [median, first])
+    prod = direct_product([alg, alg])
+    for subset in ([0], [0, 2], [1, 2], range(3)):
+        assert is_subuniverse(alg, subset) == (True, None)
+        assert is_subuniverse(prod, subset) == (True, None)
+    assert checks[0] == 3
 
 
 def test_unary_op_symmetrical():

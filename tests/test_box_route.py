@@ -25,6 +25,7 @@ from finalg.algebras import (
 )
 from finalg.witnesses import build_sharpness_witness, cube_minus_top, good_boxes
 
+from conftest import assert_kept_read_only, same_arrays
 import residual_class_oracle
 import scalar_oracle
 import slice_route_oracle
@@ -220,7 +221,7 @@ def test_box_route_caps_name_their_counts(monkeypatch):
     assert is_subuniverse(w.product, whole, tuple_cap=21) == (True, None)
 
 
-def test_residual_classes_match_the_per_entry_enumeration(monkeypatch):
+def test_residual_classes_match_the_per_entry_enumeration(monkeypatch, fresh_keepers):
     """The reach pass gives exactly the class tables of the per-entry
     enumeration (`residual_class_oracle`), from one `apply_cols` call, and
     under a smaller cap refuses the first full list with too many argument
@@ -246,7 +247,7 @@ def test_residual_classes_match_the_per_entry_enumeration(monkeypatch):
     for leaf, sets, sym in cases:
         calls.clear()
         trans, images = algebras._residual_classes(leaf, sets, leaf.arity, sym,
-                                                   DEFAULT_TUPLE_CAP, {})
+                                                   DEFAULT_TUPLE_CAP)
         assert len(calls) == 1
         want_trans, want_images = residual_class_oracle.residual_classes(
             leaf, sets, leaf.arity, sym)
@@ -264,9 +265,48 @@ def test_residual_classes_match_the_per_entry_enumeration(monkeypatch):
             with pytest.raises(CapExceeded, match=f"image of {leaf.name} on the box route "
                                                   f"needs {refused[0]} argument rows against "
                                                   f"the cap {cap}$"):
-                algebras._residual_classes(leaf, sets, leaf.arity, sym, cap, {})
+                algebras._residual_classes(leaf, sets, leaf.arity, sym, cap)
     assert len(shapes) == 8  # d = 1 and r = 1, each with multisets and sequences
     assert refusals > 20
+
+
+def test_kept_lattices_equal_fresh_builds(fresh_keepers):
+    # the list lattices of the good sets of B(5,2) and B(4,3), as points
+    # and as boxes, of a cube minus its top and of a binary projection,
+    # each kept once within the row budget
+    for m, q in [(5, 2), (4, 3)]:
+        w = build_sharpness_witness(m, q, verify_closure=False)
+        assert is_subuniverse(w.product, w.good_ids) == (True, None)
+        boxes = BoxUnion(w.product.indexing.sizes, good_boxes(w.factor_roles, q))
+        assert is_subuniverse(w.product, boxes) == (True, None)
+    cube_minus_top(5)
+    first = TableOp("first", 2, 3, [x for x, _ in itertools.product(range(3), repeat=2)])
+    assert is_subuniverse(FiniteAlgebra(3, [first]), [0, 2]) == (True, None)
+    kept = algebras._LATTICES
+    assert len(kept.kept) >= 4 and {sym for _, _, sym in kept.kept} == {True, False}
+    for key, lattice in kept.kept.items():
+        assert same_arrays(lattice, algebras._list_lattice(*key))
+        assert_kept_read_only(lattice)
+    # a lattice's rows are its child map's entries, its lists times n
+    assert kept.rows == sum(sum(map(len, lattice.last)) * n
+                            for (n, _, _), lattice in kept.kept.items())
+
+
+def test_a_lattice_past_the_row_budget_is_built_not_kept(fresh_keepers):
+    # a symmetric ternary leaf on 12 singletons: the C(15, 3) = 455 lists of
+    # at most three of them times 12 entries pass the 4,096 rows one kept
+    # value may hold; on 5 singletons, 56 lists times 5 do not
+    cube = itertools.product(range(12), repeat=3)
+    leaf = TableOp("median", 3, 12, [sorted(args)[1] for args in cube])
+    kept = algebras._LATTICES
+    got = algebras._residual_classes(leaf, tuple((v,) for v in range(12)), 3, True,
+                                      DEFAULT_TUPLE_CAP)
+    assert kept.kept == {} and kept.rows == 0
+    assert algebras._residual_classes(leaf, tuple((v,) for v in range(12)), 3, True,
+                                      DEFAULT_TUPLE_CAP)[1] == got[1]
+    algebras._residual_classes(leaf, tuple((v,) for v in range(5)), 3, True,
+                               DEFAULT_TUPLE_CAP)
+    assert list(kept.kept) == [(5, 3, True)] and kept.rows == math.comb(8, 3) * 5
 
 
 def test_reach_entries_are_refused_before_the_pass():
@@ -319,7 +359,7 @@ def _assert_fold_reaches_every_image(alg, union, sym):
                  for args in (itertools.combinations_with_replacement(boxes, op.arity) if sym
                               else itertools.product(boxes, repeat=op.arity))}
         reached = list(algebras._box_images(op, algebras._leaf_ops(op), boxes,
-                                            algebras._op_symmetrical(op), DEFAULT_TUPLE_CAP, {}))
+                                            algebras._op_symmetrical(op), DEFAULT_TUPLE_CAP))
         cubes = [cube for cube, _ in reached]
         assert len(set(cubes)) == len(cubes)
         assert set(cubes) == brute

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from finalg import certificates, freealg, kernel
+from finalg import algebras, certificates, freealg, kernel
 from finalg.algebras import (
     DEFAULT_TABLE_CAP,
     AlgebraError,
@@ -40,6 +40,7 @@ from finalg.maltsev import absorption_search, nu_scheme
 from finalg.terms import App, Var, term_to_obj
 from finalg.witnesses import implication_expansion, modular_sum_algebra, nu_family_generators
 
+from conftest import assert_kept_read_only
 from tree_oracle import rows_tree, tree_rows
 
 
@@ -264,7 +265,7 @@ def test_provenance_decoder_matches_oracle_at_every_position(n, old, r, sym):
         assert np.array_equal(_tree_args(tree, np.arange(len(want))), want)
 
 
-def test_partial_run_matches_oracle_loop(monkeypatch):
+def test_partial_run_matches_oracle_loop(monkeypatch, fresh_keepers):
     # the free algebra over I:5 on 3 generators: 38 elements, 852,112 tuples
     # in rounds of several blocks; complete, and stopped on its 30th row
     gens = load_fixtures("I:5")
@@ -379,17 +380,24 @@ def local_batch(sub):
             for subset in itertools.combinations(range(sub.ncoords), width)]
 
 
+def unshared_trees(monkeypatch):
+    """Every round unranked afresh: a keeper of round trees that keeps none."""
+    monkeypatch.setattr(kernel, "_TREES", algebras._Keeper(each=-1))
+
+
 def assert_batch_runs_alone(sub, work_cap):
-    """Every local closure of `sub`, closed in one batch on the trees its
-    engine shares, against the same closure as a batch of one on trees of
-    its own: the same vectors, terms and stats, or the same refusal.
+    """Every local closure of `sub`, closed in one batch on the round trees
+    the process keeps, against the same closure as a batch of one on trees
+    of its own: the same vectors, terms and stats, or the same refusal.
     Returns the outcomes seen, 'closed' or 'capped'."""
     batch = local_batch(sub)
-    together = _build_closures(sub._tables, sub.gens, batch, work_cap, trees=sub._local.trees)
+    together = _build_closures(sub._tables, sub.gens, batch, work_cap)
     seen = set()
     for spec, got in zip(batch, together, strict=True):
         try:
-            alone = _build_closure(sub._tables, sub.gens, *spec, work_cap)
+            with pytest.MonkeyPatch.context() as patched:
+                unshared_trees(patched)
+                alone = _build_closure(sub._tables, sub.gens, *spec, work_cap)
         except CapExceeded as exc:
             assert isinstance(got, CapExceeded)
             assert (str(got), got.explored) == (str(exc), exc.explored)
@@ -402,17 +410,19 @@ def assert_batch_runs_alone(sub, work_cap):
     return seen
 
 
-def test_shared_trees_build_the_same_local_closures(monkeypatch):
+def test_shared_trees_build_the_same_local_closures(monkeypatch, fresh_keepers):
     # every local closure of the nu(4) search over I:5, built in the
-    # search's windows on the trees its engine shares, against a fresh
-    # closure that unranks its own; then all of them in one batch
+    # search's windows on the round trees the process keeps, against a
+    # fresh closure that unranks its own; then all of them in one batch
     sub = nu4_over_i5(monkeypatch)
     local = sub._local
     assert len(local.local_closures) == math.comb(sub.ncoords, local.width) == 210
-    assert local.trees.rounds
+    assert kernel._TREES.kept
     for subset, shared in local.local_closures.items():
-        fresh = _build_closure(sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
-                               sub.gen_rows[:, list(subset)], local.work_cap)
+        with monkeypatch.context() as patched:
+            unshared_trees(patched)
+            fresh = _build_closure(sub._tables, sub.gens, [sub.coord_algs[k] for k in subset],
+                                   sub.gen_rows[:, list(subset)], local.work_cap)
         assert np.array_equal(shared.vectors, fresh.vectors)
         assert shared.terms == fresh.terms
         assert shared.stats == fresh.stats
@@ -422,7 +432,7 @@ def test_shared_trees_build_the_same_local_closures(monkeypatch):
     assert assert_batch_runs_alone(sub, 2_000) == {"closed", "capped"}
 
 
-def test_a_round_weighs_one_chunk_of_lanes_at_a_time(monkeypatch):
+def test_a_round_weighs_one_chunk_of_lanes_at_a_time(monkeypatch, fresh_keepers):
     # with chunks of at most 16 rows of a round's largest block, nu(4) over
     # I:5's 210 local closures run in many chunks per group; each chunk's
     # weighted copies are dropped before the next chunk is weighed, and
@@ -543,47 +553,75 @@ def test_refusals_surface_where_the_walk_reaches_them(monkeypatch):
         assert built[failing].__traceback__ is None
 
 
-def test_local_engine_applies_once_per_round_shape_and_batch(monkeypatch):
+def test_local_engine_applies_once_per_round_shape_and_batch(monkeypatch, fresh_keepers):
     # the kernel calls of nu(4) over I:5's local engine: one per chunk,
     # operation and block of each batch's round shapes, where closing its
     # 210 closures one by one took 988
-    calls = [0]
-    apply = kernel._Kernel.apply
+    calls, shapes = [0], set()
+    apply, round_trees = kernel._Kernel.apply, freealg._round_trees
 
     def counted(self, oi, weighted, tree, closures=1):
         calls[0] += 1
         return apply(self, oi, weighted, tree, closures)
 
+    def seen(n, old, r, sym):
+        shapes.add((n, old, r, sym))
+        return round_trees(n, old, r, sym)
+
     sub = nu4_over_i5(monkeypatch)
     sub._local.local_closures.clear()
-    sub._local.trees = kernel._TreeMemo()
     monkeypatch.setattr(kernel._Kernel, "apply", counted)
+    monkeypatch.setattr(freealg, "_round_trees", seen)
     assert len(members(sub, {}, [])) == 94
-    shapes = len(sub._local.trees.rounds)     # (n, old) per operation
-    assert shapes == 50
-    assert shapes <= calls[0] <= 4 * shapes
+    assert len(shapes) == 50                  # (n, old) per operation
+    assert len(shapes) <= calls[0] <= 4 * len(shapes)
 
 
-def test_tree_memo_keeps_one_block_rounds_up_to_chunk_rows():
-    memo = kernel._TreeMemo()
+def assert_same_tree(got, want):
+    cols, trail = want
+    assert got[0] == cols and len(got[1]) == len(trail)
+    for (parent, value), (want_parent, want_value) in zip(got[1], trail):
+        assert np.array_equal(parent, want_parent) and np.array_equal(value, want_value)
+
+
+def test_round_trees_keep_one_block_rounds_within_the_budget(fresh_keepers):
+    kept = kernel._TREES
     # 260,130 multisets: two blocks, never kept
-    assert len(list(_round_trees(115, 0, 3, True, memo))) == 2
-    assert memo.rounds == {} and memo.rows == 0
-    # one-block rounds are kept, read-only, and handed out again
-    for n, old, r, sym in [(62, 0, 3, False), (10, 4, 3, True)]:
-        trees = _round_trees(n, old, r, sym, memo)
-        assert _round_trees(n, old, r, sym, memo) is trees
+    assert len(list(_round_trees(115, 0, 3, True))) == 2
+    # 24**3 = 13,824 tuples: one block, past the 4,096 rows of one kept round
+    assert len(list(_round_trees(24, 0, 3, False))) == 1
+    assert kept.kept == {} and kept.rows == 0
+    # one-block rounds within the budget are kept, read-only, and handed out again
+    for n, old, r, sym in [(16, 0, 3, False), (10, 4, 3, True)]:
+        trees = _round_trees(n, old, r, sym)
+        assert _round_trees(n, old, r, sym) is trees
         for got, want in zip(trees, _arg_blocks(n, old, r, sym, _CHUNK), strict=True):
-            assert np.array_equal(tree_rows(got), tree_rows(want))
-        for _, trail in trees:
-            for parent, value in trail:
-                for array in (parent, value):
-                    with pytest.raises(ValueError):
-                        array[0] = 0
-    assert memo.rows == 62**3 + math.comb(12, 3) - math.comb(6, 3) == 238_528
-    # 24**3 = 13,824 more rows would pass _CHUNK: that round is not kept
-    assert len(list(_round_trees(24, 0, 3, False, memo))) == 1
-    assert len(memo.rounds) == 2 and memo.rows == 238_528 <= _CHUNK
+            assert_same_tree(got, want)
+        assert_kept_read_only(trees)
+    assert kept.rows == 16**3 + math.comb(12, 3) - math.comb(6, 3) == 4_296
+    # rounds of 4,096 rows each fill the 65,536 rows kept in all: 14 of them
+    # fit, and of the rounds after those only one of the 3,896 rows left
+    for k in range(8):
+        for sym in (False, True):
+            _round_trees(4096 + k, k, 1, sym)
+    assert len(kept.kept) == 2 + 14 and kept.rows == 61_640
+    _round_trees(3896, 0, 1, False)
+    _round_trees(2, 1, 1, False)
+    assert (3896, 0, 1, False) in kept.kept and (2, 1, 1, False) not in kept.kept
+    assert kept.rows == 65_536 == kept.total
+
+
+def test_kept_trees_equal_fresh_builds(fresh_keepers):
+    # the free algebra on 3 generators over N:2:5,N:3:5 and its local
+    # closures keep the trees of their small rounds
+    gens = load_fixtures("N:2:5,N:3:5")
+    closure(gens, 3)
+    local(load_fixtures("I:4"), 4)
+    assert len(kernel._TREES.kept) > 5
+    for key, trees in kernel._TREES.kept.items():
+        for got, want in zip(trees, _arg_blocks(*key, _CHUNK), strict=True):
+            assert_same_tree(got, want)
+        assert_kept_read_only(trees)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +722,7 @@ def _no_rounds(*args):
     raise AssertionError("a closure round started")
 
 
-def test_table_over_cap_raises_before_any_round(monkeypatch):
+def test_table_over_cap_raises_before_any_round(monkeypatch, fresh_keepers):
     monkeypatch.setattr(kernel, "_arg_blocks", _no_rounds)
     big = FiniteAlgebra(2049, [Unbuilt(2049)])        # 2049**2 entries: over the cap
     assert big.size**2 > DEFAULT_TABLE_CAP
@@ -692,7 +730,8 @@ def test_table_over_cap_raises_before_any_round(monkeypatch):
         generate_subpower([big], [0, 0], [[0, 1], [1, 0]])
 
 
-def test_concatenated_tables_of_2_31_entries_raise_before_any_round(monkeypatch):
+def test_concatenated_tables_of_2_31_entries_raise_before_any_round(monkeypatch,
+                                                                     fresh_keepers):
     monkeypatch.setattr(kernel, "_arg_blocks", _no_rounds)
     alg = FiniteAlgebra(2048, [Unbuilt(2048)])        # 2**22 entries: at the cap
     assert alg.size**2 == DEFAULT_TABLE_CAP
@@ -766,9 +805,9 @@ def count_applied(monkeypatch):
         calls[-1][2] += len(tree[1][-1][1]) * closures         # last-level nodes
         return apply(self, oi, weighted, tree, closures)
 
-    def recorded_build(tables, gens, batch, work_cap, stop=None, trees=None):
+    def recorded_build(tables, gens, batch, work_cap, stop=None):
         calls.append([stop is not None, work_cap, 0, None])
-        got = build(tables, gens, batch, work_cap, stop, trees)
+        got = build(tables, gens, batch, work_cap, stop)
         refused = [str(sub) for sub in got if isinstance(sub, CapExceeded)]
         calls[-1][3] = refused[0] if len(refused) == 1 else refused or None
         return got
@@ -778,7 +817,7 @@ def count_applied(monkeypatch):
     return calls
 
 
-def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch):
+def test_doomed_closure_is_refused_before_the_cap_bites(monkeypatch, fresh_keepers):
     # nu(4) over I:5: the closure behind it needs about 15M tuples, against
     # a 4M cap.  With a stop it runs until its work would pass SHALLOW_WORK,
     # then the work bound refuses it and the local engine decides
@@ -822,8 +861,8 @@ FOUND_TERMS = [
 
 
 @pytest.mark.parametrize("fixture, arity, term", FOUND_TERMS)
-def test_found_search_keeps_its_term_within_a_thousand_tuples(monkeypatch, fixture,
-                                                               arity, term):
+def test_found_search_keeps_its_term_within_a_thousand_tuples(monkeypatch, fresh_keepers,
+                                                               fixture, arity, term):
     calls = count_applied(monkeypatch)
     gens = load_fixtures(fixture)
     cert = absorption_search(gens, nu_scheme(arity))
@@ -832,7 +871,7 @@ def test_found_search_keeps_its_term_within_a_thousand_tuples(monkeypatch, fixtu
     assert sum(c[2] for c in calls) <= 1_000
 
 
-def test_witness_past_the_doom_point_is_found_by_the_closure(monkeypatch):
+def test_witness_past_the_doom_point_is_found_by_the_closure(monkeypatch, fresh_keepers):
     # nu(6) over If:6: the first witness appears after a few hundred tuples,
     # where the work bound would already refuse the closure
     calls = count_applied(monkeypatch)
@@ -890,7 +929,7 @@ def record_tiles(monkeypatch):
     return blocks
 
 
-def test_tiles_of_one_block_keep_its_first_occurrences(monkeypatch):
+def test_tiles_of_one_block_keep_its_first_occurrences(monkeypatch, fresh_keepers):
     # in tiles of 7 rows, the free algebra over N:2:5,N:3:5 on 3 generators
     # has a row new to a block in two tiles of it, and blocks whose new rows
     # first occur in two tiles: a stop on the last new row of such a block
@@ -922,7 +961,7 @@ def test_tiles_of_one_block_keep_its_first_occurrences(monkeypatch):
         assert all(other == got[0] for other in got) and got[0][1][0] == end
 
 
-def test_refusal_before_the_first_round(monkeypatch):
+def test_refusal_before_the_first_round(monkeypatch, fresh_keepers):
     monkeypatch.setattr(kernel, "_arg_blocks", _no_rounds)
     gens = load_fixtures("N:2:3")                     # 3 generators: 10 multisets
     with pytest.raises(CapExceeded, match="3 elements need at least 10 "):
@@ -1220,8 +1259,8 @@ def largest_closure(monkeypatch, verdict):
     runs = []
     build = freealg._build_closure
 
-    def recorded(tables, gens, coord_algs, gen_rows, work_cap, stop=None, trees=None):
-        got = build(tables, gens, coord_algs, gen_rows, work_cap, stop, trees)
+    def recorded(tables, gens, coord_algs, gen_rows, work_cap, stop=None):
+        got = build(tables, gens, coord_algs, gen_rows, work_cap, stop)
         runs.append(((gens, coord_algs, gen_rows, work_cap, stop), got))
         return got
 
