@@ -4,9 +4,11 @@ Each identity family builds a left and right relation expression from the
 triple; an instance is checked either in full (every pair) or for a
 designated pair (which also handles universes far too large for all pairs).
 Both modes run on one evaluator: the image of a set under a partition is the
-union of the blocks it meets.
+union of the blocks it meets.  One source row (pair mode) marks the blocks
+it meets and reads them back through the block ids, the path search's own
+step; many rows (full mode) gather into block order and reduce each block.
 
-Two rules keep the evaluator at the fixpoint of its work, and both are
+Three rules keep the evaluator at the fixpoint of its work, and all are
 exact.  (1) Full mode evaluates each side on one source per block of
 alpha ^ L, where L is the side's lead relation (the first `Prim` reached
 through `MeetAlpha`, `Comp` and `Power`), and gives every element the image
@@ -19,14 +21,20 @@ equivalence and every node's image contains its source (partitions are
 reflexive, and a `MeetAlpha` source lies in its home block), so images only
 grow and an equal count means an equal set: a `Comp` skips a `Prim` its rows
 are already closed under, which ends it once every remaining item is such a
-`Prim`, and a `Power` returns once an iteration adds nothing.
+`Prim`, and a `Power` returns once an iteration adds nothing.  (3) Pair
+mode asks about one element d, so a `Comp` or `Power` returns as soon as d
+is in its row: the rest could only add to the row.  A `MeetAlpha` passes d
+on to its inner expression only when d lies in its home alpha-block, and
+evaluates it in full otherwise, so a clip never drops d from a row that
+stopped early, and such a row feeds no later step.
 
-One lex-least shortest-path search runs through relations given as key
-pairs, x -> y iff left[x] == right[y], so that a partition is the pair
-(block_id, block_id): `shortest_length` finds the fewest steps, and
-`least_path` the lex-least path of that many.  It finds the left-side chain
-of a failing pair, the shortest alternating chain between two partitions,
-and the chain levels of `maltsev`.
+One lex-least shortest-path search runs through relations given as keys
+(left, right, bound), x -> y iff left[x] == right[y] with every key below
+bound, so that a partition is (block_id, block_id, n_blocks):
+`shortest_length` finds the fewest steps, and `least_path` the lex-least
+path of that many.  It finds the left-side chain of a failing pair, the
+shortest alternating chain between two partitions, and the chain levels of
+`maltsev`.
 
 Families (parameters in brackets):
 
@@ -164,11 +172,22 @@ def _context(alpha: Partition, beta: Partition, gamma: Partition) -> dict:
 
 
 def _block_image(rows: np.ndarray, part: Partition) -> np.ndarray:
-    """Each row's image under the partition: the union of the blocks it meets."""
+    """Each row's image under the partition: the union of the blocks it meets.
+
+    One row marks the blocks it meets and reads them back through the block
+    ids (`_image`); many rows gather into block order, reduce each block and
+    gather back, which costs less per row.
+    """
+    if len(rows) == 1:
+        return _image(*_relation(part), rows[0])[None]
     return np.logical_or.reduceat(rows[:, part.order], part.starts, axis=1)[:, part.block_id]
 
 
-def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
+def _reached(rows: np.ndarray, target: Optional[int]) -> bool:
+    return target is not None and bool(rows[:, target].all())
+
+
+def expr_image(expr, ctx: dict, rows: np.ndarray, target: Optional[int] = None) -> np.ndarray:
     """Images of source sets under the expression, one per row.
 
     `rows` is a (k, n) boolean matrix; row i of the result is the image of
@@ -180,15 +199,21 @@ def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
     contains its source, so a step that keeps the count of True entries
     changed nothing: a `Comp` skips a `Prim` its rows are closed under and a
     `Power` stops at its fixpoint (see the module docstring).
+
+    With a `target` element, only column `target` of the result is exact: a
+    `Comp` or `Power` returns as soon as every row holds it, and a
+    `MeetAlpha` passes it on only when it lies in every row's home block.
     """
     if isinstance(expr, Prim):
         return _block_image(rows, ctx[expr.key])
     if isinstance(expr, Comp):
         closed, count = set(), np.count_nonzero(rows)
         for item in expr.items:
+            if _reached(rows, target):
+                break
             if isinstance(item, Prim) and item.key in closed:
                 continue
-            rows = expr_image(item, ctx, rows)
+            rows = expr_image(item, ctx, rows, target)
             grown = np.count_nonzero(rows)
             if grown != count:
                 closed.clear()
@@ -198,14 +223,19 @@ def expr_image(expr, ctx: dict, rows: np.ndarray) -> np.ndarray:
         return rows
     if isinstance(expr, MeetAlpha):
         ids = ctx[ALPHA].block_id
-        home = ids[None, :] == ids[rows.argmax(axis=1)][:, None]
+        homes = ids[rows.argmax(axis=1)]
+        home = ids[None, :] == homes[:, None]
         if (rows & ~home).any():
             raise AlgebraError("image through a meet needs a single alpha block")
-        return expr_image(expr.inner, ctx, rows) & home
+        if target is not None and not (homes == ids[target]).all():
+            target = None   # the clip would drop it, so the inner image must be whole
+        return expr_image(expr.inner, ctx, rows, target) & home
     if isinstance(expr, Power):
         count = np.count_nonzero(rows)
         for _ in range(expr.k):
-            rows = expr_image(expr.inner, ctx, rows)
+            if _reached(rows, target):
+                break
+            rows = expr_image(expr.inner, ctx, rows, target)
             grown = np.count_nonzero(rows)
             if grown == count:
                 break
@@ -240,7 +270,7 @@ def _comp_chain_witness(expr, ctx: dict, a: int, d: int) -> Optional[list[int]]:
             return None
         return _comp_chain_witness(expr.inner, ctx, a, d)
     assert isinstance(expr, Comp)
-    rels = [(ctx[item.key].block_id,) * 2 for item in expr.items]
+    rels = [_relation(ctx[item.key]) for item in expr.items]
     ids = np.arange(ctx[ALPHA].size)
     return least_path(ids == a, ids == d, rels, len(rels))
 
@@ -266,7 +296,7 @@ def shortest_alternating_chain(start: int, goal: int, first: Partition, second: 
     best = None
     capped = False
     for lead in ((first, second), (second, first)):
-        rels = [(part.block_id,) * 2 for part in lead]
+        rels = [_relation(part) for part in lead]
         try:
             length = shortest_length(ids == start, ids == goal, rels, cap, message)
         except CapExceeded:
@@ -289,9 +319,15 @@ def shortest_alternating_chain(start: int, goal: int, first: Partition, second: 
 # relations alternate with the parity of the depth
 
 
-def _image(left: np.ndarray, right: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """The elements y with left[x] == right[y] for some x in the mask src."""
-    hit = np.zeros(max(left.max(), right.max()) + 1, dtype=bool)
+def _relation(part: Partition) -> tuple:
+    """The partition as a key relation (left, right, bound)."""
+    return part.block_id, part.block_id, part.n_blocks
+
+
+def _image(left: np.ndarray, right: np.ndarray, bound: int, src: np.ndarray) -> np.ndarray:
+    """The elements y with left[x] == right[y] for some x in the mask src;
+    every key is below `bound`."""
+    hit = np.zeros(bound, dtype=bool)
     hit[left[src]] = True
     return hit[right]
 
@@ -331,13 +367,13 @@ def least_path(starts: np.ndarray, goals: np.ndarray, rels: Sequence, length: in
     """
     back = [goals]
     for depth in reversed(range(length)):
-        left, right = rels[depth % len(rels)]
-        back.insert(0, _image(right, left, back[0]) & eligible)
+        left, right, bound = rels[depth % len(rels)]
+        back.insert(0, _image(right, left, bound, back[0]) & eligible)
     if not (starts & back[0]).any():
         return None
     path = [int(np.argmax(starts & back[0]))]
     for depth in range(length):
-        left, right = rels[depth % len(rels)]
+        left, right, _ = rels[depth % len(rels)]
         path.append(int(np.argmax(back[depth + 1] & (right == left[path[-1]]))))
     return path
 
@@ -380,10 +416,12 @@ def check_identity(
     Each side is evaluated on one source per block of alpha ^ L, L its lead
     relation, at a cost of (blocks) x size rather than size^2; exact because
     the image of {x} depends only on x's L-block and alpha-block.
-    With `pair`: decides whether that pair is a counterexample from its
-    images alone; scales to universes where all pairs are hopeless.
+    With `pair` (a, d): decides whether that pair is a counterexample from
+    the images of {a} alone, each found by block marks on one row; scales to
+    universes where all pairs are hopeless.
     Both modes stop each `Comp` and `Power` at its fixpoint, exact because
-    images only grow, so an equal count of elements is an equal set.
+    images only grow, so an equal count of elements is an equal set; pair
+    mode also stops each side once d is in its image, for the same reason.
     """
     if alpha.size != beta.size or alpha.size != gamma.size:
         raise AlgebraError("partition sizes differ")
@@ -400,8 +438,8 @@ def check_identity(
             raise AlgebraError(f"pair {pair} out of range 0..{size - 1}")
         src = np.zeros((1, size), dtype=bool)
         src[0, a] = True
-        in_lhs = bool(expr_image(lhs, ctx, src)[0, d])
-        in_rhs = bool(expr_image(rhs, ctx, src)[0, d])
+        in_lhs = bool(expr_image(lhs, ctx, src, d)[0, d])
+        in_rhs = bool(expr_image(rhs, ctx, src, d)[0, d])
         if in_lhs and not in_rhs:
             return IdentityInstance(
                 family, params, "fails", (a, d), _comp_chain_witness(lhs, ctx, a, d),

@@ -136,14 +136,14 @@ def _value_mask(free: FreeAlgebra, value: Value) -> np.ndarray:
     return (free.vectors[:, coords] == want).all(axis=1)
 
 
-def _link_groups(free: FreeAlgebra, link: Link) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) group id per element: e links to e' iff left[e] == right[e'],
-    that is, e(left) = e'(right)."""
+def _link_groups(free: FreeAlgebra, link: Link) -> tuple[np.ndarray, np.ndarray, int]:
+    """(left, right) group id per element, and the group count: e links to
+    e' iff left[e] == right[e'], that is, e(left) = e'(right)."""
     patterns = list(dict.fromkeys(link))  # one pattern when both sides read alike
     parts = [free.vectors[:, _pattern_coords(free, p)] for p in patterns]
-    _, groups = np.unique(np.concatenate(parts), axis=0, return_inverse=True)
+    values, groups = np.unique(np.concatenate(parts), axis=0, return_inverse=True)
     groups = np.split(groups.ravel(), len(patterns))
-    return groups[0], groups[-1]
+    return groups[0], groups[-1], len(values)
 
 
 @dataclass

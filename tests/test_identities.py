@@ -224,6 +224,33 @@ def test_expr_image_of_set_sources_matches_the_oracle():
             assert np.array_equal(expr_image(expr, ctx, src), want), expr
 
 
+#: a meet followed by steps that leave its home block: a target outside
+#: that block must not stop the meet's inner image early
+LEAVING_EXPRS = [
+    Comp((MeetAlpha(Comp((B, G, B))), G, B)),
+    Comp((MeetAlpha(Comp((B, G, B, G))), B, G)),
+    Comp((MeetAlpha(Power(Comp((G, B)), 4)), B, G, B)),
+]
+
+
+def test_expr_image_with_a_target_matches_the_oracle():
+    """Every target d of every single-element source: column d of the image
+    is the oracle's, whether d lies in the source's alpha block or not."""
+    rng = random.Random(29)
+    for _ in range(120):
+        n = rng.randrange(2, 9)
+        alpha, beta, gamma = random_triple(rng, n)
+        ctx = _context(alpha, beta, gamma)
+        rels = matrix_context(alpha, beta, gamma)
+        for expr in FIXPOINT_EXPRS + LEAVING_EXPRS:
+            mat = expr_matrix(expr, rels)
+            for a in range(n):
+                src = np.zeros((1, n), dtype=bool)
+                src[0, a] = True
+                for d in range(n):
+                    assert expr_image(expr, ctx, src, d)[0, d] == mat[a, d], (expr, a, d)
+
+
 def test_meet_alpha_refuses_a_source_across_alpha_blocks():
     alpha = Partition([0, 0, 0, 1, 1, 1])
     beta = Partition([0, 1, 2, 0, 1, 2])   # the block {0, 3} meets both alpha blocks
@@ -249,8 +276,10 @@ def test_meet_alpha_refuses_a_source_across_alpha_blocks():
 def test_full_and_pair_mode_stop_at_the_fixpoint(witness_cache, monkeypatch):
     """Counts of the work removed: full mode evaluates one source row per
     block of alpha ^ L (B(7,2) has 38 blocks of alpha ^ beta where the
-    identity rows were its 254 elements), and a chain past its closure stops
-    (17 block images at (a, d) on B(9,2) where it ran all 22)."""
+    identity rows were its 254 elements), a chain past its closure stops,
+    and pair mode stops a side once its row holds d (16 block images at
+    (a, d) on B(9,2) where it ran all 22, and 4 at a drawn pair in one alpha
+    block, whose right side holds d after 2 of the 4 steps to its closure)."""
     calls = []
     block_image = identities._block_image
 
@@ -267,7 +296,16 @@ def test_full_and_pair_mode_stop_at_the_fixpoint(witness_cache, monkeypatch):
     calls.clear()
     inst = check_identity("dist", w.alpha, w.beta, w.gamma, n=20, pair=(w.a, w.d))
     assert inst.verdict == "pair-not-counterexample"
-    assert len(calls) == 17  # 2 on the left, then 15 of the 20 on the right
+    assert len(calls) == 16  # 2 on the left, then 14 of the 20 on the right
+
+    rng = random.Random(0)
+    a = rng.randrange(w.size)
+    block = np.flatnonzero(w.alpha.block_id == w.alpha.block_id[a])
+    d = int(block[rng.randrange(len(block))])
+    calls.clear()
+    inst = check_identity("dist", w.alpha, w.beta, w.gamma, n=20, pair=(a, d))
+    assert inst.stats["in_lhs"] and inst.stats["in_rhs"]
+    assert calls == [1] * 4  # 2 on the left, then 2 of the 20 on the right
 
 
 def test_expr_matrix_vs_raw_relation_composition(witness_cache):
@@ -363,23 +401,46 @@ def catalogue(m, q):
     return out
 
 
+def pair_answer(inst) -> tuple[str, bool, bool]:
+    """A pair-mode instance as (verdict, in_lhs, in_rhs); a failing pair
+    is in the left side and not in the right."""
+    if inst.verdict == "fails":
+        return inst.verdict, True, False
+    return inst.verdict, inst.stats["in_lhs"], inst.stats["in_rhs"]
+
+
+def oracle_answer(left: np.ndarray, right: np.ndarray, a: int, d: int) -> tuple[str, bool, bool]:
+    fails = left[a, d] and not right[a, d]
+    return ("fails" if fails else "pair-not-counterexample"), bool(left[a, d]), bool(right[a, d])
+
+
 @pytest.mark.parametrize("m, q", [(m, 2) for m in range(3, 9)] + [(m, 3) for m in range(3, 8)])
 def test_full_mode_violations_match_the_oracle(witness_cache, m, q):
+    """Full mode against the oracle matrices, and pair mode at (a, a), the
+    lex-least counterexample, seeded pairs inside a's alpha block and one
+    pair outside it."""
     w = witness_cache(m, q)
     ctx = _context(w.alpha, w.beta, w.gamma)
     rels = matrix_context(w.alpha, w.beta, w.gamma)
     eye = np.eye(w.size, dtype=bool)
+    ids = w.alpha.block_id
+    home = np.flatnonzero(ids == ids[w.a])
+    rng = random.Random(m * 10 + q)
+    pairs = [(w.a, w.a), (w.a, int(np.flatnonzero(ids != ids[w.a])[0]))]
+    pairs += [(w.a, int(d)) for d in rng.sample(home.tolist(), min(4, len(home)))]
     for family, params in catalogue(m, q):
         lhs, rhs = family_exprs(family, **params)
-        want = expr_matrix(lhs, rels) & ~expr_matrix(rhs, rels)
+        left, right = expr_matrix(lhs, rels), expr_matrix(rhs, rels)
+        want = left & ~right
         got = expr_image(lhs, ctx, eye) & ~expr_image(rhs, ctx, eye)
         assert np.array_equal(got, want), (family, params)
         full = check_identity(family, w.alpha, w.beta, w.gamma, **params)
-        if not want.any():
+        least = [tuple(int(v) for v in np.argwhere(want)[0])] if want.any() else []
+        if least:
+            assert full.verdict == "fails"
+            assert full.counterexample == least[0]
+        else:
             assert full.verdict == "holds"
-            continue
-        assert full.verdict == "fails"
-        assert full.counterexample == tuple(int(v) for v in np.argwhere(want)[0])
-        by_pair = check_identity(family, w.alpha, w.beta, w.gamma, **params,
-                                 pair=full.counterexample)
-        assert by_pair.verdict == "fails", (family, params)
+        for a, d in pairs + least:
+            by_pair = check_identity(family, w.alpha, w.beta, w.gamma, **params, pair=(a, d))
+            assert pair_answer(by_pair) == oracle_answer(left, right, a, d), (family, params, a, d)

@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 import image_oracle
 import property_suites as ps
 from finalg import freealg
-from finalg.algebras import FiniteAlgebra, TableOp
+from finalg.algebras import AlgebraError, FiniteAlgebra, TableOp
+from finalg.congruences import Partition
+from finalg.identities import FAMILIES, check_identity, family_exprs
 from finalg.kernel import _prepare_tables
 from finalg.witnesses import HypothesisError, filtered_subproduct
+from relation_oracle import expr_matrix, matrix_context
 
 
 def test_odd_equivalence_500_trials():
@@ -113,3 +116,42 @@ def test_walk_predicts_the_new_rows_of_every_tuple(instance):
     assert predicted == image_oracle.new_rows(gens, coord_algs, rows)
     if kind == "closed":
         assert not predicted
+
+
+@st.composite
+def pair_instances(draw):
+    """A triple on at most 12 elements whose alpha has several blocks, a
+    source a, and (m, q, j) for the catalogue."""
+    n = draw(st.integers(2, 12))
+    alpha = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+        lambda ids: len(set(ids)) > 1))
+    beta, gamma = (draw(st.lists(st.integers(0, n // 2), min_size=n, max_size=n))
+                   for _ in "bg")
+    m = draw(st.integers(3, 6))
+    q = draw(st.integers(2, 5))
+    j = draw(st.integers(2, (m + 1) // 2))
+    return Partition(alpha), Partition(beta), Partition(gamma), draw(st.integers(0, n - 1)), (m, q, j)
+
+
+@settings(deadline=None, max_examples=80)
+@given(pair_instances())
+def test_pair_mode_answers_match_the_oracle(instance):
+    """Pair mode at (a, d) for every d, inside a's alpha block and outside
+    it, against the oracle matrices, for every catalogue family that takes
+    (m, q, j); the verdict fails exactly when (a, d) is in the left side and
+    not in the right."""
+    alpha, beta, gamma, a, (m, q, j) = instance
+    rels = matrix_context(alpha, beta, gamma)
+    for family in FAMILIES:
+        params = {"m": m, "q": q, "j": j, "n": 2 * m - 4}
+        try:
+            lhs, rhs = family_exprs(family, **params)
+        except AlgebraError:
+            continue
+        left, right = expr_matrix(lhs, rels)[a], expr_matrix(rhs, rels)[a]
+        for d in range(alpha.size):
+            inst = check_identity(family, alpha, beta, gamma, **params, pair=(a, d))
+            got = ((True, False) if inst.verdict == "fails"
+                   else (inst.stats["in_lhs"], inst.stats["in_rhs"]))
+            assert got == (left[d], right[d]), (family, params, a, d)
+            assert (inst.verdict == "fails") == (left[d] and not right[d])

@@ -229,7 +229,7 @@ def oracle_shortest(starts, goals, rels, eligible):
     dist = {(x, 0): 0 for x in range(n) if starts[x]}
     queue = list(dist)
     for x, r in queue:
-        left, right = rels[r]
+        left, right, _ = rels[r]
         for y in range(n):
             state = (y, (r + 1) % period)
             if eligible[y] and left[x] == right[y] and state not in dist:
@@ -245,7 +245,7 @@ def oracle_least_path(starts, goals, rels, length, eligible):
     n = len(starts)
     best = {x: [x] for x in range(n) if starts[x]}
     for depth in range(length):
-        left, right = rels[depth % len(rels)]
+        left, right, _ = rels[depth % len(rels)]
         nxt = {}
         for x, walk in best.items():
             for y in range(n):
@@ -262,7 +262,7 @@ def test_paths_on_key_relations_match_the_oracle():
     for _ in range(400):
         n = rng.randrange(1, 8)
         keys = rng.randrange(1, n + 2)
-        rels = [tuple(np.array([rng.randrange(keys) for _ in range(n)]) for _ in "lr")
+        rels = [(*(np.array([rng.randrange(keys) for _ in range(n)]) for _ in "lr"), keys)
                 for _ in range(rng.choice((1, 2)))]
         eligible = np.array([rng.random() < 0.8 for _ in range(n)])
         starts = eligible & np.array([rng.random() < 0.3 for _ in range(n)])
